@@ -17,9 +17,16 @@ use grca_simnet::{FaultRates, ScenarioConfig, Sim};
 use grca_telemetry::records::{L1EventKind, PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::SyslogEvent;
 use grca_types::Timestamp;
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `CountingAlloc` counts for the whole process and the test harness runs
+/// tests on parallel threads, so one test's fixture setup would land in
+/// another's measured window. Every test allocates only inside
+/// [`measure`], which holds this lock from setup to the final snapshot.
+static WINDOW: Mutex<()> = Mutex::new(());
 
 const N: usize = 10_000;
 
@@ -27,8 +34,13 @@ const N: usize = 10_000;
 /// the measured allocations per emitted record. Sink buffers are
 /// pre-sized so the measurement sees emission cost, not `Vec` doubling,
 /// and one warmup emit runs outside the window so lazily-built state
-/// (interned TACACS users, memoized session keys) is excluded.
+/// (interned TACACS users, memoized session keys) is excluded. Emitters
+/// read entity counts off `sim.topo` instead of generating a topology of
+/// their own, which would allocate outside the lock.
 fn measure<F: FnMut(&mut Sim, usize)>(mut emit: F) -> f64 {
+    // The guarded value is `()`: a test that panicked in here left nothing
+    // half-updated, so a poisoned lock is still good to take.
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let topo = generate(&TopoGenConfig::small());
     let cfg = ScenarioConfig::new(1, 5, FaultRates::zero());
     let mut sim = Sim::new(&topo, &cfg);
@@ -52,8 +64,8 @@ fn t0() -> Timestamp {
 
 #[test]
 fn snmp_emission_stays_within_alloc_budget() {
-    let routers = generate(&TopoGenConfig::small()).routers.len();
     let per_emit = measure(|sim, i| {
+        let routers = sim.topo.routers.len();
         sim.snmp(
             RouterId::from(i % routers),
             t0(),
@@ -73,8 +85,8 @@ fn snmp_emission_stays_within_alloc_budget() {
 
 #[test]
 fn syslog_emission_stays_within_alloc_budget() {
-    let routers = generate(&TopoGenConfig::small()).routers.len();
     let per_emit = measure(|sim, i| {
+        let routers = sim.topo.routers.len();
         sim.syslog(RouterId::from(i % routers), t0(), &SyslogEvent::Restart);
     });
     // Budget: the formatted line body only (nested format! plus growth
@@ -88,8 +100,8 @@ fn syslog_emission_stays_within_alloc_budget() {
 
 #[test]
 fn perf_emission_stays_within_alloc_budget() {
-    let routers = generate(&TopoGenConfig::small()).routers.len();
     let per_emit = measure(|sim, i| {
+        let routers = sim.topo.routers.len();
         sim.perf(
             RouterId::from(i % routers),
             RouterId::from((i + 1) % routers),
@@ -107,11 +119,9 @@ fn perf_emission_stays_within_alloc_budget() {
 
 #[test]
 fn cdnmon_emission_stays_within_alloc_budget() {
-    let topo = generate(&TopoGenConfig::small());
-    let nodes = topo.cdn_nodes.len();
-    let sites = topo.ext_nets.len();
-    drop(topo);
     let per_emit = measure(|sim, i| {
+        let nodes = sim.topo.cdn_nodes.len();
+        let sites = sim.topo.ext_nets.len();
         sim.cdnmon(
             CdnNodeId::from(i % nodes),
             ClientSiteId::from(i % sites),
@@ -128,11 +138,9 @@ fn cdnmon_emission_stays_within_alloc_budget() {
 
 #[test]
 fn bgpmon_emission_stays_within_alloc_budget() {
-    let topo = generate(&TopoGenConfig::small());
-    let routers = topo.routers.len();
-    let prefix = topo.ext_nets[0].prefix;
-    drop(topo);
     let per_emit = measure(|sim, i| {
+        let routers = sim.topo.routers.len();
+        let prefix = sim.topo.ext_nets[0].prefix;
         sim.bgpmon(
             t0(),
             prefix,
@@ -152,8 +160,8 @@ fn bgpmon_emission_stays_within_alloc_budget() {
 
 #[test]
 fn l1log_emission_stays_within_alloc_budget() {
-    let circuits = generate(&TopoGenConfig::small()).phys_links.len();
     let per_emit = measure(|sim, i| {
+        let circuits = sim.topo.phys_links.len();
         sim.l1log(
             PhysLinkId::from(i % circuits),
             t0(),
@@ -183,8 +191,8 @@ fn workflow_emission_stays_within_alloc_budget() {
 
 #[test]
 fn tacacs_emission_stays_within_alloc_budget() {
-    let routers = generate(&TopoGenConfig::small()).routers.len();
     let per_emit = measure(|sim, i| {
+        let routers = sim.topo.routers.len();
         sim.tacacs(
             RouterId::from(i % routers),
             t0(),
