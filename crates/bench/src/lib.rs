@@ -120,28 +120,20 @@ pub fn render_compare(title: &str, rows: &[CompareRow]) -> String {
 }
 
 /// Process-level memory observability for the experiment binaries:
-/// resident-set sampling from `/proc/self/status` and a counting global
+/// the peak resident set from `/proc/self/status` and a counting global
 /// allocator for per-phase allocation accounting.
 pub mod mem {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn status_kb(field: &str) -> Option<u64> {
+    /// Peak (high-water-mark) resident set size in kB since process start
+    /// (`None` off Linux).
+    pub fn vm_hwm_kb() -> Option<u64> {
         let s = std::fs::read_to_string("/proc/self/status").ok()?;
         s.lines().find_map(|line| {
-            let rest = line.strip_prefix(field)?.strip_prefix(':')?;
+            let rest = line.strip_prefix("VmHWM:")?;
             rest.trim().strip_suffix("kB")?.trim().parse().ok()
         })
-    }
-
-    /// Current resident set size in kB (`None` off Linux).
-    pub fn vm_rss_kb() -> Option<u64> {
-        status_kb("VmRSS")
-    }
-
-    /// Peak (high-water-mark) resident set size in kB since process start.
-    pub fn vm_hwm_kb() -> Option<u64> {
-        status_kb("VmHWM")
     }
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);

@@ -17,21 +17,6 @@ fn check(result: &str, schema_file: &str) {
 }
 
 #[test]
-fn committed_serve_results_satisfy_schema() {
-    check("BENCH_rca_serve.json", "BENCH_rca_serve.schema.json");
-}
-
-#[test]
-fn committed_stream_results_satisfy_schema() {
-    check("BENCH_rca_stream.json", "BENCH_rca_stream.schema.json");
-}
-
-#[test]
-fn committed_sim_results_satisfy_schema() {
-    check("BENCH_rca_sim.json", "BENCH_rca_sim.schema.json");
-}
-
-#[test]
 fn committed_recovery_results_satisfy_schema() {
     check("BENCH_rca_recovery.json", "BENCH_rca_recovery.schema.json");
 }

@@ -29,10 +29,9 @@
 //!   online pipeline at scheduled and randomized points, restart, and
 //!   require the recovered emission stream to be exactly-once and
 //!   label-identical to the uninterrupted run (E19);
-//! * [`soak`] — the long-horizon streaming soak driver behind
-//!   `exp_stream_tier1`: day-chunked manifest replay at a
-//!   [`grca_net_model::TierConfig`] preset, scored for accuracy and
-//!   detection latency.
+//! * [`soak`] — the long-horizon streaming soak driver: day-chunked
+//!   manifest replay at a [`grca_net_model::TierConfig`] preset, scored
+//!   for accuracy and detection latency.
 
 pub mod chaos;
 pub mod corpus;

@@ -8,7 +8,7 @@
 //! * `default` — a mid-size backbone for CI experiment runs;
 //! * `tier1` — hundreds of PoPs, thousands of routers, tens of thousands
 //!   of interfaces and eBGP sessions, the scale the soak benchmark
-//!   (`exp_stream_tier1`) exists to prove out.
+//!   (`bench_pipeline`'s `soak-tier1` workload) exists to prove out.
 //!
 //! Each eBGP session stands in for an access aggregate; multiplying by
 //! [`TierConfig::subscribers_per_session`] gives the subscriber population
