@@ -366,8 +366,7 @@ fn run_shard(
             }
         }
         Shard::ServerLog(node) => {
-            // Server load shares the CDN baseline cadence (as the
-            // sequential baseline always has).
+            // Server load shares the CDN baseline cadence.
             let bin = cfg.background.cdn_baseline_bin;
             let name = &names.cdn_nodes[node.index()];
             let tz = topo.pop(topo.cdn_node(node).pop).tz;

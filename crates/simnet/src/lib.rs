@@ -31,12 +31,9 @@ pub use chaos::{ChaosOp, FeedChaos, MicroBatches};
 pub use config::{BackgroundConfig, FaultRates, ScenarioConfig};
 pub use kill::{KillPoint, KillSwitch};
 pub use names::FeedNames;
-pub use scenario::{
-    run_scenario, run_scenario_baseline, run_scenario_threads, SimBuffers, SimOutput,
-};
+pub use scenario::{run_scenario, run_scenario_threads, SimBuffers, SimOutput};
 pub use sim::Sim;
 pub use soak::{
-    run_manifest, run_manifest_baseline, run_manifest_into, run_manifest_threads, SoakEntry,
-    SoakFault, SoakManifest,
+    run_manifest, run_manifest_into, run_manifest_threads, SoakEntry, SoakFault, SoakManifest,
 };
 pub use truth::{breakdown, FaultInstance, RootCause, SymptomKind, TruthRecord};

@@ -12,16 +12,15 @@
 //!
 //! Both passes key every record with its true UTC emission instant, so
 //! delivery ordering is one stable sort — no re-parsing records to recover
-//! their clocks. The pre-split sequential path is kept live as
-//! [`run_scenario_baseline`] (the E18 benchmark baseline).
+//! their clocks.
 
 use crate::background::{self, BackgroundJob};
 use crate::config::ScenarioConfig;
 use crate::names::FeedNames;
 use crate::sim::Sim;
 use crate::truth::{FaultInstance, TruthRecord};
-use grca_net_model::{CdnNodeId, ClientSiteId, InterfaceKind, RouterId, RouterRole, Topology};
-use grca_telemetry::records::{L1EventKind, PerfMetric, RawRecord, SnmpMetric};
+use grca_net_model::Topology;
+use grca_telemetry::records::{L1EventKind, RawRecord};
 use grca_types::Timestamp;
 use std::sync::Arc;
 
@@ -94,15 +93,6 @@ pub fn run_scenario_threads(topo: &Topology, cfg: &ScenarioConfig, threads: usiz
     let mut sim = Sim::new(topo, cfg);
     inject_arrivals(&mut sim);
     finalize(sim, threads, None)
-}
-
-/// The pre-parallelization scenario runner, kept live as the E18
-/// benchmark baseline: one RNG stream, background emitted sequentially,
-/// delivery keys recovered by re-parsing each record (`approx_utc`).
-pub fn run_scenario_baseline(topo: &Topology, cfg: &ScenarioConfig) -> SimOutput {
-    let mut sim = Sim::new_baseline(topo, cfg);
-    inject_arrivals(&mut sim);
-    finalize_baseline(sim)
 }
 
 /// Draw Poisson arrival counts per fault kind and inject at uniform times
@@ -265,50 +255,6 @@ pub(crate) fn finalize(
     }
 }
 
-/// The pre-split sequential finalizer (E18 baseline): emits noise and
-/// background from the single RNG stream, then recovers every record's
-/// delivery key by re-parsing it with [`approx_utc`].
-pub(crate) fn finalize_baseline(mut sim: Sim<'_>) -> SimOutput {
-    let topo = sim.topo;
-    let cfg = sim.cfg;
-
-    // Confounders and background.
-    sim.reverse_cpu_pass();
-    emit_noise(&mut sim);
-    emit_background(&mut sim);
-
-    // Deliver records in (approximate) chronological order, as live feeds
-    // would; each record still carries its source-local clock. A nonzero
-    // `arrival_jitter` delays each record's delivery position by a uniform
-    // amount, modelling feed batching/transfer lag (out-of-order arrival).
-    let records = std::mem::take(&mut sim.records);
-    let jitter = cfg.arrival_jitter.as_secs();
-    let mut keyed: Vec<(Timestamp, RawRecord)> = records
-        .into_iter()
-        .map(|r| {
-            let mut k = approx_utc(topo, &r);
-            if jitter > 0 {
-                k += grca_types::Duration::secs(sim.uniform(0.0, jitter as f64) as i64);
-            }
-            (k, r)
-        })
-        .collect();
-    keyed.sort_by_key(|(k, _)| *k);
-    let mut out_records = Vec::with_capacity(keyed.len());
-    let mut delivery = Vec::with_capacity(keyed.len());
-    for (k, r) in keyed {
-        delivery.push(k);
-        out_records.push(r);
-    }
-
-    SimOutput {
-        records: out_records,
-        delivery,
-        truth: sim.truth,
-        faults: sim.faults,
-    }
-}
-
 /// The UTC emission instant of a raw record, recovered by inverting each
 /// feed's clock convention (the same logic the collector applies).
 pub fn approx_utc(topo: &Topology, r: &RawRecord) -> grca_types::Timestamp {
@@ -341,105 +287,6 @@ pub fn approx_utc(topo: &Topology, r: &RawRecord) -> grca_types::Timestamp {
                 .to_utc(x.local_time),
             None => x.local_time,
         },
-    }
-}
-
-/// Syslog noise: the sea of routine messages the §IV-B blind screening has
-/// to sift through. Each noise type forms its own candidate time series.
-/// (Baseline path; the parallel path stripes this in `background`.)
-fn emit_noise(sim: &mut Sim) {
-    let days = sim.cfg.days as f64;
-    let n = sim.poisson(sim.cfg.rates.noise_syslog * days);
-    let routers = sim.topo.routers.len();
-    for _ in 0..n {
-        let t = sim.uniform_time();
-        let r = RouterId::from(sim.pick(routers));
-        let k = sim.pick(sim.cfg.noise_syslog_types);
-        sim.syslog_raw(
-            r,
-            t,
-            &format!("%NOISE-6-T{k:03}: periodic condition type {k}"),
-        );
-    }
-}
-
-/// Baseline (healthy) telemetry so detectors have something to compare
-/// against: normal SNMP readings, nominal probe measurements, nominal CDN
-/// RTT samples. (Baseline path; the parallel path shards this in
-/// `background`.)
-fn emit_background(sim: &mut Sim) {
-    if !sim.cfg.background.emit_baseline {
-        return;
-    }
-    let start = sim.cfg.start;
-    let end = sim.cfg.end();
-
-    // SNMP: router CPU plus link utilization on backbone interfaces.
-    let bin = sim.cfg.background.snmp_baseline_bin;
-    let routers: Vec<RouterId> = (0..sim.topo.routers.len())
-        .map(RouterId::from)
-        .filter(|&r| sim.topo.router(r).role != RouterRole::RouteReflector)
-        .collect();
-    let backbone_ifaces: Vec<grca_net_model::InterfaceId> = (0..sim.topo.interfaces.len())
-        .map(grca_net_model::InterfaceId::from)
-        .filter(|&i| sim.topo.interface(i).kind == InterfaceKind::Backbone)
-        .collect();
-    let mut t = start;
-    while t < end {
-        for &r in &routers {
-            let v = sim.uniform(15.0, 55.0);
-            sim.snmp(r, t, SnmpMetric::CpuUtil5m, None, v);
-        }
-        for &i in &backbone_ifaces {
-            let r = sim.topo.interface(i).router;
-            let v = sim.uniform(20.0, 60.0);
-            sim.snmp(r, t, SnmpMetric::LinkUtil5m, Some(i), v);
-            let ovf = sim.uniform(0.0, 5.0).round();
-            sim.snmp(r, t, SnmpMetric::OverflowPkts5m, Some(i), ovf);
-        }
-        t += bin;
-    }
-
-    // End-to-end probes between designated PoP pairs.
-    let pairs = sim.perf_pairs();
-    let bin = sim.cfg.background.perf_baseline_bin;
-    let mut t = start;
-    while t < end {
-        for &(a, b) in &pairs {
-            let delay = sim.uniform(10.0, 45.0);
-            let loss = sim.uniform(0.0, 0.05);
-            let tput = sim.uniform(700.0, 950.0);
-            sim.perf(a, b, t, PerfMetric::DelayMs, delay);
-            sim.perf(a, b, t, PerfMetric::LossPct, loss);
-            sim.perf(a, b, t, PerfMetric::ThroughputMbps, tput);
-        }
-        t += bin;
-    }
-
-    // CDN monitor baselines.
-    let bin = sim.cfg.background.cdn_baseline_bin;
-    let mut t = start;
-    while t < end {
-        for n in 0..sim.topo.cdn_nodes.len() {
-            for c in 0..sim.topo.ext_nets.len() {
-                let node = CdnNodeId::from(n);
-                let client = ClientSiteId::from(c);
-                let rtt = sim.base_rtt(node, client) * sim.uniform(0.95, 1.05);
-                let tput = sim.base_tput(node, client) * sim.uniform(0.9, 1.1);
-                sim.cdnmon(node, client, t, rtt, tput);
-            }
-        }
-        t += bin;
-    }
-
-    // CDN server load baseline (nominal ~1.0).
-    let mut t = start;
-    while t < end {
-        for n in 0..sim.topo.cdn_nodes.len() {
-            let load = sim.uniform(0.5, 1.0);
-            sim.serverlog(CdnNodeId::from(n), t, load);
-        }
-        t += bin;
     }
 }
 
@@ -578,24 +425,6 @@ mod tests {
         for f in ["snmp", "perf", "cdnmon", "serverlog"] {
             assert!(feeds.contains(f), "missing {f}");
         }
-    }
-
-    /// The kept-live sequential baseline produces the same ground truth
-    /// and fault list as the parallel path (injectors share one stream),
-    /// and a statistically comparable record volume.
-    #[test]
-    fn baseline_matches_truth_and_volume() {
-        let topo = generate(&TopoGenConfig::small());
-        let cfg = ScenarioConfig::new(3, 77, FaultRates::bgp_study());
-        let new = run_scenario(&topo, &cfg);
-        let base = run_scenario_baseline(&topo, &cfg);
-        assert_eq!(new.truth, base.truth);
-        assert_eq!(new.faults, base.faults);
-        let (a, b) = (new.records.len() as f64, base.records.len() as f64);
-        assert!(
-            (a - b).abs() / b < 0.05,
-            "volumes diverged: new={a} baseline={b}"
-        );
     }
 
     #[test]

@@ -65,16 +65,7 @@ pub struct Sim<'a> {
 impl<'a> Sim<'a> {
     pub fn new(topo: &'a Topology, cfg: &'a ScenarioConfig) -> Self {
         let names = Arc::new(FeedNames::new(topo, cfg.noise_workflow_types));
-        Sim::with_parts(topo, cfg, names, Vec::new(), Vec::new(), None, true)
-    }
-
-    /// The kept-live pre-optimization construction (E18 baseline): same
-    /// outputs as [`Sim::new`], but the historical cost model — fresh name
-    /// table, fresh buffers, and routing without the per-source SPF memo,
-    /// so every reconvergence path query pays a full Dijkstra.
-    pub fn new_baseline(topo: &'a Topology, cfg: &'a ScenarioConfig) -> Self {
-        let names = Arc::new(FeedNames::new(topo, cfg.noise_workflow_types));
-        Sim::with_parts(topo, cfg, names, Vec::new(), Vec::new(), None, false)
+        Sim::with_parts(topo, cfg, names, Vec::new(), Vec::new(), None)
     }
 
     /// Construct with a pre-built name table, recycled emission buffers
@@ -82,10 +73,8 @@ impl<'a> Sim<'a> {
     /// from a previous window over the same topology — the day-chunk reuse
     /// path. Thawing recycled routing keeps the reconvergence path cache
     /// warm, which is the dominant per-window cost at tier-1 scale; cache
-    /// entries only ever affect speed, never answers. `spf_cache` selects
-    /// the routing cost model when no frozen state is supplied: `true`
-    /// (the shipped pipeline) memoizes one SPF per source router, `false`
-    /// (the kept-live E18 baseline) re-pays a full Dijkstra per pair.
+    /// entries only ever affect speed, never answers. Without a frozen
+    /// state, routing starts cold with one memoized SPF per source router.
     pub fn with_parts(
         topo: &'a Topology,
         cfg: &'a ScenarioConfig,
@@ -93,7 +82,6 @@ impl<'a> Sim<'a> {
         mut records: Vec<RawRecord>,
         mut keys: Vec<Timestamp>,
         routing: Option<grca_routing::FrozenRoutingState>,
-        spf_cache: bool,
     ) -> Self {
         records.clear();
         keys.clear();
@@ -109,10 +97,9 @@ impl<'a> Sim<'a> {
             keys,
             truth: Vec::new(),
             faults: Vec::new(),
-            routing: match (routing, spf_cache) {
-                (Some(frozen), _) => RoutingState::thaw(topo, frozen),
-                (None, true) => RoutingState::baseline(topo).with_spf_cache(),
-                (None, false) => RoutingState::baseline(topo),
+            routing: match routing {
+                Some(frozen) => RoutingState::thaw(topo, frozen),
+                None => RoutingState::baseline(topo).with_spf_cache(),
             },
             fast_fallover,
             flap_log: Vec::new(),
@@ -235,17 +222,6 @@ impl<'a> Sim<'a> {
         let rec = RawRecord::Syslog(SyslogLine {
             host: self.names.routers[router.index()].clone(),
             line: ev.format_line(local),
-        });
-        self.push(utc, rec);
-    }
-
-    /// Emit an arbitrary-text syslog line (noise messages).
-    pub fn syslog_raw(&mut self, router: RouterId, utc: Timestamp, body: &str) {
-        let tz = self.topo.router_tz(router);
-        let local = tz.to_local(utc);
-        let rec = RawRecord::Syslog(SyslogLine {
-            host: self.names.routers[router.index()].clone(),
-            line: format!("{local} {body}"),
         });
         self.push(utc, rec);
     }

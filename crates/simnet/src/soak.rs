@@ -18,7 +18,7 @@
 
 use crate::config::{FaultRates, ScenarioConfig};
 use crate::names::FeedNames;
-use crate::scenario::{finalize, finalize_baseline, SimBuffers, SimOutput};
+use crate::scenario::{finalize, SimBuffers, SimOutput};
 use crate::sim::Sim;
 use grca_net_model::Topology;
 use grca_telemetry::records::L1EventKind;
@@ -200,7 +200,7 @@ pub fn run_manifest_threads(
     manifest: &SoakManifest,
     threads: usize,
 ) -> SimOutput {
-    let sim = manifest_sim(topo, cfg, manifest, None, false);
+    let sim = manifest_sim(topo, cfg, manifest, None);
     finalize(sim, threads, None)
 }
 
@@ -215,31 +215,17 @@ pub fn run_manifest_into(
     threads: usize,
     bufs: &mut SimBuffers,
 ) -> SimOutput {
-    let sim = manifest_sim(topo, cfg, manifest, Some(bufs), false);
+    let sim = manifest_sim(topo, cfg, manifest, Some(bufs));
     finalize(sim, threads, Some(bufs))
 }
 
-/// The pre-parallelization sequential replayer, kept live as the E18
-/// benchmark baseline (single RNG stream, `approx_utc` delivery keying).
-pub fn run_manifest_baseline(
-    topo: &Topology,
-    cfg: &ScenarioConfig,
-    manifest: &SoakManifest,
-) -> SimOutput {
-    let sim = manifest_sim(topo, cfg, manifest, None, true);
-    finalize_baseline(sim)
-}
-
 /// Build the injected (pre-finalize) simulation for a manifest window,
-/// optionally drawing recycled buffers from `bufs`. `baseline` selects
-/// the kept-live pre-optimization construction (fresh everything, no
-/// per-source SPF memo) — the E18 reference cost model.
+/// optionally drawing recycled buffers from `bufs`.
 fn manifest_sim<'a>(
     topo: &'a Topology,
     cfg: &'a ScenarioConfig,
     manifest: &SoakManifest,
     bufs: Option<&mut SimBuffers>,
-    baseline: bool,
 ) -> Sim<'a> {
     let mut sim = match bufs {
         Some(b) => {
@@ -248,9 +234,8 @@ fn manifest_sim<'a>(
                 std::sync::Arc::new(FeedNames::new(topo, cfg.noise_workflow_types))
             });
             let routing = b.take_routing();
-            Sim::with_parts(topo, cfg, names, records, keys, routing, true)
+            Sim::with_parts(topo, cfg, names, records, keys, routing)
         }
-        None if baseline => Sim::new_baseline(topo, cfg),
         None => Sim::new(topo, cfg),
     };
     for e in &manifest.entries {

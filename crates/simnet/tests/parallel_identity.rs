@@ -1,6 +1,5 @@
 //! Parallel ≡ sequential byte-identity for the sharded background
-//! emitter, plus a pinned fingerprint of the kept-live sequential
-//! baseline stream.
+//! emitter, plus a pinned fingerprint of the shipped record stream.
 //!
 //! The simulator splits emission into a sequential fault/injector pass
 //! and a parallel background pass (per-shard RNG streams merged in
@@ -8,16 +7,16 @@
 //! parallel path trustworthy: the record stream, delivery keys, truth
 //! and fault timelines must be identical at every worker count, across
 //! presets and fault mixes, with and without mid-window manifest faults,
-//! and with recycled emission buffers. The final test pins the
-//! *baseline* replayer's stream with a stable FNV-1a fingerprint so an
-//! accidental RNG restream in a future change fails loudly instead of
-//! silently invalidating the committed goldens.
+//! and with recycled emission buffers. The final test pins the manifest
+//! replayer's stream with a stable FNV-1a fingerprint so an accidental
+//! RNG restream in a future change fails loudly instead of silently
+//! invalidating the committed goldens.
 
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::TierConfig;
 use grca_simnet::{
-    run_manifest_baseline, run_manifest_into, run_manifest_threads, run_scenario_threads,
-    FaultRates, ScenarioConfig, SimBuffers, SimOutput, SoakManifest,
+    run_manifest_into, run_manifest_threads, run_scenario_threads, FaultRates, ScenarioConfig,
+    SimBuffers, SimOutput, SoakManifest,
 };
 use grca_types::{Duration, Timestamp};
 
@@ -109,21 +108,20 @@ fn default_preset_scenario_identical_across_thread_counts() {
     assert_identical(&seq, &par, "default-preset/threads=4");
 }
 
-/// Pin the sequential baseline's smoke-preset stream. The baseline is
-/// the E18 reference: its single-RNG record stream must never drift, or
-/// the benchmark's "same scenario" claim (and the golden regeneration
-/// story) silently breaks. If an intentional simulator change moves
+/// Pin the smoke-preset stream of the path that ships. The golden, chaos
+/// and recovery corpora are functions of the simulator's record stream,
+/// so it must never drift unnoticed. If an intentional simulator change moves
 /// this, regenerate the goldens and update the constant in the same PR.
 #[test]
-fn baseline_smoke_stream_is_pinned() {
+fn smoke_stream_is_pinned() {
     let tier = TierConfig::smoke();
     let topo = generate(&tier.topo);
     let cfg = ScenarioConfig::new(1, 600, FaultRates::bgp_study());
     let manifest = SoakManifest::draw(cfg.start, cfg.days, 600 ^ 0x50AC, &cfg.rates);
-    let out = run_manifest_baseline(&topo, &cfg, &manifest);
+    let out = run_manifest_threads(&topo, &cfg, &manifest, 1);
     assert_eq!(
         fingerprint(&out),
-        0x41bd_cc15_81fc_5386,
-        "sequential baseline stream drifted — regenerate goldens if intentional"
+        0x735d_049a_175d_1418,
+        "simulator record stream drifted — regenerate goldens if intentional"
     );
 }
