@@ -8,15 +8,9 @@
 //! honest behaviour.
 //!
 //! Normalization of one record is a pure function of `(topology, record)`,
-//! which buys two things:
-//!
-//! * **memoized entity resolution** — every name→id lookup goes through an
-//!   [`EntityResolver`] ([`CachedResolver`] by default; see [`crate::resolve`]);
-//! * **parallel sharded ingest** ([`Database::ingest_parallel`]) — records
-//!   are partitioned by (feed, entity) hash so each worker's resolver cache
-//!   sees a dense slice of the name space, workers normalize shards off a
-//!   work-stealing queue, and the merge re-assembles rows in original
-//!   record order, making the result bit-identical to sequential ingest.
+//! which is what makes **memoized entity resolution** safe: every name→id
+//! lookup goes through an [`EntityResolver`] ([`CachedResolver`] by
+//! default; see [`crate::resolve`]).
 
 use crate::resolve::{CachedResolver, EntityResolver};
 use crate::rows::*;
@@ -28,16 +22,6 @@ use grca_telemetry::syslog::{parse_syslog_message, split_line};
 use grca_types::{TimeZone, Timestamp};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Below this batch size the sharding/merge overhead is not worth paying
-/// and [`Database::ingest_parallel`] falls back to sequential ingest.
-const PAR_MIN_RECORDS: usize = 2048;
-
-/// Shards per worker thread. More shards than threads keeps the
-/// work-stealing queue balanced when entity activity is skewed (one noisy
-/// router does not serialize the whole pool).
-const SHARDS_PER_THREAD: usize = 8;
 
 /// Ingestion statistics. Every input record is accounted for exactly once:
 /// `accepted + quarantined + deduplicated == records offered` — nothing is
@@ -88,24 +72,6 @@ impl IngestStats {
             + self.total_expired()
     }
 
-    /// Fold another worker's counts into this one (all counts are
-    /// additive, so merge order does not matter).
-    pub fn merge(&mut self, other: &IngestStats) {
-        for (feed, n) in &other.accepted {
-            *self.accepted.entry(feed).or_default() += n;
-        }
-        for (feed, n) in &other.quarantined {
-            *self.quarantined.entry(feed).or_default() += n;
-        }
-        for (feed, n) in &other.deduplicated {
-            *self.deduplicated.entry(feed).or_default() += n;
-        }
-        for (feed, n) in &other.expired {
-            *self.expired.entry(feed).or_default() += n;
-        }
-        self.syslog_unparsed += other.syslog_unparsed;
-    }
-
     /// One line per feed, for reports.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -152,8 +118,7 @@ pub struct Quarantined {
     pub reason: QuarantineReason,
 }
 
-/// One normalized row, tagged with its destination table. The unit of
-/// work handed from normalization workers back to the merge step.
+/// One normalized row, tagged with its destination table.
 #[derive(Debug, Clone)]
 enum NormRow {
     Syslog(SyslogRow),
@@ -188,9 +153,7 @@ impl NormRow {
 
 /// Normalize one raw record: resolve entity names through `res`, convert
 /// the source clock to UTC, and build the destination row. `Err` carries
-/// the structured reason the record must be quarantined. Shared verbatim
-/// by the sequential and parallel ingest paths, so both produce identical
-/// rows by construction.
+/// the structured reason the record must be quarantined.
 fn normalize<R: EntityResolver>(
     topo: &Topology,
     res: &mut R,
@@ -459,31 +422,10 @@ pub fn record_fingerprint(rec: &RawRecord) -> u128 {
     ((half(rec, 0x9e37_79b9_7f4a_7c15) as u128) << 64) | half(rec, 0x2545_f491_4f6c_dd1d) as u128
 }
 
-/// Which shard a record lands in: a hash of (feed, entity name), so all
-/// records of one entity hit one worker — its resolver cache then serves
-/// every repeat mention, and shard contents are disjoint name spaces.
-fn shard_of(rec: &RawRecord, shards: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    rec.feed().hash(&mut h);
-    match rec {
-        RawRecord::Syslog(l) => l.host.hash(&mut h),
-        RawRecord::Snmp(s) => s.system.hash(&mut h),
-        RawRecord::L1Log(l) => l.device.hash(&mut h),
-        RawRecord::OspfMon(o) => o.link_addr.hash(&mut h),
-        RawRecord::BgpMon(b) => b.prefix.hash(&mut h),
-        RawRecord::Tacacs(t) => t.router.hash(&mut h),
-        RawRecord::Workflow(w) => w.router.hash(&mut h),
-        RawRecord::Perf(p) => p.ingress_router.hash(&mut h),
-        RawRecord::CdnMon(c) => c.node.hash(&mut h),
-        RawRecord::ServerLog(s) => s.node.hash(&mut h),
-    }
-    (h.finish() % shards as u64) as usize
-}
-
 /// The collector's normalized database.
 ///
 /// Equality compares row contents per table (indexes are derived state) —
-/// this is what the parallel-vs-sequential determinism tests assert on.
+/// this is what the delivery-order and backend determinism tests assert on.
 /// The seen-log journal and its epoch are excluded: they record the
 /// *insertion order* of fingerprints, which legitimately differs between
 /// delivery schedules that converge to the same database (chaotic vs
@@ -620,111 +562,6 @@ impl Database {
         let mut db = Database::default();
         let mut stats = IngestStats::default();
         db.absorb(topo, records, res, &mut stats);
-        db.finalize();
-        (db, stats)
-    }
-
-    /// Parallel sharded ingest: partition records by (feed, entity) hash,
-    /// normalize shards on a work-stealing pool of `threads` workers (each
-    /// with a private resolver cache), then merge in original record
-    /// order. The result — rows, row order, and statistics — is identical
-    /// to [`Database::ingest`]: normalization is pure per record, the
-    /// merge re-places each row at its original index, and the final
-    /// stable sort is order-preserving for same-instant rows.
-    pub fn ingest_parallel(
-        topo: &Topology,
-        records: &[RawRecord],
-        threads: usize,
-    ) -> (Database, IngestStats) {
-        let threads = threads.max(1);
-        if threads == 1 || records.len() < PAR_MIN_RECORDS {
-            return Self::ingest(topo, records);
-        }
-
-        let n_shards = threads * SHARDS_PER_THREAD;
-        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        for (i, rec) in records.iter().enumerate() {
-            shards[shard_of(rec, n_shards)].push(i as u32);
-        }
-
-        let next = AtomicUsize::new(0);
-        let shards = &shards;
-        type Slot = (u32, u128, Result<NormRow, QuarantineReason>);
-        type WorkerOut = (Vec<Slot>, IngestStats);
-        let results: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut res = CachedResolver::new();
-                        let mut stats = IngestStats::default();
-                        let mut out: Vec<Slot> = Vec::new();
-                        // Exact duplicates share a fingerprint, hence a
-                        // shard: a worker-local seen-set catches every
-                        // duplicate pair, and shard indices are ascending,
-                        // so the survivor is the first arrival — exactly
-                        // as in sequential ingest.
-                        let mut seen = std::collections::HashSet::new();
-                        loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= n_shards {
-                                break;
-                            }
-                            for &i in &shards[s] {
-                                let rec = &records[i as usize];
-                                let feed = rec.feed();
-                                let fp = record_fingerprint(rec);
-                                if !seen.insert(fp) {
-                                    *stats.deduplicated.entry(feed).or_default() += 1;
-                                    continue;
-                                }
-                                match normalize(topo, &mut res, rec, &mut stats) {
-                                    Ok(row) => {
-                                        *stats.accepted.entry(feed).or_default() += 1;
-                                        out.push((i, fp, Ok(row)));
-                                    }
-                                    Err(reason) => {
-                                        *stats.quarantined.entry(feed).or_default() += 1;
-                                        out.push((i, fp, Err(reason)));
-                                    }
-                                }
-                            }
-                        }
-                        (out, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ingest worker panicked"))
-                .collect()
-        });
-
-        // Deterministic merge: place every surviving record back at its
-        // original index, then push rows / quarantine entries in index
-        // order — identical to what sequential ingest would have built.
-        let mut slots: Vec<Option<(u128, Result<NormRow, Quarantined>)>> = Vec::new();
-        slots.resize_with(records.len(), || None);
-        let mut stats = IngestStats::default();
-        for (outs, worker_stats) in results {
-            stats.merge(&worker_stats);
-            for (i, fp, row) in outs {
-                let feed = records[i as usize].feed();
-                slots[i as usize] = Some((fp, row.map_err(|reason| Quarantined { feed, reason })));
-            }
-        }
-        let mut db = Database::default();
-        for (fp, slot) in slots.into_iter().flatten() {
-            match slot {
-                Ok(row) => {
-                    db.note_seen(fp, row.utc());
-                    db.push_norm(row);
-                }
-                Err(q) => {
-                    db.note_seen(fp, Timestamp(i64::MAX));
-                    db.quarantine.push(q);
-                }
-            }
-        }
         db.finalize();
         (db, stats)
     }
@@ -1305,25 +1142,5 @@ mod tests {
         let mid = db.feed_watermarks()[0].1.unwrap();
         db.retain_before(mid);
         assert_ne!(db.ingest_epoch(), e2);
-    }
-
-    /// Parallel sharded ingest is bit-identical to sequential ingest —
-    /// same rows, same row order, same per-feed statistics — including
-    /// with a thread count that does not divide the shard count.
-    #[test]
-    fn parallel_ingest_matches_sequential() {
-        let topo = generate(&TopoGenConfig::small());
-        let cfg = ScenarioConfig::new(11, 6, FaultRates::bgp_study());
-        let out = run_scenario(&topo, &cfg);
-        assert!(
-            out.records.len() >= PAR_MIN_RECORDS,
-            "scenario too small to exercise the parallel path"
-        );
-        let (db_seq, st_seq) = Database::ingest(&topo, &out.records);
-        for threads in [2, 3, 8] {
-            let (db_par, st_par) = Database::ingest_parallel(&topo, &out.records, threads);
-            assert_eq!(db_seq, db_par, "rows diverged at threads={threads}");
-            assert_eq!(st_seq, st_par, "stats diverged at threads={threads}");
-        }
     }
 }

@@ -14,8 +14,8 @@
 //!   memory-bounded segmented columnar store (LRU decode cache, optional
 //!   on-disk spill, segment-granular retention);
 //! * [`resolve`] — entity-name resolution strategies (direct vs memoized);
-//! * [`db`] — the ingestion pipeline over all feeds (sequential and
-//!   parallel sharded), with per-feed accept/drop statistics;
+//! * [`db`] — the ingestion pipeline over all feeds, with per-feed
+//!   accept/drop statistics;
 //! * [`durable`] — crash-consistent durability: checksummed atomic spill
 //!   blobs and the rotated, versioned checkpoint manifest.
 

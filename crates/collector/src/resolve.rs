@@ -14,9 +14,7 @@
 //!   the pre-memoization path without forking the ingest code.
 //! * [`CachedResolver`] memoizes every resolution (including misses, which
 //!   real feeds produce constantly for decommissioned gear). This is what
-//!   [`crate::Database::ingest`] and the parallel sharded ingest use; the
-//!   shard partitioner routes all records of one entity to one shard, so
-//!   each shard's cache sees a dense, disjoint slice of the name space.
+//!   [`crate::Database::ingest`] and [`crate::Database::ingest_more`] use.
 
 use grca_net_model::{
     CdnNodeId, ClientSiteId, InterfaceId, Ipv4, L1DeviceId, LinkId, PhysLinkId, RouterId, Topology,

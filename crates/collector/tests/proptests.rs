@@ -7,7 +7,7 @@ use grca_net_model::{RouterId, Topology};
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
 use grca_telemetry::records::{RawRecord, SnmpMetric, SnmpSample, SyslogLine};
 use grca_telemetry::syslog::SyslogEvent;
-use grca_types::{Duration, TimeWindow, TimeZone, Timestamp};
+use grca_types::{TimeWindow, TimeZone, Timestamp};
 use proptest::prelude::*;
 
 fn topo() -> Topology {
@@ -141,31 +141,8 @@ fn corrupt(rec: &mut RawRecord, i: usize) {
 }
 
 proptest! {
-    // Whole-scenario cases are expensive; a handful of seeds is plenty to
-    // shake out ordering bugs in the sharded merge.
+    // Whole-scenario cases are expensive; a handful of seeds is plenty.
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Parallel sharded ingest is bit-identical to sequential ingest —
-    /// same rows in the same order per table, same per-feed statistics —
-    /// for any seed, duration, thread count and arrival jitter (jitter
-    /// delivers records out of timestamp order, so the merge can't lean
-    /// on sorted input).
-    #[test]
-    fn parallel_ingest_is_deterministic(
-        seed in 0u64..1_000,
-        days in 1u32..4,
-        threads in 2usize..9,
-        jitter_mins in 0i64..30,
-    ) {
-        let topo = topo();
-        let mut cfg = ScenarioConfig::new(days, seed, FaultRates::bgp_study());
-        cfg.arrival_jitter = Duration::mins(jitter_mins);
-        let out = run_scenario(&topo, &cfg);
-        let (db_seq, st_seq) = Database::ingest(&topo, &out.records);
-        let (db_par, st_par) = Database::ingest_parallel(&topo, &out.records, threads);
-        prop_assert!(db_seq == db_par, "databases diverged (seed={seed}, threads={threads})");
-        prop_assert_eq!(st_seq, st_par);
-    }
 
     /// Fuzz the whole ingest pipeline: batches with duplicated and
     /// corrupted records never panic, and the statistics account for every
@@ -176,7 +153,6 @@ proptest! {
         seed in 0u64..1_000,
         dup_period in 2usize..9,
         corrupt_period in 2usize..9,
-        threads in 1usize..5,
     ) {
         let topo = topo();
         let cfg = ScenarioConfig::new(1, seed, FaultRates::bgp_study());
@@ -192,22 +168,18 @@ proptest! {
                 records.push(rec);
             }
         }
-        let (db, stats) = Database::ingest_parallel(&topo, &records, threads);
+        let (db, stats) = Database::ingest(&topo, &records);
         prop_assert_eq!(stats.total_input(), records.len());
         prop_assert_eq!(
             stats.total_accepted() + stats.total_quarantined() + stats.total_deduplicated(),
             records.len()
         );
         prop_assert_eq!(db.quarantine.len(), stats.total_quarantined());
-        // Sequential ingest of the same mutated batch agrees exactly.
-        let (db_seq, st_seq) = Database::ingest(&topo, &records);
-        prop_assert!(db == db_seq, "mutated-batch databases diverged (seed={seed})");
-        prop_assert_eq!(stats, st_seq);
     }
 
     /// A chaotic delivery — every `dup_period`-th record delivered twice,
     /// the whole stream reordered by a stride permutation — ingests to a
-    /// database byte-identical to a clean sequential ingest of the
+    /// database byte-identical to a clean ingest of the
     /// original stream: canonical table ordering plus content-hash dedup
     /// make ingestion delivery-order independent.
     #[test]
@@ -215,7 +187,6 @@ proptest! {
         seed in 0u64..1_000,
         dup_period in 2usize..9,
         stride in 2usize..17,
-        threads in 1usize..5,
     ) {
         let topo = topo();
         let cfg = ScenarioConfig::new(1, seed, FaultRates::bgp_study());
@@ -232,7 +203,7 @@ proptest! {
             delivery.extend(records.iter().skip(off).step_by(stride).cloned());
         }
         let dup_count = delivery.len() - out.records.len();
-        let (db_chaotic, st) = Database::ingest_parallel(&topo, &delivery, threads);
+        let (db_chaotic, st) = Database::ingest(&topo, &delivery);
         let (db_clean, st_clean) = Database::ingest(&topo, &out.records);
         prop_assert!(
             db_chaotic == db_clean,

@@ -177,11 +177,10 @@ pub fn emit(job: &BackgroundJob<'_>, threads: usize, out: &mut Vec<(Timestamp, R
         return;
     }
 
-    // Work-stealing over the fixed shard list (same idiom as the
-    // collector's `ingest_parallel`): workers atomically claim the next
-    // shard index and keep `(shard index, output)` pairs; the merge sorts
-    // by shard index, so the concatenation order never depends on which
-    // worker ran what.
+    // Work-stealing over the fixed shard list: workers atomically claim
+    // the next shard index and keep `(shard index, output)` pairs; the
+    // merge sorts by shard index, so the concatenation order never depends
+    // on which worker ran what.
     let next = AtomicUsize::new(0);
     let mut parts: Vec<(usize, Vec<(Timestamp, RawRecord)>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
