@@ -30,7 +30,6 @@
 //! the stateless extraction cache, and the quarantine journal are all
 //! pruned against that same floor each cycle.
 
-use crate::context::AppOutput;
 use grca_collector::{Database, FeedRegistry, IngestStats, StorageConfig};
 use grca_core::{DiagnosisGraph, Emission, Engine};
 use grca_events::{EventDefinition, ExtractCx, IncrementalExtractor};
@@ -170,20 +169,6 @@ impl<'a> OnlineRca<'a> {
         self
     }
 
-    /// Override the derived hold-back (trade diagnosis latency against
-    /// completeness of late-arriving evidence).
-    pub fn with_hold_back(mut self, hold_back: Duration) -> Self {
-        self.hold_back = hold_back;
-        self
-    }
-
-    /// Override how long a symptom waits for lagging feeds past its
-    /// horizon before emitting degraded.
-    pub fn with_wait_budget(mut self, wait_budget: Duration) -> Self {
-        self.wait_budget = wait_budget;
-        self
-    }
-
     /// Override the amendment window (also the retention horizon for
     /// emitted-key state — larger windows keep more state).
     pub fn with_amend_window(mut self, amend_window: Duration) -> Self {
@@ -281,20 +266,6 @@ impl<'a> OnlineRca<'a> {
     pub fn ingest(&mut self, records: &[RawRecord]) {
         self.db.ingest_more(self.topo, records, &mut self.stats);
         self.registry.observe_db(&self.db);
-    }
-
-    /// Materialize the current event store — the extraction a serving
-    /// publisher snapshots at the end of an ingest cycle. Same pure
-    /// read of the database that [`OnlineRca::advance`] performs (the
-    /// incremental extractor re-reads only newly appended rows), so
-    /// the returned store equals a batch extraction over the same
-    /// database, and diagnosing against it matches batch verdicts.
-    pub fn snapshot_store(
-        &mut self,
-        routing_for_extraction: Option<&grca_routing::RoutingState>,
-    ) -> grca_events::EventStore {
-        let cx = ExtractCx::new(self.topo, &self.db, routing_for_extraction);
-        self.extractor.extract(&cx)
     }
 
     /// The application's diagnosis graph (the serving publisher reads
@@ -527,27 +498,6 @@ impl<'a> OnlineRca<'a> {
         // Future checkpoints append past the restored log prefix.
         self.seen_log = Some(m.seen_log.clone());
         Ok(app.cycle)
-    }
-
-    /// Convert the accumulated state into a batch-style output (e.g. at
-    /// shutdown, to persist the full day's analysis).
-    pub fn into_output(
-        mut self,
-        oracle: &dyn RouteOracle,
-        routing_for_extraction: Option<&grca_routing::RoutingState>,
-    ) -> AppOutput {
-        let cx = ExtractCx::new(self.topo, &self.db, routing_for_extraction);
-        let store = self.extractor.extract(&cx);
-        let spatial = SpatialModel::new(self.topo, oracle);
-        let diagnoses = {
-            let engine = Engine::new(&self.graph, &store, &spatial);
-            engine.diagnose_all()
-        };
-        AppOutput {
-            graph: self.graph,
-            store,
-            diagnoses,
-        }
     }
 }
 

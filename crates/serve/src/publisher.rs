@@ -34,10 +34,6 @@ pub struct Publisher {
     /// Collector fingerprint of the last published epoch, for no-op
     /// publish elision.
     published_ingest_epoch: Option<u64>,
-    /// Warm the route caches with one batch pass per tenant before
-    /// freezing (bounds per-query cost to cache hits; the frozen oracle
-    /// recomputes misses without memoizing).
-    warm_caches: bool,
 }
 
 impl Publisher {
@@ -60,7 +56,6 @@ impl Publisher {
             specs,
             next_epoch: 0,
             published_ingest_epoch: None,
-            warm_caches: true,
         }
     }
 
@@ -81,13 +76,6 @@ impl Publisher {
         self
     }
 
-    /// Disable the publish-time cache warm-up (publishes get cheaper,
-    /// cold queries recompute routes per request).
-    pub fn without_warmup(mut self) -> Self {
-        self.warm_caches = false;
-        self
-    }
-
     /// Ingest a micro-batch of raw records (normalization + dedup, same
     /// path as the online consumer).
     pub fn ingest(&mut self, records: &[RawRecord]) {
@@ -103,8 +91,8 @@ impl Publisher {
     }
 
     /// Build the next epoch: reconstruct routing, extract the delta,
-    /// resolve tenant overlays, optionally warm the route caches with a
-    /// batch pass per tenant, freeze, assemble.
+    /// resolve tenant overlays, warm the route caches with a batch pass
+    /// per tenant, freeze, assemble.
     pub fn publish(&mut self) -> Result<Arc<ServingSnapshot>> {
         let ingest_epoch = self.db.ingest_epoch();
         let live = build_routing(&self.topo, &self.db);
@@ -124,16 +112,15 @@ impl Publisher {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        if self.warm_caches {
-            // One batch pass per tenant against the *live* (sharded,
-            // insert-on-miss) caches populates every path/egress the
-            // current symptom set joins through; the frozen snapshot
-            // then serves those queries as pure map hits.
-            let spatial = SpatialModel::new(&self.topo, &live);
-            for t in &tenants {
-                let engine = Engine::with_index(&t.graph, &store, &spatial, &t.index);
-                let _ = engine.diagnose_all();
-            }
+        // One batch pass per tenant against the *live* (sharded,
+        // insert-on-miss) caches populates every path/egress the current
+        // symptom set joins through; the frozen snapshot then serves those
+        // queries as pure map hits (the frozen oracle recomputes misses
+        // without memoizing).
+        let spatial = SpatialModel::new(&self.topo, &live);
+        for t in &tenants {
+            let engine = Engine::with_index(&t.graph, &store, &spatial, &t.index);
+            let _ = engine.diagnose_all();
         }
         let snap = Arc::new(ServingSnapshot::from_parts(
             self.next_epoch,
