@@ -18,7 +18,7 @@
 //!    detection latency ([`measure`]).
 //!
 //! The driver reports what happened; *how* it ran is observable through the
-//! `on_cycle` callback so the bench binary can sample RSS and wall-clock
+//! `on_cycle` callback so a caller can sample footprint and wall-clock
 //! without this crate depending on it. With [`SoakRunOpts::batch_check`]
 //! the driver also runs the batch pipeline over the complete record set and
 //! asserts the folded online stream is label-identical — the smoke-preset
@@ -87,7 +87,7 @@ impl Default for SoakRunOpts {
 }
 
 /// What one advance cycle looked like — handed to `on_cycle` so callers
-/// (the bench binary) can sample RSS/allocations at cycle granularity.
+/// can sample footprint at cycle granularity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SoakCycle {
     /// Simulated day (== `soak_days` during the post-horizon drain).
