@@ -12,7 +12,9 @@
 //! * [`e2e`] — in-network packet-loss RCA (the §I motivating scenario,
 //!   pure Knowledge Library reuse);
 //! * [`context`] — shared plumbing (routing reconstruction, app runner);
-//! * [`report`] — paper-table category mapping and ground-truth scoring.
+//! * [`report`] — paper-table category mapping and ground-truth scoring;
+//! * [`Study`] — the application table: definitions, graph, batch run and
+//!   online pipeline of each paper study, looked up by one enum.
 
 pub mod bgp;
 pub mod cdn;
@@ -22,6 +24,7 @@ pub mod e2e;
 pub mod online;
 pub mod pim;
 pub mod report;
+mod study;
 
 pub use checkpoint::{PipelineCheckpoint, CHECKPOINT_VERSION};
 pub use context::{build_routing, run_app, run_app_differential, AppOutput, DiffOutput};

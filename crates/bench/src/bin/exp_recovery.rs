@@ -35,17 +35,14 @@
 //! reported per case as `replayed_cycles` (cycles re-executed between
 //! restore point and crash point) alongside the restart wall-clock.
 
-use grca_apps::{bgp, cdn, pim, Study};
 use grca_bench::{results_dir, schema};
 use grca_collector::DurableStore;
-use grca_core::DiagnosisGraph;
 use grca_eval::recovery::read_journal;
 use grca_eval::{
     check_exactly_once, corpus, dedup_by_seq, eventual_ops, kill_matrix, run_attempt, run_soak,
     GoldenScenario, RecoveryOpts, SoakRunOpts,
 };
-use grca_events::EventDefinition;
-use grca_net_model::{TierConfig, Topology};
+use grca_net_model::TierConfig;
 use grca_serve::{Publisher, TenantSpec};
 use grca_simnet::{FeedChaos, KillSwitch, MicroBatches};
 use serde::Serialize;
@@ -218,16 +215,6 @@ fn child_cmd(
     cmd
 }
 
-/// The study's app configuration (event definitions + diagnosis graph) —
-/// what a `grca-serve` tenant for this scenario is made of.
-fn study_app(study: Study, topo: &Topology) -> (Vec<EventDefinition>, DiagnosisGraph) {
-    match study {
-        Study::Bgp => (bgp::event_definitions(), bgp::diagnosis_graph()),
-        Study::Cdn => (cdn::event_definitions(topo), cdn::diagnosis_graph()),
-        Study::Pim => (pim::event_definitions(), pim::diagnosis_graph()),
-    }
-}
-
 /// Differential publisher check: restore the recovered run's collector
 /// state from its durable directory, adopt it into a fresh
 /// [`Publisher`], publish, and compare every tenant verdict against a
@@ -257,7 +244,7 @@ fn publisher_recovers_identically(
         .restore(dir, &opts.storage(dir))
         .expect("restore recovered collector");
 
-    let (defs, graph) = study_app(s.study, &topo);
+    let (defs, graph) = (s.study.definitions(&topo), s.study.graph());
     let specs = || vec![TenantSpec::new(s.name, graph.clone())];
     let mut recovered =
         Publisher::new(topo.clone(), defs.clone(), specs()).with_recovered(db, stats);

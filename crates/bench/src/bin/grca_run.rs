@@ -5,7 +5,7 @@
 //! grca_run <bgp|cdn|pim> [--days N] [--seed N] [--scale small|default|paper] [--report N]
 //! ```
 
-use grca_apps::{bgp, cdn, pim, report, Study};
+use grca_apps::{report, Study};
 use grca_bench::fixture;
 use grca_core::{render_diagnosis, ResultBrowser};
 use grca_net_model::gen::TopoGenConfig;
@@ -59,12 +59,9 @@ fn main() {
         fx.out.records.len(),
         fx.topo.summary()
     );
-    let run = match study {
-        Study::Bgp => bgp::run(&fx.topo, &fx.db),
-        Study::Cdn => cdn::run(&fx.topo, &fx.db),
-        Study::Pim => pim::run(&fx.topo, &fx.db),
-    }
-    .expect("valid application configuration");
+    let run = study
+        .run(&fx.topo, &fx.db)
+        .expect("valid application configuration");
 
     let rb = ResultBrowser::new(&fx.topo, &run.diagnoses);
     println!(

@@ -29,12 +29,10 @@
 //! from benign silence).
 
 use crate::corpus::GoldenScenario;
-use grca_apps::{bgp, build_routing, cdn, pim, OnlineRca, Study};
+use grca_apps::Study;
 use grca_core::{fold_stream, Emission};
-use grca_net_model::{NullOracle, Topology};
 use grca_simnet::{ChaosOp, FeedChaos, MicroBatches};
-use grca_telemetry::records::RawRecord;
-use grca_types::{Duration, Timestamp};
+use grca_types::Duration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -209,49 +207,16 @@ pub struct ChaosRun {
     pub hold_back_secs: i64,
 }
 
-pub(crate) fn online_for<'a>(study: Study, topo: &'a Topology) -> OnlineRca<'a> {
-    match study {
-        Study::Bgp => OnlineRca::new(topo, bgp::event_definitions(), bgp::diagnosis_graph()),
-        Study::Cdn => OnlineRca::new(topo, cdn::event_definitions(topo), cdn::diagnosis_graph()),
-        Study::Pim => OnlineRca::new(topo, pim::event_definitions(), pim::diagnosis_graph()),
-    }
-    .expect("study graph must validate")
-}
-
-pub(crate) fn advance_study<'a>(
-    online: &mut OnlineRca<'a>,
-    study: Study,
-    records: &[RawRecord],
-    now: Timestamp,
-    topo: &'a Topology,
-) -> Vec<Emission> {
-    match study {
-        // The BGP graph joins at router/interface level from configuration
-        // alone — no routing state needed.
-        Study::Bgp => online.advance(records, now, &NullOracle, None),
-        // CDN/PIM extraction and spatial joins read routing state rebuilt
-        // from the database: ingest first so the snapshot includes this
-        // cycle's deliveries, exactly as a batch run over the same data.
-        Study::Cdn | Study::Pim => {
-            online.ingest(records);
-            let routing = build_routing(topo, online.database());
-            online.advance(&[], now, &routing, Some(&routing))
-        }
-    }
-}
-
 /// Replay one golden scenario through the online path under `chaos`.
 pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> ChaosRun {
     let built = s.build();
     let cfg = s.scenario_config();
 
     // Batch reference: the study over the complete, unperturbed ingest.
-    let batch_out = match s.study {
-        Study::Bgp => bgp::run(&built.topo, &built.db),
-        Study::Cdn => cdn::run(&built.topo, &built.db),
-        Study::Pim => pim::run(&built.topo, &built.db),
-    }
-    .expect("golden scenario application must validate");
+    let batch_out = s
+        .study
+        .run(&built.topo, &built.db)
+        .expect("golden scenario application must validate");
     let mut batch: Vec<((String, i64), String)> = batch_out
         .diagnoses
         .iter()
@@ -276,7 +241,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
     );
     let delivered = chaos.deliver(&mb);
 
-    let mut online = online_for(s.study, &built.topo);
+    let mut online = s.study.online(&built.topo);
     let amend = opts
         .amend_window
         .unwrap_or(cfg.end() - cfg.start + Duration::hours(12));
@@ -295,7 +260,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
     for (i, recs) in delivered.iter().enumerate() {
         delivered_records += recs.len();
         let now = mb.clock(i);
-        let new = advance_study(&mut online, s.study, recs, now, &built.topo);
+        let new = s.study.advance(&mut online, recs, now, &built.topo);
         emissions.extend(new);
         state_trace.push(online.state_size());
         quarantine_peak = quarantine_peak.max(online.database().quarantine.len());
@@ -307,7 +272,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
     let mut now = mb.clock(delivered.len() - 1);
     while now < end {
         now += opts.cycle_len;
-        emissions.extend(advance_study(&mut online, s.study, &[], now, &built.topo));
+        emissions.extend(s.study.advance(&mut online, &[], now, &built.topo));
         state_trace.push(online.state_size());
     }
 
@@ -531,7 +496,7 @@ mod tests {
             assert!(FEEDS.contains(&ev));
             assert_ne!(root, ev, "kill target must not starve the symptom feed");
             let topo = grca_net_model::gen::generate(&grca_net_model::gen::TopoGenConfig::small());
-            let online = online_for(study, &topo);
+            let online = study.online(&topo);
             assert!(online.relevant_feeds().contains(&root));
             assert!(online.relevant_feeds().contains(&ev));
         }

@@ -10,7 +10,7 @@
 //! injected root-cause mix.
 
 use crate::corpus::{corpus, BuiltScenario, GoldenScenario};
-use grca_apps::{bgp, cdn, pim, report, DiffOutput, Study};
+use grca_apps::{report, Study};
 use grca_simnet::breakdown;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -89,15 +89,6 @@ fn r6(x: f64) -> f64 {
     (x * 1e6).round() / 1e6
 }
 
-fn run_study(study: Study, built: &BuiltScenario, threads: usize) -> DiffOutput {
-    match study {
-        Study::Bgp => bgp::run_differential(&built.topo, &built.db, threads),
-        Study::Cdn => cdn::run_differential(&built.topo, &built.db, threads),
-        Study::Pim => pim::run_differential(&built.topo, &built.db, threads),
-    }
-    .expect("golden scenario application must validate")
-}
-
 /// The injected root-cause mix of a scenario, aggregated from per-cause
 /// truth records to the study's paper-table categories.
 fn truth_mix(study: Study, built: &BuiltScenario) -> Vec<MixRow> {
@@ -126,7 +117,10 @@ fn truth_mix(study: Study, built: &BuiltScenario) -> Vec<MixRow> {
 /// a correctness bug, not a metrics regression.
 pub fn evaluate(s: &GoldenScenario, threads: usize) -> ScenarioMetrics {
     let built = s.build();
-    let diff = run_study(s.study, &built, threads);
+    let diff = s
+        .study
+        .run_differential(&built.topo, &built.db, threads)
+        .expect("golden scenario application must validate");
 
     // Differential check: the two engine paths must agree verdict-for-
     // verdict, in order. Compare compact verdicts first (readable panic),

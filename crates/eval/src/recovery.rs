@@ -20,7 +20,7 @@
 //! deduplicates by [`grca_core::Emission::seq`] back to exactly the
 //! uninterrupted stream — verdict for verdict, stamp for stamp.
 
-use crate::chaos::{advance_study, online_for, STRICT_CADENCE};
+use crate::chaos::STRICT_CADENCE;
 use crate::corpus::GoldenScenario;
 use grca_apps::checkpoint as ckpt;
 use grca_collector::{DurableStore, SaveStage, StorageConfig};
@@ -145,7 +145,7 @@ pub fn run_attempt(
     let delivered = chaos.deliver(&mb);
 
     let scfg = opts.storage(dir);
-    let mut online = online_for(s.study, &built.topo).with_storage(&scfg);
+    let mut online = s.study.online(&built.topo).with_storage(&scfg);
     online = online.with_amend_window(cfg.end() - cfg.start + Duration::hours(12));
     for feed in online.relevant_feeds().to_vec() {
         online = online.with_feed_cadence(feed, STRICT_CADENCE);
@@ -193,7 +193,7 @@ pub fn run_attempt(
         // Diagnose on the fully ingested cycle (records already in the
         // database, so `advance` sees exactly what a one-shot ingest
         // would have).
-        let new = advance_study(&mut online, s.study, &[], now, &built.topo);
+        let new = s.study.advance(&mut online, &[], now, &built.topo);
         let batch: Vec<SeqVerdict> = new.iter().map(|e| seq_verdict(e, &built.topo)).collect();
         if let Some(p) = journal {
             append_journal(p, &batch);

@@ -24,7 +24,7 @@
 //! asserts the folded online stream is label-identical — the smoke-preset
 //! CI test rides on that.
 
-use crate::chaos::{advance_study, online_for, STRICT_CADENCE};
+use crate::chaos::STRICT_CADENCE;
 use crate::latency::{measure, LatencyReport, VerdictEvent};
 use grca_apps::{bgp, score, Study};
 use grca_collector::{Database, DurableStore, IngestStats, StorageConfig};
@@ -185,7 +185,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let end = start + Duration::days(tier.soak_days as i64);
     let manifest = SoakManifest::draw(start, tier.soak_days, manifest_seed, &rates);
 
-    let mut online = online_for(Study::Bgp, &topo);
+    let mut online = Study::Bgp.online(&topo);
     // Checkpointing needs durable segmented storage rooted at the
     // checkpoint directory; override whatever the caller configured so the
     // manifest's segment references actually resolve on restore.
@@ -273,7 +273,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         for (i, recs) in delivered.iter().enumerate() {
             let now = cfg.start + Duration::secs(opts.cycle_len.as_secs() * (i as i64 + 1));
             let t0 = std::time::Instant::now();
-            let new = advance_study(&mut online, Study::Bgp, recs, now, &topo);
+            let new = Study::Bgp.advance(&mut online, recs, now, &topo);
             let mut dt = t0.elapsed().as_secs_f64();
             if let Some(store) = &ckpt_store {
                 if (cycle + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
@@ -311,7 +311,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     while now < drain_end {
         now += opts.cycle_len;
         let t0 = std::time::Instant::now();
-        let new = advance_study(&mut online, Study::Bgp, &[], now, &topo);
+        let new = Study::Bgp.advance(&mut online, &[], now, &topo);
         let mut dt = t0.elapsed().as_secs_f64();
         if let Some(store) = &ckpt_store {
             if (cycle + 1).is_multiple_of(opts.checkpoint_every.max(1)) {

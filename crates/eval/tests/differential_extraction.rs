@@ -4,7 +4,6 @@
 //! and extracting in one pass per table must produce exactly the same
 //! event store as the per-definition baseline scans.
 
-use grca_apps::Study;
 use grca_eval::corpus;
 use grca_events::{extract_all, extract_all_baseline, ExtractCx};
 
@@ -12,11 +11,7 @@ use grca_events::{extract_all, extract_all_baseline, ExtractCx};
 fn single_pass_extraction_matches_baseline_over_golden_corpus() {
     for s in corpus() {
         let built = s.build();
-        let defs = match s.study {
-            Study::Bgp => grca_apps::bgp::event_definitions(),
-            Study::Cdn => grca_apps::cdn::event_definitions(&built.topo),
-            Study::Pim => grca_apps::pim::event_definitions(),
-        };
+        let defs = s.study.definitions(&built.topo);
         // Routing state feeds the egress-change definition (CDN study);
         // supplying it everywhere matches the applications' run paths and
         // is a no-op for libraries without routing-derived events.

@@ -11,7 +11,6 @@
 //!
 //! One build per scenario; every check runs on that build.
 
-use grca_apps::Study;
 use grca_core::discovery::{
     candidate_series, screen, screen_baseline, screen_parallel, symptom_series, CandidateCache,
     SeriesGrid,
@@ -34,13 +33,11 @@ fn screening_paths_agree_over_golden_corpus() {
     assert_eq!(scenarios.len(), 3);
     for s in scenarios {
         let built = s.build();
-        let diagnoses = match s.study {
-            Study::Bgp => grca_apps::bgp::run(&built.topo, &built.db),
-            Study::Cdn => grca_apps::cdn::run(&built.topo, &built.db),
-            Study::Pim => grca_apps::pim::run(&built.topo, &built.db),
-        }
-        .expect("valid app")
-        .diagnoses;
+        let diagnoses = s
+            .study
+            .run(&built.topo, &built.db)
+            .expect("valid app")
+            .diagnoses;
         let subset: Vec<_> = diagnoses.iter().collect();
         let cfg = s.scenario_config();
         let grid = SeriesGrid::new(cfg.start, cfg.end(), Duration::mins(5));
