@@ -29,6 +29,7 @@
 //! from benign silence).
 
 use crate::corpus::GoldenScenario;
+use crate::replay::{labels, Cadence, Replay};
 use grca_apps::Study;
 use grca_core::{fold_stream, Emission};
 use grca_simnet::{ChaosOp, FeedChaos, MicroBatches};
@@ -185,6 +186,8 @@ pub struct ChaosRun {
     pub emission_log: Vec<EmissionRecord>,
     /// Folded stream: latest verdict per symptom key.
     pub finals: Vec<FinalVerdict>,
+    /// The folded stream in the batch reference's form.
+    pub folded: Vec<((String, i64), String)>,
     /// Batch reference over the complete, unperturbed ingest:
     /// sorted `((location, start), label)`.
     pub batch: Vec<((String, i64), String)>,
@@ -217,20 +220,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
         .study
         .run(&built.topo, &built.db)
         .expect("golden scenario application must validate");
-    let mut batch: Vec<((String, i64), String)> = batch_out
-        .diagnoses
-        .iter()
-        .map(|d| {
-            (
-                (
-                    d.symptom.location.display(&built.topo),
-                    d.symptom.window.start.unix(),
-                ),
-                d.label(),
-            )
-        })
-        .collect();
-    batch.sort();
+    let batch = labels(&built.topo, &batch_out.diagnoses);
 
     let mb = MicroBatches::new(
         &built.topo,
@@ -249,32 +239,25 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
     if let Some(keep) = opts.quarantine_keep {
         online = online.with_quarantine_keep(keep);
     }
-    for feed in online.relevant_feeds().to_vec() {
-        online = online.with_feed_cadence(feed, STRICT_CADENCE);
-    }
+    let mut replay = Replay::new(
+        s.study,
+        &built.topo,
+        online,
+        opts.cycle_len,
+        Cadence::Strict,
+    );
 
     let mut emissions: Vec<Emission> = Vec::new();
     let mut state_trace = Vec::new();
-    let mut delivered_records = 0usize;
     let mut quarantine_peak = 0usize;
-    for (i, recs) in delivered.iter().enumerate() {
-        delivered_records += recs.len();
-        let now = mb.clock(i);
-        let new = s.study.advance(&mut online, recs, now, &built.topo);
+    let clocks = replay.clocks(&mb, cfg.end());
+    replay.run(&clocks, &delivered, |online, _, new| {
         emissions.extend(new);
         state_trace.push(online.state_size());
         quarantine_peak = quarantine_peak.max(online.database().quarantine.len());
-    }
-    // Drain: keep polling past the end until the last horizons and wait
-    // budgets have expired, so held-back symptoms resolve (full once
-    // watermarks pass, degraded once budgets lapse).
-    let end = cfg.end() + online.hold_back() + online.wait_budget() + Duration::hours(1);
-    let mut now = mb.clock(delivered.len() - 1);
-    while now < end {
-        now += opts.cycle_len;
-        emissions.extend(s.study.advance(&mut online, &[], now, &built.topo));
-        state_trace.push(online.state_size());
-    }
+    });
+    let delivered_records = delivered.iter().map(Vec::len).sum();
+    let online = replay.online();
 
     let hold_back = online.hold_back();
     let folded = fold_stream(&emissions);
@@ -340,6 +323,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
         interim_degraded,
         emission_log,
         finals,
+        folded: labels(&built.topo, folded.iter().map(|e| &e.diagnosis)),
         batch,
         accepted: stats.total_accepted(),
         quarantined: stats.total_quarantined(),
@@ -383,12 +367,6 @@ impl ConvergenceVerdict {
 /// stream must be label-identical to batch, and ingestion must account
 /// for every delivered record exactly once.
 pub fn check_convergence(run: &ChaosRun) -> ConvergenceVerdict {
-    let mut folded: Vec<((String, i64), String)> = run
-        .finals
-        .iter()
-        .map(|f| (f.key(), f.label.clone()))
-        .collect();
-    folded.sort();
     ConvergenceVerdict {
         scenario: run.scenario.clone(),
         chaos_seed: run.chaos_seed,
@@ -397,9 +375,9 @@ pub fn check_convergence(run: &ChaosRun) -> ConvergenceVerdict {
         emissions: run.emissions_total,
         amendments: run.amendments,
         interim_degraded: run.interim_degraded,
-        folded: folded.len(),
+        folded: run.folded.len(),
         batch: run.batch.len(),
-        identical: folded == run.batch,
+        identical: run.folded == run.batch,
         accounting_exact: run.accepted + run.quarantined + run.deduplicated
             == run.delivered_records,
     }

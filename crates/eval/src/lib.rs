@@ -29,6 +29,10 @@
 //!   online pipeline at scheduled and randomized points, restart, and
 //!   require the recovered emission stream to be exactly-once and
 //!   label-identical to the uninterrupted run (E19);
+//! * [`replay`] — the one online replay driver: the clock schedule and
+//!   the ingest → advance → emit → checkpoint cycle that the chaos,
+//!   recovery and soak harnesses all run, plus the label comparator they
+//!   read results with;
 //! * [`soak`] — the long-horizon streaming soak driver: day-chunked
 //!   manifest replay at a [`grca_net_model::TierConfig`] preset, scored
 //!   for accuracy and detection latency.
@@ -40,6 +44,7 @@ pub mod latency;
 pub mod mutate;
 pub mod oracle;
 pub mod recovery;
+pub mod replay;
 pub mod soak;
 
 pub use chaos::{
@@ -56,4 +61,5 @@ pub use recovery::{
     check_exactly_once, dedup_by_seq, kill_matrix, run_attempt, run_recovery_case, PipelineOutcome,
     RecoveryOpts, RecoveryVerdict, SeqVerdict,
 };
+pub use replay::{labels, Cadence, Cycle, Replay};
 pub use soak::{run_soak, SoakCycle, SoakOutcome, SoakRunOpts, JOIN_SLACK};
