@@ -20,14 +20,13 @@
 //! deduplicates by [`grca_core::Emission::seq`] back to exactly the
 //! uninterrupted stream — verdict for verdict, stamp for stamp.
 
-use crate::chaos::STRICT_CADENCE;
 use crate::corpus::GoldenScenario;
-use grca_apps::checkpoint as ckpt;
-use grca_collector::{DurableStore, SaveStage, StorageConfig};
+use crate::replay::{Cadence, Replay};
+use grca_collector::StorageConfig;
 use grca_core::Emission;
 use grca_net_model::Topology;
 use grca_simnet::{FeedChaos, KillPoint, KillSwitch, MicroBatches};
-use grca_types::{Duration, Timestamp};
+use grca_types::Duration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -38,8 +37,6 @@ use std::path::Path;
 pub struct RecoveryOpts {
     /// Micro-batch cycle length (the online polling interval).
     pub cycle_len: Duration,
-    /// Checkpoint at the end of every `checkpoint_every`-th cycle.
-    pub checkpoint_every: u64,
     /// Ingest sub-chunks per cycle — the record-boundary kill
     /// granularity.
     pub ingest_chunks: u32,
@@ -51,7 +48,6 @@ impl Default for RecoveryOpts {
     fn default() -> Self {
         RecoveryOpts {
             cycle_len: Duration::hours(1),
-            checkpoint_every: 1,
             ingest_chunks: 4,
             segment_rows: 512,
         }
@@ -132,7 +128,6 @@ pub fn run_attempt(
     abort_on_kill: bool,
     journal: Option<&Path>,
 ) -> PipelineOutcome {
-    std::fs::create_dir_all(dir).expect("create recovery dir");
     let built = s.build();
     let cfg = s.scenario_config();
     let mb = MicroBatches::new(
@@ -145,112 +140,46 @@ pub fn run_attempt(
     let delivered = chaos.deliver(&mb);
 
     let scfg = opts.storage(dir);
-    let mut online = s.study.online(&built.topo).with_storage(&scfg);
-    online = online.with_amend_window(cfg.end() - cfg.start + Duration::hours(12));
-    for feed in online.relevant_feeds().to_vec() {
-        online = online.with_feed_cadence(feed, STRICT_CADENCE);
-    }
-    let store = DurableStore::open(dir).expect("open durable store");
-    let resumed_from = ckpt::restore(&mut online, dir, &scfg).expect("restore must not error");
+    let online = s
+        .study
+        .online(&built.topo)
+        .with_storage(&scfg)
+        .with_amend_window(cfg.end() - cfg.start + Duration::hours(12));
+    // Every cycle closes with a checkpoint: the kill matrix schedules its
+    // checkpoint-stage kills at arbitrary cycles.
+    let mut replay = Replay::new(
+        s.study,
+        &built.topo,
+        online,
+        opts.cycle_len,
+        Cadence::Strict,
+    )
+    .with_checkpoints(dir, 1)
+    .with_kill(kill.clone(), abort_on_kill, opts.ingest_chunks);
+    let resumed_from = replay.restore(dir, &scfg);
 
-    // The full deterministic clock schedule: delivery cycles plus the
-    // drain tail that lets the last horizons and wait budgets expire.
-    let mut clocks: Vec<Timestamp> = (0..delivered.len()).map(|i| mb.clock(i)).collect();
-    let end = cfg.end() + online.hold_back() + online.wait_budget() + Duration::hours(1);
-    let mut t = mb.clock(delivered.len() - 1);
-    while t < end {
-        t += opts.cycle_len;
-        clocks.push(t);
-    }
-    let total_cycles = clocks.len() as u64;
-    let start_cycle = resumed_from.map(|c| c + 1).unwrap_or(0);
-
+    let clocks = replay.clocks(&mb, cfg.end());
+    let start_cycle = replay.cycle();
+    let from = start_cycle as usize;
     let mut emissions: Vec<SeqVerdict> = Vec::new();
-    let mut stopped_at: Option<KillPoint> = None;
-    'cycles: for cycle in start_cycle..total_cycles {
-        let empty: &[_] = &[];
-        let recs = delivered
-            .get(cycle as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(empty);
-        let now = clocks[cycle as usize];
-
-        // Ingest in sub-chunks, a kill point at every record boundary.
-        let of = opts.ingest_chunks.max(1);
-        for chunk in 0..of {
-            let lo = recs.len() * chunk as usize / of as usize;
-            let hi = recs.len() * (chunk as usize + 1) / of as usize;
-            online.ingest(&recs[lo..hi]);
-            let at = KillPoint::Ingest { cycle, chunk, of };
-            if kill.check(at) {
-                if abort_on_kill {
-                    std::process::abort();
-                }
-                stopped_at = Some(at);
-                break 'cycles;
+    let stopped_at = replay.run(
+        &clocks[from..],
+        delivered.get(from..).unwrap_or(&[]),
+        |_, _, new| {
+            let batch: Vec<SeqVerdict> = new.iter().map(|e| seq_verdict(e, &built.topo)).collect();
+            if let Some(p) = journal {
+                append_journal(p, &batch);
             }
-        }
-        // Diagnose on the fully ingested cycle (records already in the
-        // database, so `advance` sees exactly what a one-shot ingest
-        // would have).
-        let new = s.study.advance(&mut online, &[], now, &built.topo);
-        let batch: Vec<SeqVerdict> = new.iter().map(|e| seq_verdict(e, &built.topo)).collect();
-        if let Some(p) = journal {
-            append_journal(p, &batch);
-        }
-        emissions.extend(batch);
-
-        if (cycle + 1) % opts.checkpoint_every.max(1) == 0 {
-            let at = KillPoint::BeforeCheckpoint { cycle };
-            if kill.check(at) {
-                if abort_on_kill {
-                    std::process::abort();
-                }
-                stopped_at = Some(at);
-                break 'cycles;
-            }
-            let mut fired: Option<KillPoint> = None;
-            let res = ckpt::checkpoint_with(&mut online, &store, cycle, &mut |stage| {
-                let at = match stage {
-                    SaveStage::TmpWritten => KillPoint::CheckpointTmp { cycle },
-                    SaveStage::Rotated => KillPoint::CheckpointRotated { cycle },
-                    SaveStage::Renamed => return false,
-                };
-                if kill.check(at) {
-                    if abort_on_kill {
-                        std::process::abort();
-                    }
-                    fired = Some(at);
-                    return true;
-                }
-                false
-            });
-            match (res, fired) {
-                (Err(_), Some(at)) => {
-                    stopped_at = Some(at);
-                    break 'cycles;
-                }
-                (Err(e), None) => panic!("checkpoint failed: {e}"),
-                (Ok(_), _) => {
-                    let at = KillPoint::AfterCheckpoint { cycle };
-                    if kill.check(at) {
-                        if abort_on_kill {
-                            std::process::abort();
-                        }
-                        stopped_at = Some(at);
-                        break 'cycles;
-                    }
-                }
-            }
-        }
-    }
+            emissions.extend(batch);
+        },
+    );
 
     PipelineOutcome {
         emissions,
         stopped_at,
         resumed_from,
         start_cycle,
-        cycles: total_cycles,
+        cycles: clocks.len() as u64,
     }
 }
 

@@ -134,7 +134,6 @@ impl<'a> Replay<'a> {
     /// ([`grca_apps::checkpoint`]) into `dir`. The pipeline must run
     /// durable segmented storage spilling there.
     pub fn with_checkpoints(mut self, dir: &Path, every: u64) -> Self {
-        std::fs::create_dir_all(dir).expect("create checkpoint dir");
         let store = DurableStore::open(dir).expect("open durable store");
         self.checkpoints = Some((store, every.max(1)));
         self
