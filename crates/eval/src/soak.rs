@@ -18,8 +18,8 @@
 //!    detection latency ([`measure`]).
 //!
 //! The driver reports what happened; *how* it ran is observable through the
-//! `on_cycle` callback so a caller can sample footprint and wall-clock
-//! without this crate depending on it. With [`SoakRunOpts::batch_check`]
+//! `on_cycle` callback so a caller can sample footprint at cycle
+//! granularity. With [`SoakRunOpts::batch_check`]
 //! the driver also runs the batch pipeline over the complete record set and
 //! asserts the folded online stream is label-identical — the smoke-preset
 //! CI test rides on that.
@@ -58,19 +58,15 @@ pub struct SoakRunOpts {
     pub batch_check: bool,
     /// Checkpoint the pipeline into this directory at cycle boundaries
     /// ([`grca_apps::checkpoint`]). Forces durable segmented storage
-    /// spilling there; checkpoint wall-clock is counted into
-    /// `advance_secs` (it is part of the online path's cost) and reported
-    /// separately — the E19 overhead gate compares a checkpointed soak's
-    /// throughput against this field left `None`.
+    /// spilling there.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Checkpoint cadence: write a barrier every this many cycles, so a
     /// restart replays at most that many cycles of input. `1` checkpoints
     /// every cycle — maximal crash-window coverage, which is what the E19
     /// kill matrix runs — while the default of `12` (twice per simulated
-    /// day at the default hourly cycle) is the production-style cadence
-    /// the overhead gate measures: replay-to-caught-up stays under half a
-    /// day while the barrier cost amortizes into the online path's noise.
-    pub checkpoint_every: usize,
+    /// day at the default hourly cycle) is the production-style cadence:
+    /// replay-to-caught-up stays under half a day.
+    pub checkpoint_every: u64,
 }
 
 impl Default for SoakRunOpts {
@@ -101,8 +97,6 @@ pub struct SoakCycle {
     pub db_rows: usize,
     /// [`grca_apps::OnlineRca::state_size`] after the cycle.
     pub state_size: usize,
-    /// Wall-clock seconds this cycle's advance took.
-    pub advance_secs: f64,
 }
 
 /// Everything one soak run produced.
@@ -137,19 +131,8 @@ pub struct SoakOutcome {
     pub latency: LatencyReport,
     /// Folded online labels == batch labels (only when `batch_check`).
     pub batch_identical: Option<bool>,
-    /// Total wall-clock seconds inside the online advance loop (including
-    /// per-cycle checkpoint writes when enabled).
-    pub advance_secs: f64,
     /// Checkpoints written (0 unless [`SoakRunOpts::checkpoint_dir`]).
     pub checkpoints: usize,
-    /// Wall-clock seconds spent writing checkpoints (subset of
-    /// `advance_secs`).
-    pub checkpoint_secs: f64,
-    /// Total wall-clock seconds generating and delivering the input —
-    /// manifest replay, micro-batch bucketing, transport. Splitting this
-    /// from `advance_secs` keeps the harness's own cost out of the
-    /// online path's throughput numbers.
-    pub sim_secs: f64,
 }
 
 /// Per-day scenario config: shifted start, per-day seed, preset fan-out,
@@ -224,10 +207,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let transport = FeedChaos::new(0); // no ops: verbatim delivery
     let mut records = 0usize;
     let mut cycle = 0usize;
-    let mut advance_secs = 0.0f64;
     let mut checkpoints = 0usize;
-    let mut checkpoint_secs = 0.0f64;
-    let mut sim_secs = 0.0f64;
     let mut last_clock = start;
     // Emission/keying buffers recycled across the day loop so per-day
     // generation stops reallocating (same topology every day).
@@ -235,7 +215,6 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let threads = grca_simnet::background::default_threads();
 
     for day in 0..tier.soak_days {
-        let sim_t0 = std::time::Instant::now();
         let cfg = day_config(tier, manifest_seed, topo.routers.len(), day);
         let slice = manifest.window(cfg.start, cfg.end());
         let out = grca_simnet::run_manifest_into(&topo, &cfg, &slice, threads, &mut bufs);
@@ -269,24 +248,16 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         let cycles = mb.cycles();
         let delivered = transport.deliver_owned(mb);
         debug_assert_eq!(delivered.iter().map(Vec::len).sum::<usize>(), day_records);
-        sim_secs += sim_t0.elapsed().as_secs_f64();
         for (i, recs) in delivered.iter().enumerate() {
             let now = cfg.start + Duration::secs(opts.cycle_len.as_secs() * (i as i64 + 1));
-            let t0 = std::time::Instant::now();
             let new = Study::Bgp.advance(&mut online, recs, now, &topo);
-            let mut dt = t0.elapsed().as_secs_f64();
             if let Some(store) = &ckpt_store {
-                if (cycle + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-                    let c0 = std::time::Instant::now();
+                if (cycle as u64 + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
                     grca_apps::checkpoint::checkpoint(&mut online, store, cycle as u64)
                         .expect("soak checkpoint");
-                    let cdt = c0.elapsed().as_secs_f64();
-                    checkpoint_secs += cdt;
                     checkpoints += 1;
-                    dt += cdt;
                 }
             }
-            advance_secs += dt;
             records += recs.len();
             emissions.extend(new);
             on_cycle(&SoakCycle {
@@ -296,7 +267,6 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
                 records: recs.len(),
                 db_rows: online.database().row_counts().iter().sum(),
                 state_size: online.state_size(),
-                advance_secs: dt,
             });
             cycle += 1;
             last_clock = now;
@@ -310,21 +280,14 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let mut now = last_clock;
     while now < drain_end {
         now += opts.cycle_len;
-        let t0 = std::time::Instant::now();
         let new = Study::Bgp.advance(&mut online, &[], now, &topo);
-        let mut dt = t0.elapsed().as_secs_f64();
         if let Some(store) = &ckpt_store {
-            if (cycle + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-                let c0 = std::time::Instant::now();
+            if (cycle as u64 + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
                 grca_apps::checkpoint::checkpoint(&mut online, store, cycle as u64)
                     .expect("soak checkpoint");
-                let cdt = c0.elapsed().as_secs_f64();
-                checkpoint_secs += cdt;
                 checkpoints += 1;
-                dt += cdt;
             }
         }
-        advance_secs += dt;
         emissions.extend(new);
         on_cycle(&SoakCycle {
             day: tier.soak_days,
@@ -333,7 +296,6 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
             records: 0,
             db_rows: online.database().row_counts().iter().sum(),
             state_size: online.state_size(),
-            advance_secs: dt,
         });
         cycle += 1;
     }
@@ -409,10 +371,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         accuracy_rate: accuracy.rate(),
         latency,
         batch_identical,
-        advance_secs,
         checkpoints,
-        checkpoint_secs,
-        sim_secs,
     }
 }
 

@@ -68,7 +68,7 @@ fn smoke_soak_converges_to_batch_and_measures_latency() {
 }
 
 #[test]
-fn checkpointed_soak_is_result_identical_and_counts_overhead() {
+fn checkpointed_soak_is_result_identical() {
     let tier = TierConfig::smoke();
     let plain = run_soak(&tier, &SoakRunOpts::default(), |_| {});
     let dir = std::env::temp_dir().join(format!("grca-soak-ckpt-{}", std::process::id()));
@@ -80,7 +80,7 @@ fn checkpointed_soak_is_result_identical_and_counts_overhead() {
     let ckpt = run_soak(&tier, &opts, |_| {});
     std::fs::remove_dir_all(&dir).ok();
 
-    // Checkpointing is pure overhead: every verdict, latency sample, and
+    // Checkpointing changes no result: every verdict, latency sample, and
     // accuracy number is unchanged.
     assert_eq!(ckpt.records, plain.records);
     assert_eq!(ckpt.emissions, plain.emissions);
@@ -88,13 +88,9 @@ fn checkpointed_soak_is_result_identical_and_counts_overhead() {
     assert_eq!(ckpt.latency.samples, plain.latency.samples);
     assert_eq!(ckpt.accuracy_correct, plain.accuracy_correct);
 
-    // One checkpoint per cycle, and its cost is accounted inside the
-    // advance total (the E19 overhead gate divides throughputs).
+    // One checkpoint per cycle.
     assert_eq!(ckpt.checkpoints, ckpt.cycles);
-    assert!(ckpt.checkpoint_secs > 0.0);
-    assert!(ckpt.checkpoint_secs < ckpt.advance_secs);
     assert_eq!(plain.checkpoints, 0);
-    assert_eq!(plain.checkpoint_secs, 0.0);
 }
 
 /// Segmented storage plus database retention keep the online path's
