@@ -24,10 +24,10 @@
 //! asserts the folded online stream is label-identical — the smoke-preset
 //! CI test rides on that.
 
-use crate::chaos::STRICT_CADENCE;
 use crate::latency::{measure, LatencyReport, VerdictEvent};
-use grca_apps::{bgp, score, Study};
-use grca_collector::{Database, DurableStore, IngestStats, StorageConfig};
+use crate::replay::{labels, Cadence, Cycle, Replay};
+use grca_apps::{score, OnlineRca, Study};
+use grca_collector::{Database, IngestStats, StorageConfig};
 use grca_core::{fold_stream, Emission};
 use grca_net_model::TierConfig;
 use grca_simnet::{
@@ -189,15 +189,12 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     if let Some(storage) = &storage {
         online = online.with_storage(storage);
     }
-    let ckpt_store = opts.checkpoint_dir.as_ref().map(|dir| {
-        std::fs::create_dir_all(dir).expect("create checkpoint dir");
-        DurableStore::open(dir).expect("open durable store")
-    });
     if let Some(margin) = opts.db_retention {
         online = online.with_db_retention(margin);
     }
-    for feed in online.relevant_feeds().to_vec() {
-        online = online.with_feed_cadence(feed, STRICT_CADENCE);
+    let mut replay = Replay::new(Study::Bgp, &topo, online, opts.cycle_len, Cadence::Strict);
+    if let Some(dir) = &opts.checkpoint_dir {
+        replay = replay.with_checkpoints(dir, opts.checkpoint_every);
     }
 
     let mut truth: Vec<TruthRecord> = Vec::new();
@@ -206,14 +203,25 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let mut batch_records: Vec<grca_telemetry::records::RawRecord> = Vec::new();
     let transport = FeedChaos::new(0); // no ops: verbatim delivery
     let mut records = 0usize;
-    let mut cycle = 0usize;
-    let mut checkpoints = 0usize;
     let mut last_clock = start;
     // Emission/keying buffers recycled across the day loop so per-day
     // generation stops reallocating (same topology every day).
     let mut bufs = SimBuffers::new();
     let threads = grca_simnet::background::default_threads();
 
+    let mut on_replay_cycle = |day: u32, online: &OnlineRca, c: Cycle, new: Vec<Emission>| {
+        emissions.extend(new);
+        on_cycle(&SoakCycle {
+            day,
+            cycle: c.index as usize,
+            clock_unix: c.clock.unix(),
+            records: c.records,
+            db_rows: online.database().row_counts().iter().sum(),
+            state_size: online.state_size(),
+        });
+    };
+    // One simulated day at a time, so neither the generator's memory nor
+    // the delivery schedule ever spans the horizon.
     for day in 0..tier.soak_days {
         let cfg = day_config(tier, manifest_seed, topo.routers.len(), day);
         let slice = manifest.window(cfg.start, cfg.end());
@@ -237,7 +245,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         // Bucket by the already-known delivery keys (no re-parse, records
         // move into their cycle buckets) and deliver by move — the
         // opless transport clones nothing.
-        let day_records = out.records.len();
+        records += out.records.len();
         let mb = MicroBatches::from_keyed(
             out.records,
             &out.delivery,
@@ -245,60 +253,18 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
             cfg.end(),
             opts.cycle_len,
         );
-        let cycles = mb.cycles();
+        let clocks = Replay::delivery_clocks(&mb);
         let delivered = transport.deliver_owned(mb);
-        debug_assert_eq!(delivered.iter().map(Vec::len).sum::<usize>(), day_records);
-        for (i, recs) in delivered.iter().enumerate() {
-            let now = cfg.start + Duration::secs(opts.cycle_len.as_secs() * (i as i64 + 1));
-            let new = Study::Bgp.advance(&mut online, recs, now, &topo);
-            if let Some(store) = &ckpt_store {
-                if (cycle as u64 + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-                    grca_apps::checkpoint::checkpoint(&mut online, store, cycle as u64)
-                        .expect("soak checkpoint");
-                    checkpoints += 1;
-                }
-            }
-            records += recs.len();
-            emissions.extend(new);
-            on_cycle(&SoakCycle {
-                day,
-                cycle,
-                clock_unix: now.unix(),
-                records: recs.len(),
-                db_rows: online.database().row_counts().iter().sum(),
-                state_size: online.state_size(),
-            });
-            cycle += 1;
-            last_clock = now;
-        }
-        debug_assert_eq!(cycles, delivered.len());
-    }
-
-    // Drain past the horizon until every held-back symptom has resolved
-    // (full once watermarks pass, degraded once wait budgets lapse).
-    let drain_end = end + online.hold_back() + online.wait_budget() + Duration::hours(1);
-    let mut now = last_clock;
-    while now < drain_end {
-        now += opts.cycle_len;
-        let new = Study::Bgp.advance(&mut online, &[], now, &topo);
-        if let Some(store) = &ckpt_store {
-            if (cycle as u64 + 1).is_multiple_of(opts.checkpoint_every.max(1)) {
-                grca_apps::checkpoint::checkpoint(&mut online, store, cycle as u64)
-                    .expect("soak checkpoint");
-                checkpoints += 1;
-            }
-        }
-        emissions.extend(new);
-        on_cycle(&SoakCycle {
-            day: tier.soak_days,
-            cycle,
-            clock_unix: now.unix(),
-            records: 0,
-            db_rows: online.database().row_counts().iter().sum(),
-            state_size: online.state_size(),
+        debug_assert_eq!(clocks.len(), delivered.len());
+        replay.run(&clocks, &delivered, |online, c, new| {
+            on_replay_cycle(day, online, c, new)
         });
-        cycle += 1;
+        last_clock = *clocks.last().expect("a day has at least one cycle");
     }
+    let drain = replay.drain_clocks(last_clock, end);
+    replay.run(&drain, &[], |online, c, new| {
+        on_replay_cycle(tier.soak_days, online, c, new)
+    });
 
     let folded = fold_stream(&emissions);
     let diagnoses: Vec<_> = folded.iter().map(|e| e.diagnosis.clone()).collect();
@@ -319,35 +285,10 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         let mut db = Database::default();
         let mut stats = IngestStats::default();
         db.ingest_more(&topo, &batch_records, &mut stats);
-        let batch = bgp::run(&topo, &db).expect("bgp application must validate");
-        let mut want: Vec<((String, i64), String)> = batch
-            .diagnoses
-            .iter()
-            .map(|d| {
-                (
-                    (
-                        d.symptom.location.display(&topo),
-                        d.symptom.window.start.unix(),
-                    ),
-                    d.label(),
-                )
-            })
-            .collect();
-        want.sort();
-        let mut got: Vec<((String, i64), String)> = folded
-            .iter()
-            .map(|e| {
-                (
-                    (
-                        e.diagnosis.symptom.location.display(&topo),
-                        e.diagnosis.symptom.window.start.unix(),
-                    ),
-                    e.diagnosis.label(),
-                )
-            })
-            .collect();
-        got.sort();
-        want == got
+        let batch = Study::Bgp
+            .run(&topo, &db)
+            .expect("bgp application must validate");
+        labels(&topo, &batch.diagnoses) == labels(&topo, &diagnoses)
     });
 
     SoakOutcome {
@@ -359,7 +300,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         sessions: topo.sessions.len(),
         subscribers: tier.subscribers(&topo),
         records,
-        cycles: cycle,
+        cycles: replay.cycle() as usize,
         injections: manifest.len(),
         faults: faults.len(),
         truth_flaps: truth_flaps.len(),
@@ -371,7 +312,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
         accuracy_rate: accuracy.rate(),
         latency,
         batch_identical,
-        checkpoints,
+        checkpoints: replay.checkpoints(),
     }
 }
 
