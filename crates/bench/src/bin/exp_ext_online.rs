@@ -6,12 +6,11 @@
 //! diagnosis latency: how long after a symptom occurs its verdict is
 //! emitted (bounded by the watermark hold-back derived from the graph).
 
-use grca_apps::{bgp, OnlineRca};
+use grca_apps::Study;
 use grca_bench::{fixture, save_json};
-use grca_collector::Database;
+use grca_eval::{labels, Cadence, Replay};
 use grca_net_model::gen::TopoGenConfig;
-use grca_net_model::NullOracle;
-use grca_simnet::FaultRates;
+use grca_simnet::{FaultRates, FeedChaos, MicroBatches};
 use grca_types::Duration;
 use serde::Serialize;
 
@@ -26,73 +25,48 @@ struct Result {
 
 fn main() {
     let fx = fixture(&TopoGenConfig::small(), 5, 61, FaultRates::bgp_study());
-    let (db, _) = Database::ingest(&fx.topo, &fx.out.records);
-    let batch = bgp::run(&fx.topo, &db).expect("valid app");
+    let batch = Study::Bgp.run(&fx.topo, &fx.db).expect("valid app");
 
     // The post-scenario drain is quiet for hold_back + 30 min — longer than
     // syslog's default staleness allowance — so widen the cadence to keep
     // the silence vouched for; a live production feed would keep delivering.
-    let mut online = OnlineRca::new(&fx.topo, bgp::event_definitions(), bgp::diagnosis_graph())
-        .unwrap()
+    let online = Study::Bgp
+        .online(&fx.topo)
         .with_feed_cadence("syslog", Duration::hours(1));
     let hold_back = online.hold_back();
     println!("derived hold-back: {hold_back}");
 
     // True hourly arrival batches: each batch carries the records emitted
-    // during that hour (the scenario output is chronologically sorted).
-    let n_batches = (5 * 24) as usize;
-    let mut now = fx.cfg.start;
+    // during that hour, delivered verbatim; the feeds run their default
+    // liveness-vouching cadences.
+    let cycle_len = Duration::hours(1);
+    let mb = MicroBatches::new(
+        &fx.topo,
+        &fx.out.records,
+        fx.cfg.start,
+        fx.cfg.end(),
+        cycle_len,
+    );
+    let n_batches = mb.cycles();
+    let mut replay = Replay::new(Study::Bgp, &fx.topo, online, cycle_len, Cadence::Liveness);
+    let clocks = replay.clocks(&mb, fx.cfg.end());
+    let delivered = FeedChaos::new(0).deliver_owned(mb);
+
     let mut streamed = Vec::new();
     let mut max_latency = Duration::ZERO;
-    let mut idx = 0usize;
-    for _ in 0..n_batches {
-        now += Duration::hours(1);
-        let mut hi = idx;
-        while hi < fx.out.records.len()
-            && grca_simnet::scenario::approx_utc(&fx.topo, &fx.out.records[hi]) < now
-        {
-            hi += 1;
-        }
-        let recs = &fx.out.records[idx..hi];
-        idx = hi;
-        for e in online.advance(recs, now, &NullOracle, None) {
+    replay.run(&clocks, &delivered, |_, c, new| {
+        for e in new {
             assert!(
                 e.mode == grca_core::EmissionMode::Full,
                 "healthy feeds must emit full"
             );
             let d = e.diagnosis;
-            let latency = now - d.symptom.window.end;
-            if latency > max_latency {
-                max_latency = latency;
-            }
+            max_latency = max_latency.max(c.clock - d.symptom.window.end);
             streamed.push(d);
         }
-    }
-    // Drain the tail in sub-allowance steps so quiet-but-live feeds keep
-    // vouching for their silence while the last horizons close.
-    let end = fx.cfg.end() + hold_back + Duration::mins(30);
-    while now < end {
-        now += Duration::mins(10);
-        streamed.extend(
-            online
-                .advance(&[], now, &NullOracle, None)
-                .into_iter()
-                .map(|e| e.diagnosis),
-        );
-    }
+    });
 
-    let key = |d: &grca_core::Diagnosis| {
-        (
-            d.symptom.location.display(&fx.topo),
-            d.symptom.window.start,
-            d.label(),
-        )
-    };
-    let mut a: Vec<_> = streamed.iter().map(key).collect();
-    let mut b: Vec<_> = batch.diagnoses.iter().map(key).collect();
-    a.sort();
-    b.sort();
-    let matches = a == b;
+    let matches = labels(&fx.topo, &streamed) == labels(&fx.topo, &batch.diagnoses);
     println!(
         "streamed {} diagnoses over {n_batches} hourly batches; identical to batch: {matches}",
         streamed.len()
