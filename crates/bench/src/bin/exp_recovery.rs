@@ -41,8 +41,8 @@ use grca_bench::{results_dir, schema};
 use grca_collector::DurableStore;
 use grca_eval::recovery::read_journal;
 use grca_eval::{
-    check_exactly_once, corpus, dedup_by_seq, eventual_ops, kill_matrix, run_attempt,
-    GoldenScenario, RecoveryOpts,
+    check_exactly_once, corpus, dedup_by_seq, eventual_ops, kill_matrix, labels, run_attempt,
+    GoldenScenario, RecoveryOpts, RecoveryVerdict,
 };
 use grca_serve::{Publisher, TenantSpec};
 use grca_simnet::{FeedChaos, KillSwitch, MicroBatches};
@@ -231,24 +231,11 @@ fn publisher_recovers_identically(
     }
     let fresh_snap = fresh.publish().expect("publish fresh snapshot");
 
-    // Keyed verdict multiset: symptom ordering may differ between the
-    // flat and restored-segmented backends, labels must not.
-    let keyed = |snap: &grca_serve::ServingSnapshot| -> Vec<(String, i64, String)> {
+    // Sorted labels: symptom ordering may differ between the flat and
+    // restored-segmented backends, labels must not.
+    let keyed = |snap: &grca_serve::ServingSnapshot| {
         let id = snap.tenant_id(s.name).expect("tenant present");
-        let mut v: Vec<(String, i64, String)> = snap
-            .symptoms(id)
-            .iter()
-            .zip(snap.diagnose_all(id))
-            .map(|(sym, d)| {
-                (
-                    sym.location.display(&topo),
-                    sym.window.start.unix(),
-                    d.label(),
-                )
-            })
-            .collect();
-        v.sort();
-        v
+        labels(&topo, &snap.diagnose_all(id))
     };
     keyed(&rec_snap) == keyed(&fresh_snap)
 }
@@ -334,41 +321,34 @@ fn main() {
                         .expect("restart child printed no RESUMED_FROM")
                         .parse()
                         .expect("parse RESUMED_FROM");
-                    (resumed, wall)
+                    (u64::try_from(resumed).ok(), wall)
                 } else {
-                    (-1, 0.0)
+                    (None, 0.0)
                 };
 
                 let mut all = read_journal(&j_crash);
                 all.extend(read_journal(&j_restart));
-                let (deduped, exactly_once) = match dedup_by_seq(&all) {
-                    Ok(d) => {
-                        let ok = check_exactly_once(&d).is_ok();
-                        (d, ok)
-                    }
-                    Err(e) => {
-                        failures.push(format!("{name}/{seed}/{kill_str}: {e}"));
-                        (Vec::new(), false)
-                    }
-                };
-                let identical = deduped == reference.emissions;
-                let start_cycle = if resumed_from >= 0 {
-                    resumed_from as u64 + 1
-                } else {
-                    0
-                };
-                let case = CaseResult {
-                    scenario: s.name.to_string(),
-                    chaos_seed: seed,
-                    kill: kill_str.clone(),
+                let v = RecoveryVerdict::judge(
+                    &s,
+                    &chaos,
+                    *kill,
+                    &reference,
                     killed,
-                    reference_emissions: reference.emissions.len(),
-                    recovered_raw: all.len(),
-                    duplicates: all.len() - deduped.len(),
-                    identical,
-                    exactly_once,
                     resumed_from,
-                    replayed_cycles: kill.cycle().saturating_sub(start_cycle) + 1,
+                    &all,
+                );
+                let case = CaseResult {
+                    scenario: v.scenario,
+                    chaos_seed: v.chaos_seed,
+                    kill: v.kill,
+                    killed: v.killed,
+                    reference_emissions: v.reference_emissions,
+                    recovered_raw: v.recovered_raw,
+                    duplicates: v.duplicates,
+                    identical: v.identical,
+                    exactly_once: v.exactly_once,
+                    resumed_from: v.resumed_from.map_or(-1, |c| c as i64),
+                    replayed_cycles: v.replayed_cycles,
                     restart_wall_secs,
                 };
                 println!(
@@ -389,12 +369,15 @@ fn main() {
                 if !case.identical {
                     failures.push(format!(
                         "{name}/{seed}/{kill_str}: recovered stream diverged ({} deduped vs {} reference)",
-                        deduped.len(),
+                        case.recovered_raw - case.duplicates,
                         case.reference_emissions
                     ));
                 }
                 if !case.exactly_once {
-                    failures.push(format!("{name}/{seed}/{kill_str}: not exactly-once"));
+                    let why = dedup_by_seq(&all)
+                        .and_then(|d| check_exactly_once(&d))
+                        .expect_err("judged not exactly-once");
+                    failures.push(format!("{name}/{seed}/{kill_str}: not exactly-once: {why}"));
                 }
                 if case.reference_emissions == 0 {
                     failures.push(format!("{name}/{seed}: reference emitted nothing"));

@@ -319,6 +319,47 @@ impl RecoveryVerdict {
     pub fn pass(&self) -> bool {
         self.identical && self.exactly_once
     }
+
+    /// Judge one case from what its consumer saw: fold `recovered` — the
+    /// pre-crash emissions followed by the restart's — by sequence number,
+    /// require the result exactly-once and equal to `reference`, and
+    /// derive the replay distance from where the restart resumed.
+    pub fn judge(
+        s: &GoldenScenario,
+        chaos: &FeedChaos,
+        kill: KillPoint,
+        reference: &PipelineOutcome,
+        killed: bool,
+        resumed_from: Option<u64>,
+        recovered: &[SeqVerdict],
+    ) -> RecoveryVerdict {
+        let (deduped, exactly_once) = match dedup_by_seq(recovered) {
+            Ok(d) => {
+                let ok = check_exactly_once(&d).is_ok();
+                (d, ok)
+            }
+            Err(_) => (Vec::new(), false),
+        };
+        let start_cycle = resumed_from.map_or(0, |c| c + 1);
+        RecoveryVerdict {
+            scenario: s.name.to_string(),
+            chaos_seed: chaos.seed,
+            kill: kill.to_string(),
+            killed,
+            reference_emissions: reference.emissions.len(),
+            recovered_raw: recovered.len(),
+            duplicates: recovered.len() - deduped.len(),
+            identical: deduped == reference.emissions,
+            exactly_once,
+            resumed_from,
+            replayed_cycles: if killed {
+                kill.cycle().saturating_sub(start_cycle) + 1
+            } else {
+                0
+            },
+            cycles: reference.cycles,
+        }
+    }
 }
 
 /// Run one full kill-and-recover case **in process**: the uninterrupted
@@ -356,10 +397,10 @@ pub fn run_recovery_case(
         false,
         None,
     );
-    let mut all = first.emissions.clone();
+    let killed = first.stopped_at.is_some();
+    let mut all = first.emissions;
     let mut resumed_from = None;
-    let mut replayed_cycles = 0;
-    if first.stopped_at.is_some() {
+    if killed {
         let second = run_attempt(
             s,
             chaos,
@@ -371,31 +412,9 @@ pub fn run_recovery_case(
         );
         assert!(second.stopped_at.is_none());
         resumed_from = second.resumed_from;
-        replayed_cycles = kill.cycle().saturating_sub(second.start_cycle) + 1;
         all.extend(second.emissions);
     }
-
-    let (deduped, exactly_once) = match dedup_by_seq(&all) {
-        Ok(d) => {
-            let ok = check_exactly_once(&d).is_ok();
-            (d, ok)
-        }
-        Err(_) => (Vec::new(), false),
-    };
-    RecoveryVerdict {
-        scenario: s.name.to_string(),
-        chaos_seed: chaos.seed,
-        kill: kill.to_string(),
-        killed: first.stopped_at.is_some(),
-        reference_emissions: reference.emissions.len(),
-        recovered_raw: all.len(),
-        duplicates: all.len() - deduped.len(),
-        identical: deduped == reference.emissions,
-        exactly_once,
-        resumed_from,
-        replayed_cycles,
-        cycles: reference.cycles,
-    }
+    RecoveryVerdict::judge(s, chaos, kill, &reference, killed, resumed_from, &all)
 }
 
 #[cfg(test)]
