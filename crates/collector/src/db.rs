@@ -472,18 +472,44 @@ pub struct Database {
     retention_floor: Option<Timestamp>,
 }
 
+/// The one enumeration of the tables, in [`FEEDS`] order: evaluates the
+/// body once per table, with the closure-style binding(s) naming that
+/// table of each listed database, and collects the results into an array.
+/// Row types differ per table, so this cannot be a loop over a slice.
+/// A new feed is a [`Database`] field, a `NormRow` variant, a [`FEEDS`]
+/// entry and one line here.
+macro_rules! each_table {
+    (@at $f:ident, &$db:ident, |$t:ident| $body:expr) => {{
+        let $t = &$db.$f;
+        $body
+    }};
+    (@at $f:ident, &mut $db:ident, |$t:ident| $body:expr) => {{
+        let $t = &mut $db.$f;
+        $body
+    }};
+    (@at $f:ident, &$a:ident, &$b:ident, |$t:ident, $u:ident| $body:expr) => {{
+        let ($t, $u) = (&$a.$f, &$b.$f);
+        $body
+    }};
+    ($($spec:tt)+) => {
+        [
+            each_table!(@at syslog, $($spec)+),
+            each_table!(@at snmp, $($spec)+),
+            each_table!(@at l1, $($spec)+),
+            each_table!(@at ospf, $($spec)+),
+            each_table!(@at bgp, $($spec)+),
+            each_table!(@at tacacs, $($spec)+),
+            each_table!(@at workflow, $($spec)+),
+            each_table!(@at perf, $($spec)+),
+            each_table!(@at cdn, $($spec)+),
+            each_table!(@at server, $($spec)+),
+        ]
+    };
+}
+
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
-        self.syslog == other.syslog
-            && self.snmp == other.snmp
-            && self.l1 == other.l1
-            && self.ospf == other.ospf
-            && self.bgp == other.bgp
-            && self.tacacs == other.tacacs
-            && self.workflow == other.workflow
-            && self.perf == other.perf
-            && self.cdn == other.cdn
-            && self.server == other.server
+        each_table!(&self, &other, |a, b| a == b) == [true; 10]
             && self.quarantine == other.quarantine
             && self.seen == other.seen
             && self.retention_floor == other.retention_floor
@@ -527,23 +553,9 @@ impl Database {
     /// baseline. Query-identical to the default; memory-bounded when the
     /// caller also applies [`Database::retain_before`].
     pub fn with_storage(cfg: &StorageConfig) -> Database {
-        Database {
-            syslog: Table::segmented(cfg.clone()),
-            snmp: Table::segmented(cfg.clone()),
-            l1: Table::segmented(cfg.clone()),
-            ospf: Table::segmented(cfg.clone()),
-            bgp: Table::segmented(cfg.clone()),
-            tacacs: Table::segmented(cfg.clone()),
-            workflow: Table::segmented(cfg.clone()),
-            perf: Table::segmented(cfg.clone()),
-            cdn: Table::segmented(cfg.clone()),
-            server: Table::segmented(cfg.clone()),
-            quarantine: Vec::new(),
-            seen: std::collections::HashMap::new(),
-            seen_log: Vec::new(),
-            seen_epoch: 0,
-            retention_floor: None,
-        }
+        let mut db = Database::default();
+        each_table!(&mut db, |t| *t = Table::segmented(cfg.clone()));
+        db
     }
 
     /// Ingest and normalize a batch of raw records against the topology.
@@ -632,16 +644,7 @@ impl Database {
     /// Sort every table and rebuild its time/entity indexes (call once
     /// after ingestion).
     pub fn finalize(&mut self) {
-        self.syslog.finalize();
-        self.snmp.finalize();
-        self.l1.finalize();
-        self.ospf.finalize();
-        self.bgp.finalize();
-        self.tacacs.finalize();
-        self.workflow.finalize();
-        self.perf.finalize();
-        self.cdn.finalize();
-        self.server.finalize();
+        each_table!(&mut self, |t| t.finalize());
     }
 
     /// Force-seal every table's tail so all rows live in sealed segments
@@ -649,16 +652,7 @@ impl Database {
     /// tables this just finalizes.
     pub fn seal_all(&mut self) {
         self.finalize();
-        self.syslog.seal_all();
-        self.snmp.seal_all();
-        self.l1.seal_all();
-        self.ospf.seal_all();
-        self.bgp.seal_all();
-        self.tacacs.seal_all();
-        self.workflow.seal_all();
-        self.perf.seal_all();
-        self.cdn.seal_all();
-        self.server.seal_all();
+        each_table!(&mut self, |t| t.seal_all());
     }
 
     /// The dedup fingerprint map, exported for checkpointing.
@@ -734,34 +728,26 @@ impl Database {
 
     /// Total rows across tables.
     pub fn total_rows(&self) -> usize {
-        self.syslog.len()
-            + self.snmp.len()
-            + self.l1.len()
-            + self.ospf.len()
-            + self.bgp.len()
-            + self.tacacs.len()
-            + self.workflow.len()
-            + self.perf.len()
-            + self.cdn.len()
-            + self.server.len()
+        self.row_counts().iter().sum()
     }
 
     /// Per-feed high watermarks — the latest normalized UTC instant each
     /// feed has delivered — in [`FEEDS`] order. The raw signal behind the
     /// per-feed health model ([`crate::health::FeedRegistry`]).
     pub fn feed_watermarks(&self) -> [(&'static str, Option<Timestamp>); 10] {
-        [
-            (FEEDS[0], self.syslog.last_time()),
-            (FEEDS[1], self.snmp.last_time()),
-            (FEEDS[2], self.l1.last_time()),
-            (FEEDS[3], self.ospf.last_time()),
-            (FEEDS[4], self.bgp.last_time()),
-            (FEEDS[5], self.tacacs.last_time()),
-            (FEEDS[6], self.workflow.last_time()),
-            (FEEDS[7], self.perf.last_time()),
-            (FEEDS[8], self.cdn.last_time()),
-            (FEEDS[9], self.server.last_time()),
-        ]
+        let last = each_table!(&self, |t| t.last_time());
+        std::array::from_fn(|i| (FEEDS[i], last[i]))
+    }
+
+    /// Per-table count of rows strictly after `marks[i]` (every row where
+    /// the mark is `None`), in [`FEEDS`] order — what incremental
+    /// extraction checks a database's growth against.
+    pub fn rows_after(&self, marks: &[Option<Timestamp>; 10]) -> [usize; 10] {
+        let mut marks = marks.iter();
+        each_table!(&self, |t| match marks.next().expect("ten marks") {
+            Some(w) => t.after(*w).len(),
+            None => t.len(),
+        })
     }
 
     /// Drop the oldest quarantine entries beyond `keep` (long-running
@@ -784,16 +770,9 @@ impl Database {
     /// extraction checks — its watermark test fails and it soundly falls
     /// back to a full pass on cycles where segments were dropped.
     pub fn retain_before(&mut self, floor: Timestamp) -> usize {
-        let dropped = self.syslog.retain_before(floor)
-            + self.snmp.retain_before(floor)
-            + self.l1.retain_before(floor)
-            + self.ospf.retain_before(floor)
-            + self.bgp.retain_before(floor)
-            + self.tacacs.retain_before(floor)
-            + self.workflow.retain_before(floor)
-            + self.perf.retain_before(floor)
-            + self.cdn.retain_before(floor)
-            + self.server.retain_before(floor);
+        let dropped = each_table!(&mut self, |t| t.retain_before(floor))
+            .iter()
+            .sum();
         self.seen.retain(|_, t| *t >= floor);
         self.seen_log.push(SeenEvent::Floor(floor));
         if self.seen_log.len() > 2 * self.seen.len() + SEEN_LOG_COMPACT_SLACK {
@@ -809,16 +788,9 @@ impl Database {
     /// Estimated resident bytes across all tables (rows, indexes, encoded
     /// blobs and decode caches) plus the fingerprint map.
     pub fn approx_bytes(&self) -> usize {
-        self.syslog.approx_bytes()
-            + self.snmp.approx_bytes()
-            + self.l1.approx_bytes()
-            + self.ospf.approx_bytes()
-            + self.bgp.approx_bytes()
-            + self.tacacs.approx_bytes()
-            + self.workflow.approx_bytes()
-            + self.perf.approx_bytes()
-            + self.cdn.approx_bytes()
-            + self.server.approx_bytes()
+        each_table!(&self, |t| t.approx_bytes())
+            .iter()
+            .sum::<usize>()
             + self.seen.len() * (std::mem::size_of::<(u128, Timestamp)>() + 8)
             + self.seen_log.len() * std::mem::size_of::<SeenEvent>()
     }
@@ -826,18 +798,7 @@ impl Database {
     /// Storage counters merged across all tables — `Some` only when the
     /// database uses the segmented backend.
     pub fn storage_stats(&self) -> Option<StorageStats> {
-        let per_table = [
-            self.syslog.seg_stats(),
-            self.snmp.seg_stats(),
-            self.l1.seg_stats(),
-            self.ospf.seg_stats(),
-            self.bgp.seg_stats(),
-            self.tacacs.seg_stats(),
-            self.workflow.seg_stats(),
-            self.perf.seg_stats(),
-            self.cdn.seg_stats(),
-            self.server.seg_stats(),
-        ];
+        let per_table = each_table!(&self, |t| t.seg_stats());
         let mut out = StorageStats::default();
         let mut any = false;
         for s in per_table.into_iter().flatten() {
@@ -872,18 +833,7 @@ impl Database {
     /// Per-table row counts in a fixed order (diagnostics, watermark
     /// growth checks in incremental extraction).
     pub fn row_counts(&self) -> [usize; 10] {
-        [
-            self.syslog.len(),
-            self.snmp.len(),
-            self.l1.len(),
-            self.ospf.len(),
-            self.bgp.len(),
-            self.tacacs.len(),
-            self.workflow.len(),
-            self.perf.len(),
-            self.cdn.len(),
-            self.server.len(),
-        ]
+        each_table!(&self, |t| t.len())
     }
 }
 

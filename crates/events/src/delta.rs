@@ -28,7 +28,7 @@ use crate::def::EventDefinition;
 use crate::extract::ExtractCx;
 use crate::instance::{EventInstance, EventStore};
 use crate::singlepass::{is_stateless, run, Cut};
-use grca_collector::{Database, StoredRow, Table};
+use grca_collector::Database;
 use grca_types::Timestamp;
 
 /// Per-table ingestion watermarks: row counts plus last timestamps, in
@@ -43,18 +43,7 @@ impl Marks {
     fn of(db: &Database) -> Marks {
         Marks {
             counts: db.row_counts(),
-            last: [
-                db.syslog.last_time(),
-                db.snmp.last_time(),
-                db.l1.last_time(),
-                db.ospf.last_time(),
-                db.bgp.last_time(),
-                db.tacacs.last_time(),
-                db.workflow.last_time(),
-                db.perf.last_time(),
-                db.cdn.last_time(),
-                db.server.last_time(),
-            ],
+            last: db.feed_watermarks().map(|(_, last)| last),
         }
     }
 
@@ -62,25 +51,8 @@ impl Marks {
     /// watermarks? (If not, late rows landed inside the marked range and
     /// a delta pass would miss them.)
     fn extended_by(&self, db: &Database) -> bool {
-        fn after_len<R: StoredRow>(t: &Table<R>, w: Option<Timestamp>) -> usize {
-            match w {
-                Some(w) => t.after(w).len(),
-                None => t.len(),
-            }
-        }
         let counts = db.row_counts();
-        let after = [
-            after_len(&db.syslog, self.last[0]),
-            after_len(&db.snmp, self.last[1]),
-            after_len(&db.l1, self.last[2]),
-            after_len(&db.ospf, self.last[3]),
-            after_len(&db.bgp, self.last[4]),
-            after_len(&db.tacacs, self.last[5]),
-            after_len(&db.workflow, self.last[6]),
-            after_len(&db.perf, self.last[7]),
-            after_len(&db.cdn, self.last[8]),
-            after_len(&db.server, self.last[9]),
-        ];
+        let after = db.rows_after(&self.last);
         (0..10).all(|i| counts[i] == self.counts[i] + after[i])
     }
 }
