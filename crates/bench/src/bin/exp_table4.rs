@@ -5,8 +5,8 @@
 //! the BGP-study fault mix, diagnosed from raw telemetry alone, plus
 //! per-symptom accuracy against the simulator's hidden ground truth.
 
-use grca_apps::{bgp, report, Study};
-use grca_bench::{compare, fixture, render_compare, same_ranking, save_json};
+use grca_apps::Study;
+use grca_bench::{fixture, same_ranking, save_json, table_run};
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::FaultRates;
 use serde::Serialize;
@@ -50,39 +50,24 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let t1 = std::time::Instant::now();
-    let run = bgp::run(&fx.topo, &fx.db).expect("valid app");
-    let per_symptom = t1.elapsed().as_secs_f64() / run.diagnoses.len().max(1) as f64;
-    println!(
-        "diagnosed {} flaps in {:.1}s ({:.1} ms/symptom; paper: <5 s/symptom)\n",
-        run.diagnoses.len(),
-        t1.elapsed().as_secs_f64(),
-        per_symptom * 1e3,
+    let t = table_run(
+        Study::Bgp,
+        &fx,
+        PAPER,
+        "Table IV — root cause breakdown of BGP flaps",
+        "<5 s/symptom",
     );
-
-    let measured = report::category_breakdown(Study::Bgp, &fx.topo, &run.diagnoses);
-    let rows = compare(PAPER, &measured);
-    println!(
-        "{}",
-        render_compare("Table IV — root cause breakdown of BGP flaps", &rows)
-    );
-
-    let acc = report::score(Study::Bgp, &fx.topo, &run.diagnoses, &fx.out.truth);
-    println!(
-        "accuracy vs hidden ground truth: {:.2}%",
-        100.0 * acc.rate()
-    );
-    let ranking = same_ranking(&rows, 3);
+    let ranking = same_ranking(&t.rows, 3);
     println!("top-3 category ranking matches the paper: {ranking}");
 
     save_json(
         "exp_table4",
         &Result {
-            flaps: run.diagnoses.len(),
+            flaps: t.diagnosed,
             pes: fx.topo.provider_edges().count(),
-            accuracy: acc.rate(),
+            accuracy: t.accuracy,
             ranking_top3_matches: ranking,
-            rows,
+            rows: t.rows,
         },
     );
 }

@@ -4,8 +4,8 @@
 //! northeast CDN node; ~75% of degradations have no in-network cause.
 //! Ours: 30 days on the default topology with the CDN-study mix.
 
-use grca_apps::{cdn, report, Study};
-use grca_bench::{compare, fixture, render_compare, save_json};
+use grca_apps::Study;
+use grca_bench::{fixture, save_json, table_run};
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::FaultRates;
 use serde::Serialize;
@@ -31,29 +31,15 @@ struct Result {
 
 fn main() {
     let fx = fixture(&TopoGenConfig::default(), 30, 2010, FaultRates::cdn_study());
-    let t1 = std::time::Instant::now();
-    let run = cdn::run(&fx.topo, &fx.db).expect("valid app");
-    println!(
-        "diagnosed {} RTT degradations in {:.1}s ({:.0} ms/symptom; paper: <3 min, \
-         dominated by route computation)\n",
-        run.diagnoses.len(),
-        t1.elapsed().as_secs_f64(),
-        t1.elapsed().as_secs_f64() * 1e3 / run.diagnoses.len().max(1) as f64
+    let t = table_run(
+        Study::Cdn,
+        &fx,
+        PAPER,
+        "Table VI — root cause breakdown of RTT degradations",
+        "<3 min, dominated by route computation",
     );
-
-    let measured = report::category_breakdown(Study::Cdn, &fx.topo, &run.diagnoses);
-    let rows = compare(PAPER, &measured);
-    println!(
-        "{}",
-        render_compare("Table VI — root cause breakdown of RTT degradations", &rows)
-    );
-
-    let acc = report::score(Study::Cdn, &fx.topo, &run.diagnoses, &fx.out.truth);
-    println!(
-        "accuracy vs hidden ground truth: {:.2}%",
-        100.0 * acc.rate()
-    );
-    let outside = rows
+    let outside = t
+        .rows
         .iter()
         .find(|r| r.category.starts_with("Outside"))
         .map(|r| r.measured_pct > 50.0)
@@ -63,10 +49,10 @@ fn main() {
     save_json(
         "exp_table6",
         &Result {
-            degradations: run.diagnoses.len(),
-            accuracy: acc.rate(),
+            degradations: t.diagnosed,
+            accuracy: t.accuracy,
             outside_dominates: outside,
-            rows,
+            rows: t.rows,
         },
     );
 }

@@ -3,8 +3,8 @@
 //! Paper setting: two weeks of PIM neighbor adjacency changes on >600
 //! PEs; >98% classified. Ours: 14 days, paper-scale topology.
 
-use grca_apps::{pim, report, Study};
-use grca_bench::{compare, fixture, render_compare, save_json};
+use grca_apps::Study;
+use grca_bench::{fixture, save_json, table_run};
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::FaultRates;
 use serde::Serialize;
@@ -40,46 +40,29 @@ fn main() {
         2010,
         FaultRates::pim_study(),
     );
-    let t1 = std::time::Instant::now();
-    let run = pim::run(&fx.topo, &fx.db).expect("valid app");
-    println!(
-        "diagnosed {} adjacency changes in {:.1}s ({:.1} ms/symptom; paper: <5 s)\n",
-        run.diagnoses.len(),
-        t1.elapsed().as_secs_f64(),
-        t1.elapsed().as_secs_f64() * 1e3 / run.diagnoses.len().max(1) as f64
+    let t = table_run(
+        Study::Pim,
+        &fx,
+        PAPER,
+        "Table VIII — root cause breakdown of PIM adjacency losses",
+        "<5 s",
     );
-
-    let measured = report::category_breakdown(Study::Pim, &fx.topo, &run.diagnoses);
-    let rows = compare(PAPER, &measured);
-    println!(
-        "{}",
-        render_compare(
-            "Table VIII — root cause breakdown of PIM adjacency losses",
-            &rows
-        )
-    );
-
-    let acc = report::score(Study::Pim, &fx.topo, &run.diagnoses, &fx.out.truth);
     let classified = 100.0
-        - rows
+        - t.rows
             .iter()
             .find(|r| r.category == "Unknown")
             .map(|r| r.measured_pct)
             .unwrap_or(0.0);
-    println!(
-        "accuracy vs hidden ground truth: {:.2}%",
-        100.0 * acc.rate()
-    );
     println!("classified: {classified:.1}% (paper: >98%)");
 
     save_json(
         "exp_table8",
         &Result {
-            changes: run.diagnoses.len(),
+            changes: t.diagnosed,
             pes: fx.topo.provider_edges().count(),
-            accuracy: acc.rate(),
+            accuracy: t.accuracy,
             classified_pct: classified,
-            rows,
+            rows: t.rows,
         },
     );
 }

@@ -119,6 +119,50 @@ pub fn render_compare(title: &str, rows: &[CompareRow]) -> String {
     out
 }
 
+/// One paper-table reproduction: a study's batch run over a fixture,
+/// broken down by the paper's categories and scored against the hidden
+/// ground truth.
+pub struct TableRun {
+    /// Symptoms diagnosed.
+    pub diagnosed: usize,
+    /// Per-symptom accuracy against the simulator's ground truth.
+    pub accuracy: f64,
+    pub rows: Vec<CompareRow>,
+}
+
+/// Run `study` over `fx`, print the per-symptom cost (next to the paper's
+/// `paper_cost`), the paper-vs-measured table under `title` and the
+/// accuracy, and return the numbers the table binaries persist.
+pub fn table_run(
+    study: grca_apps::Study,
+    fx: &Fixture,
+    paper: &[(&str, f64)],
+    title: &str,
+    paper_cost: &str,
+) -> TableRun {
+    let t = std::time::Instant::now();
+    let run = study.run(&fx.topo, &fx.db).expect("valid app");
+    let secs = t.elapsed().as_secs_f64();
+    println!(
+        "diagnosed {} symptoms in {secs:.1}s ({:.1} ms/symptom; paper: {paper_cost})\n",
+        run.diagnoses.len(),
+        secs * 1e3 / run.diagnoses.len().max(1) as f64
+    );
+    let measured = grca_apps::category_breakdown(study, &fx.topo, &run.diagnoses);
+    let rows = compare(paper, &measured);
+    println!("{}", render_compare(title, &rows));
+    let acc = grca_apps::score(study, &fx.topo, &run.diagnoses, &fx.out.truth);
+    println!(
+        "accuracy vs hidden ground truth: {:.2}%",
+        100.0 * acc.rate()
+    );
+    TableRun {
+        diagnosed: run.diagnoses.len(),
+        accuracy: acc.rate(),
+        rows,
+    }
+}
+
 /// Process-level memory observability for the experiment binaries:
 /// the peak resident set from `/proc/self/status` and a counting global
 /// allocator for per-phase allocation accounting.
