@@ -79,15 +79,17 @@ pub struct SeqVerdict {
     pub emitted_at_unix: i64,
 }
 
-fn seq_verdict(e: &Emission, topo: &Topology) -> SeqVerdict {
-    SeqVerdict {
-        seq: e.seq,
-        location: e.diagnosis.symptom.location.display(topo),
-        start_unix: e.diagnosis.symptom.window.start.unix(),
-        label: e.diagnosis.label(),
-        degraded: e.mode.is_degraded(),
-        amends: e.amends,
-        emitted_at_unix: e.emitted_at.unix(),
+impl SeqVerdict {
+    pub fn from_emission(topo: &Topology, e: &Emission) -> SeqVerdict {
+        SeqVerdict {
+            seq: e.seq,
+            location: e.diagnosis.symptom.location.display(topo),
+            start_unix: e.diagnosis.symptom.window.start.unix(),
+            label: e.diagnosis.label(),
+            degraded: e.mode.is_degraded(),
+            amends: e.amends,
+            emitted_at_unix: e.emitted_at.unix(),
+        }
     }
 }
 
@@ -166,7 +168,10 @@ pub fn run_attempt(
         &clocks[from..],
         delivered.get(from..).unwrap_or(&[]),
         |_, _, new| {
-            let batch: Vec<SeqVerdict> = new.iter().map(|e| seq_verdict(e, &built.topo)).collect();
+            let batch: Vec<SeqVerdict> = new
+                .iter()
+                .map(|e| SeqVerdict::from_emission(&built.topo, e))
+                .collect();
             if let Some(p) = journal {
                 append_journal(p, &batch);
             }
