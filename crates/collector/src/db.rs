@@ -474,38 +474,48 @@ pub struct Database {
 
 /// The one enumeration of the tables, in [`FEEDS`] order: evaluates the
 /// body once per table, with the closure-style binding(s) naming that
-/// table of each listed database, and collects the results into an array.
-/// Row types differ per table, so this cannot be a loop over a slice.
-/// A new feed is a [`Database`] field, a `NormRow` variant, a [`FEEDS`]
-/// entry and one line here.
+/// table of each listed database (and, in the `|i, t|` forms, its index
+/// into [`FEEDS`]), and collects the results into an array. Row types
+/// differ per table, so this cannot be a loop over a slice. A new feed is
+/// a [`Database`] field, a `NormRow` variant, a [`FEEDS`] entry and one
+/// line here.
 macro_rules! each_table {
-    (@at $f:ident, &$db:ident, |$t:ident| $body:expr) => {{
+    (@at $n:literal $f:ident, &$db:ident, |$t:ident| $body:expr) => {{
         let $t = &$db.$f;
         $body
     }};
-    (@at $f:ident, &mut $db:ident, |$t:ident| $body:expr) => {{
+    (@at $n:literal $f:ident, &mut $db:ident, |$t:ident| $body:expr) => {{
         let $t = &mut $db.$f;
         $body
     }};
-    (@at $f:ident, &$a:ident, &$b:ident, |$t:ident, $u:ident| $body:expr) => {{
+    (@at $n:literal $f:ident, &$db:ident, |$i:ident, $t:ident| $body:expr) => {{
+        let ($i, $t): (usize, _) = ($n, &$db.$f);
+        $body
+    }};
+    (@at $n:literal $f:ident, &mut $db:ident, |$i:ident, $t:ident| $body:expr) => {{
+        let ($i, $t): (usize, _) = ($n, &mut $db.$f);
+        $body
+    }};
+    (@at $n:literal $f:ident, &$a:ident, &$b:ident, |$t:ident, $u:ident| $body:expr) => {{
         let ($t, $u) = (&$a.$f, &$b.$f);
         $body
     }};
     ($($spec:tt)+) => {
         [
-            each_table!(@at syslog, $($spec)+),
-            each_table!(@at snmp, $($spec)+),
-            each_table!(@at l1, $($spec)+),
-            each_table!(@at ospf, $($spec)+),
-            each_table!(@at bgp, $($spec)+),
-            each_table!(@at tacacs, $($spec)+),
-            each_table!(@at workflow, $($spec)+),
-            each_table!(@at perf, $($spec)+),
-            each_table!(@at cdn, $($spec)+),
-            each_table!(@at server, $($spec)+),
+            each_table!(@at 0 syslog, $($spec)+),
+            each_table!(@at 1 snmp, $($spec)+),
+            each_table!(@at 2 l1, $($spec)+),
+            each_table!(@at 3 ospf, $($spec)+),
+            each_table!(@at 4 bgp, $($spec)+),
+            each_table!(@at 5 tacacs, $($spec)+),
+            each_table!(@at 6 workflow, $($spec)+),
+            each_table!(@at 7 perf, $($spec)+),
+            each_table!(@at 8 cdn, $($spec)+),
+            each_table!(@at 9 server, $($spec)+),
         ]
     };
 }
+pub(crate) use each_table;
 
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
@@ -735,17 +745,15 @@ impl Database {
     /// feed has delivered — in [`FEEDS`] order. The raw signal behind the
     /// per-feed health model ([`crate::health::FeedRegistry`]).
     pub fn feed_watermarks(&self) -> [(&'static str, Option<Timestamp>); 10] {
-        let last = each_table!(&self, |t| t.last_time());
-        std::array::from_fn(|i| (FEEDS[i], last[i]))
+        each_table!(&self, |i, t| (FEEDS[i], t.last_time()))
     }
 
     /// Per-table count of rows strictly after `marks[i]` (every row where
     /// the mark is `None`), in [`FEEDS`] order — what incremental
     /// extraction checks a database's growth against.
     pub fn rows_after(&self, marks: &[Option<Timestamp>; 10]) -> [usize; 10] {
-        let mut marks = marks.iter();
-        each_table!(&self, |t| match marks.next().expect("ten marks") {
-            Some(w) => t.after(*w).len(),
+        each_table!(&self, |i, t| match marks[i] {
+            Some(w) => t.after(w).len(),
             None => t.len(),
         })
     }

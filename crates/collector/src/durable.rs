@@ -26,7 +26,9 @@
 //! replay of the un-checkpointed input tail regenerates it — and is
 //! swept by [`DurableStore::gc`] at the next successful save.
 
-use crate::db::{Database, IngestStats, QuarantineReason, Quarantined, SeenEvent, FEEDS};
+use crate::db::{
+    each_table, Database, IngestStats, QuarantineReason, Quarantined, SeenEvent, FEEDS,
+};
 use crate::health::FeedRegistry;
 use crate::segment::try_decode_segment;
 use crate::storage::StorageConfig;
@@ -757,26 +759,11 @@ impl Database {
     /// Per-feed manifests of every sealed on-disk segment, in time
     /// order. `None` if any table is not on the durable spill backend.
     pub fn segment_manifests(&self) -> Option<Vec<TableManifest>> {
-        let mut out = Vec::with_capacity(FEEDS.len());
-        macro_rules! table {
-            ($field:ident, $ix:expr) => {
-                out.push(TableManifest {
-                    feed: FEEDS[$ix].to_string(),
-                    segments: self.$field.segment_files()?,
-                });
-            };
-        }
-        table!(syslog, 0);
-        table!(snmp, 1);
-        table!(l1, 2);
-        table!(ospf, 3);
-        table!(bgp, 4);
-        table!(tacacs, 5);
-        table!(workflow, 6);
-        table!(perf, 7);
-        table!(cdn, 8);
-        table!(server, 9);
-        Some(out)
+        let tables = each_table!(&self, |i, t| TableManifest {
+            feed: FEEDS[i].to_string(),
+            segments: t.segment_files()?,
+        });
+        Some(tables.into())
     }
 
     /// Refill every table from manifest-referenced segment files.
@@ -804,22 +791,14 @@ impl Database {
             t.finalize();
             Ok(())
         }
-        for m in tables {
-            match m.feed.as_str() {
-                "syslog" => fill(&mut self.syslog, dir, m)?,
-                "snmp" => fill(&mut self.snmp, dir, m)?,
-                "l1log" => fill(&mut self.l1, dir, m)?,
-                "ospfmon" => fill(&mut self.ospf, dir, m)?,
-                "bgpmon" => fill(&mut self.bgp, dir, m)?,
-                "tacacs" => fill(&mut self.tacacs, dir, m)?,
-                "workflow" => fill(&mut self.workflow, dir, m)?,
-                "perf" => fill(&mut self.perf, dir, m)?,
-                "cdnmon" => fill(&mut self.cdn, dir, m)?,
-                "serverlog" => fill(&mut self.server, dir, m)?,
-                other => return Err(format!("unknown feed {other:?} in manifest")),
-            }
+        if let Some(m) = tables.iter().find(|m| !FEEDS.contains(&m.feed.as_str())) {
+            return Err(format!("unknown feed {:?} in manifest", m.feed));
         }
-        Ok(())
+        let filled = each_table!(&mut self, |i, t| tables
+            .iter()
+            .filter(|m| m.feed == FEEDS[i])
+            .try_for_each(|m| fill(t, dir, m)));
+        filled.into_iter().collect()
     }
 }
 
