@@ -45,7 +45,7 @@ use grca_eval::{
     GoldenScenario, RecoveryOpts, RecoveryVerdict,
 };
 use grca_serve::{Publisher, TenantSpec};
-use grca_simnet::{FeedChaos, KillSwitch, MicroBatches};
+use grca_simnet::{FeedChaos, KillSwitch};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -202,16 +202,8 @@ fn publisher_recovers_identically(
     dir: &Path,
 ) -> bool {
     let built = s.build();
+    let (_, delivered) = s.deliver(&built, chaos, opts.cycle_len);
     let topo = Arc::new(built.topo);
-    let cfg = s.scenario_config();
-    let mb = MicroBatches::new(
-        &topo,
-        &built.out.records,
-        cfg.start,
-        cfg.end(),
-        opts.cycle_len,
-    );
-    let delivered = chaos.deliver(&mb);
 
     let store = DurableStore::open(dir).expect("open recovered store");
     let manifest = store.load().expect("recovered run must have a manifest");

@@ -29,10 +29,11 @@
 //! from benign silence).
 
 use crate::corpus::GoldenScenario;
+use crate::latency::VerdictEvent;
 use crate::replay::{labels, Cadence, Replay};
 use grca_apps::Study;
 use grca_core::{fold_stream, Emission};
-use grca_simnet::{ChaosOp, FeedChaos, MicroBatches};
+use grca_simnet::{ChaosOp, FeedChaos};
 use grca_types::Duration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -160,16 +161,6 @@ impl FinalVerdict {
     }
 }
 
-/// One emission as it left the online path, in stream order — the raw
-/// material for exactly-once checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmissionRecord {
-    pub location: String,
-    pub start_unix: i64,
-    pub degraded: bool,
-    pub amends: bool,
-}
-
 /// Everything one chaos replay produced.
 #[derive(Debug, Clone)]
 pub struct ChaosRun {
@@ -182,8 +173,9 @@ pub struct ChaosRun {
     pub amendments: usize,
     /// Degraded emissions later superseded by an amendment.
     pub interim_degraded: usize,
-    /// Every emission in stream order.
-    pub emission_log: Vec<EmissionRecord>,
+    /// Every emission in stream order — the raw material for
+    /// exactly-once checks.
+    pub emission_log: Vec<VerdictEvent>,
     /// Folded stream: latest verdict per symptom key.
     pub finals: Vec<FinalVerdict>,
     /// The folded stream in the batch reference's form.
@@ -222,14 +214,7 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
         .expect("golden scenario application must validate");
     let batch = labels(&built.topo, &batch_out.diagnoses);
 
-    let mb = MicroBatches::new(
-        &built.topo,
-        &built.out.records,
-        cfg.start,
-        cfg.end(),
-        opts.cycle_len,
-    );
-    let delivered = chaos.deliver(&mb);
+    let (mb, delivered) = s.deliver(&built, chaos, opts.cycle_len);
 
     let mut online = s.study.online(&built.topo);
     let amend = opts
@@ -278,14 +263,9 @@ pub fn run_chaos(s: &GoldenScenario, chaos: &FeedChaos, opts: &ChaosRunOpts) -> 
             amended: e.amends,
         })
         .collect();
-    let emission_log: Vec<EmissionRecord> = emissions
+    let emission_log: Vec<VerdictEvent> = emissions
         .iter()
-        .map(|e| EmissionRecord {
-            location: e.diagnosis.symptom.location.display(&built.topo),
-            start_unix: e.diagnosis.symptom.window.start.unix(),
-            degraded: e.mode.is_degraded(),
-            amends: e.amends,
-        })
+        .map(|e| VerdictEvent::from_emission(&built.topo, e))
         .collect();
     let amendments = emissions.iter().filter(|e| e.amends).count();
     let interim_degraded = emissions.iter().filter(|e| e.mode.is_degraded()).count()

@@ -12,7 +12,9 @@ use grca_apps::Study;
 use grca_collector::{Database, IngestStats};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::Topology;
-use grca_simnet::{run_scenario, FaultRates, ScenarioConfig, SimOutput};
+use grca_simnet::{run_scenario, FaultRates, FeedChaos, MicroBatches, ScenarioConfig, SimOutput};
+use grca_telemetry::records::RawRecord;
+use grca_types::Duration;
 
 /// Which generated topology a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +114,26 @@ impl GoldenScenario {
             db,
             stats,
         }
+    }
+
+    /// `built`'s records on the `cycle_len` micro-batch grid, and what the
+    /// collector receives each cycle once `chaos` has perturbed delivery.
+    pub fn deliver(
+        &self,
+        built: &BuiltScenario,
+        chaos: &FeedChaos,
+        cycle_len: Duration,
+    ) -> (MicroBatches, Vec<Vec<RawRecord>>) {
+        let cfg = self.scenario_config();
+        let mb = MicroBatches::new(
+            &built.topo,
+            &built.out.records,
+            cfg.start,
+            cfg.end(),
+            cycle_len,
+        );
+        let delivered = chaos.deliver(&mb);
+        (mb, delivered)
     }
 }
 

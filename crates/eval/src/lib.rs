@@ -49,8 +49,8 @@ pub mod soak;
 
 pub use chaos::{
     check_convergence, check_degradation, eventual_ops, evidence_feed, lossy_ops, run_chaos,
-    ChaosRun, ChaosRunOpts, ConvergenceVerdict, DegradationVerdict, EmissionRecord, FinalVerdict,
-    CHAOS_SEEDS, DEGRADED_LABEL_TOLERANCE,
+    ChaosRun, ChaosRunOpts, ConvergenceVerdict, DegradationVerdict, FinalVerdict, CHAOS_SEEDS,
+    DEGRADED_LABEL_TOLERANCE,
 };
 pub use corpus::{corpus, GoldenScenario, TopoPreset};
 pub use gate::{check_against_baseline, GateError, DEFAULT_EPS_PT};

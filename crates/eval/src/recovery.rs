@@ -25,7 +25,7 @@ use crate::replay::{Cadence, Replay};
 use grca_collector::StorageConfig;
 use grca_core::Emission;
 use grca_net_model::Topology;
-use grca_simnet::{FeedChaos, KillPoint, KillSwitch, MicroBatches};
+use grca_simnet::{FeedChaos, KillPoint, KillSwitch};
 use grca_types::Duration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -132,14 +132,7 @@ pub fn run_attempt(
 ) -> PipelineOutcome {
     let built = s.build();
     let cfg = s.scenario_config();
-    let mb = MicroBatches::new(
-        &built.topo,
-        &built.out.records,
-        cfg.start,
-        cfg.end(),
-        opts.cycle_len,
-    );
-    let delivered = chaos.deliver(&mb);
+    let (mb, delivered) = s.deliver(&built, chaos, opts.cycle_len);
 
     let scfg = opts.storage(dir);
     let online = s

@@ -1,4 +1,4 @@
-//! The long-horizon streaming soak driver.
+//! The long-horizon streaming soak.
 //!
 //! [`run_soak`] drives the online RCA path through a multi-day,
 //! manifest-scheduled fault storm at a named [`TierConfig`] preset:
@@ -10,19 +10,18 @@
 //!    `cfg.start`, per-day seed) so the generator's memory never spans the
 //!    horizon, accumulating per-symptom truth with fault ids re-based onto
 //!    the global schedule;
-//! 4. bucket each day into [`MicroBatches`] and advance
-//!    [`grca_apps::OnlineRca`] cycle by cycle over the segmented storage
-//!    backend, stamping every emission with the cycle clock;
+//! 4. bucket each day into [`MicroBatches`] and hand its cycles to the
+//!    replay driver ([`Replay`]) over the segmented storage backend,
+//!    stamping every emission with the cycle clock;
 //! 5. drain past the horizon, fold the emission stream, and score the
 //!    folded verdicts for accuracy ([`grca_apps::score`]) and end-to-end
 //!    detection latency ([`measure`]).
 //!
-//! The driver reports what happened; *how* it ran is observable through the
+//! The soak reports what happened; *how* it ran is observable through the
 //! `on_cycle` callback so a caller can sample footprint at cycle
-//! granularity. With [`SoakRunOpts::batch_check`]
-//! the driver also runs the batch pipeline over the complete record set and
-//! asserts the folded online stream is label-identical — the smoke-preset
-//! CI test rides on that.
+//! granularity. With [`SoakRunOpts::batch_check`] it also runs the batch
+//! pipeline over the complete record set and asserts the folded online
+//! stream is label-identical — the smoke-preset CI test rides on that.
 
 use crate::latency::{measure, LatencyReport, VerdictEvent};
 use crate::replay::{labels, Cadence, Cycle, Replay};
