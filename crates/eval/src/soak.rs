@@ -171,19 +171,13 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     // Checkpointing needs durable segmented storage rooted at the
     // checkpoint directory; override whatever the caller configured so the
     // manifest's segment references actually resolve on restore.
-    let storage = match (&opts.storage, &opts.checkpoint_dir) {
-        (Some(s), Some(dir)) => {
-            let mut s = s.clone();
-            s.spill_dir = Some(dir.clone());
-            s.durable = true;
-            Some(s)
-        }
-        (None, Some(dir)) => Some(StorageConfig {
+    let storage = match &opts.checkpoint_dir {
+        Some(dir) => Some(StorageConfig {
             spill_dir: Some(dir.clone()),
             durable: true,
-            ..StorageConfig::default()
+            ..opts.storage.clone().unwrap_or_default()
         }),
-        (s, None) => s.clone(),
+        None => opts.storage.clone(),
     };
     if let Some(storage) = &storage {
         online = online.with_storage(storage);

@@ -13,7 +13,7 @@ use grca_eval::{
     check_exactly_once, corpus, dedup_by_seq, eventual_ops, Cadence, GoldenScenario, Replay,
     SeqVerdict,
 };
-use grca_simnet::{FeedChaos, KillPoint, KillSwitch, MicroBatches};
+use grca_simnet::{FeedChaos, KillPoint, KillSwitch};
 use grca_types::Duration;
 use std::path::Path;
 
@@ -31,14 +31,7 @@ fn attempt(
 ) -> (Vec<SeqVerdict>, bool, bool) {
     let built = s.build();
     let cfg = s.scenario_config();
-    let mb = MicroBatches::new(
-        &built.topo,
-        &built.out.records,
-        cfg.start,
-        cfg.end(),
-        CYCLE_LEN,
-    );
-    let delivered = chaos.deliver(&mb);
+    let (mb, delivered) = s.deliver(&built, chaos, CYCLE_LEN);
     let scfg = StorageConfig {
         segment_rows: 64,
         cache_segments: 4,
