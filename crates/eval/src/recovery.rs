@@ -102,8 +102,6 @@ pub struct PipelineOutcome {
     pub stopped_at: Option<KillPoint>,
     /// Checkpoint cycle restored from at startup (`None`: cold start).
     pub resumed_from: Option<u64>,
-    /// First cycle this attempt executed.
-    pub start_cycle: u64,
     /// Total cycles in the schedule, including the drain tail.
     pub cycles: u64,
 }
@@ -154,29 +152,22 @@ pub fn run_attempt(
     let resumed_from = replay.restore(dir, &scfg);
 
     let clocks = replay.clocks(&mb, cfg.end());
-    let start_cycle = replay.cycle();
-    let from = start_cycle as usize;
     let mut emissions: Vec<SeqVerdict> = Vec::new();
-    let stopped_at = replay.run(
-        &clocks[from..],
-        delivered.get(from..).unwrap_or(&[]),
-        |_, _, new| {
-            let batch: Vec<SeqVerdict> = new
-                .iter()
-                .map(|e| SeqVerdict::from_emission(&built.topo, e))
-                .collect();
-            if let Some(p) = journal {
-                append_journal(p, &batch);
-            }
-            emissions.extend(batch);
-        },
-    );
+    let stopped_at = replay.run(&clocks, &delivered, |_, _, new| {
+        let batch: Vec<SeqVerdict> = new
+            .iter()
+            .map(|e| SeqVerdict::from_emission(&built.topo, e))
+            .collect();
+        if let Some(p) = journal {
+            append_journal(p, &batch);
+        }
+        emissions.extend(batch);
+    });
 
     PipelineOutcome {
         emissions,
         stopped_at,
         resumed_from,
-        start_cycle,
         cycles: clocks.len() as u64,
     }
 }

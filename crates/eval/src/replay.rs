@@ -90,6 +90,9 @@ pub struct Replay<'a> {
     cadence: Cadence,
     /// Next cycle to execute.
     cycle: u64,
+    /// The cycle the first clock of the next [`Replay::run`] call stands
+    /// for; behind `cycle` only after a restore.
+    window: u64,
     /// Checkpoint store and cadence (every n-th cycle closes with one).
     checkpoints: Option<(DurableStore, u64)>,
     checkpoints_written: usize,
@@ -122,6 +125,7 @@ impl<'a> Replay<'a> {
             cycle_len,
             cadence,
             cycle: 0,
+            window: 0,
             checkpoints: None,
             checkpoints_written: 0,
             kill: KillSwitch::disarmed(),
@@ -215,7 +219,9 @@ impl<'a> Replay<'a> {
     /// Execute one cycle per clock: cycle `i` ingests `delivered[i]`
     /// (nothing once `delivered` runs out — the drain), advances the
     /// pipeline to `clocks[i]`, hands the emissions to `on_cycle`, then
-    /// checkpoints if the cadence says so. Returns the kill point that
+    /// checkpoints if the cadence says so. Successive calls take
+    /// successive windows of the schedule; leading cycles a restored
+    /// checkpoint already closed are skipped. Returns the kill point that
     /// stopped the run early, if one fired.
     pub fn run(
         &mut self,
@@ -223,7 +229,9 @@ impl<'a> Replay<'a> {
         delivered: &[Vec<RawRecord>],
         mut on_cycle: impl FnMut(&OnlineRca<'a>, Cycle, Vec<Emission>),
     ) -> Option<KillPoint> {
-        for (i, &now) in clocks.iter().enumerate() {
+        let closed = (self.cycle - self.window) as usize;
+        self.window += clocks.len() as u64;
+        for (i, &now) in clocks.iter().enumerate().skip(closed) {
             let records = delivered.get(i).map_or(&[][..], Vec::as_slice);
             if let Err(at) = self.step(records, now, &mut on_cycle) {
                 return Some(at);

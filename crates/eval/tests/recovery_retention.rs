@@ -49,23 +49,18 @@ fn attempt(
     replay.restore(dir, &scfg);
 
     let clocks = replay.clocks(&mb, cfg.end());
-    let from = replay.cycle() as usize;
     let mut emissions = Vec::new();
     let mut rows_before = 0usize;
     let mut dropped = false;
-    let stopped = replay.run(
-        &clocks[from..],
-        delivered.get(from..).unwrap_or(&[]),
-        |online, _, new| {
-            emissions.extend(
-                new.iter()
-                    .map(|e| SeqVerdict::from_emission(&built.topo, e)),
-            );
-            let rows = online.database().total_rows();
-            dropped |= rows < rows_before;
-            rows_before = rows;
-        },
-    );
+    let stopped = replay.run(&clocks, &delivered, |online, _, new| {
+        emissions.extend(
+            new.iter()
+                .map(|e| SeqVerdict::from_emission(&built.topo, e)),
+        );
+        let rows = online.database().total_rows();
+        dropped |= rows < rows_before;
+        rows_before = rows;
+    });
     (emissions, stopped.is_some(), dropped)
 }
 
