@@ -286,7 +286,7 @@ impl<'a> Replay<'a> {
         );
 
         if let Some((store, every)) = &self.checkpoints {
-            if (cycle + 1) % every == 0 {
+            if (cycle + 1).is_multiple_of(*every) {
                 self.killed(KillPoint::BeforeCheckpoint { cycle })?;
                 let (kill, abort) = (&self.kill, self.abort_on_kill);
                 let mut fired: Option<KillPoint> = None;
