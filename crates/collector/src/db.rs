@@ -519,7 +519,8 @@ pub(crate) use each_table;
 
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
-        each_table!(&self, &other, |a, b| a == b) == [true; 10]
+        self.row_counts() == other.row_counts()
+            && each_table!(&self, &other, |a, b| a == b) == [true; 10]
             && self.quarantine == other.quarantine
             && self.seen == other.seen
             && self.retention_floor == other.retention_floor

@@ -322,13 +322,11 @@ impl RecoveryVerdict {
         resumed_from: Option<u64>,
         recovered: &[SeqVerdict],
     ) -> RecoveryVerdict {
-        let (deduped, exactly_once) = match dedup_by_seq(recovered) {
-            Ok(d) => {
-                let ok = check_exactly_once(&d).is_ok();
-                (d, ok)
-            }
-            Err(_) => (Vec::new(), false),
-        };
+        let deduped = dedup_by_seq(recovered);
+        let exactly_once = deduped
+            .as_ref()
+            .is_ok_and(|d| check_exactly_once(d).is_ok());
+        let deduped = deduped.unwrap_or_default();
         let start_cycle = resumed_from.map_or(0, |c| c + 1);
         RecoveryVerdict {
             scenario: s.name.to_string(),

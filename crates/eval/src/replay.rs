@@ -80,6 +80,17 @@ pub struct Cycle {
     pub records: usize,
 }
 
+/// Should the replay die at `at`? Aborts in place when configured to.
+fn fires(kill: &KillSwitch, abort: bool, at: KillPoint) -> Result<(), KillPoint> {
+    if !kill.check(at) {
+        return Ok(());
+    }
+    if abort {
+        std::process::abort();
+    }
+    Err(at)
+}
+
 /// A study's online pipeline plus the replay position, checkpoint
 /// cadence and kill switch that drive it.
 pub struct Replay<'a> {
@@ -240,15 +251,8 @@ impl<'a> Replay<'a> {
         None
     }
 
-    /// Should the replay die at `at`? Aborts in place when configured to.
     fn killed(&self, at: KillPoint) -> Result<(), KillPoint> {
-        if !self.kill.check(at) {
-            return Ok(());
-        }
-        if self.abort_on_kill {
-            std::process::abort();
-        }
-        Err(at)
+        fires(&self.kill, self.abort_on_kill, at)
     }
 
     fn step(
@@ -296,14 +300,8 @@ impl<'a> Replay<'a> {
                         SaveStage::Rotated => KillPoint::CheckpointRotated { cycle },
                         SaveStage::Renamed => return false,
                     };
-                    if kill.check(at) {
-                        if abort {
-                            std::process::abort();
-                        }
-                        fired = Some(at);
-                        return true;
-                    }
-                    false
+                    fired = fires(kill, abort, at).err();
+                    fired.is_some()
                 });
                 match (res, fired) {
                     (Err(_), Some(at)) => return Err(at),

@@ -26,7 +26,7 @@
 use crate::latency::{measure, LatencyReport, VerdictEvent};
 use crate::replay::{labels, Cadence, Cycle, Replay};
 use grca_apps::{score, OnlineRca, Study};
-use grca_collector::{Database, IngestStats, StorageConfig};
+use grca_collector::{Database, StorageConfig};
 use grca_core::{fold_stream, Emission};
 use grca_net_model::TierConfig;
 use grca_simnet::{
@@ -209,7 +209,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
             cycle: c.index as usize,
             clock_unix: c.clock.unix(),
             records: c.records,
-            db_rows: online.database().row_counts().iter().sum(),
+            db_rows: online.database().total_rows(),
             state_size: online.state_size(),
         });
     };
@@ -275,9 +275,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     let latency = measure(&truth_flaps, &faults, &events, JOIN_SLACK);
 
     let batch_identical = opts.batch_check.then(|| {
-        let mut db = Database::default();
-        let mut stats = IngestStats::default();
-        db.ingest_more(&topo, &batch_records, &mut stats);
+        let (db, _) = Database::ingest(&topo, &batch_records);
         let batch = Study::Bgp
             .run(&topo, &db)
             .expect("bgp application must validate");
