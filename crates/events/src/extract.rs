@@ -39,7 +39,6 @@ pub struct ExtractCx<'a> {
     /// Routing state reconstructed from the collected monitor feeds —
     /// required for `BgpEgressChange`, unused otherwise.
     pub routing: Option<&'a RoutingState<'a>>,
-    pub(crate) loopback_of: BTreeMap<Ipv4, RouterId>,
 }
 
 impl<'a> ExtractCx<'a> {
@@ -48,18 +47,7 @@ impl<'a> ExtractCx<'a> {
         db: &'a Database,
         routing: Option<&'a RoutingState<'a>>,
     ) -> Self {
-        let loopback_of = topo
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.loopback, RouterId::from(i)))
-            .collect();
-        ExtractCx {
-            topo,
-            db,
-            routing,
-            loopback_of,
-        }
+        ExtractCx { topo, db, routing }
     }
 }
 
@@ -383,9 +371,9 @@ fn pim_changes(def: &EventDefinition, cx: &ExtractCx, scope: PimScope) -> Vec<Ev
     for row in cx.db.syslog.all().iter() {
         if let Some(SyslogEvent::PimNbrChange { neighbor, up, .. }) = &row.event {
             let is_uplink = cx
-                .loopback_of
-                .get(neighbor)
-                .is_some_and(|&r| cx.topo.router(r).role == RouterRole::Core);
+                .topo
+                .router_by_loopback(*neighbor)
+                .is_some_and(|r| cx.topo.router(r).role == RouterRole::Core);
             let keep = match scope {
                 PimScope::Uplink => is_uplink,
                 PimScope::PePeOrCe => !is_uplink,

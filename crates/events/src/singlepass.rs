@@ -275,9 +275,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     SyslogAcc::Pim { scope, tr } => {
                         if let Some(SyslogEvent::PimNbrChange { neighbor, up, .. }) = &row.event {
                             let is_uplink = cx
-                                .loopback_of
-                                .get(neighbor)
-                                .is_some_and(|&r| cx.topo.router(r).role == RouterRole::Core);
+                                .topo
+                                .router_by_loopback(*neighbor)
+                                .is_some_and(|r| cx.topo.router(r).role == RouterRole::Core);
                             let keep = match scope {
                                 PimScope::Uplink => is_uplink,
                                 PimScope::PePeOrCe => !is_uplink,

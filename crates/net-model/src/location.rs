@@ -21,7 +21,7 @@ use crate::ip::{Ipv4, Prefix};
 use crate::topology::Topology;
 use grca_types::{GrcaError, Result, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The kind of place an event definition attaches to (Fig. 2).
@@ -295,45 +295,17 @@ impl RouteOracle for NullOracle {
     }
 }
 
-/// The spatial model: static structure + route oracle + reverse indices.
+/// The spatial model: static structure + route oracle. Both are
+/// borrowed — the configuration-derived reverse indexes live in
+/// [`Topology`] — so binding a model costs two pointer copies.
 pub struct SpatialModel<'a> {
     topo: &'a Topology,
     oracle: &'a dyn RouteOracle,
-    /// Logical links riding each physical circuit (reverse of `link.phys`).
-    links_of_phys: BTreeMap<PhysLinkId, Vec<LinkId>>,
-    /// Circuits traversing each layer-1 device (reverse of `phys.l1_path`).
-    phys_of_l1: BTreeMap<L1DeviceId, Vec<PhysLinkId>>,
-    /// Loopback address → router.
-    loopback_of: BTreeMap<Ipv4, RouterId>,
 }
 
 impl<'a> SpatialModel<'a> {
     pub fn new(topo: &'a Topology, oracle: &'a dyn RouteOracle) -> Self {
-        let mut links_of_phys: BTreeMap<PhysLinkId, Vec<LinkId>> = BTreeMap::new();
-        for (li, l) in topo.links.iter().enumerate() {
-            for &p in &l.phys {
-                links_of_phys.entry(p).or_default().push(LinkId::from(li));
-            }
-        }
-        let mut phys_of_l1: BTreeMap<L1DeviceId, Vec<PhysLinkId>> = BTreeMap::new();
-        for (pi, p) in topo.phys_links.iter().enumerate() {
-            for &d in &p.l1_path {
-                phys_of_l1.entry(d).or_default().push(PhysLinkId::from(pi));
-            }
-        }
-        let loopback_of = topo
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.loopback, RouterId::from(i)))
-            .collect();
-        SpatialModel {
-            topo,
-            oracle,
-            links_of_phys,
-            phys_of_l1,
-            loopback_of,
-        }
+        SpatialModel { topo, oracle }
     }
 
     pub fn topology(&self) -> &Topology {
@@ -456,37 +428,35 @@ impl<'a> SpatialModel<'a> {
                     .map(|&d| Loc::Layer1Device(d))
                     .collect(),
                 L::LogicalLink | L::LinkPath => self
-                    .links_of_phys
-                    .get(&p)
-                    .map(|v| v.iter().map(|&l| Loc::LogicalLink(l)).collect())
-                    .unwrap_or_default(),
+                    .topo
+                    .links_of_phys(p)
+                    .iter()
+                    .map(|&l| Loc::LogicalLink(l))
+                    .collect(),
                 L::Router | L::RouterPath => self
-                    .links_of_phys
-                    .get(&p)
-                    .map(|v| {
-                        v.iter()
-                            .flat_map(|&l| {
-                                let (a, b) = self.topo.link_routers(l);
-                                [Loc::Router(a), Loc::Router(b)]
-                            })
-                            .collect()
+                    .topo
+                    .links_of_phys(p)
+                    .iter()
+                    .flat_map(|&l| {
+                        let (a, b) = self.topo.link_routers(l);
+                        [Loc::Router(a), Loc::Router(b)]
                     })
-                    .unwrap_or_default(),
+                    .collect(),
                 _ => Vec::new(),
             },
             Loc::Layer1Device(d) => match level {
                 L::Layer1Device => vec![Loc::Layer1Device(d)],
                 L::PhysicalLink => self
-                    .phys_of_l1
-                    .get(&d)
-                    .map(|v| v.iter().map(|&p| Loc::PhysicalLink(p)).collect())
-                    .unwrap_or_default(),
-                L::LogicalLink | L::LinkPath => self
-                    .phys_of_l1
-                    .get(&d)
+                    .topo
+                    .phys_of_l1(d)
                     .iter()
-                    .flat_map(|v| v.iter())
-                    .flat_map(|p| self.links_of_phys.get(p).into_iter().flatten())
+                    .map(|&p| Loc::PhysicalLink(p))
+                    .collect(),
+                L::LogicalLink | L::LinkPath => self
+                    .topo
+                    .phys_of_l1(d)
+                    .iter()
+                    .flat_map(|&p| self.topo.links_of_phys(p))
                     .map(|&l| Loc::LogicalLink(l))
                     .collect(),
                 _ => Vec::new(),
@@ -592,7 +562,7 @@ impl<'a> SpatialModel<'a> {
     /// Resolve a loopback address to its router (PIM MDT adjacencies and
     /// iBGP sessions address routers by loopback).
     pub fn router_by_loopback(&self, addr: Ipv4) -> Option<RouterId> {
-        self.loopback_of.get(&addr).copied()
+        self.topo.router_by_loopback(addr)
     }
 
     /// Utility 2: resolve a neighbor IP on a router to the interface that

@@ -264,9 +264,19 @@ pub struct Topology {
     #[serde(skip)]
     session_by_neighbor: BTreeMap<(RouterId, Ipv4), SessionId>,
     #[serde(skip)]
-    link_by_ifaces: BTreeMap<(InterfaceId, InterfaceId), LinkId>,
-    #[serde(skip)]
     links_at_router: BTreeMap<RouterId, Vec<LinkId>>,
+    /// Loopback address → router.
+    #[serde(skip)]
+    router_by_loopback: BTreeMap<Ipv4, RouterId>,
+    /// Logical links riding each physical circuit (reverse of
+    /// `link.phys`), ascending `LinkId`: the spatial model's expansion
+    /// order, which reaches evidence order.
+    #[serde(skip)]
+    links_of_phys: BTreeMap<PhysLinkId, Vec<LinkId>>,
+    /// Circuits traversing each layer-1 device (reverse of
+    /// `phys.l1_path`), ascending `PhysLinkId`.
+    #[serde(skip)]
+    phys_of_l1: BTreeMap<L1DeviceId, Vec<PhysLinkId>>,
 }
 
 /// (De)serialize `reflectors_of` as `Vec<(RouterId, Vec<RouterId>)>` —
@@ -300,12 +310,13 @@ impl Topology {
     /// derived data and are skipped by serialization; call this after
     /// deserializing a topology.
     pub fn rebuild_indices(&mut self) {
-        self.router_by_name = self
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name.clone(), RouterId::from(i)))
-            .collect();
+        self.router_by_name.clear();
+        self.router_by_loopback.clear();
+        for (i, r) in self.routers.iter().enumerate() {
+            let id = RouterId::from(i);
+            self.router_by_name.insert(r.name.clone(), id);
+            self.router_by_loopback.insert(r.loopback, id);
+        }
         self.iface_by_name.clear();
         self.iface_by_ifindex.clear();
         self.iface_by_ip.clear();
@@ -318,12 +329,15 @@ impl Topology {
                 self.iface_by_ip.insert(ip, id);
             }
         }
-        self.circuit_by_name = self
-            .phys_links
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.circuit.clone(), PhysLinkId::from(i)))
-            .collect();
+        self.circuit_by_name.clear();
+        self.phys_of_l1.clear();
+        for (i, p) in self.phys_links.iter().enumerate() {
+            let id = PhysLinkId::from(i);
+            self.circuit_by_name.insert(p.circuit.clone(), id);
+            for &d in &p.l1_path {
+                self.phys_of_l1.entry(d).or_default().push(id);
+            }
+        }
         self.l1dev_by_name = self
             .l1_devices
             .iter()
@@ -336,16 +350,17 @@ impl Topology {
             .enumerate()
             .map(|(i, s)| ((s.pe, s.neighbor_ip), SessionId::from(i)))
             .collect();
-        self.link_by_ifaces.clear();
         self.links_at_router.clear();
+        self.links_of_phys.clear();
         for (i, l) in self.links.iter().enumerate() {
             let id = LinkId::from(i);
-            let (lo, hi) = if l.a <= l.b { (l.a, l.b) } else { (l.b, l.a) };
-            self.link_by_ifaces.insert((lo, hi), id);
             let ra = self.interfaces[l.a.index()].router;
             let rb = self.interfaces[l.b.index()].router;
             self.links_at_router.entry(ra).or_default().push(id);
             self.links_at_router.entry(rb).or_default().push(id);
+            for &p in &l.phys {
+                self.links_of_phys.entry(p).or_default().push(id);
+            }
         }
     }
 
@@ -376,6 +391,7 @@ impl Topology {
         let id = RouterId::from(self.routers.len());
         let name = name.into();
         self.router_by_name.insert(name.clone(), id);
+        self.router_by_loopback.insert(loopback, id);
         self.routers.push(Router {
             name,
             role,
@@ -459,6 +475,9 @@ impl Topology {
         let id = PhysLinkId::from(self.phys_links.len());
         let circuit = circuit.into();
         self.circuit_by_name.insert(circuit.clone(), id);
+        for &d in &l1_path {
+            self.phys_of_l1.entry(d).or_default().push(id);
+        }
         self.phys_links.push(PhysicalLink {
             circuit,
             kind,
@@ -476,12 +495,13 @@ impl Topology {
         capacity_mbps: u32,
     ) -> LinkId {
         let id = LinkId::from(self.links.len());
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        self.link_by_ifaces.insert((lo, hi), id);
         let ra = self.interfaces[a.index()].router;
         let rb = self.interfaces[b.index()].router;
         self.links_at_router.entry(ra).or_default().push(id);
         self.links_at_router.entry(rb).or_default().push(id);
+        for &p in &phys {
+            self.links_of_phys.entry(p).or_default().push(id);
+        }
         let aggregation = if phys.len() > 1 {
             Aggregation::ApsProtected
         } else {
@@ -657,10 +677,10 @@ impl Topology {
         self.session_by_neighbor.get(&(pe, neighbor)).copied()
     }
 
-    /// The logical link between two interfaces, if any.
-    pub fn link_between_ifaces(&self, a: InterfaceId, b: InterfaceId) -> Option<LinkId> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.link_by_ifaces.get(&key).copied()
+    /// Resolve a loopback address to its router (PIM MDT adjacencies and
+    /// iBGP sessions address routers by loopback).
+    pub fn router_by_loopback(&self, addr: Ipv4) -> Option<RouterId> {
+        self.router_by_loopback.get(&addr).copied()
     }
 
     /// All logical links with an endpoint on `router`.
@@ -669,6 +689,19 @@ impl Topology {
             .get(&router)
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// The logical links riding a physical circuit, in ascending id order.
+    pub fn links_of_phys(&self, phys: PhysLinkId) -> &[LinkId] {
+        self.links_of_phys
+            .get(&phys)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    /// The circuits traversing a layer-1 device, in ascending id order.
+    pub fn phys_of_l1(&self, dev: L1DeviceId) -> &[PhysLinkId] {
+        self.phys_of_l1.get(&dev).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The logical link an interface terminates, if it is a link endpoint.

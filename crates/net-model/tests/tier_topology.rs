@@ -5,7 +5,9 @@
 //! is replayable only if `(TierConfig, seed)` pins the topology exactly.
 
 use grca_net_model::gen::{generate, TopoGenConfig};
-use grca_net_model::{RouterRole, TierConfig, Topology};
+use grca_net_model::{
+    Ipv4, L1DeviceId, LinkId, PhysLinkId, RouterId, RouterRole, TierConfig, Topology,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -181,6 +183,102 @@ fn invariants_hold_at_every_preset() {
         let topo = tier.generate();
         check_all(&topo, &tier.topo);
     }
+}
+
+/// The three configuration-derived reverse maps, computed from the whole
+/// topology the way `SpatialModel::new` did before the indexes moved into
+/// `Topology` — the reference the incrementally maintained ones must equal,
+/// per-key order included (expansion order reaches evidence order).
+struct ReverseMaps {
+    links_of_phys: BTreeMap<PhysLinkId, Vec<LinkId>>,
+    phys_of_l1: BTreeMap<L1DeviceId, Vec<PhysLinkId>>,
+    loopback_of: BTreeMap<Ipv4, RouterId>,
+}
+
+fn reference_reverse_maps(topo: &Topology) -> ReverseMaps {
+    let mut links_of_phys: BTreeMap<PhysLinkId, Vec<LinkId>> = BTreeMap::new();
+    for (li, l) in topo.links.iter().enumerate() {
+        for &p in &l.phys {
+            links_of_phys.entry(p).or_default().push(LinkId::from(li));
+        }
+    }
+    let mut phys_of_l1: BTreeMap<L1DeviceId, Vec<PhysLinkId>> = BTreeMap::new();
+    for (pi, p) in topo.phys_links.iter().enumerate() {
+        for &d in &p.l1_path {
+            phys_of_l1.entry(d).or_default().push(PhysLinkId::from(pi));
+        }
+    }
+    let loopback_of = topo
+        .routers
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.loopback, RouterId::from(i)))
+        .collect();
+    ReverseMaps {
+        links_of_phys,
+        phys_of_l1,
+        loopback_of,
+    }
+}
+
+/// `topo`'s reverse indexes answer exactly what the reference maps hold,
+/// for every circuit, layer-1 device and loopback (and nothing for an
+/// address that is no loopback).
+fn check_reverse_indexes(topo: &Topology, what: &str) {
+    let ReverseMaps {
+        links_of_phys,
+        phys_of_l1,
+        loopback_of,
+    } = reference_reverse_maps(topo);
+    for pi in 0..topo.phys_links.len() {
+        let p = PhysLinkId::from(pi);
+        let want = links_of_phys.get(&p).map(Vec::as_slice).unwrap_or(&[]);
+        assert_eq!(
+            topo.links_of_phys(p),
+            want,
+            "{what}: links of circuit #{pi}"
+        );
+    }
+    for di in 0..topo.l1_devices.len() {
+        let d = L1DeviceId::from(di);
+        let want = phys_of_l1.get(&d).map(Vec::as_slice).unwrap_or(&[]);
+        assert_eq!(topo.phys_of_l1(d), want, "{what}: circuits of device #{di}");
+    }
+    for r in &topo.routers {
+        assert_eq!(
+            topo.router_by_loopback(r.loopback),
+            loopback_of.get(&r.loopback).copied(),
+            "{what}: loopback of {}",
+            r.name
+        );
+    }
+    assert_eq!(topo.router_by_loopback(Ipv4::new(203, 0, 113, 7)), None);
+}
+
+#[test]
+fn reverse_indexes_match_a_full_scan_at_every_preset() {
+    for tier in TierConfig::all() {
+        let topo = tier.generate();
+        assert!(!topo.phys_links.is_empty() && !topo.l1_devices.is_empty());
+        check_reverse_indexes(&topo, tier.name);
+        // Rebuilding over filled indexes must replace them, not append.
+        let mut rebuilt = topo.clone();
+        rebuilt.rebuild_indices();
+        check_reverse_indexes(&rebuilt, tier.name);
+    }
+}
+
+/// Indexes are skipped by serialization: a round trip answers nothing
+/// until `rebuild_indices`, then the same as the builders' indexes. Small
+/// topology only — the vendored JSON reader is quadratic in document size.
+#[test]
+fn reverse_indexes_survive_a_serde_round_trip() {
+    let topo = generate(&TopoGenConfig::small());
+    let json = serde_json::to_string(&topo).expect("serialize topology");
+    let mut back: Topology = serde_json::from_str(&json).expect("deserialize topology");
+    assert_eq!(back.router_by_loopback(topo.routers[0].loopback), None);
+    back.rebuild_indices();
+    check_reverse_indexes(&back, "small, round-tripped");
 }
 
 #[test]
