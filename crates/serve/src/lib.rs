@@ -5,8 +5,8 @@
 //! that platform. The pieces:
 //!
 //! * [`publish`] — [`EpochCell`]: epoch publication of an immutable
-//!   value via atomic `Arc` swap with hazard-slot reclamation; readers
-//!   are lock-free, publishers serialize only against each other;
+//!   value as an `RwLock<Arc<T>>`; readers clone the `Arc`, the
+//!   publisher swaps it and frees the old one outside the lock;
 //! * [`snapshot`] — [`ServingSnapshot`]: one epoch's immutable world
 //!   (per-tenant rule libraries with overlays resolved at publish time,
 //!   frozen route caches, extracted event store);

@@ -1,181 +1,65 @@
-//! [`EpochCell`]: wait-free-for-publishers, lock-free-for-readers
-//! epoch publication of an immutable value behind an atomic `Arc` swap.
+//! [`EpochCell`]: epoch publication of an immutable value — an
+//! `RwLock<Arc<T>>` and a publish counter.
 //!
 //! The serving layer's core primitive: ingest builds the next
 //! [`crate::ServingSnapshot`] off to the side and [`EpochCell::publish`]es
-//! it with one atomic pointer swap; any number of diagnosis sessions
-//! [`EpochCell::load`] the current snapshot without ever taking a lock —
-//! a reader racing a publish retries a bounded pointer announce, it never
-//! parks, so a publish can not stall the query path.
+//! it by swapping the `Arc` under the write lock; diagnosis workers and
+//! sessions [`EpochCell::load`] the current one by cloning the `Arc`
+//! under the read lock. Both critical sections are a pointer operation:
+//! a reader holds the lock for one reference-count increment, the
+//! publisher for one swap, and the superseded value is dropped only
+//! *after* the write lock is released — dropping a snapshot frees an
+//! event store and the frozen route maps, and no reader may wait on that.
 //!
-//! # How reclamation works (hazard slots)
-//!
-//! A bare `AtomicPtr<T>` swap leaves the publisher unable to tell when
-//! the previous epoch's last reader is gone. The classic answer is
-//! hazard pointers, and that is what this is — specialized to one
-//! protected location, which removes almost all of the generality cost:
-//!
-//! * **Readers** announce the pointer they are about to adopt in a free
-//!   hazard slot (claimed by a null→ptr CAS), then *validate* that the
-//!   cell still holds that pointer. On success they take a new strong
-//!   count ([`Arc::increment_strong_count`]) and release the slot; on
-//!   failure (a publish raced them) they re-announce the new pointer and
-//!   validate again — the only loop on the read path, bounded by the
-//!   number of concurrent publishes.
-//! * **Publishers** swap the current pointer, push the old one onto a
-//!   retired list, then scan the hazard slots: every retired pointer not
-//!   announced in any slot has provably no reader between "claimed a
-//!   slot" and "took a strong count", so its publication count can be
-//!   dropped. Announced pointers stay retired until a later publish
-//!   re-scans. The retired-list mutex serializes *publishers only* —
-//!   readers never touch it.
-//!
-//! The SeqCst announce→validate (reader) vs swap→scan (publisher)
-//! ordering is the standard Dekker-style argument: if a reader's
-//! validation saw pointer `p`, its announcement of `p` precedes the
-//! swap that retired `p` in the total order, so the publisher's scan
-//! (after the swap) observes the announcement and keeps `p` alive. A
-//! reader whose announcement came too late fails validation and retries
-//! with the fresh pointer instead — it can transiently announce a stale
-//! pointer, which at worst delays reclamation by one publish.
+//! The traffic is one load per request batch and one publish per ingest
+//! slot, which is why a lock is enough here.
 
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, RwLock};
 
-/// Hazard slots. A reader holds a slot only for the handful of
-/// instructions between announce and strong-count adoption, so this
-/// bounds *simultaneous* announcing readers, not total readers; far
-/// above any plausible worker count, and `load` spins (it does not
-/// fail) in the pathological case where all slots are mid-announce.
-const HAZARD_SLOTS: usize = 64;
-
-/// An epoch-published immutable value: lock-free reads, atomic swaps.
-pub struct EpochCell<T: Send + Sync> {
-    /// The current epoch's value, as a raw pointer owning one strong
-    /// count (from [`Arc::into_raw`]). Never null.
-    current: AtomicPtr<T>,
-    /// Reader announcements: null = free slot.
-    hazards: [AtomicPtr<T>; HAZARD_SLOTS],
-    /// Superseded epochs whose publication count has not been dropped
-    /// yet because a scan saw them announced. Also the publisher lock.
-    retired: Mutex<Vec<*mut T>>,
-    /// Total successful publishes.
+/// An epoch-published immutable value: readers clone the current `Arc`,
+/// the publisher swaps it.
+pub struct EpochCell<T> {
+    current: RwLock<Arc<T>>,
+    /// Total publishes.
     publishes: AtomicU64,
-    /// Times a reader re-announced because a publish raced its load —
-    /// the (bounded, lock-free) cost readers ever pay for publication.
-    load_retries: AtomicU64,
 }
 
-// SAFETY: the raw pointers all originate from `Arc<T>` and the cell
-// hands out only freshly incremented `Arc`s; `T: Send + Sync` makes
-// sharing them across threads sound.
-unsafe impl<T: Send + Sync> Send for EpochCell<T> {}
-unsafe impl<T: Send + Sync> Sync for EpochCell<T> {}
-
-impl<T: Send + Sync> EpochCell<T> {
+impl<T> EpochCell<T> {
     pub fn new(initial: Arc<T>) -> Self {
         EpochCell {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            hazards: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
-            retired: Mutex::new(Vec::new()),
+            current: RwLock::new(initial),
             publishes: AtomicU64::new(0),
-            load_retries: AtomicU64::new(0),
         }
     }
 
-    /// Adopt the current value. Lock-free: never blocks on a publish;
-    /// at worst it re-announces once per publish that races it.
+    /// Adopt the current value. Holds the read lock for one `Arc` clone.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let candidate = self.current.load(SeqCst);
-            for slot in &self.hazards {
-                // Claiming a free slot and announcing the candidate is
-                // one CAS; the slot is ours until we store null back.
-                if slot
-                    .compare_exchange(ptr::null_mut(), candidate, SeqCst, SeqCst)
-                    .is_err()
-                {
-                    continue;
-                }
-                let mut announced = candidate;
-                loop {
-                    let cur = self.current.load(SeqCst);
-                    if cur == announced {
-                        // Validated: our announcement precedes any swap
-                        // retiring `announced`, so the scanning
-                        // publisher keeps it alive until we are done.
-                        // SAFETY: `announced` is the live publication
-                        // pointer, protected by our hazard slot.
-                        let out = unsafe {
-                            Arc::increment_strong_count(announced);
-                            Arc::from_raw(announced)
-                        };
-                        slot.store(ptr::null_mut(), SeqCst);
-                        return out;
-                    }
-                    // A publish raced us: re-announce the fresh pointer
-                    // and validate again.
-                    self.load_retries.fetch_add(1, SeqCst);
-                    announced = cur;
-                    slot.store(announced, SeqCst);
-                }
-            }
-            // Every slot was mid-announce; yield and retry.
-            std::hint::spin_loop();
-        }
+        // Poisoning is ignored here and in `publish`: the only write
+        // under the lock is a whole-`Arc` swap, so the cell is valid at
+        // every step.
+        self.current
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
-    /// Publish `next` as the new current value. Returns after retiring
-    /// the previous epoch (and reclaiming any retired epochs no longer
-    /// announced by a reader). Serializes against other publishers
-    /// only; concurrent `load`s proceed lock-free throughout.
+    /// Publish `next` as the new current value. Readers that already
+    /// loaded keep the value they hold. The write lock covers the swap
+    /// only: this thread's reference to the superseded value is dropped
+    /// after it is released.
     pub fn publish(&self, next: Arc<T>) {
-        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        let old = self.current.swap(Arc::into_raw(next).cast_mut(), SeqCst);
-        retired.push(old);
-        // Scan announcements *after* the swap: any reader that validated
-        // against a retired pointer announced it before our swap, so the
-        // scan sees it. Unannounced retirees have no in-flight reader.
-        retired.retain(|&p| {
-            let announced = self.hazards.iter().any(|h| h.load(SeqCst) == p);
-            if !announced {
-                // SAFETY: `p` came from `Arc::into_raw` at publish time
-                // and is retired exactly once; dropping releases the
-                // publication's strong count (readers hold their own).
-                unsafe { drop(Arc::from_raw(p)) };
-            }
-            announced
-        });
-        self.publishes.fetch_add(1, SeqCst);
+        let superseded = {
+            let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+            self.publishes.fetch_add(1, SeqCst);
+            std::mem::replace(&mut *current, next)
+        };
+        drop(superseded);
     }
 
     /// Number of publishes so far.
     pub fn publish_count(&self) -> u64 {
         self.publishes.load(SeqCst)
-    }
-
-    /// Number of reader re-announcements caused by racing publishes.
-    pub fn load_retry_count(&self) -> u64 {
-        self.load_retries.load(SeqCst)
-    }
-
-    /// Epochs retired but still pinned by an in-flight announcement at
-    /// the last scan (reclaimed by the next publish).
-    pub fn retired_pending(&self) -> usize {
-        self.retired.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-}
-
-impl<T: Send + Sync> Drop for EpochCell<T> {
-    fn drop(&mut self) {
-        // Exclusive access: no readers or publishers remain.
-        let retired = self.retired.get_mut().unwrap_or_else(|e| e.into_inner());
-        for p in retired.drain(..) {
-            unsafe { drop(Arc::from_raw(p)) };
-        }
-        unsafe { drop(Arc::from_raw(self.current.load(SeqCst))) };
     }
 }
 
@@ -183,6 +67,7 @@ impl<T: Send + Sync> Drop for EpochCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Weak;
 
     /// A payload whose clones count live instances, so the tests can
     /// assert the cell neither leaks nor double-frees publications.
@@ -271,16 +156,36 @@ mod tests {
         assert_eq!(live.load(SeqCst), 0, "leak or double-free detected");
     }
 
+    /// A superseded value must be dropped after `publish` released the
+    /// write lock: the payload's `Drop` probes the cell's lock and would
+    /// find it held otherwise.
     #[test]
-    fn retired_pending_drains_once_readers_leave() {
-        let live = Arc::new(AtomicUsize::new(0));
-        let cell = EpochCell::new(Tracked::new(0, &live));
-        cell.publish(Tracked::new(1, &live));
-        cell.publish(Tracked::new(2, &live));
-        // No reader ever announced epochs 0/1, so nothing stays pinned.
-        assert_eq!(cell.retired_pending(), 0);
-        assert_eq!(live.load(SeqCst), 1);
-        drop(cell);
-        assert_eq!(live.load(SeqCst), 0);
+    fn publish_drops_the_superseded_value_outside_the_lock() {
+        struct Probe {
+            cell: Weak<EpochCell<Probe>>,
+            dropped_unlocked: Arc<AtomicUsize>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                // `None` only when the cell itself is being dropped.
+                if let Some(cell) = self.cell.upgrade() {
+                    if cell.current.try_read().is_ok() {
+                        self.dropped_unlocked.fetch_add(1, SeqCst);
+                    }
+                }
+            }
+        }
+        let dropped_unlocked = Arc::new(AtomicUsize::new(0));
+        let probe = |cell: &Weak<EpochCell<Probe>>| {
+            Arc::new(Probe {
+                cell: cell.clone(),
+                dropped_unlocked: dropped_unlocked.clone(),
+            })
+        };
+        let cell = Arc::new_cyclic(|weak| EpochCell::new(probe(weak)));
+        cell.publish(probe(&Arc::downgrade(&cell)));
+        assert_eq!(dropped_unlocked.load(SeqCst), 1);
+        cell.publish(probe(&Arc::downgrade(&cell)));
+        assert_eq!(dropped_unlocked.load(SeqCst), 2);
     }
 }

@@ -4,14 +4,17 @@
 //! Request flow: [`Server::submit`] enqueues a job (rejecting when the
 //! bounded queue is full — back-pressure, never unbounded growth) and
 //! returns a [`Ticket`]; a pool worker pops a *micro-batch* of
-//! consecutive same-tenant jobs, pins the current snapshot with one
-//! lock-free [`EpochCell::load`], builds one engine for the batch
-//! (amortizing the oracle/spatial binding), diagnoses, and fulfills
-//! each ticket with the verdict plus the epoch it was served at.
+//! same-tenant jobs, pins the current snapshot with one
+//! [`EpochCell::load`], binds one engine for the batch, diagnoses, and
+//! fulfills each ticket with the verdict plus the epoch it was served at.
+//! A batch amortizes one queue-mutex pop and one snapshot pin; the engine
+//! bind itself is a handful of pointer copies.
 //!
-//! Only *admission* takes a lock (the queue mutex, held for a push or a
-//! pop); the snapshot read on the diagnosis path is lock-free, so a
-//! concurrent publish can never stall a worker mid-query. A client that
+//! Two locks sit on the request path, both held for a pointer-sized
+//! operation: the queue mutex (a push or a pop) and the epoch cell's read
+//! lock (one `Arc` clone per batch). A publish holds the cell's write
+//! lock for one swap and frees the superseded snapshot after releasing
+//! it, so it cannot stall a worker for longer than that. A client that
 //! wants repeatable reads across several queries pins an epoch with
 //! [`Server::session`] — later publishes are invisible to it.
 
@@ -198,7 +201,7 @@ impl Server {
         self.shared.cell.publish(next);
     }
 
-    /// The current snapshot (lock-free).
+    /// The current snapshot.
     pub fn snapshot(&self) -> Arc<ServingSnapshot> {
         self.shared.cell.load()
     }
@@ -242,7 +245,7 @@ impl Server {
         Ok(self.submit(tenant, symptom)?.wait())
     }
 
-    /// (served, rejected, batches, publishes, load retries) counters.
+    /// The serving counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             served: self.shared.served.load(SeqCst),
@@ -250,7 +253,7 @@ impl Server {
             batches: self.shared.batches.load(SeqCst),
             poisoned: self.shared.poisoned.load(SeqCst),
             publishes: self.shared.cell.publish_count(),
-            load_retries: self.shared.cell.load_retry_count(),
+            load_retries: 0,
         }
     }
 }
@@ -266,8 +269,9 @@ pub struct ServerStats {
     /// diagnosis panicked (see [`Served::error`]).
     pub poisoned: u64,
     pub publishes: u64,
-    /// Reader re-announcements caused by racing publishes — the *only*
-    /// cost a publish can impose on the query path (never a block).
+    /// Always 0: readers take the epoch cell's read lock and have nothing
+    /// to retry. The field stays because `bench_pipeline` reports it as
+    /// `serve.load_retries`; it goes when the benchmark drops the metric.
     pub load_retries: u64,
 }
 
@@ -310,13 +314,10 @@ fn worker_loop(shared: &Shared) {
     loop {
         // Claim a micro-batch: the head job plus every *compatible*
         // (same-tenant) job anywhere in the queue, up to max_batch, so
-        // one engine bind serves the whole batch. Claiming beyond the
-        // head reorders only independent single-shot queries, and the
-        // head itself is always served first — no head-of-line
-        // starvation. This is where the serving layer earns its
-        // throughput: the per-batch engine bind is an order of
-        // magnitude dearer than one diagnosis, so the achieved batch
-        // size is the amortization factor.
+        // one queue pop and one snapshot pin serve the whole batch.
+        // Claiming beyond the head reorders only independent
+        // single-shot queries, and the head itself is always served
+        // first — no head-of-line starvation.
         let batch = {
             let mut q = shared.lock_queue();
             loop {
