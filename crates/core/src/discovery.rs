@@ -11,14 +11,13 @@
 //! reproduces the paper's demonstration that the provisioning-bug
 //! correlation is only significant on the prefiltered subset.
 
-use crate::engine::{batch_size, Diagnosis};
+use crate::engine::Diagnosis;
 use grca_collector::Database;
 use grca_correlation::{CorrelationResult, CorrelationTester, EventSeries};
 use grca_net_model::RouterId;
-use grca_types::{Duration, Timestamp};
+use grca_types::{batch_size, map_indexed, Duration, Timestamp};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The binning grid for screening series.
@@ -230,51 +229,20 @@ pub fn screen(
     )
 }
 
-/// [`screen`], fanned out over `threads` workers — output is identical to
-/// the sequential run. Candidate cost is skewed (dense series fall back
-/// to per-shift probing, empty ones return immediately), so workers claim
-/// small batches from an atomic counter — the same work-stealing pattern
-/// as `Engine::diagnose_all_parallel` — tag results with the candidate
-/// index, and the merge re-sorts.
+/// [`screen`], fanned out over `threads` workers by [`map_indexed`] —
+/// output is identical to the sequential run.
 pub fn screen_parallel(
     tester: &CorrelationTester,
     symptom: &EventSeries,
     candidates: &[(String, EventSeries)],
     threads: usize,
 ) -> Screening {
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads <= 1 {
-        return screen(tester, symptom, candidates);
-    }
+    let threads = threads.clamp(1, candidates.len().max(1));
     let batch = batch_size(candidates.len(), threads);
-    let next = AtomicUsize::new(0);
-    let mut parts: Vec<Vec<(usize, String, Option<CorrelationResult>)>> =
-        Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let start = next.fetch_add(batch, Ordering::Relaxed);
-                        if start >= candidates.len() {
-                            break;
-                        }
-                        let end = (start + batch).min(candidates.len());
-                        for (off, (name, series)) in candidates[start..end].iter().enumerate() {
-                            local.push((start + off, name.clone(), tester.test(symptom, series)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("screening worker panicked"));
-        }
-    });
-    Screening::from_indexed(parts.into_iter().flatten().collect())
+    Screening::from_indexed(map_indexed(candidates.len(), threads, batch, |i| {
+        let (name, series) = &candidates[i];
+        (i, name.clone(), tester.test(symptom, series))
+    }))
 }
 
 /// [`screen`] driven by the pre-overhaul dense tester

@@ -17,9 +17,8 @@
 use crate::graph::{DiagnosisGraph, DiagnosisRule};
 use grca_events::{EventInstance, EventStore};
 use grca_net_model::{JoinLevel, Location, SpatialModel};
-use grca_types::{Symbol, Timestamp};
+use grca_types::{batch_size, map_indexed, Symbol, Timestamp};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Label used when no diagnostic evidence joined a symptom.
 pub const UNKNOWN: &str = "unknown";
@@ -207,14 +206,6 @@ type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 /// location) become table hits instead of path computations.
 type JoinMemo = HashMap<(JoinLevel, Location, Location, u64), bool, FxBuild>;
 
-/// Work-stealing batch size: small enough that every worker can claim
-/// work (≈4 batches per worker when the load allows), large enough to
-/// amortize the atomic claim on big runs. Shared with the screening pool
-/// in [`crate::discovery`].
-pub(crate) fn batch_size(len: usize, threads: usize) -> usize {
-    (len / (4 * threads)).clamp(1, 32)
-}
-
 impl<'a> Engine<'a> {
     pub fn new(
         graph: &'a DiagnosisGraph,
@@ -258,51 +249,16 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// [`Engine::diagnose_all`], fanned out over `threads` workers.
-    ///
-    /// Work-stealing over an atomic batch counter: symptom cost is highly
-    /// skewed (a symptom on a busy router explores far more candidates
-    /// than a quiet one), so static chunking leaves workers idle behind
-    /// the unlucky chunk. Each worker instead claims the next small batch
-    /// until the queue drains. Workers tag results with the symptom index
-    /// and the merge re-sorts, so the output is identical to the
-    /// sequential run, in the same order.
+    /// [`Engine::diagnose_all`], fanned out over `threads` workers by
+    /// [`map_indexed`]: the output is identical to the sequential run, in
+    /// the same order.
     pub fn diagnose_all_parallel(&self, threads: usize) -> Vec<Diagnosis> {
         let symptoms = self.store.instances(self.graph.root);
-        let threads = threads.max(1).min(symptoms.len().max(1));
-        if threads <= 1 {
-            return self.diagnose_all();
-        }
+        let threads = threads.clamp(1, symptoms.len().max(1));
         let batch = batch_size(symptoms.len(), threads);
-        let next = AtomicUsize::new(0);
-        let mut parts: Vec<Vec<(usize, Diagnosis)>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let start = next.fetch_add(batch, Ordering::Relaxed);
-                            if start >= symptoms.len() {
-                                break;
-                            }
-                            let end = (start + batch).min(symptoms.len());
-                            for (off, s) in symptoms[start..end].iter().enumerate() {
-                                local.push((start + off, self.diagnose(s)));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("diagnosis worker panicked"));
-            }
-        });
-        let mut flat: Vec<(usize, Diagnosis)> = parts.into_iter().flatten().collect();
-        flat.sort_unstable_by_key(|&(i, _)| i);
-        flat.into_iter().map(|(_, d)| d).collect()
+        map_indexed(symptoms.len(), threads, batch, |i| {
+            self.diagnose(&symptoms[i])
+        })
     }
 
     fn joined_memo(
@@ -696,7 +652,7 @@ mod tests {
         for len in 1usize..=64 {
             for threads in 1usize..=8 {
                 let workers = threads.min(len);
-                let batch = super::batch_size(len, workers);
+                let batch = batch_size(len, workers);
                 assert!(batch >= 1);
                 let batches = len.div_ceil(batch);
                 assert!(

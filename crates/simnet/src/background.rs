@@ -23,11 +23,10 @@ use grca_net_model::{
     CdnNodeId, ClientSiteId, InterfaceId, InterfaceKind, RouterId, RouterRole, Topology,
 };
 use grca_telemetry::records::*;
-use grca_types::{TimeZone, Timestamp};
+use grca_types::{map_indexed, TimeZone, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Syslog noise is striped over this many independent shards. The count is
 /// a fixed constant — NOT the thread count — so the shard list (and thus
@@ -171,45 +170,21 @@ pub fn emit(job: &BackgroundJob<'_>, threads: usize, out: &mut Vec<(Timestamp, R
 
     let workers = threads.clamp(1, shards.len());
     if workers == 1 {
+        // Nothing runs in parallel: no per-shard buffer, straight into `out`.
         for s in &shards {
             run_shard(job, &backbone, &noise_bodies, *s, out);
         }
         return;
     }
 
-    // Work-stealing over the fixed shard list: workers atomically claim
-    // the next shard index and keep `(shard index, output)` pairs; the
-    // merge sorts by shard index, so the concatenation order never depends
-    // on which worker ran what.
-    let next = AtomicUsize::new(0);
-    let mut parts: Vec<(usize, Vec<(Timestamp, RawRecord)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let shards = &shards;
-                let next = &next;
-                let backbone = &backbone;
-                let noise_bodies = &noise_bodies;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, Vec<(Timestamp, RawRecord)>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= shards.len() {
-                            return mine;
-                        }
-                        let mut buf = Vec::new();
-                        run_shard(job, backbone, noise_bodies, shards[i], &mut buf);
-                        mine.push((i, buf));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("background worker panicked"))
-            .collect()
+    // One shard per claim; outputs come back in shard order, so the
+    // concatenation never depends on which worker ran what.
+    let parts = map_indexed(shards.len(), workers, 1, |i| {
+        let mut buf = Vec::new();
+        run_shard(job, &backbone, &noise_bodies, shards[i], &mut buf);
+        buf
     });
-    parts.sort_by_key(|(i, _)| *i);
-    for (_, mut buf) in parts {
+    for mut buf in parts {
         out.append(&mut buf);
     }
 }

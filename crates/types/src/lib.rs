@@ -9,6 +9,8 @@
 //!   normalization into UTC performed by the Data Collector is built on the
 //!   types defined here.
 //! * [`error`] — the crate-spanning error type.
+//! * [`par`] — the one work-stealing parallel map the engine, the
+//!   screening pool and the simulator share.
 //! * [`seq`] — small typed index newtypes used by arena-style stores.
 //! * [`sym`] — interned event-name symbols; the engine's hot loops
 //!   compare and hash event names as 4-byte `Copy` ids.
@@ -17,10 +19,12 @@
 //! model, routing, collector, RCA core) agrees on these definitions.
 
 pub mod error;
+pub mod par;
 pub mod seq;
 pub mod sym;
 pub mod time;
 
 pub use error::{GrcaError, Result};
+pub use par::{batch_size, map_indexed};
 pub use sym::{Symbol, SymbolTable};
 pub use time::{Duration, TimeWindow, TimeZone, Timestamp};
