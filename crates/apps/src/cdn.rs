@@ -143,19 +143,6 @@ pub fn run_differential(
     )
 }
 
-/// The same application rooted at the throughput-drop symptom instead.
-pub fn run_throughput(topo: &Topology, db: &Database) -> Result<AppOutput> {
-    let routing = build_routing(topo, db);
-    run_app(
-        topo,
-        db,
-        &routing,
-        &event_definitions(topo),
-        diagnosis_graph_for(ev::CDN_THROUGHPUT_DROP),
-        Some(&routing),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -682,12 +682,6 @@ impl Database {
         (self.seen_epoch, &self.seen_log)
     }
 
-    /// Number of live fingerprints (diagnostics; the journal may be
-    /// longer than this until the next compaction).
-    pub fn seen_len(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Rebuild the fingerprint map by replaying `events` from empty, and
     /// adopt them as the journal at `epoch` — the checkpoint restore
     /// path. Subsequent [`Database::seen_log`] deltas then continue from

@@ -51,11 +51,6 @@ impl FeedState {
             FeedState::Dead => "dead",
         }
     }
-
-    /// Is the feed's silence still plausible (its gaps vouched for)?
-    pub fn is_live(self) -> bool {
-        matches!(self, FeedState::Healthy | FeedState::Lagging)
-    }
 }
 
 /// Snapshot of one feed's health at a given clock instant.

@@ -64,11 +64,6 @@ impl OspfState {
         }
     }
 
-    /// Number of links tracked.
-    pub fn n_links(&self) -> usize {
-        self.base.len()
-    }
-
     /// The state epoch at time `t`: increases monotonically with each
     /// observed change, so equal epochs guarantee identical routing state.
     pub fn epoch(&self, t: Timestamp) -> usize {

@@ -126,15 +126,6 @@ impl KillSwitch {
     pub fn check(&self, at: KillPoint) -> bool {
         self.point == Some(at)
     }
-
-    /// Abort the process — no destructors, no flushes — if armed for
-    /// `at`. The on-disk state is whatever the durability protocol had
-    /// already made crash-safe, exactly like a power cut.
-    pub fn abort_if(&self, at: KillPoint) {
-        if self.check(at) {
-            std::process::abort();
-        }
-    }
 }
 
 #[cfg(test)]

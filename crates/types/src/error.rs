@@ -31,12 +31,6 @@ impl GrcaError {
     pub fn parse(msg: impl Into<String>) -> Self {
         GrcaError::Parse(msg.into())
     }
-    pub fn unknown_location(msg: impl Into<String>) -> Self {
-        GrcaError::UnknownLocation(msg.into())
-    }
-    pub fn unknown_event(msg: impl Into<String>) -> Self {
-        GrcaError::UnknownEvent(msg.into())
-    }
     pub fn config(msg: impl Into<String>) -> Self {
         GrcaError::Config(msg.into())
     }
