@@ -16,6 +16,8 @@
 //! * [`Study`] — the application table: definitions, graph, batch run and
 //!   online pipeline of each paper study, looked up by one enum.
 
+#![forbid(unsafe_code)]
+
 pub mod bgp;
 pub mod cdn;
 pub mod checkpoint;

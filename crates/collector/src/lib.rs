@@ -19,6 +19,8 @@
 //! * [`durable`] — crash-consistent durability: checksummed atomic spill
 //!   blobs and the rotated, versioned checkpoint manifest.
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod durable;
 pub mod health;

@@ -18,6 +18,8 @@
 //! * [`discovery`] — blind correlation screening for new diagnosis rules
 //!   (§II-E, §IV).
 
+#![forbid(unsafe_code)]
+
 pub mod bayes;
 pub mod browser;
 pub mod discovery;

@@ -8,6 +8,8 @@
 //! distribution, which is robust to the autocorrelation that pervades
 //! network event series.
 
+#![forbid(unsafe_code)]
+
 pub mod nice;
 pub mod series;
 pub mod sparse;

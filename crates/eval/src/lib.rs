@@ -37,6 +37,8 @@
 //!   manifest replay at a [`grca_net_model::TierConfig`] preset, scored
 //!   for accuracy and detection latency.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod corpus;
 pub mod gate;

@@ -18,6 +18,8 @@
 //! * [`library`] — the Knowledge Library: Table I's 24 common events plus
 //!   the application-specific constructors of Tables III, V and VII.
 
+#![forbid(unsafe_code)]
+
 pub mod def;
 pub mod delta;
 pub mod dsl;

@@ -19,6 +19,8 @@
 //! Conversions that depend on dynamic routing state are abstracted behind
 //! [`location::RouteOracle`], implemented by the `grca-routing` crate.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod gen;
 pub mod ids;

@@ -18,6 +18,8 @@
 //! * [`oracle`] — [`RoutingState`], tying the above together behind the
 //!   [`grca_net_model::RouteOracle`] trait consumed by the spatial model.
 
+#![forbid(unsafe_code)]
+
 pub mod bgp;
 pub mod oracle;
 pub mod ospf;

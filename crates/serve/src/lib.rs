@@ -21,6 +21,8 @@
 //! every served verdict is label-identical to a batch
 //! [`grca_core::Engine::diagnose_all`] run against the same epoch.
 
+#![forbid(unsafe_code)]
+
 pub mod publish;
 pub mod publisher;
 pub mod server;

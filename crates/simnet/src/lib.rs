@@ -15,6 +15,8 @@
 //! diagnoses and to compare recovered breakdowns against Tables IV, VI and
 //! VIII of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod background;
 pub mod chaos;
 pub mod config;

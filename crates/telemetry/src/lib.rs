@@ -13,6 +13,8 @@
 //! Normalization into canonical ids and UTC is the Data Collector's job
 //! (`grca-collector`), which uses the parsers in [`syslog`].
 
+#![forbid(unsafe_code)]
+
 pub mod records;
 pub mod syslog;
 

@@ -18,6 +18,8 @@
 //! The crate is dependency-light by design: everything above it (network
 //! model, routing, collector, RCA core) agrees on these definitions.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod par;
 pub mod seq;

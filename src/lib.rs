@@ -22,6 +22,8 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the full system
 //! inventory and experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use grca_apps as apps;
 pub use grca_collector as collector;
 pub use grca_core as core;
