@@ -105,11 +105,12 @@ impl Diagnosis {
 
 /// Pre-built symptom → rule-indices map for a diagnosis graph.
 ///
-/// [`Engine::new`] builds one internally, but a caller that binds many
-/// short-lived engines to the same (immutable) rule library — the
-/// serving layer constructs an engine per request batch — can build the
-/// index once per library (e.g. at snapshot-publish time) and share it
-/// via [`Engine::with_index`].
+/// Building it is the only work [`Engine::new`] does — the store and the
+/// spatial model are borrowed. A caller that binds many short-lived
+/// engines to the same (immutable) rule library — the serving layer
+/// constructs an engine per request batch — builds the index once per
+/// library (at snapshot-publish time) and shares it via
+/// [`Engine::with_index`], which makes the bind pointer copies only.
 #[derive(Debug, Clone, Default)]
 pub struct RuleIndex {
     by_symptom: HashMap<Symbol, Vec<usize>>,

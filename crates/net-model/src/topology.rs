@@ -4,7 +4,11 @@
 //! referenced by the dense typed ids from [`crate::ids`]. Lookup maps cover
 //! every naming convention the raw telemetry uses, so the Data Collector can
 //! resolve a syslog hostname + interface name, an SNMP system name +
-//! ifIndex, or a layer-1 circuit id back to canonical entities.
+//! ifIndex, or a layer-1 circuit id back to canonical entities. The
+//! configuration-derived reverse associations the spatial model's
+//! conversions walk (loopback → router, circuit → logical links, layer-1
+//! device → circuits) are kept here too, filled as entities are added, so
+//! a [`crate::SpatialModel`] is a pair of references.
 //!
 //! The model deliberately stops at the ISP boundary: customer routers and
 //! neighboring ISPs exist only as neighbor IPs / external prefixes, exactly
