@@ -197,11 +197,11 @@ impl Screening {
         )
     }
 
-    fn from_indexed(mut tested: Vec<(usize, String, Option<CorrelationResult>)>) -> Screening {
-        tested.sort_unstable_by_key(|&(i, _, _)| i);
+    /// `tested` is one `(name, result)` per candidate, in candidate order.
+    fn from_tested(tested: Vec<(String, Option<CorrelationResult>)>) -> Screening {
         let mut hits = Vec::new();
         let mut skipped = Vec::new();
-        for (_, name, result) in tested {
+        for (name, result) in tested {
             match result {
                 Some(result) => hits.push(ScreenHit { name, result }),
                 None => skipped.push(name),
@@ -220,11 +220,10 @@ pub fn screen(
     symptom: &EventSeries,
     candidates: &[(String, EventSeries)],
 ) -> Screening {
-    Screening::from_indexed(
+    Screening::from_tested(
         candidates
             .iter()
-            .enumerate()
-            .map(|(i, (name, series))| (i, name.clone(), tester.test(symptom, series)))
+            .map(|(name, series)| (name.clone(), tester.test(symptom, series)))
             .collect(),
     )
 }
@@ -239,9 +238,9 @@ pub fn screen_parallel(
 ) -> Screening {
     let threads = threads.clamp(1, candidates.len().max(1));
     let batch = batch_size(candidates.len(), threads);
-    Screening::from_indexed(map_indexed(candidates.len(), threads, batch, |i| {
+    Screening::from_tested(map_indexed(candidates.len(), threads, batch, |i| {
         let (name, series) = &candidates[i];
-        (i, name.clone(), tester.test(symptom, series))
+        (name.clone(), tester.test(symptom, series))
     }))
 }
 
@@ -254,11 +253,10 @@ pub fn screen_baseline(
     symptom: &EventSeries,
     candidates: &[(String, EventSeries)],
 ) -> Screening {
-    Screening::from_indexed(
+    Screening::from_tested(
         candidates
             .iter()
-            .enumerate()
-            .map(|(i, (name, series))| (i, name.clone(), tester.test_dense(symptom, series)))
+            .map(|(name, series)| (name.clone(), tester.test_dense(symptom, series)))
             .collect(),
     )
 }
