@@ -15,10 +15,6 @@ pub type Result<T, E = GrcaError> = std::result::Result<T, E>;
 pub enum GrcaError {
     /// A raw record, DSL file, timestamp or identifier failed to parse.
     Parse(String),
-    /// A location string or id could not be resolved against the topology.
-    UnknownLocation(String),
-    /// An event name was referenced but never defined.
-    UnknownEvent(String),
     /// An invalid configuration (diagnosis graph, rule parameters, scenario).
     Config(String),
     /// A query asked for data outside what was collected.
@@ -46,8 +42,6 @@ impl GrcaError {
         let wrap = |m: String| format!("{ctx}: {m}");
         match self {
             GrcaError::Parse(m) => GrcaError::Parse(wrap(m)),
-            GrcaError::UnknownLocation(m) => GrcaError::UnknownLocation(wrap(m)),
-            GrcaError::UnknownEvent(m) => GrcaError::UnknownEvent(wrap(m)),
             GrcaError::Config(m) => GrcaError::Config(wrap(m)),
             GrcaError::Query(m) => GrcaError::Query(wrap(m)),
             GrcaError::Other(m) => GrcaError::Other(wrap(m)),
@@ -59,8 +53,6 @@ impl fmt::Display for GrcaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GrcaError::Parse(m) => write!(f, "parse error: {m}"),
-            GrcaError::UnknownLocation(m) => write!(f, "unknown location: {m}"),
-            GrcaError::UnknownEvent(m) => write!(f, "unknown event: {m}"),
             GrcaError::Config(m) => write!(f, "configuration error: {m}"),
             GrcaError::Query(m) => write!(f, "query error: {m}"),
             GrcaError::Other(m) => write!(f, "{m}"),
