@@ -99,6 +99,9 @@ impl EventStore {
             if !idx.instances.is_sorted_by_key(|i| i.window.start) {
                 idx.instances.sort_by_key(|i| i.window.start);
             }
+            // A store is filled once and then read; a serving epoch keeps
+            // it for as long as any reader does. Hold no growth slack.
+            idx.instances.shrink_to_fit();
         }
     }
 
