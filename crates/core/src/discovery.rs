@@ -236,7 +236,6 @@ pub fn screen_parallel(
     candidates: &[(String, EventSeries)],
     threads: usize,
 ) -> Screening {
-    let threads = threads.clamp(1, candidates.len().max(1));
     let batch = batch_size(candidates.len(), threads);
     Screening::from_tested(map_indexed(candidates.len(), threads, batch, |i| {
         let (name, series) = &candidates[i];

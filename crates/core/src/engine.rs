@@ -255,7 +255,6 @@ impl<'a> Engine<'a> {
     /// the same order.
     pub fn diagnose_all_parallel(&self, threads: usize) -> Vec<Diagnosis> {
         let symptoms = self.store.instances(self.graph.root);
-        let threads = threads.clamp(1, symptoms.len().max(1));
         let batch = batch_size(symptoms.len(), threads);
         map_indexed(symptoms.len(), threads, batch, |i| {
             self.diagnose(&symptoms[i])

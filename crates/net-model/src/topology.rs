@@ -305,6 +305,11 @@ mod reflectors_serde {
     }
 }
 
+/// A one-to-many index's entry for `key`; empty when it has none.
+fn members<K: Ord, V>(index: &BTreeMap<K, Vec<V>>, key: K) -> &[V] {
+    index.get(&key).map(Vec::as_slice).unwrap_or(&[])
+}
+
 impl Topology {
     pub fn new() -> Self {
         Topology::default()
@@ -689,23 +694,17 @@ impl Topology {
 
     /// All logical links with an endpoint on `router`.
     pub fn links_at_router(&self, router: RouterId) -> &[LinkId] {
-        self.links_at_router
-            .get(&router)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        members(&self.links_at_router, router)
     }
 
     /// The logical links riding a physical circuit, in ascending id order.
     pub fn links_of_phys(&self, phys: PhysLinkId) -> &[LinkId] {
-        self.links_of_phys
-            .get(&phys)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        members(&self.links_of_phys, phys)
     }
 
     /// The circuits traversing a layer-1 device, in ascending id order.
     pub fn phys_of_l1(&self, dev: L1DeviceId) -> &[PhysLinkId] {
-        self.phys_of_l1.get(&dev).map(Vec::as_slice).unwrap_or(&[])
+        members(&self.phys_of_l1, dev)
     }
 
     /// The logical link an interface terminates, if it is a link endpoint.

@@ -4,11 +4,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Work-stealing batch size: small enough that every worker can claim
-/// work (≈4 batches per worker when the load allows), large enough to
-/// amortize the atomic claim on big runs. `threads` must be at least 1.
+/// Work-stealing batch size for `len` items over the workers
+/// [`map_indexed`] will really run (`threads`, at least one, at most one
+/// per item): small enough that every worker can claim work (≈4 batches
+/// per worker when the load allows), large enough to amortize the atomic
+/// claim on big runs.
 pub fn batch_size(len: usize, threads: usize) -> usize {
-    (len / (4 * threads)).clamp(1, 32)
+    let workers = threads.clamp(1, len.max(1));
+    (len / (4 * workers)).clamp(1, 32)
 }
 
 /// `(0..len).map(f).collect()`, fanned out over up to `threads` workers.
