@@ -429,13 +429,13 @@ impl<'a> SpatialModel<'a> {
                     .collect(),
                 L::LogicalLink | L::LinkPath => self
                     .topo
-                    .links_of_phys(p)
+                    .links_on_circuit(p)
                     .iter()
                     .map(|&l| Loc::LogicalLink(l))
                     .collect(),
                 L::Router | L::RouterPath => self
                     .topo
-                    .links_of_phys(p)
+                    .links_on_circuit(p)
                     .iter()
                     .flat_map(|&l| {
                         let (a, b) = self.topo.link_routers(l);
@@ -448,15 +448,15 @@ impl<'a> SpatialModel<'a> {
                 L::Layer1Device => vec![Loc::Layer1Device(d)],
                 L::PhysicalLink => self
                     .topo
-                    .phys_of_l1(d)
+                    .circuits_through_l1(d)
                     .iter()
                     .map(|&p| Loc::PhysicalLink(p))
                     .collect(),
                 L::LogicalLink | L::LinkPath => self
                     .topo
-                    .phys_of_l1(d)
+                    .circuits_through_l1(d)
                     .iter()
-                    .flat_map(|&p| self.topo.links_of_phys(p))
+                    .flat_map(|&p| self.topo.links_on_circuit(p))
                     .map(|&l| Loc::LogicalLink(l))
                     .collect(),
                 _ => Vec::new(),

@@ -698,12 +698,12 @@ impl Topology {
     }
 
     /// The logical links riding a physical circuit, in ascending id order.
-    pub fn links_of_phys(&self, phys: PhysLinkId) -> &[LinkId] {
+    pub fn links_on_circuit(&self, phys: PhysLinkId) -> &[LinkId] {
         members(&self.links_of_phys, phys)
     }
 
     /// The circuits traversing a layer-1 device, in ascending id order.
-    pub fn phys_of_l1(&self, dev: L1DeviceId) -> &[PhysLinkId] {
+    pub fn circuits_through_l1(&self, dev: L1DeviceId) -> &[PhysLinkId] {
         members(&self.phys_of_l1, dev)
     }
 

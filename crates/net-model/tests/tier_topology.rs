@@ -234,7 +234,7 @@ fn check_reverse_indexes(topo: &Topology, what: &str) {
         let p = PhysLinkId::from(pi);
         let want = links_of_phys.get(&p).map(Vec::as_slice).unwrap_or(&[]);
         assert_eq!(
-            topo.links_of_phys(p),
+            topo.links_on_circuit(p),
             want,
             "{what}: links of circuit #{pi}"
         );
@@ -242,7 +242,11 @@ fn check_reverse_indexes(topo: &Topology, what: &str) {
     for di in 0..topo.l1_devices.len() {
         let d = L1DeviceId::from(di);
         let want = phys_of_l1.get(&d).map(Vec::as_slice).unwrap_or(&[]);
-        assert_eq!(topo.phys_of_l1(d), want, "{what}: circuits of device #{di}");
+        assert_eq!(
+            topo.circuits_through_l1(d),
+            want,
+            "{what}: circuits of device #{di}"
+        );
     }
     for r in &topo.routers {
         assert_eq!(
