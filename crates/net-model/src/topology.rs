@@ -19,7 +19,7 @@ use crate::ids::*;
 use crate::ip::{Ipv4, Prefix};
 use grca_types::TimeZone;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A point of presence: a city site housing routers and layer-1 gear.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -253,18 +253,30 @@ pub struct Topology {
     pub reflectors_of: BTreeMap<RouterId, Vec<RouterId>>,
 
     // ---- lookup indices: derived data, rebuilt on deserialization ----
+    // The name-keyed ones are hash maps looked up by `&str`; none is ever
+    // iterated, so hash order reaches no output.
     #[serde(skip)]
-    router_by_name: BTreeMap<String, RouterId>,
+    router_by_name: HashMap<String, RouterId>,
+    /// Interface name → interface, one map per router (indexed by
+    /// `RouterId`), so a lookup borrows the name.
     #[serde(skip)]
-    iface_by_name: BTreeMap<(RouterId, String), InterfaceId>,
+    iface_by_name: Vec<HashMap<String, InterfaceId>>,
     #[serde(skip)]
     iface_by_ifindex: BTreeMap<(RouterId, u32), InterfaceId>,
     #[serde(skip)]
     iface_by_ip: BTreeMap<Ipv4, InterfaceId>,
     #[serde(skip)]
-    circuit_by_name: BTreeMap<String, PhysLinkId>,
+    circuit_by_name: HashMap<String, PhysLinkId>,
     #[serde(skip)]
-    l1dev_by_name: BTreeMap<String, L1DeviceId>,
+    l1dev_by_name: HashMap<String, L1DeviceId>,
+    /// CDN node name → node; the first node of a name wins.
+    #[serde(skip)]
+    cdn_node_by_name: HashMap<String, CdnNodeId>,
+    /// External nets bucketed by prefix length: length → network bits →
+    /// net. Longest-prefix match walks the lengths present, longest first;
+    /// the last net added with a given prefix wins.
+    #[serde(skip)]
+    ext_net_by_prefix: BTreeMap<u8, HashMap<u32, ClientSiteId>>,
     #[serde(skip)]
     session_by_neighbor: BTreeMap<(RouterId, Ipv4), SessionId>,
     #[serde(skip)]
@@ -310,6 +322,20 @@ fn members<K: Ord, V>(index: &BTreeMap<K, Vec<V>>, key: K) -> &[V] {
     index.get(&key).map(Vec::as_slice).unwrap_or(&[])
 }
 
+/// Record `name → id` in `router`'s map of the per-router interface-name
+/// index, growing the index to reach that router.
+fn index_iface_name(
+    index: &mut Vec<HashMap<String, InterfaceId>>,
+    router: RouterId,
+    name: &str,
+    id: InterfaceId,
+) {
+    if index.len() <= router.index() {
+        index.resize_with(router.index() + 1, HashMap::new);
+    }
+    index[router.index()].insert(name.to_owned(), id);
+}
+
 impl Topology {
     pub fn new() -> Self {
         Topology::default()
@@ -331,8 +357,7 @@ impl Topology {
         self.iface_by_ip.clear();
         for (i, ifc) in self.interfaces.iter().enumerate() {
             let id = InterfaceId::from(i);
-            self.iface_by_name
-                .insert((ifc.router, ifc.name.clone()), id);
+            index_iface_name(&mut self.iface_by_name, ifc.router, &ifc.name, id);
             self.iface_by_ifindex.insert((ifc.router, ifc.if_index), id);
             if let Some(ip) = ifc.ip {
                 self.iface_by_ip.insert(ip, id);
@@ -370,6 +395,19 @@ impl Topology {
             for &p in &l.phys {
                 self.links_of_phys.entry(p).or_default().push(id);
             }
+        }
+        self.cdn_node_by_name.clear();
+        for (i, n) in self.cdn_nodes.iter().enumerate() {
+            self.cdn_node_by_name
+                .entry(n.name.clone())
+                .or_insert(CdnNodeId::from(i));
+        }
+        self.ext_net_by_prefix.clear();
+        for (i, n) in self.ext_nets.iter().enumerate() {
+            self.ext_net_by_prefix
+                .entry(n.prefix.len)
+                .or_default()
+                .insert(n.prefix.bits, ClientSiteId::from(i));
         }
     }
 
@@ -438,7 +476,7 @@ impl Topology {
             .iter()
             .map(|c| self.cards[c.index()].interfaces.len() as u32)
             .sum::<u32>();
-        self.iface_by_name.insert((router, name.clone()), id);
+        index_iface_name(&mut self.iface_by_name, router, &name, id);
         self.iface_by_ifindex.insert((router, if_index), id);
         if let Some(ip) = ip {
             self.iface_by_ip.insert(ip, id);
@@ -575,8 +613,10 @@ impl Topology {
         server_prefix: Prefix,
     ) -> CdnNodeId {
         let id = CdnNodeId::from(self.cdn_nodes.len());
+        let name = name.into();
+        self.cdn_node_by_name.entry(name.clone()).or_insert(id);
         self.cdn_nodes.push(CdnNode {
-            name: name.into(),
+            name,
             pop,
             attach_router,
             server_prefix,
@@ -591,6 +631,10 @@ impl Topology {
         egress_candidates: Vec<RouterId>,
     ) -> ClientSiteId {
         let id = ClientSiteId::from(self.ext_nets.len());
+        self.ext_net_by_prefix
+            .entry(prefix.len)
+            .or_default()
+            .insert(prefix.bits, id);
         self.ext_nets.push(ExtNet {
             name: name.into(),
             prefix,
@@ -656,14 +700,25 @@ impl Topology {
     }
 
     /// Resolve an SNMP system name (`"NYC-PER1.ISP.NET"`) to a router.
+    /// ASCII names (every real one) fold case in a stack buffer; a
+    /// non-ASCII or over-long name takes the general `to_lowercase` path,
+    /// which agrees with the ASCII fold wherever both apply.
     pub fn router_by_snmp_name(&self, snmp: &str) -> Option<RouterId> {
-        let lower = snmp.to_lowercase();
-        let base = lower.strip_suffix(".isp.net").unwrap_or(&lower);
-        self.router_by_name(base)
+        let by_lower =
+            |lower: &str| self.router_by_name(lower.strip_suffix(".isp.net").unwrap_or(lower));
+        let mut buf = [0u8; 64];
+        match buf.get_mut(..snmp.len()) {
+            Some(lower) if snmp.is_ascii() => {
+                lower.copy_from_slice(snmp.as_bytes());
+                lower.make_ascii_lowercase();
+                by_lower(std::str::from_utf8(lower).expect("ASCII is UTF-8"))
+            }
+            _ => by_lower(&snmp.to_lowercase()),
+        }
     }
 
     pub fn iface_by_name(&self, router: RouterId, name: &str) -> Option<InterfaceId> {
-        self.iface_by_name.get(&(router, name.to_string())).copied()
+        self.iface_by_name.get(router.index())?.get(name).copied()
     }
 
     pub fn iface_by_ifindex(&self, router: RouterId, if_index: u32) -> Option<InterfaceId> {
@@ -680,6 +735,10 @@ impl Topology {
 
     pub fn l1dev_by_name(&self, name: &str) -> Option<L1DeviceId> {
         self.l1dev_by_name.get(name).copied()
+    }
+
+    pub fn cdn_node_by_name(&self, name: &str) -> Option<CdnNodeId> {
+        self.cdn_node_by_name.get(name).copied()
     }
 
     pub fn session_by_neighbor(&self, pe: RouterId, neighbor: Ipv4) -> Option<SessionId> {
@@ -774,12 +833,10 @@ impl Topology {
 
     /// Longest-prefix match over external networks.
     pub fn ext_net_for(&self, addr: Ipv4) -> Option<ClientSiteId> {
-        self.ext_nets
+        self.ext_net_by_prefix
             .iter()
-            .enumerate()
-            .filter(|(_, n)| n.prefix.contains(addr))
-            .max_by_key(|(_, n)| n.prefix.len)
-            .map(|(i, _)| ClientSiteId::from(i))
+            .rev()
+            .find_map(|(&len, nets)| nets.get(&Prefix::new(addr, len).bits).copied())
     }
 
     /// Summary line used by reports.

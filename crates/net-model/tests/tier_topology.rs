@@ -6,7 +6,8 @@
 
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{
-    Ipv4, L1DeviceId, LinkId, PhysLinkId, RouterId, RouterRole, TierConfig, Topology,
+    ClientSiteId, InterfaceId, Ipv4, L1DeviceId, LinkId, PhysLinkId, RouterId, RouterRole,
+    TierConfig, Topology,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -272,6 +273,219 @@ fn reverse_indexes_match_a_full_scan_at_every_preset() {
     }
 }
 
+/// `name → position` by one scan over an entity vector's names: a repeated
+/// name keeps its first holder (`first_wins`) or its last — what
+/// `position()` / a map filled by `insert` in arena order answer.
+fn scan_names<'a>(
+    names: impl Iterator<Item = &'a str>,
+    first_wins: bool,
+) -> BTreeMap<&'a str, usize> {
+    let mut out = BTreeMap::new();
+    for (i, name) in names.enumerate() {
+        if first_wins {
+            out.entry(name).or_insert(i);
+        } else {
+            out.insert(name, i);
+        }
+    }
+    out
+}
+
+/// The longest-prefix scan `Topology::ext_net_for` ran before its bucketed
+/// table: among the nets containing `addr` the longest prefix wins, the
+/// last of equals.
+fn ext_net_scan(topo: &Topology, addr: Ipv4) -> Option<ClientSiteId> {
+    topo.ext_nets
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.prefix.contains(addr))
+        .max_by_key(|(_, n)| n.prefix.len)
+        .map(|(i, _)| ClientSiteId::from(i))
+}
+
+/// Every name index of `topo` answers what a scan of the entity vectors
+/// answers: each router, interface, circuit, layer-1 device and CDN node
+/// name, SNMP system names in every spelling the feed uses (and two the
+/// stack-buffer fold does not take), a member and some non-members of
+/// every external net, and `None` for names nothing holds.
+fn check_name_indexes(topo: &Topology, what: &str) {
+    let routers = scan_names(topo.routers.iter().map(|r| r.name.as_str()), false);
+    let router = |name: &str| routers.get(name).map(|&i| RouterId::from(i));
+    for r in &topo.routers {
+        assert_eq!(topo.router_by_name(&r.name), router(&r.name), "{what}");
+    }
+    assert_eq!(topo.router_by_name("ghost-router"), None);
+    assert_eq!(topo.router_by_name(""), None);
+
+    // The SNMP convention as it resolved before the allocation-free fold:
+    // lower-case the whole name, drop the domain, look the rest up.
+    let snmp = |system: &str| {
+        let lower = system.to_lowercase();
+        router(lower.strip_suffix(".isp.net").unwrap_or(&lower))
+    };
+    for r in &topo.routers {
+        let upper = r.snmp_name();
+        let mixed: String = upper
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % 2 == 0 {
+                    c.to_ascii_lowercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        let bare = r.name.to_uppercase();
+        for system in [&upper, &upper.to_lowercase(), &mixed, &bare, &r.name] {
+            let got = topo.router_by_snmp_name(system);
+            assert_eq!(got, snmp(system), "{what}: snmp {system}");
+            assert!(got.is_some(), "{what}: snmp {system} must resolve");
+        }
+    }
+    let first = &topo.routers[0].name;
+    for system in [
+        "GHOST.ISP.NET".to_string(),
+        ".ISP.NET".to_string(),
+        String::new(),
+        // Non-ASCII: the Kelvin sign lower-cases to an ASCII 'k', so only
+        // the general path can fold it (onto `k-cr9`, where that exists).
+        "\u{212a}-CR9.ISP.NET".to_string(),
+        "nyc-pér1.isp.net".to_string(),
+        // Longer than any stack buffer worth having.
+        format!("{}.ISP.NET", "X".repeat(300)),
+        format!("{}{first}", "x".repeat(100)),
+    ] {
+        assert_eq!(
+            topo.router_by_snmp_name(&system),
+            snmp(&system),
+            "{what}: snmp {system:?}"
+        );
+    }
+
+    for (ri, r) in topo.routers.iter().enumerate() {
+        let rid = RouterId::from(ri);
+        let on_router = || {
+            r.cards
+                .iter()
+                .flat_map(|&c| topo.card(c).interfaces.iter().copied())
+        };
+        for iid in on_router() {
+            let name = &topo.interface(iid).name;
+            let want: Option<InterfaceId> = on_router()
+                .filter(|&i| topo.interface(i).name == *name)
+                .max();
+            assert_eq!(topo.iface_by_name(rid, name), want, "{what}: {}", r.name);
+        }
+        assert_eq!(topo.iface_by_name(rid, "Serial99/99/9"), None);
+    }
+    let beyond = RouterId::from(topo.routers.len());
+    assert_eq!(topo.iface_by_name(beyond, "Serial0/0/0"), None);
+
+    let circuits = scan_names(topo.phys_links.iter().map(|p| p.circuit.as_str()), false);
+    for p in &topo.phys_links {
+        assert_eq!(
+            topo.circuit_by_name(&p.circuit),
+            circuits
+                .get(p.circuit.as_str())
+                .map(|&i| PhysLinkId::from(i)),
+            "{what}"
+        );
+    }
+    assert_eq!(topo.circuit_by_name("CKT-NO-WHERE-0000"), None);
+
+    let l1 = scan_names(topo.l1_devices.iter().map(|d| d.name.as_str()), false);
+    for d in &topo.l1_devices {
+        assert_eq!(
+            topo.l1dev_by_name(&d.name),
+            l1.get(d.name.as_str()).map(|&i| L1DeviceId::from(i)),
+            "{what}"
+        );
+    }
+    assert_eq!(topo.l1dev_by_name("adm-nowhere-0"), None);
+
+    for n in &topo.cdn_nodes {
+        assert_eq!(
+            topo.cdn_node_by_name(&n.name).map(|id| id.index()),
+            topo.cdn_nodes.iter().position(|m| m.name == n.name),
+            "{what}: cdn node {}",
+            n.name
+        );
+    }
+    assert_eq!(topo.cdn_node_by_name("cdn-nowhere"), None);
+
+    for n in &topo.ext_nets {
+        let member = n.prefix.host(1);
+        assert_eq!(
+            topo.ext_net_for(member),
+            ext_net_scan(topo, member),
+            "{what}: member of {}",
+            n.prefix
+        );
+        assert!(topo.ext_net_for(member).is_some());
+    }
+    for outsider in [
+        Ipv4::new(0, 0, 0, 0),
+        Ipv4::new(8, 8, 8, 8),
+        Ipv4::new(10, 0, 0, 1),
+        Ipv4::new(127, 0, 0, 1),
+        Ipv4::new(203, 0, 113, 7),
+        Ipv4::new(255, 255, 255, 255),
+    ] {
+        assert_eq!(
+            topo.ext_net_for(outsider),
+            ext_net_scan(topo, outsider),
+            "{what}: {outsider}"
+        );
+    }
+}
+
+/// `small()` plus the repeats no generator emits, so each index's winner
+/// rule is pinned: a second router, circuit, layer-1 device and CDN node
+/// of an existing name, two external nets with one prefix, and a coarser
+/// and a finer net around an existing one. Also the one router a
+/// non-ASCII SNMP name folds onto.
+fn small_with_repeated_names() -> Topology {
+    use grca_net_model::topology::L1DeviceKind;
+    use grca_net_model::{L1Kind, Prefix};
+    let mut t = generate(&TopoGenConfig::small());
+    let pop = t.routers[0].pop;
+    let name = t.routers[0].name.clone();
+    t.add_router(name, RouterRole::Core, pop, Ipv4::new(10, 99, 0, 1));
+    t.add_router("k-cr9", RouterRole::Core, pop, Ipv4::new(10, 99, 0, 2));
+    let circuit = t.phys_links[0].circuit.clone();
+    t.add_phys_link(circuit, L1Kind::Sonet, Vec::new());
+    let dev = t.l1_devices[0].name.clone();
+    t.add_l1_device(dev, L1DeviceKind::SonetAdm, pop);
+    let node = t.cdn_nodes[0].clone();
+    t.add_cdn_node(node.name, node.pop, node.attach_router, node.server_prefix);
+    let net = t.ext_nets[0].clone();
+    t.add_ext_net("twin", net.prefix, net.egress_candidates.clone());
+    let coarse = Prefix::new(net.prefix.network(), net.prefix.len - 4);
+    t.add_ext_net("coarse", coarse, net.egress_candidates.clone());
+    let fine = Prefix::new(net.prefix.network(), net.prefix.len + 2);
+    t.add_ext_net("fine", fine, net.egress_candidates);
+    t
+}
+
+#[test]
+fn name_indexes_match_a_full_scan_at_every_preset() {
+    let mut topos = vec![
+        ("small", generate(&TopoGenConfig::small())),
+        ("small, repeated names", small_with_repeated_names()),
+    ];
+    topos.extend(TierConfig::all().map(|tier| (tier.name, tier.generate())));
+    for (what, topo) in topos {
+        assert!(!topo.cdn_nodes.is_empty() && !topo.ext_nets.is_empty());
+        check_name_indexes(&topo, what);
+        // Rebuilding over filled indexes must replace them and pick the
+        // same winners as the builders did.
+        let mut rebuilt = topo.clone();
+        rebuilt.rebuild_indices();
+        check_name_indexes(&rebuilt, what);
+    }
+}
+
 /// Indexes are skipped by serialization: a round trip answers nothing
 /// until `rebuild_indices`, then the same as the builders' indexes. Small
 /// topology only — the vendored JSON reader is quadratic in document size.
@@ -281,8 +495,13 @@ fn reverse_indexes_survive_a_serde_round_trip() {
     let json = serde_json::to_string(&topo).expect("serialize topology");
     let mut back: Topology = serde_json::from_str(&json).expect("deserialize topology");
     assert_eq!(back.router_by_loopback(topo.routers[0].loopback), None);
+    assert_eq!(back.router_by_name(&topo.routers[0].name), None);
+    assert_eq!(back.iface_by_name(RouterId::new(0), "Serial0/0/0"), None);
+    assert_eq!(back.cdn_node_by_name(&topo.cdn_nodes[0].name), None);
+    assert_eq!(back.ext_net_for(topo.ext_nets[0].prefix.host(1)), None);
     back.rebuild_indices();
     check_reverse_indexes(&back, "small, round-tripped");
+    check_name_indexes(&back, "small, round-tripped");
 }
 
 #[test]
