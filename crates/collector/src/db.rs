@@ -7,12 +7,10 @@
 //! counted in [`IngestStats`] and skipped, which is the operationally
 //! honest behaviour.
 //!
-//! Normalization of one record is a pure function of `(topology, record)`,
-//! which is what makes **memoized entity resolution** safe: every name→id
-//! lookup goes through an [`EntityResolver`] ([`CachedResolver`] by
-//! default; see [`crate::resolve`]).
+//! Normalization of one record is a pure function of `(topology, record)`:
+//! every name→id lookup asks the [`Topology`]'s own indexes, which answer
+//! in O(1) without allocating, so nothing here keeps a map of its own.
 
-use crate::resolve::{CachedResolver, EntityResolver};
 use crate::rows::*;
 use crate::storage::{StorageConfig, StorageStats};
 use crate::tables::Table;
@@ -151,16 +149,15 @@ impl NormRow {
     }
 }
 
-/// Normalize one raw record: resolve entity names through `res`, convert
+/// Normalize one raw record: resolve entity names against `topo`, convert
 /// the source clock to UTC, and build the destination row. `Err` carries
 /// the structured reason the record must be quarantined.
-fn normalize<R: EntityResolver>(
+fn normalize(
     topo: &Topology,
-    res: &mut R,
     rec: &RawRecord,
     stats: &mut IngestStats,
 ) -> Result<NormRow, QuarantineReason> {
-    let row = normalize_inner(topo, res, rec, stats)?;
+    let row = normalize_inner(topo, rec, stats)?;
     // Clock plausibility: a record whose normalized instant falls outside
     // [1990, 2100) is a corrupted timestamp, not a measurement. Without
     // this guard one garbled year digit would catapult the feed's
@@ -176,9 +173,8 @@ fn normalize<R: EntityResolver>(
     Ok(row)
 }
 
-fn normalize_inner<R: EntityResolver>(
+fn normalize_inner(
     topo: &Topology,
-    res: &mut R,
     rec: &RawRecord,
     stats: &mut IngestStats,
 ) -> Result<NormRow, QuarantineReason> {
@@ -200,8 +196,8 @@ fn normalize_inner<R: EntityResolver>(
     }
     match rec {
         RawRecord::Syslog(line) => {
-            let router = res
-                .router_by_name(topo, &line.host)
+            let router = topo
+                .router_by_name(&line.host)
                 .ok_or_else(|| unknown("router", &line.host))?;
             let (local, body) =
                 split_line(&line.line).map_err(|e| QuarantineReason::Malformed {
@@ -223,13 +219,13 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::Snmp(s) => {
-            let router = res
-                .router_by_snmp_name(topo, &s.system)
+            let router = topo
+                .router_by_snmp_name(&s.system)
                 .ok_or_else(|| unknown("snmp system", &s.system))?;
             let utc = TimeZone::US_EASTERN.to_utc(s.local_time);
             let iface = match s.if_index {
                 Some(ix) => Some(
-                    res.iface_by_ifindex(topo, router, ix)
+                    topo.iface_by_ifindex(router, ix)
                         .ok_or_else(|| unknown("ifIndex", &format!("{}#{ix}", s.system)))?,
                 ),
                 None => None,
@@ -243,11 +239,11 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::L1Log(l) => {
-            let device = res
-                .l1dev_by_name(topo, &l.device)
+            let device = topo
+                .l1dev_by_name(&l.device)
                 .ok_or_else(|| unknown("l1 device", &l.device))?;
-            let circuit = res
-                .circuit_by_name(topo, &l.circuit)
+            let circuit = topo
+                .circuit_by_name(&l.circuit)
                 .ok_or_else(|| unknown("circuit", &l.circuit))?;
             let tz = topo.pop(topo.l1_device(device).pop).tz;
             Ok(NormRow::L1(L1Row {
@@ -258,8 +254,8 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::OspfMon(o) => {
-            let link = res
-                .link_by_slash30(topo, o.link_addr)
+            let link = topo
+                .link_by_slash30(o.link_addr)
                 .ok_or_else(|| unknown("link /30", &o.link_addr.to_string()))?;
             Ok(NormRow::Ospf(OspfRow {
                 utc: o.utc,
@@ -268,8 +264,8 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::BgpMon(b) => {
-            let egress = res
-                .router_by_name(topo, &b.egress_router)
+            let egress = topo
+                .router_by_name(&b.egress_router)
                 .ok_or_else(|| unknown("router", &b.egress_router))?;
             Ok(NormRow::Bgp(BgpRow {
                 utc: b.utc,
@@ -280,8 +276,8 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::Tacacs(t) => {
-            let router = res
-                .router_by_name(topo, &t.router)
+            let router = topo
+                .router_by_name(&t.router)
                 .ok_or_else(|| unknown("router", &t.router))?;
             Ok(NormRow::Tacacs(TacacsRow {
                 utc: TimeZone::US_EASTERN.to_utc(t.local_time),
@@ -299,16 +295,16 @@ fn normalize_inner<R: EntityResolver>(
             Ok(NormRow::Workflow(WorkflowRow {
                 utc: TimeZone::US_EASTERN.to_utc(w.local_time),
                 entity: w.router.to_string(),
-                router: res.router_by_name(topo, &w.router),
+                router: topo.router_by_name(&w.router),
                 activity: w.activity.to_string(),
             }))
         }
         RawRecord::Perf(p) => {
-            let ingress = res
-                .router_by_name(topo, &p.ingress_router)
+            let ingress = topo
+                .router_by_name(&p.ingress_router)
                 .ok_or_else(|| unknown("router", &p.ingress_router))?;
-            let egress = res
-                .router_by_name(topo, &p.egress_router)
+            let egress = topo
+                .router_by_name(&p.egress_router)
                 .ok_or_else(|| unknown("router", &p.egress_router))?;
             Ok(NormRow::Perf(PerfRow {
                 utc: p.utc,
@@ -319,11 +315,11 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::CdnMon(c) => {
-            let node = res
-                .cdn_node_by_name(topo, &c.node)
+            let node = topo
+                .cdn_node_by_name(&c.node)
                 .ok_or_else(|| unknown("cdn node", &c.node))?;
-            let client = res
-                .client_site_for(topo, c.client_addr)
+            let client = topo
+                .ext_net_for(c.client_addr)
                 .ok_or_else(|| unknown("client site", &c.client_addr.to_string()))?;
             Ok(NormRow::Cdn(CdnRow {
                 utc: c.utc,
@@ -334,8 +330,8 @@ fn normalize_inner<R: EntityResolver>(
             }))
         }
         RawRecord::ServerLog(s) => {
-            let node = res
-                .cdn_node_by_name(topo, &s.node)
+            let node = topo
+                .cdn_node_by_name(&s.node)
                 .ok_or_else(|| unknown("cdn node", &s.node))?;
             let tz = topo.pop(topo.cdn_node(node).pop).tz;
             Ok(NormRow::Server(ServerRow {
@@ -571,45 +567,20 @@ impl Database {
 
     /// Ingest and normalize a batch of raw records against the topology.
     pub fn ingest(topo: &Topology, records: &[RawRecord]) -> (Database, IngestStats) {
-        Self::ingest_with(topo, records, &mut CachedResolver::new())
-    }
-
-    /// Sequential ingest through an explicit resolution strategy.
-    /// `DirectResolver` reproduces the uncached per-record behaviour
-    /// (benchmark baseline); `CachedResolver` is the production path.
-    pub fn ingest_with<R: EntityResolver>(
-        topo: &Topology,
-        records: &[RawRecord],
-        res: &mut R,
-    ) -> (Database, IngestStats) {
         let mut db = Database::default();
         let mut stats = IngestStats::default();
-        db.absorb(topo, records, res, &mut stats);
-        db.finalize();
+        db.ingest_more(topo, records, &mut stats);
         (db, stats)
     }
 
     /// Incrementally ingest another batch (real-time mode): rows are
     /// appended and the tables re-finalized, so the database stays
-    /// queryable between batches.
+    /// queryable between batches. Every record is accounted for exactly
+    /// once: exact re-deliveries are skipped via the persistent
+    /// fingerprint map (`deduplicated`), rejects land in the quarantine
+    /// (`quarantined`), rows older than the retention floor are counted
+    /// but not stored (`expired`), and the rest are appended (`accepted`).
     pub fn ingest_more(&mut self, topo: &Topology, records: &[RawRecord], stats: &mut IngestStats) {
-        self.absorb(topo, records, &mut CachedResolver::new(), stats);
-        self.finalize();
-    }
-
-    /// Normalize `records` through `res` and append the surviving rows
-    /// (no finalize). Every record is accounted for exactly once: exact
-    /// re-deliveries are skipped via the persistent fingerprint map
-    /// (`deduplicated`), rejects land in the quarantine (`quarantined`),
-    /// rows older than the retention floor are counted but not stored
-    /// (`expired`), and the rest are appended (`accepted`).
-    fn absorb<R: EntityResolver>(
-        &mut self,
-        topo: &Topology,
-        records: &[RawRecord],
-        res: &mut R,
-        stats: &mut IngestStats,
-    ) {
         for rec in records {
             let feed = rec.feed();
             let fp = record_fingerprint(rec);
@@ -617,7 +588,7 @@ impl Database {
                 *stats.deduplicated.entry(feed).or_default() += 1;
                 continue;
             }
-            match normalize(topo, res, rec, stats) {
+            match normalize(topo, rec, stats) {
                 Ok(row) => {
                     let utc = row.utc();
                     self.note_seen(fp, utc);
@@ -635,6 +606,7 @@ impl Database {
                 }
             }
         }
+        self.finalize();
     }
 
     fn push_norm(&mut self, row: NormRow) {
@@ -843,7 +815,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::DirectResolver;
     use grca_net_model::gen::{generate, TopoGenConfig};
     use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
     use grca_telemetry::records::{SnmpMetric, SnmpSample, SyslogLine};
@@ -1050,22 +1021,6 @@ mod tests {
         assert!(!db.ospf.is_empty());
         assert!(!db.bgp.is_empty());
         assert!(!db.tacacs.is_empty());
-    }
-
-    /// Cached and direct resolution produce the same database and stats
-    /// on a full scenario (resolution is pure, so memoizing it must be
-    /// invisible).
-    #[test]
-    fn cached_resolution_is_invisible() {
-        let topo = generate(&TopoGenConfig::small());
-        let cfg = ScenarioConfig::new(7, 4, FaultRates::bgp_study());
-        let out = run_scenario(&topo, &cfg);
-        let (db_direct, st_direct) =
-            Database::ingest_with(&topo, &out.records, &mut DirectResolver);
-        let (db_cached, st_cached) =
-            Database::ingest_with(&topo, &out.records, &mut CachedResolver::new());
-        assert_eq!(db_direct, db_cached);
-        assert_eq!(st_direct, st_cached);
     }
 
     /// The ingest-epoch fingerprint moves on every real state change and

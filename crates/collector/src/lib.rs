@@ -13,7 +13,6 @@
 //! * [`storage`] — the storage backends: the flat `Vec` baseline and the
 //!   memory-bounded segmented columnar store (LRU decode cache, optional
 //!   on-disk spill, segment-granular retention);
-//! * [`resolve`] — entity-name resolution strategies (direct vs memoized);
 //! * [`db`] — the ingestion pipeline over all feeds, with per-feed
 //!   accept/drop statistics;
 //! * [`durable`] — crash-consistent durability: checksummed atomic spill
@@ -24,7 +23,6 @@
 pub mod db;
 pub mod durable;
 pub mod health;
-pub mod resolve;
 pub mod rows;
 pub mod segment;
 pub mod storage;
@@ -38,7 +36,6 @@ pub use durable::{
     SeenLogRef, SegmentRecord, StatsManifest, StoreManifest, TableManifest, MANIFEST_VERSION,
 };
 pub use health::{FeedHealth, FeedRegistry, FeedState};
-pub use resolve::{CachedResolver, DirectResolver, EntityResolver};
 pub use rows::*;
 pub use segment::{
     decode_segment, encode_segment, try_decode_segment, DecodedSeg, SegmentMeta, StoredRow,

@@ -198,17 +198,8 @@ pub fn extract(def: &EventDefinition, cx: &ExtractCx) -> Vec<EventInstance> {
             .filter_map(|row| {
                 // Resolve the entity: a router, or a CDN node's attachment.
                 let loc = row.router.map(Location::Router).or_else(|| {
-                    cx.topo
-                        .cdn_nodes
-                        .iter()
-                        .position(|n| n.name == row.entity)
-                        .map(|i| {
-                            Location::Router(
-                                cx.topo
-                                    .cdn_node(grca_net_model::CdnNodeId::from(i))
-                                    .attach_router,
-                            )
-                        })
+                    let node = cx.topo.cdn_node_by_name(&row.entity)?;
+                    Some(Location::Router(cx.topo.cdn_node(node).attach_router))
                 })?;
                 Some(
                     EventInstance::new(&def.name, TimeWindow::at(row.utc), loc)

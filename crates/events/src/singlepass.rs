@@ -562,17 +562,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             };
             for (slot, def) in hits {
                 let loc = row.router.map(Location::Router).or_else(|| {
-                    cx.topo
-                        .cdn_nodes
-                        .iter()
-                        .position(|n| n.name == row.entity)
-                        .map(|i| {
-                            Location::Router(
-                                cx.topo
-                                    .cdn_node(grca_net_model::CdnNodeId::from(i))
-                                    .attach_router,
-                            )
-                        })
+                    let node = cx.topo.cdn_node_by_name(&row.entity)?;
+                    Some(Location::Router(cx.topo.cdn_node(node).attach_router))
                 });
                 if let Some(loc) = loc {
                     outs[*slot].push(

@@ -280,11 +280,8 @@ pub fn approx_utc(topo: &Topology, r: &RawRecord) -> grca_types::Timestamp {
         RawRecord::Workflow(x) => TimeZone::US_EASTERN.to_utc(x.local_time),
         RawRecord::Perf(x) => x.utc,
         RawRecord::CdnMon(x) => x.utc,
-        RawRecord::ServerLog(x) => match topo.cdn_nodes.iter().position(|n| *n.name == *x.node) {
-            Some(i) => topo
-                .pop(topo.cdn_node(grca_net_model::CdnNodeId::from(i)).pop)
-                .tz
-                .to_utc(x.local_time),
+        RawRecord::ServerLog(x) => match topo.cdn_node_by_name(&x.node) {
+            Some(node) => topo.pop(topo.cdn_node(node).pop).tz.to_utc(x.local_time),
             None => x.local_time,
         },
     }
