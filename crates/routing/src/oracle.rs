@@ -16,6 +16,14 @@
 //! `SHARDS` independent `RwLock<HashMap>`s selected by key hash, so
 //! readers of different (and usually even the same) keys proceed in
 //! parallel and writers only contend within one shard.
+//!
+//! One struct, [`FrozenRoutingState`], owns the reconstructions and the
+//! caches, and one [`RouteOracle`] body answers from it. A
+//! [`RoutingState`] is that struct plus the topology it was reconstructed
+//! over; [`RoutingState::freeze`] hands the struct out so it can outlive
+//! the borrow (a serving snapshot keeps it behind an `Arc`) and
+//! [`RoutingState::thaw`] wraps it again. Both are moves: warm entries
+//! stay where they are, and a query memoizes the same way on either side.
 
 use crate::bgp::BgpState;
 use crate::ospf::{OspfState, SpfResult};
@@ -24,6 +32,7 @@ use grca_types::Timestamp;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
+use std::sync::Arc;
 
 /// Shard count for the route caches. More than any plausible worker count;
 /// a power of two so the hash → shard mapping is a mask.
@@ -67,27 +76,6 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
         val
     }
 
-    /// Drain every shard into one plain map (for freezing).
-    fn into_map(self) -> HashMap<K, V> {
-        let mut out = HashMap::new();
-        for shard in self.shards {
-            out.extend(shard.into_inner());
-        }
-        out
-    }
-
-    /// Rebuild a sharded cache from a frozen map (for thawing). Entries
-    /// land on whichever shard this cache's hasher picks; distribution
-    /// differs run to run but answers never do.
-    fn from_map(map: HashMap<K, V>) -> Self {
-        let cache = ShardedCache::new();
-        for (k, v) in map {
-            cache.shard(&k).write().insert(k, v);
-        }
-        cache
-    }
-
-    #[cfg(test)]
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
@@ -100,31 +88,117 @@ type EgressKey = (RouterId, Prefix, usize, usize);
 /// Cache key for per-source SPF results: (src, OSPF epoch).
 type SpfKey = (RouterId, usize);
 
-/// Reconstructed routing state over a fixed topology.
-pub struct RoutingState<'a> {
-    topo: &'a Topology,
+/// Reconstructed routing state without its topology borrow: the OSPF/BGP
+/// reconstructions plus the sharded memo caches every query goes through.
+///
+/// It holds no topology reference so it can be stored in long-lived (e.g.
+/// `Arc`-shared) serving snapshots; pair it with a topology via
+/// [`FrozenRoutingState::oracle`] to answer queries, or
+/// [`RoutingState::thaw`] to get the live form back. "Frozen" names where
+/// it sits (detached from the borrow, shared read-only by reference), not
+/// what it can do: a query that misses computes from the pure OSPF/BGP
+/// state and memoizes, exactly as on the live side — memoization only
+/// affects speed, never answers.
+pub struct FrozenRoutingState {
     pub ospf: OspfState,
     pub bgp: BgpState,
     path_cache: ShardedCache<PathKey, (Vec<RouterId>, Vec<LinkId>)>,
     egress_cache: ShardedCache<EgressKey, Option<RouterId>>,
-    /// Optional per-source SPF memo (see [`with_spf_cache`]). `None`
-    /// reproduces the historical cost model: every path-cache miss pays a
-    /// full Dijkstra even when the source repeats.
-    ///
-    /// [`with_spf_cache`]: Self::with_spf_cache
-    spf_cache: Option<ShardedCache<SpfKey, std::sync::Arc<SpfResult>>>,
+    /// Optional per-source SPF memo (see [`RoutingState::with_spf_cache`]).
+    /// `None` reproduces the historical cost model: every path-cache miss
+    /// pays a full Dijkstra even when the source repeats.
+    spf_cache: Option<ShardedCache<SpfKey, Arc<SpfResult>>>,
+}
+
+impl FrozenRoutingState {
+    /// Bind a topology to get a [`RouteOracle`] view.
+    pub fn oracle<'t>(&'t self, topo: &'t Topology) -> FrozenOracle<'t> {
+        FrozenOracle { topo, state: self }
+    }
+
+    /// Number of memoized path + egress entries.
+    pub fn cached_entries(&self) -> usize {
+        self.path_cache.len() + self.egress_cache.len()
+    }
+
+    fn ecmp(&self, a: RouterId, b: RouterId, at: Timestamp) -> (Vec<RouterId>, Vec<LinkId>) {
+        let key = (a, b, self.ospf.epoch(at));
+        self.path_cache
+            .get_or_insert_with(key, || match self.cached_spf(a, at) {
+                Some(spf) => self.ospf.ecmp_union_from(&spf, b, at),
+                None => self.ospf.ecmp_union(a, b, at),
+            })
+    }
+
+    /// The memoized SPF from `src`, if the per-source cache is enabled.
+    fn cached_spf(&self, src: RouterId, at: Timestamp) -> Option<Arc<SpfResult>> {
+        let spfs = self.spf_cache.as_ref()?;
+        let epoch = self.ospf.epoch(at);
+        Some(spfs.get_or_insert_with((src, epoch), || Arc::new(self.ospf.spf(src, at))))
+    }
+}
+
+/// A [`RouteOracle`] over a [`FrozenRoutingState`] bound to a topology —
+/// the one implementation of the routing queries; [`RoutingState`]
+/// forwards to it.
+pub struct FrozenOracle<'t> {
+    topo: &'t Topology,
+    state: &'t FrozenRoutingState,
+}
+
+impl RouteOracle for FrozenOracle<'_> {
+    fn egress_for(&self, ingress: RouterId, dst: Prefix, at: Timestamp) -> Option<RouterId> {
+        let s = self.state;
+        let key = (ingress, dst, s.ospf.epoch(at), s.bgp.epoch(at));
+        s.egress_cache
+            .get_or_insert_with(key, || match s.cached_spf(ingress, at) {
+                // Hot-potato distances from the memoized per-source SPF:
+                // a sweep over many prefixes from one ingress (the CDN
+                // pair scan) pays for the Dijkstra once, not per prefix.
+                Some(spf) => s.bgp.best_egress_from(&spf, ingress, dst, at),
+                None => s.bgp.best_egress(&s.ospf, ingress, dst, at),
+            })
+    }
+
+    fn ingress_for(&self, src: Ipv4, _at: Timestamp) -> Option<RouterId> {
+        // NetFlow-style mapping approximated by the external net's primary
+        // attachment (utility 1 of §II-B: "sometimes needs external mapping
+        // information").
+        let net = self.topo.ext_net_for(src)?;
+        self.topo.ext_net(net).egress_candidates.first().copied()
+    }
+
+    fn path_routers(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<RouterId> {
+        self.state.ecmp(a, b, at).0
+    }
+
+    fn path_links(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<LinkId> {
+        self.state.ecmp(a, b, at).1
+    }
+
+    /// Routing epochs fully determine every answer above, so the packed
+    /// (OSPF, BGP) epoch pair is a valid memoization fingerprint.
+    fn epoch(&self, at: Timestamp) -> u64 {
+        ((self.state.ospf.epoch(at) as u64) << 32) | (self.state.bgp.epoch(at) as u64 & 0xffff_ffff)
+    }
+}
+
+/// Reconstructed routing state over a fixed topology.
+pub struct RoutingState<'a> {
+    topo: &'a Topology,
+    state: FrozenRoutingState,
 }
 
 impl<'a> RoutingState<'a> {
     pub fn new(topo: &'a Topology, ospf: OspfState, bgp: BgpState) -> Self {
-        RoutingState {
-            topo,
+        let state = FrozenRoutingState {
             ospf,
             bgp,
             path_cache: ShardedCache::new(),
             egress_cache: ShardedCache::new(),
             spf_cache: None,
-        }
+        };
+        RoutingState { topo, state }
     }
 
     /// Enable per-source SPF memoization: path-cache misses that share a
@@ -136,7 +210,7 @@ impl<'a> RoutingState<'a> {
     /// Purely a cost-model change: answers are identical with or without
     /// (the split walk is property-tested against the one-shot form).
     pub fn with_spf_cache(mut self) -> Self {
-        self.spf_cache = Some(ShardedCache::new());
+        self.state.spf_cache = Some(ShardedCache::new());
         self
     }
 
@@ -157,44 +231,27 @@ impl<'a> RoutingState<'a> {
         RoutingState::new(topo, ospf, bgp)
     }
 
-    /// Reassemble a live state from a frozen one — the inverse of
-    /// [`RoutingState::freeze`] — re-binding a topology. The frozen memo
-    /// entries seed the sharded caches, so everything the previous owner
-    /// warmed (e.g. the simulator's reconvergence path queries) stays
-    /// warm instead of re-paying per-source SPF. Only sound when `topo`
-    /// is the same topology the frozen state was reconstructed over;
-    /// cache entries key on routing epochs within that topology.
+    /// Re-bind a topology to a state [`RoutingState::freeze`] handed out.
+    /// Everything the previous owner warmed (e.g. the simulator's
+    /// reconvergence path queries) stays warm instead of re-paying
+    /// per-source SPF. Only sound when `topo` is the same topology the
+    /// state was reconstructed over; cache entries key on routing epochs
+    /// within that topology.
     pub fn thaw(topo: &'a Topology, frozen: FrozenRoutingState) -> Self {
         RoutingState {
             topo,
-            ospf: frozen.ospf,
-            bgp: frozen.bgp,
-            path_cache: ShardedCache::from_map(frozen.path_cache),
-            egress_cache: ShardedCache::from_map(frozen.egress_cache),
-            spf_cache: frozen.spf_cache.map(ShardedCache::from_map),
+            state: frozen,
         }
     }
 
-    fn ecmp_cached(&self, a: RouterId, b: RouterId, at: Timestamp) -> (Vec<RouterId>, Vec<LinkId>) {
-        let epoch = self.ospf.epoch(at);
-        let key = (a, b, epoch);
-        self.path_cache
-            .get_or_insert_with(key, || match &self.spf_cache {
-                Some(spfs) => {
-                    let spf = spfs.get_or_insert_with((a, epoch), || {
-                        std::sync::Arc::new(self.ospf.spf(a, at))
-                    });
-                    self.ospf.ecmp_union_from(&spf, b, at)
-                }
-                None => self.ospf.ecmp_union(a, b, at),
-            })
+    /// Give up the topology borrow, keeping the reconstructions and every
+    /// memoized entry — the form a serving snapshot stores.
+    pub fn freeze(self) -> FrozenRoutingState {
+        self.state
     }
 
-    /// The memoized SPF from `src`, if the per-source cache is enabled.
-    fn cached_spf(&self, src: RouterId, at: Timestamp) -> Option<std::sync::Arc<SpfResult>> {
-        let spfs = self.spf_cache.as_ref()?;
-        let epoch = self.ospf.epoch(at);
-        Some(spfs.get_or_insert_with((src, epoch), || std::sync::Arc::new(self.ospf.spf(src, at))))
+    fn oracle(&self) -> FrozenOracle<'_> {
+        self.state.oracle(self.topo)
     }
 
     /// Does any equal-cost shortest path from `a` to `b` at `at` use
@@ -208,10 +265,11 @@ impl<'a> RoutingState<'a> {
     /// reconvergence scan — thus costs one SPF per distinct endpoint
     /// instead of one union walk per pair.
     pub fn path_uses_link(&self, a: RouterId, b: RouterId, link: LinkId, at: Timestamp) -> bool {
-        let (Some(sa), Some(sb)) = (self.cached_spf(a, at), self.cached_spf(b, at)) else {
+        let s = &self.state;
+        let (Some(sa), Some(sb)) = (s.cached_spf(a, at), s.cached_spf(b, at)) else {
             return self.path_links(a, b, at).contains(&link);
         };
-        let Some(w) = self.ospf.weight_at(link, at) else {
+        let Some(w) = s.ospf.weight_at(link, at) else {
             return false;
         };
         let dab = sa.dist[b.index()];
@@ -231,7 +289,8 @@ impl<'a> RoutingState<'a> {
     /// SPF cache the membership test is `dist_a(r) + dist_b(r) ==
     /// dist_a(b)` — O(1) from two memoized distance arrays.
     pub fn path_uses_router(&self, a: RouterId, b: RouterId, r: RouterId, at: Timestamp) -> bool {
-        let (Some(sa), Some(sb)) = (self.cached_spf(a, at), self.cached_spf(b, at)) else {
+        let s = &self.state;
+        let (Some(sa), Some(sb)) = (s.cached_spf(a, at), s.cached_spf(b, at)) else {
             return self.path_routers(a, b, at).contains(&r);
         };
         let dab = sa.dist[b.index()];
@@ -243,144 +302,21 @@ impl<'a> RoutingState<'a> {
     }
 }
 
-impl<'a> RoutingState<'a> {
-    /// Freeze this state into an immutable, lock-free snapshot.
-    ///
-    /// The sharded caches (warmed by whatever queries ran so far) are
-    /// drained into plain read-only maps; the OSPF/BGP reconstructions
-    /// move across unchanged. The frozen form backs the serving
-    /// snapshot's query path: readers share it behind an `Arc` and
-    /// never touch a lock.
-    pub fn freeze(self) -> FrozenRoutingState {
-        FrozenRoutingState {
-            ospf: self.ospf,
-            bgp: self.bgp,
-            path_cache: self.path_cache.into_map(),
-            egress_cache: self.egress_cache.into_map(),
-            spf_cache: self.spf_cache.map(ShardedCache::into_map),
-        }
-    }
-}
-
-/// Immutable routing state: the lock-free counterpart of
-/// [`RoutingState`], produced by [`RoutingState::freeze`].
-///
-/// Owns the OSPF/BGP reconstructions plus read-only memo maps drained
-/// from the sharded caches. It holds no topology reference so it can be
-/// stored in long-lived (e.g. `Arc`-shared) serving snapshots; pair it
-/// with a topology via [`FrozenRoutingState::oracle`] to answer
-/// queries. Cache *misses* recompute from the pure OSPF/BGP state
-/// without inserting — memoization only affects speed, never answers —
-/// so a frozen oracle is label-identical to the live one at the same
-/// epochs.
-pub struct FrozenRoutingState {
-    pub ospf: OspfState,
-    pub bgp: BgpState,
-    path_cache: HashMap<PathKey, (Vec<RouterId>, Vec<LinkId>)>,
-    egress_cache: HashMap<EgressKey, Option<RouterId>>,
-    /// Per-source SPF memo, carried through freeze/thaw so a thawed state
-    /// keeps both the memoized answers *and* the cheap-miss cost model.
-    spf_cache: Option<HashMap<SpfKey, std::sync::Arc<SpfResult>>>,
-}
-
-impl FrozenRoutingState {
-    /// Bind a topology to get a [`RouteOracle`] view.
-    pub fn oracle<'t>(&'t self, topo: &'t Topology) -> FrozenOracle<'t> {
-        FrozenOracle { topo, state: self }
-    }
-
-    /// Number of memoized path + egress entries carried over.
-    pub fn cached_entries(&self) -> usize {
-        self.path_cache.len() + self.egress_cache.len()
-    }
-}
-
-/// A [`RouteOracle`] over a [`FrozenRoutingState`] bound to a topology.
-/// Wholly lock-free: hits read the frozen maps, misses recompute from
-/// the pure OSPF/BGP state.
-pub struct FrozenOracle<'t> {
-    topo: &'t Topology,
-    state: &'t FrozenRoutingState,
-}
-
-impl FrozenOracle<'_> {
-    fn ecmp(&self, a: RouterId, b: RouterId, at: Timestamp) -> (Vec<RouterId>, Vec<LinkId>) {
-        let key = (a, b, self.state.ospf.epoch(at));
-        match self.state.path_cache.get(&key) {
-            Some(hit) => hit.clone(),
-            None => self.state.ospf.ecmp_union(a, b, at),
-        }
-    }
-}
-
-impl RouteOracle for FrozenOracle<'_> {
-    fn egress_for(&self, ingress: RouterId, dst: Prefix, at: Timestamp) -> Option<RouterId> {
-        let key = (
-            ingress,
-            dst,
-            self.state.ospf.epoch(at),
-            self.state.bgp.epoch(at),
-        );
-        match self.state.egress_cache.get(&key) {
-            Some(hit) => *hit,
-            None => self
-                .state
-                .bgp
-                .best_egress(&self.state.ospf, ingress, dst, at),
-        }
-    }
-
-    fn ingress_for(&self, src: Ipv4, _at: Timestamp) -> Option<RouterId> {
-        let net = self.topo.ext_net_for(src)?;
-        self.topo.ext_net(net).egress_candidates.first().copied()
-    }
-
-    fn path_routers(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<RouterId> {
-        self.ecmp(a, b, at).0
-    }
-
-    fn path_links(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<LinkId> {
-        self.ecmp(a, b, at).1
-    }
-
-    fn epoch(&self, at: Timestamp) -> u64 {
-        ((self.state.ospf.epoch(at) as u64) << 32) | (self.state.bgp.epoch(at) as u64 & 0xffff_ffff)
-    }
-}
-
 impl RouteOracle for RoutingState<'_> {
     fn egress_for(&self, ingress: RouterId, dst: Prefix, at: Timestamp) -> Option<RouterId> {
-        let key = (ingress, dst, self.ospf.epoch(at), self.bgp.epoch(at));
-        self.egress_cache
-            .get_or_insert_with(key, || match self.cached_spf(ingress, at) {
-                // Hot-potato distances from the memoized per-source SPF:
-                // a sweep over many prefixes from one ingress (the CDN
-                // pair scan) pays for the Dijkstra once, not per prefix.
-                Some(spf) => self.bgp.best_egress_from(&spf, ingress, dst, at),
-                None => self.bgp.best_egress(&self.ospf, ingress, dst, at),
-            })
+        self.oracle().egress_for(ingress, dst, at)
     }
-
-    fn ingress_for(&self, src: Ipv4, _at: Timestamp) -> Option<RouterId> {
-        // NetFlow-style mapping approximated by the external net's primary
-        // attachment (utility 1 of §II-B: "sometimes needs external mapping
-        // information").
-        let net = self.topo.ext_net_for(src)?;
-        self.topo.ext_net(net).egress_candidates.first().copied()
+    fn ingress_for(&self, src: Ipv4, at: Timestamp) -> Option<RouterId> {
+        self.oracle().ingress_for(src, at)
     }
-
     fn path_routers(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<RouterId> {
-        self.ecmp_cached(a, b, at).0
+        self.oracle().path_routers(a, b, at)
     }
-
     fn path_links(&self, a: RouterId, b: RouterId, at: Timestamp) -> Vec<LinkId> {
-        self.ecmp_cached(a, b, at).1
+        self.oracle().path_links(a, b, at)
     }
-
-    /// Routing epochs fully determine every answer above, so the packed
-    /// (OSPF, BGP) epoch pair is a valid memoization fingerprint.
     fn epoch(&self, at: Timestamp) -> u64 {
-        ((self.ospf.epoch(at) as u64) << 32) | (self.bgp.epoch(at) as u64 & 0xffff_ffff)
+        self.oracle().epoch(at)
     }
 }
 
@@ -420,7 +356,10 @@ mod tests {
                 );
             }
         }
-        assert_eq!(cached.spf_cache.as_ref().unwrap().len(), ingresses.len());
+        assert_eq!(
+            cached.state.spf_cache.as_ref().unwrap().len(),
+            ingresses.len()
+        );
     }
 
     #[test]
@@ -510,11 +449,11 @@ mod tests {
         let a = topo.router_by_name("nyc-per1").unwrap();
         let b = topo.router_by_name("lax-per1").unwrap();
         let first = rs.path_routers(a, b, ts(0));
-        let entries = rs.path_cache.len();
+        let entries = rs.state.path_cache.len();
         assert_eq!(entries, 1);
         // Same epoch, different instant: cache hit, no new entry.
         assert_eq!(rs.path_routers(a, b, ts(9999)), first);
-        assert_eq!(rs.path_cache.len(), entries);
+        assert_eq!(rs.state.path_cache.len(), entries);
     }
 
     #[test]
@@ -588,7 +527,7 @@ mod tests {
         let frozen = live.freeze();
         assert!(frozen.cached_entries() >= 2);
         let oracle = frozen.oracle(&topo);
-        // Warmed (cache-hit) and cold (recompute) queries both agree.
+        // What the live side warmed answers the same from the moved caches.
         assert_eq!(oracle.path_routers(a, b, ts(0)), warm);
         assert_eq!(oracle.egress_for(a, net.prefix, ts(0)), live_egress);
         assert_eq!(oracle.path_links(b, a, ts(0)), live_links);
@@ -597,6 +536,18 @@ mod tests {
             oracle.ingress_for(net.prefix.host(5), ts(0)),
             Some(net.egress_candidates[0])
         );
+        // A path the frozen side missed is computed once: asking twice
+        // leaves one more cache entry, and the second ask is that entry.
+        let entries = frozen.cached_entries();
+        let c = topo.router_by_name("chi-per1").unwrap();
+        let cold = oracle.path_routers(c, b, ts(0));
+        assert_eq!(
+            cold,
+            RoutingState::baseline(&topo).path_routers(c, b, ts(0))
+        );
+        assert_eq!(frozen.cached_entries(), entries + 1);
+        assert_eq!(oracle.path_routers(c, b, ts(0)), cold);
+        assert_eq!(frozen.cached_entries(), entries + 1);
     }
 
     /// The per-source SPF memo is a pure cost-model change: every path
@@ -621,16 +572,16 @@ mod tests {
                 plain.path_links(a, b, ts(0))
             );
         }
-        assert_eq!(cached.spf_cache.as_ref().unwrap().len(), 1);
+        assert_eq!(cached.state.spf_cache.as_ref().unwrap().len(), 1);
         // Freeze → thaw keeps the memo (and the cheap-miss cost model).
         let thawed = RoutingState::thaw(&topo, cached.freeze());
-        assert_eq!(thawed.spf_cache.as_ref().unwrap().len(), 1);
+        assert_eq!(thawed.state.spf_cache.as_ref().unwrap().len(), 1);
         let b = topo.router_by_name("lax-per1").unwrap();
         assert_eq!(
             thawed.path_routers(b, a, ts(0)),
             plain.path_routers(b, a, ts(0))
         );
-        assert_eq!(thawed.spf_cache.as_ref().unwrap().len(), 2);
+        assert_eq!(thawed.state.spf_cache.as_ref().unwrap().len(), 2);
     }
 
     /// The O(1) distance-based membership tests agree with the full ECMP
@@ -697,8 +648,8 @@ mod tests {
         let warm_egress = live.egress_for(a, net.prefix, ts(0));
         let thawed = RoutingState::thaw(&topo, live.freeze());
         // The memo entries came back…
-        assert_eq!(thawed.path_cache.len(), 1);
-        assert_eq!(thawed.egress_cache.len(), 1);
+        assert_eq!(thawed.state.path_cache.len(), 1);
+        assert_eq!(thawed.state.egress_cache.len(), 1);
         // …with answers identical to the original (warm and cold alike).
         assert_eq!(thawed.path_routers(a, b, ts(0)), warm_path);
         assert_eq!(thawed.egress_for(a, net.prefix, ts(0)), warm_egress);

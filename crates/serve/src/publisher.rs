@@ -112,11 +112,11 @@ impl Publisher {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        // One batch pass per tenant against the *live* (sharded,
-        // insert-on-miss) caches populates every path/egress the current
-        // symptom set joins through; the frozen snapshot then serves those
-        // queries as pure map hits (the frozen oracle recomputes misses
-        // without memoizing).
+        // One batch pass per tenant populates every path/egress the
+        // current symptom set joins through, so the snapshot serves those
+        // as cache hits from its first request. A latency nicety, not a
+        // correctness need: the caches move into the snapshot as they
+        // are, and a served miss computes and memoizes like a live one.
         let spatial = SpatialModel::new(&self.topo, &live);
         for t in &tenants {
             let engine = Engine::with_index(&t.graph, &store, &spatial, &t.index);

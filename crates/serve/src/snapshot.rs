@@ -1,7 +1,9 @@
 //! [`ServingSnapshot`]: one epoch's immutable world state — per-tenant
 //! rule libraries (overlays already resolved), frozen routing, and the
-//! extracted event store — everything a diagnosis needs, sharable
-//! lock-free behind an `Arc`.
+//! extracted event store — everything a diagnosis needs, shared behind an
+//! `Arc`. The only interior mutability is the routing state's memo: a
+//! route query takes one cache-shard read lock on a hit and memoizes on a
+//! miss, the same sharded cache batch diagnosis shares across threads.
 //!
 //! Tenancy follows the paper's platform framing (§III): each SQM
 //! application (BGP flap, CDN, PIM MVPN, e2e loss) is *configuration*
@@ -86,8 +88,8 @@ impl Tenant {
 
 /// One epoch of immutable serving state. Readers obtain it as an
 /// `Arc<ServingSnapshot>` from [`crate::EpochCell::load`] (or pinned in
-/// a [`crate::Session`]) and query it concurrently without locks; the
-/// next epoch is built off to the side and atomically published.
+/// a [`crate::Session`]) and query it concurrently; the next epoch is
+/// built off to the side and atomically published.
 pub struct ServingSnapshot {
     /// Publisher-assigned generation, strictly increasing per publish.
     pub epoch: u64,
@@ -160,10 +162,10 @@ impl ServingSnapshot {
 
     /// Run `f` with an engine bound to `tenant` over this snapshot.
     ///
-    /// The engine borrows the snapshot's frozen oracle and prebuilt rule
-    /// index, so constructing it is cheap — the serving worker builds
-    /// one per request batch. The closure shape exists because the
-    /// engine borrows stack-local spatial state.
+    /// The engine borrows the snapshot's routing oracle and prebuilt rule
+    /// index, so constructing it is a handful of pointer copies — the
+    /// serving worker builds one per request. The closure shape exists
+    /// because the engine borrows stack-local spatial state.
     pub fn with_engine<R>(&self, tenant: usize, f: impl FnOnce(&Engine) -> R) -> R {
         let t = &self.tenants[tenant];
         if let Some(msg) = &t.poison {
