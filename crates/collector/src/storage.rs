@@ -1,14 +1,13 @@
-//! Pluggable table storage: the flat `Vec` baseline and the
-//! memory-bounded segmented columnar backend behind one trait.
+//! The memory-bounded segmented columnar table backend.
 //!
-//! [`TableStorage`] is the contract every backend must honor — push,
-//! finalize, the binary-searched time queries, the per-entity index, and
-//! segment-granular retention. [`crate::tables::FlatTable`] (the original
-//! implementation, kept verbatim as the differential baseline) and
-//! [`SegmentedTable`] both implement it; [`crate::tables::Table`] is the
-//! enum facade the rest of the platform talks to, so the backend choice
-//! is a construction-time decision ([`crate::Database::with_storage`])
-//! and the differential tests can pin the two backends query-identical.
+//! [`crate::tables::Table`] is the enum facade the rest of the platform
+//! talks to: each of its methods matches on the backend and calls either
+//! [`crate::tables::FlatTable`] (the original implementation, kept
+//! verbatim as the differential baseline) or [`SegmentedTable`] directly.
+//! The backend choice is a construction-time decision
+//! ([`crate::Database::with_storage`]), and the differential tests pin the
+//! two backends query-identical: push, finalize, the binary-searched time
+//! queries, the per-entity index, and retention.
 //!
 //! # Segment lifecycle
 //!
@@ -31,7 +30,7 @@
 //! [`RowSet`]. With [`StorageConfig::spill_dir`] set, sealed blobs live
 //! on disk and only the zone maps stay resident.
 //!
-//! **Retention** ([`TableStorage::retain_before`]) drops whole sealed
+//! **Retention** ([`SegmentedTable::retain_before`]) drops whole sealed
 //! segments whose max time is below the floor — O(dropped), no row
 //! copying — which is exactly what `OnlineRca`'s skip-floor pruning
 //! wants: sealed history ages out; the live tail is never touched.
@@ -74,33 +73,6 @@ impl Default for StorageConfig {
             durable: false,
         }
     }
-}
-
-/// The operations a table backend must provide. Object-safe so
-/// [`crate::tables::Table`] can delegate without duplicating logic.
-#[allow(clippy::len_without_is_empty)]
-pub trait TableStorage<R: StoredRow> {
-    fn push(&mut self, row: R);
-    fn finalize(&mut self);
-    fn len(&self) -> usize;
-    fn all(&self) -> RowSet<'_, R>;
-    /// Rows with `start <= time <= end` (closed window).
-    fn range(&self, w: TimeWindow) -> RowSet<'_, R>;
-    /// Rows with `time >= t`.
-    fn since(&self, t: Timestamp) -> RowSet<'_, R>;
-    /// Rows with `time > t` — the watermark cut.
-    fn after(&self, t: Timestamp) -> RowSet<'_, R>;
-    fn last_time(&self) -> Option<Timestamp>;
-    fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R>;
-    /// Distinct entities, ascending (drives deterministic group order).
-    fn group_entities(&self) -> Vec<R::Entity>;
-    fn entity_count(&self) -> usize;
-    /// Drop rows with `time < floor`; returns how many were dropped. The
-    /// flat backend drops exactly; the segmented backend drops only whole
-    /// sealed segments (so it may retain slightly more than asked).
-    fn retain_before(&mut self, floor: Timestamp) -> usize;
-    /// Estimated resident bytes (rows, indexes, encoded blobs, caches).
-    fn approx_bytes(&self) -> usize;
 }
 
 /// Counters a long-horizon benchmark reads: zone-map effectiveness,
@@ -150,63 +122,6 @@ impl StorageStats {
         self.dropped_rows += o.dropped_rows;
         self.dropped_segments += o.dropped_segments;
         self.torn_blobs += o.torn_blobs;
-    }
-}
-
-/// The flat baseline backend: thin adapters over the slice-returning
-/// inherent API (a `RowSet` over a flat table is just the old slice).
-impl<R: StoredRow> TableStorage<R> for FlatTable<R> {
-    fn push(&mut self, row: R) {
-        FlatTable::push(self, row);
-    }
-
-    fn finalize(&mut self) {
-        FlatTable::finalize(self);
-    }
-
-    fn len(&self) -> usize {
-        FlatTable::len(self)
-    }
-
-    fn all(&self) -> RowSet<'_, R> {
-        RowSet::from_slice(self.all_slice())
-    }
-
-    fn range(&self, w: TimeWindow) -> RowSet<'_, R> {
-        RowSet::from_slice(self.range_slice(w))
-    }
-
-    fn since(&self, t: Timestamp) -> RowSet<'_, R> {
-        RowSet::from_slice(self.since_slice(t))
-    }
-
-    fn after(&self, t: Timestamp) -> RowSet<'_, R> {
-        RowSet::from_slice(self.after_slice(t))
-    }
-
-    fn last_time(&self) -> Option<Timestamp> {
-        FlatTable::last_time(self)
-    }
-
-    fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
-        let (rows, offsets) = self.rows_of_parts(entity);
-        EntityRows::flat(rows, offsets)
-    }
-
-    fn group_entities(&self) -> Vec<R::Entity> {
-        FlatTable::group_entities(self)
-    }
-
-    fn entity_count(&self) -> usize {
-        FlatTable::entity_count(self)
-    }
-
-    fn retain_before(&mut self, floor: Timestamp) -> usize {
-        FlatTable::retain_before(self, floor)
-    }
-
-    fn approx_bytes(&self) -> usize {
-        FlatTable::approx_bytes(self)
     }
 }
 
@@ -360,7 +275,7 @@ impl<R: StoredRow> SegmentedTable<R> {
     /// a checkpoint barrier. Later arrivals older than the sealed
     /// maximum fall into the existing reseal path.
     pub fn seal_all(&mut self) {
-        TableStorage::finalize(self);
+        self.finalize();
         if !self.tail.is_empty() {
             let n = self.tail.len();
             let rows = self.tail.take_prefix(n);
@@ -529,12 +444,16 @@ impl<R: StoredRow> SegmentedTable<R> {
     }
 }
 
-impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
-    fn push(&mut self, row: R) {
+/// The table operations [`crate::tables::Table`] dispatches to.
+#[allow(clippy::len_without_is_empty)]
+impl<R: StoredRow> SegmentedTable<R> {
+    pub fn push(&mut self, row: R) {
         self.tail.push(row);
     }
 
-    fn finalize(&mut self) {
+    /// Sort the tail, merge late rows back through a reseal, and seal
+    /// full chunks (see the module docs).
+    pub fn finalize(&mut self) {
         self.tail.finalize();
         if !self.tail.is_empty() {
             if let Some(last) = self.segs.last() {
@@ -575,16 +494,17 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
             .all(|p| p[0].meta.max_key <= p[1].meta.min_key));
     }
 
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.segs.iter().map(|s| s.meta.rows).sum::<usize>() + self.tail.len()
     }
 
-    fn all(&self) -> RowSet<'_, R> {
+    pub fn all(&self) -> RowSet<'_, R> {
         let chunks = self.time_chunks(|_| true, |d| (0, d.rows.len()));
         RowSet::from_parts(chunks, self.tail.all_slice())
     }
 
-    fn range(&self, w: TimeWindow) -> RowSet<'_, R> {
+    /// Rows with `start <= time <= end` (closed window).
+    pub fn range(&self, w: TimeWindow) -> RowSet<'_, R> {
         let chunks = self.time_chunks(
             |m| m.max_time() >= w.start && m.min_time() <= w.end,
             |d| {
@@ -596,7 +516,8 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         RowSet::from_parts(chunks, self.tail.range_slice(w))
     }
 
-    fn since(&self, t: Timestamp) -> RowSet<'_, R> {
+    /// Rows with `time >= t`.
+    pub fn since(&self, t: Timestamp) -> RowSet<'_, R> {
         let chunks = self.time_chunks(
             |m| m.max_time() >= t,
             |d| (d.times.partition_point(|&u| u < t), d.rows.len()),
@@ -604,7 +525,8 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         RowSet::from_parts(chunks, self.tail.since_slice(t))
     }
 
-    fn after(&self, t: Timestamp) -> RowSet<'_, R> {
+    /// Rows with `time > t` — the watermark cut.
+    pub fn after(&self, t: Timestamp) -> RowSet<'_, R> {
         let chunks = self.time_chunks(
             |m| m.max_time() > t,
             |d| (d.times.partition_point(|&u| u <= t), d.rows.len()),
@@ -612,13 +534,13 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         RowSet::from_parts(chunks, self.tail.after_slice(t))
     }
 
-    fn last_time(&self) -> Option<Timestamp> {
+    pub fn last_time(&self) -> Option<Timestamp> {
         self.tail
             .last_time()
             .or_else(|| self.segs.last().map(|s| s.meta.max_time()))
     }
 
-    fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
+    pub fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
         let mut hot = Vec::new();
         for ix in 0..self.segs.len() {
             if self.segs[ix].meta.entities.binary_search(entity).is_err() {
@@ -632,7 +554,8 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         EntityRows::segmented(hot, *entity, rows, offsets)
     }
 
-    fn group_entities(&self) -> Vec<R::Entity> {
+    /// Distinct entities, ascending (drives deterministic group order).
+    pub fn group_entities(&self) -> Vec<R::Entity> {
         let mut out: Vec<R::Entity> = Vec::new();
         for s in &self.segs {
             out.extend_from_slice(&s.meta.entities);
@@ -643,11 +566,14 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         out
     }
 
-    fn entity_count(&self) -> usize {
+    pub fn entity_count(&self) -> usize {
         self.group_entities().len()
     }
 
-    fn retain_before(&mut self, floor: Timestamp) -> usize {
+    /// Drop whole sealed segments whose newest row is older than `floor`
+    /// (so slightly more than asked may be retained); returns how many
+    /// rows were dropped.
+    pub fn retain_before(&mut self, floor: Timestamp) -> usize {
         let k = self.segs.partition_point(|s| s.meta.max_time() < floor);
         if k == 0 {
             return 0;
@@ -664,7 +590,8 @@ impl<R: StoredRow> TableStorage<R> for SegmentedTable<R> {
         dropped
     }
 
-    fn approx_bytes(&self) -> usize {
+    /// Estimated resident bytes (rows, indexes, encoded blobs, caches).
+    pub fn approx_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for s in &self.segs {
             bytes += match &s.blob {

@@ -1,11 +1,11 @@
-//! Time-indexed tables behind a pluggable storage backend.
+//! Time-indexed tables over one of two storage backends.
 //!
 //! The paper's deployment lands normalized records in real-time database
 //! tables (§II-A); the access patterns the RCA engine needs are "all rows
 //! of feed F in time window W (optionally matching a predicate)" and "the
 //! rows of one entity, in time order". [`Table`] is the facade the rest
-//! of the platform queries; it delegates to one of two backends (see
-//! [`crate::storage`]):
+//! of the platform queries: an enum whose every method matches on the
+//! backend and calls it directly (see [`crate::storage`]):
 //!
 //! * [`FlatTable`] — the original `Vec`-backed implementation and the
 //!   differential baseline: one dense row vector, a **timestamp column**
@@ -26,7 +26,7 @@
 
 use crate::rows::Row;
 use crate::segment::{DecodedSeg, StoredRow};
-use crate::storage::{SegmentedTable, StorageConfig, StorageStats, TableStorage};
+use crate::storage::{SegmentedTable, StorageConfig, StorageStats};
 use grca_types::{TimeWindow, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -473,8 +473,8 @@ impl<'a, R: Row> EntityRows<'a, R> {
 // ---------------------------------------------------------------------------
 
 /// A table of one row type, sorted by canonical `(time, tiebreak)` order
-/// after [`Table::finalize`]. Delegates to the flat baseline or the
-/// segmented columnar backend; see the module docs.
+/// after [`Table::finalize`], on the flat baseline or the segmented
+/// columnar backend; see the module docs.
 // A `Database` holds exactly ten tables, never collections of them, so
 // the flat/segmented size difference buys nothing to box away.
 #[allow(clippy::large_enum_variant)]
@@ -527,33 +527,28 @@ impl<R: StoredRow> Table<R> {
         Table::Seg(SegmentedTable::new(cfg))
     }
 
-    fn store(&self) -> &dyn TableStorage<R> {
-        match self {
-            Table::Flat(t) => t,
-            Table::Seg(t) => t,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn TableStorage<R> {
-        match self {
-            Table::Flat(t) => t,
-            Table::Seg(t) => t,
-        }
-    }
-
     pub fn push(&mut self, row: R) {
-        self.store_mut().push(row);
+        match self {
+            Table::Flat(t) => t.push(row),
+            Table::Seg(t) => t.push(row),
+        }
     }
 
     /// Restore canonical order and indexes after a batch of pushes; on
     /// the segmented backend this is also where full segments seal. See
     /// [`FlatTable::finalize`] for the ordering contract.
     pub fn finalize(&mut self) {
-        self.store_mut().finalize();
+        match self {
+            Table::Flat(t) => t.finalize(),
+            Table::Seg(t) => t.finalize(),
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.store().len()
+        match self {
+            Table::Flat(t) => t.len(),
+            Table::Seg(t) => t.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -562,7 +557,10 @@ impl<R: StoredRow> Table<R> {
 
     /// All rows, in time order.
     pub fn all(&self) -> RowSet<'_, R> {
-        self.store().all()
+        match self {
+            Table::Flat(t) => RowSet::from_slice(t.all_slice()),
+            Table::Seg(t) => t.all(),
+        }
     }
 
     /// The timestamp column (flat backend only — diagnostic/test helper).
@@ -575,22 +573,34 @@ impl<R: StoredRow> Table<R> {
 
     /// Rows with `start <= time <= end` (closed window).
     pub fn range(&self, w: TimeWindow) -> RowSet<'_, R> {
-        self.store().range(w)
+        match self {
+            Table::Flat(t) => RowSet::from_slice(t.range_slice(w)),
+            Table::Seg(t) => t.range(w),
+        }
     }
 
     /// Rows with `time >= t`.
     pub fn since(&self, t: Timestamp) -> RowSet<'_, R> {
-        self.store().since(t)
+        match self {
+            Table::Flat(f) => RowSet::from_slice(f.since_slice(t)),
+            Table::Seg(s) => s.since(t),
+        }
     }
 
     /// Rows with `time > t` — the watermark cut of incremental extraction.
     pub fn after(&self, t: Timestamp) -> RowSet<'_, R> {
-        self.store().after(t)
+        match self {
+            Table::Flat(f) => RowSet::from_slice(f.after_slice(t)),
+            Table::Seg(s) => s.after(t),
+        }
     }
 
     /// The latest timestamp in the table.
     pub fn last_time(&self) -> Option<Timestamp> {
-        self.store().last_time()
+        match self {
+            Table::Flat(t) => t.last_time(),
+            Table::Seg(t) => t.last_time(),
+        }
     }
 
     /// First row at or after `t` (cloned out of the backing storage).
@@ -602,33 +612,51 @@ impl<R: StoredRow> Table<R> {
     /// entity's rows come back in time order. Deterministic, so
     /// extraction passes that flush per group emit reproducibly.
     pub fn groups(&self) -> impl Iterator<Item = (R::Entity, EntityRows<'_, R>)> + '_ {
-        let s = self.store();
-        s.group_entities().into_iter().map(move |e| {
-            let rows = s.rows_of(&e);
+        let entities = match self {
+            Table::Flat(t) => t.group_entities(),
+            Table::Seg(t) => t.group_entities(),
+        };
+        entities.into_iter().map(move |e| {
+            let rows = self.rows_of(&e);
             (e, rows)
         })
     }
 
     /// One entity's rows in time order (empty if unseen).
     pub fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
-        self.store().rows_of(entity)
+        match self {
+            Table::Flat(t) => {
+                let (rows, offsets) = t.rows_of_parts(entity);
+                EntityRows::flat(rows, offsets)
+            }
+            Table::Seg(t) => t.rows_of(entity),
+        }
     }
 
     /// Number of distinct entities.
     pub fn entity_count(&self) -> usize {
-        self.store().entity_count()
+        match self {
+            Table::Flat(t) => t.entity_count(),
+            Table::Seg(t) => t.entity_count(),
+        }
     }
 
     /// Drop rows with `time < floor`; returns how many were dropped. The
     /// segmented backend drops whole sealed segments only (never the live
     /// tail), so it may retain slightly more history than asked.
     pub fn retain_before(&mut self, floor: Timestamp) -> usize {
-        self.store_mut().retain_before(floor)
+        match self {
+            Table::Flat(t) => t.retain_before(floor),
+            Table::Seg(t) => t.retain_before(floor),
+        }
     }
 
     /// Estimated resident bytes of rows, indexes, blobs and caches.
     pub fn approx_bytes(&self) -> usize {
-        self.store().approx_bytes()
+        match self {
+            Table::Flat(t) => t.approx_bytes(),
+            Table::Seg(t) => t.approx_bytes(),
+        }
     }
 
     /// Storage counters — `Some` only on the segmented backend.
