@@ -13,8 +13,8 @@
 //! * [`publisher`] — [`Publisher`]: the ingest-side epoch builder
 //!   (collector database + incremental extraction + routing freeze),
 //!   running entirely off the query path;
-//! * [`server`] — [`Server`]: bounded-queue admission, micro-batching
-//!   of same-tenant requests onto a worker pool, epoch-pinned
+//! * [`server`] — [`Server`]: bounded-queue admission, FIFO
+//!   micro-batching of requests onto a worker pool, epoch-pinned
 //!   [`Session`]s for repeatable reads.
 //!
 //! Correctness bar (tested differentially and under publish races):

@@ -3,20 +3,24 @@
 //!
 //! Request flow: [`Server::submit`] enqueues a job (rejecting when the
 //! bounded queue is full — back-pressure, never unbounded growth) and
-//! returns a [`Ticket`]; a pool worker pops a *micro-batch* of
-//! same-tenant jobs, pins the current snapshot with one
-//! [`EpochCell::load`], binds one engine for the batch, diagnoses, and
-//! fulfills each ticket with the verdict plus the epoch it was served at.
-//! A batch amortizes one queue-mutex pop and one snapshot pin; the engine
-//! bind itself is a handful of pointer copies.
+//! returns a [`Ticket`]; a pool worker pops a *micro-batch* off the head
+//! of the queue in arrival order (FIFO, whatever tenants the jobs name),
+//! pins the current snapshot with one [`EpochCell::load`], and for each
+//! job binds an engine for its tenant, diagnoses, and fulfills the ticket
+//! with the verdict plus the epoch it was served at. A batch amortizes
+//! one queue-mutex pop and one snapshot pin; the engine bind is a handful
+//! of pointer copies, so it is paid per job.
 //!
-//! Two locks sit on the request path, both held for a pointer-sized
-//! operation: the queue mutex (a push or a pop) and the epoch cell's read
-//! lock (one `Arc` clone per batch). A publish holds the cell's write
-//! lock for one swap and frees the superseded snapshot after releasing
-//! it, so it cannot stall a worker for longer than that. A client that
-//! wants repeatable reads across several queries pins an epoch with
-//! [`Server::session`] — later publishes are invisible to it.
+//! Two locks sit on the request path outside the diagnosis itself, both
+//! held for a pointer-sized operation: the queue mutex (a push or a pop)
+//! and the epoch cell's read lock (one `Arc` clone per batch). Inside it,
+//! each route query takes one cache-shard read lock of the snapshot's
+//! routing state (a write lock, for one insert, on a miss). A publish
+//! holds the cell's write lock for one swap and frees the superseded
+//! snapshot after releasing it, so it cannot stall a worker for longer
+//! than that. A client that wants repeatable reads across several
+//! queries pins an epoch with [`Server::session`] — later publishes are
+//! invisible to it.
 
 use crate::publish::EpochCell;
 use crate::snapshot::ServingSnapshot;
@@ -35,7 +39,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue capacity; submits beyond it are rejected.
     pub queue_cap: usize,
-    /// Most same-tenant requests one worker claims per queue pop.
+    /// Most requests one worker claims per queue pop.
     pub max_batch: usize,
 }
 
@@ -312,27 +316,15 @@ impl Session {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        // Claim a micro-batch: the head job plus every *compatible*
-        // (same-tenant) job anywhere in the queue, up to max_batch, so
-        // one queue pop and one snapshot pin serve the whole batch.
-        // Claiming beyond the head reorders only independent
-        // single-shot queries, and the head itself is always served
-        // first — no head-of-line starvation.
-        let batch = {
+        // Claim a micro-batch: up to max_batch jobs off the head of the
+        // queue, in arrival order, so one queue pop and one snapshot pin
+        // serve the whole batch.
+        let batch: Vec<Job> = {
             let mut q = shared.lock_queue();
             loop {
-                if let Some(head) = q.pop_front() {
-                    let tenant = head.tenant;
-                    let mut batch = vec![head];
-                    let mut i = 0;
-                    while batch.len() < shared.max_batch && i < q.len() {
-                        if q[i].tenant == tenant {
-                            batch.push(q.remove(i).expect("index in bounds"));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    break batch;
+                if !q.is_empty() {
+                    let n = q.len().min(shared.max_batch);
+                    break q.drain(..n).collect();
                 }
                 if shared.shutdown.load(SeqCst) {
                     return;
@@ -340,59 +332,37 @@ fn worker_loop(shared: &Shared) {
                 q = shared.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Pin the snapshot once per batch — the only epoch interaction —
-        // then bind one engine and serve every job in it.
+        // Pin the snapshot once per batch — the only epoch interaction.
         let snap = shared.cell.load();
-        let tenant = batch[0].tenant;
         // Count before fulfilling: a client woken by the last fulfill
         // must already see this batch in the stats.
         shared.served.fetch_add(batch.len() as u64, SeqCst);
         shared.batches.fetch_add(1, SeqCst);
-        // Panic isolation, two layers. Per-job: a diagnosis that panics
-        // (a poisoned rule library hitting pathological data) fails only
-        // that request, with an explicit error verdict. Per-batch: a
-        // panic in the engine bind itself (bad tenant id, poisoned
-        // overlay resolution) fails every not-yet-fulfilled job the same
-        // way. Either way the worker survives — a panic must never
-        // shrink the pool or leave a ticket hanging.
-        let done = std::cell::Cell::new(0usize);
-        let bind = catch_unwind(AssertUnwindSafe(|| {
-            snap.with_engine(tenant, |engine| {
-                for job in &batch {
-                    let served =
-                        match catch_unwind(AssertUnwindSafe(|| engine.diagnose(&job.symptom))) {
-                            Ok(diagnosis) => Served {
-                                epoch: snap.epoch,
-                                tenant,
-                                diagnosis,
-                                error: None,
-                            },
-                            Err(payload) => {
-                                shared.poisoned.fetch_add(1, SeqCst);
-                                Served::poisoned(
-                                    snap.epoch,
-                                    tenant,
-                                    &job.symptom,
-                                    panic_message(payload.as_ref()),
-                                )
-                            }
-                        };
-                    job.cell.fulfill(served);
-                    done.set(done.get() + 1);
-                }
-            })
-        }));
-        if let Err(payload) = bind {
-            let msg = panic_message(payload.as_ref());
-            for job in batch.iter().skip(done.get()) {
-                shared.poisoned.fetch_add(1, SeqCst);
-                job.cell.fulfill(Served::poisoned(
-                    snap.epoch,
-                    tenant,
-                    &job.symptom,
-                    msg.clone(),
-                ));
-            }
+        for job in batch {
+            // Panic isolation per job: a panic in the engine bind (a
+            // poisoned rule library) or in the diagnosis itself fails only
+            // that request, with an explicit error verdict. The worker
+            // survives — a panic must never shrink the pool or leave a
+            // ticket hanging.
+            let served =
+                match catch_unwind(AssertUnwindSafe(|| snap.diagnose(job.tenant, &job.symptom))) {
+                    Ok(diagnosis) => Served {
+                        epoch: snap.epoch,
+                        tenant: job.tenant,
+                        diagnosis,
+                        error: None,
+                    },
+                    Err(payload) => {
+                        shared.poisoned.fetch_add(1, SeqCst);
+                        Served::poisoned(
+                            snap.epoch,
+                            job.tenant,
+                            &job.symptom,
+                            panic_message(payload.as_ref()),
+                        )
+                    }
+                };
+            job.cell.fulfill(served);
         }
     }
 }
