@@ -60,7 +60,8 @@ pub enum SubmitError {
     QueueFull,
     /// The server is shutting down.
     ShuttingDown,
-    /// No tenant of that name in the current snapshot.
+    /// No such tenant: the id is outside the tenant set the server was
+    /// started with.
     UnknownTenant(String),
 }
 
@@ -154,6 +155,9 @@ struct Shared {
     shutdown: AtomicBool,
     queue_cap: usize,
     max_batch: usize,
+    /// Tenants in the initial snapshot; ids at or past it are refused at
+    /// admission (tenant sets are stable across epochs).
+    tenants: usize,
     served: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
@@ -179,6 +183,7 @@ impl Server {
     /// Start `cfg.workers` workers serving `initial`.
     pub fn start(initial: Arc<ServingSnapshot>, cfg: &ServeConfig) -> Self {
         let shared = Arc::new(Shared {
+            tenants: initial.tenants().len(),
             cell: EpochCell::new(initial),
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
@@ -219,10 +224,14 @@ impl Server {
 
     /// Admit a diagnosis request for `tenant` (an id from the *current*
     /// snapshot's [`ServingSnapshot::tenant_id`]; tenant sets are stable
-    /// across epochs in this platform, ids are resolved per batch).
+    /// across epochs in this platform, so an id no snapshot holds is
+    /// refused here, before it reaches the queue).
     pub fn submit(&self, tenant: usize, symptom: EventInstance) -> Result<Ticket, SubmitError> {
         if self.shared.shutdown.load(SeqCst) {
             return Err(SubmitError::ShuttingDown);
+        }
+        if tenant >= self.shared.tenants {
+            return Err(SubmitError::UnknownTenant(format!("#{tenant}")));
         }
         let cell = Arc::new(ResponseCell {
             slot: Mutex::new(None),

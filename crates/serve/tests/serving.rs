@@ -291,3 +291,40 @@ fn bounded_queue_rejects_over_capacity() {
     assert_eq!(server.stats().served, n);
     assert_eq!(server.stats().rejected, rejected);
 }
+
+/// An out-of-range tenant id is refused at admission: never queued, not
+/// counted as shed load, and not served as a "poisoned rule library".
+#[test]
+fn unknown_tenant_is_rejected_at_admission() {
+    use grca_serve::SubmitError;
+
+    let topo = Arc::new(generate(&TopoGenConfig::small()));
+    let mut publisher = publisher(&topo);
+    publisher.ingest(&mixed_records(&topo));
+    let snap = publisher.publish().unwrap();
+    let bgp_id = snap.tenant_id("bgp").unwrap();
+    let sym = snap.symptoms(bgp_id)[0].clone();
+    let server = Server::start(snap.clone(), &ServeConfig::default());
+
+    for tenant in [snap.tenants().len(), usize::MAX] {
+        assert!(
+            matches!(
+                server.submit(tenant, sym.clone()),
+                Err(SubmitError::UnknownTenant(_))
+            ),
+            "tenant id {tenant} must not be admitted"
+        );
+        assert!(matches!(
+            server.diagnose(tenant, sym.clone()),
+            Err(SubmitError::UnknownTenant(_))
+        ));
+    }
+    // The last valid id is still served, and nothing above left a trace.
+    let last = snap.tenants().len() - 1;
+    assert!(server.diagnose(last, sym.clone()).unwrap().error.is_none());
+    assert!(server.diagnose(bgp_id, sym).unwrap().error.is_none());
+    let stats = server.stats();
+    assert_eq!(stats.served, 2);
+    assert_eq!(stats.poisoned, 0);
+    assert_eq!(stats.rejected, 0);
+}
