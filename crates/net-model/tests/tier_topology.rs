@@ -273,22 +273,11 @@ fn reverse_indexes_match_a_full_scan_at_every_preset() {
     }
 }
 
-/// `name → position` by one scan over an entity vector's names: a repeated
-/// name keeps its first holder (`first_wins`) or its last — what
-/// `position()` / a map filled by `insert` in arena order answer.
-fn scan_names<'a>(
-    names: impl Iterator<Item = &'a str>,
-    first_wins: bool,
-) -> BTreeMap<&'a str, usize> {
-    let mut out = BTreeMap::new();
-    for (i, name) in names.enumerate() {
-        if first_wins {
-            out.entry(name).or_insert(i);
-        } else {
-            out.insert(name, i);
-        }
-    }
-    out
+/// `name → position` by one scan over an entity vector's names; a repeated
+/// name keeps its last holder, as a map filled by `insert` in arena order
+/// does.
+fn scan_names<'a>(names: impl Iterator<Item = &'a str>) -> BTreeMap<&'a str, usize> {
+    names.enumerate().map(|(i, name)| (name, i)).collect()
 }
 
 /// The longest-prefix scan `Topology::ext_net_for` ran before its bucketed
@@ -309,7 +298,7 @@ fn ext_net_scan(topo: &Topology, addr: Ipv4) -> Option<ClientSiteId> {
 /// stack-buffer fold does not take), a member and some non-members of
 /// every external net, and `None` for names nothing holds.
 fn check_name_indexes(topo: &Topology, what: &str) {
-    let routers = scan_names(topo.routers.iter().map(|r| r.name.as_str()), false);
+    let routers = scan_names(topo.routers.iter().map(|r| r.name.as_str()));
     let router = |name: &str| routers.get(name).map(|&i| RouterId::from(i));
     for r in &topo.routers {
         assert_eq!(topo.router_by_name(&r.name), router(&r.name), "{what}");
@@ -382,7 +371,7 @@ fn check_name_indexes(topo: &Topology, what: &str) {
     let beyond = RouterId::from(topo.routers.len());
     assert_eq!(topo.iface_by_name(beyond, "Serial0/0/0"), None);
 
-    let circuits = scan_names(topo.phys_links.iter().map(|p| p.circuit.as_str()), false);
+    let circuits = scan_names(topo.phys_links.iter().map(|p| p.circuit.as_str()));
     for p in &topo.phys_links {
         assert_eq!(
             topo.circuit_by_name(&p.circuit),
@@ -394,7 +383,7 @@ fn check_name_indexes(topo: &Topology, what: &str) {
     }
     assert_eq!(topo.circuit_by_name("CKT-NO-WHERE-0000"), None);
 
-    let l1 = scan_names(topo.l1_devices.iter().map(|d| d.name.as_str()), false);
+    let l1 = scan_names(topo.l1_devices.iter().map(|d| d.name.as_str()));
     for d in &topo.l1_devices {
         assert_eq!(
             topo.l1dev_by_name(&d.name),
