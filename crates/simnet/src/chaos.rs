@@ -86,6 +86,11 @@ impl MicroBatches {
                 .or_insert_with(Vec::new)
                 .push(r);
         }
+        // Buckets grew by `push`; a schedule kept as a reference input
+        // should not carry that slack.
+        for batch in batches.iter_mut().flat_map(BTreeMap::values_mut) {
+            batch.shrink_to_fit();
+        }
         MicroBatches {
             start,
             cycle_len,
@@ -274,6 +279,11 @@ impl FeedChaos {
                 out[cycles - 1].append(&mut held);
             }
         }
+        // A delivered schedule is built once and then only read, often for
+        // the life of a benchmark: hold no growth slack.
+        for cycle in &mut out {
+            cycle.shrink_to_fit();
+        }
         out
     }
 
@@ -287,7 +297,15 @@ impl FeedChaos {
         }
         mb.batches
             .into_iter()
-            .map(|feeds| feeds.into_values().flatten().collect())
+            .map(|feeds| {
+                // Sized exactly: `flatten().collect()` grows by doubling
+                // and leaves up to half the vector as slack.
+                let mut cycle = Vec::with_capacity(feeds.values().map(Vec::len).sum());
+                for batch in feeds.into_values() {
+                    cycle.extend(batch);
+                }
+                cycle
+            })
             .collect()
     }
 }
@@ -584,7 +602,12 @@ mod tests {
             }
         }
         let plain = FeedChaos::new(3);
-        assert_eq!(flat(&plain.deliver(&mb)), flat(&plain.deliver_owned(mbk)));
+        let (borrowed, owned) = (plain.deliver(&mb), plain.deliver_owned(mbk));
+        assert_eq!(flat(&borrowed), flat(&owned));
+        // Delivered cycles are sized exactly on both paths.
+        for cycle in borrowed.iter().chain(&owned) {
+            assert_eq!(cycle.capacity(), cycle.len());
+        }
         // With ops configured the owned path falls back to full chaos.
         let mb2 = MicroBatches::new(
             &topo,
