@@ -339,7 +339,7 @@ impl<'a> Engine<'a> {
         }
         // Winner(s): maximum priority.
         let max_prio = evidence.iter().map(|e| e.priority).max();
-        let root_causes = match max_prio {
+        let mut root_causes: Vec<usize> = match max_prio {
             None => Vec::new(),
             Some(p) => evidence
                 .iter()
@@ -348,6 +348,11 @@ impl<'a> Engine<'a> {
                 .map(|(i, _)| i)
                 .collect(),
         };
+        // A verdict is built once and kept by whoever consumes it (an
+        // emission log, a served epoch): hold no growth slack. Both grew by
+        // `push` — capacity 4 at the first, for two or three entries.
+        evidence.shrink_to_fit();
+        root_causes.shrink_to_fit();
         Diagnosis {
             symptom: symptom.clone(),
             evidence,
@@ -435,6 +440,9 @@ mod tests {
         assert!(d.has_evidence("cpu"));
         assert!(d.has_evidence("iface-flap"));
         assert_eq!(d.label(), "iface-flap");
+        // A verdict holds exactly what it found.
+        assert_eq!(d.evidence.capacity(), d.evidence.len());
+        assert_eq!(d.root_causes.capacity(), d.root_causes.len());
     }
 
     #[test]
