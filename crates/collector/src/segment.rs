@@ -15,10 +15,11 @@
 //! * numeric ids are varints; measurements are raw `f64` bits (bit-exact
 //!   round-trips, so decoded rows hash and compare identically).
 //!
-//! Decoding a segment rebuilds the exact rows plus the same derived
-//! indexes `FlatTable::finalize` would build (timestamp column, per-entity
-//! offset index) as a [`DecodedSeg`]. Encode→decode is the identity on
-//! the row vector — the differential proptests pin that.
+//! Decoding a segment rebuilds the exact rows plus the timestamp column
+//! `FlatTable::finalize` would build, as a [`DecodedSeg`]; the per-entity
+//! offset index is derived from the rows on the first per-entity lookup.
+//! Encode→decode is the identity on the row vector — the differential
+//! proptests pin that.
 
 use crate::rows::{
     BgpRow, CdnRow, L1Row, OspfRow, PerfRow, Row, ServerRow, SnmpRow, SyslogRow, TacacsRow,
@@ -31,6 +32,7 @@ use grca_telemetry::records::{L1EventKind, PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::parse_syslog_message;
 use grca_types::Timestamp;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A row type that can live in either storage backend: queryable
 /// ([`Row`]) plus a columnar encoding for sealed segments.
@@ -200,8 +202,25 @@ pub struct DecodedSeg<R: Row> {
     /// Timestamp column aligned with `rows`.
     pub times: Vec<Timestamp>,
     /// Entity → ascending offsets into `rows` (the per-segment
-    /// generalization of the flat finalize-time index).
-    pub groups: BTreeMap<R::Entity, Vec<u32>>,
+    /// generalization of the flat finalize-time index). Built on the
+    /// first [`DecodedSeg::offsets_of`]: full scans, reseals and
+    /// extraction's one collect per sealed run never read it, and at
+    /// thousands of entities a segment it is most of a decode's cost.
+    groups: OnceLock<BTreeMap<R::Entity, Vec<u32>>>,
+}
+
+impl<R: Row> DecodedSeg<R> {
+    /// One entity's ascending offsets into `rows` (empty if unseen).
+    pub fn offsets_of(&self, entity: &R::Entity) -> &[u32] {
+        let groups = self.groups.get_or_init(|| {
+            let mut groups: BTreeMap<R::Entity, Vec<u32>> = BTreeMap::new();
+            for (i, row) in self.rows.iter().enumerate() {
+                groups.entry(row.entity()).or_default().push(i as u32);
+            }
+            groups
+        });
+        groups.get(entity).map_or(&[], Vec::as_slice)
+    }
 }
 
 impl<R: StoredRow> DecodedSeg<R> {
@@ -212,27 +231,24 @@ impl<R: StoredRow> DecodedSeg<R> {
 
     fn from_rows(rows: Vec<R>) -> Self {
         let times: Vec<Timestamp> = rows.iter().map(|r| r.time()).collect();
-        let mut groups: BTreeMap<R::Entity, Vec<u32>> = BTreeMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            groups.entry(row.entity()).or_default().push(i as u32);
-        }
         DecodedSeg {
             rows,
             times,
-            groups,
+            groups: OnceLock::new(),
         }
     }
 
-    /// Estimated resident bytes of the decoded form (memory accounting).
+    /// Estimated resident bytes of the decoded form (memory accounting);
+    /// the per-entity index counts once a lookup has built it.
     pub fn approx_bytes(&self) -> usize {
         let rows: usize = self.rows.len() * std::mem::size_of::<R>()
             + self.rows.iter().map(StoredRow::heap_bytes).sum::<usize>();
         let times = self.times.len() * std::mem::size_of::<Timestamp>();
-        let groups: usize = self
-            .groups
-            .values()
-            .map(|v| v.len() * 4 + std::mem::size_of::<(R::Entity, Vec<u32>)>())
-            .sum();
+        let groups: usize = self.groups.get().map_or(0, |g| {
+            g.values()
+                .map(|v| v.len() * 4 + std::mem::size_of::<(R::Entity, Vec<u32>)>())
+                .sum()
+        });
         rows + times + groups
     }
 }
@@ -652,6 +668,16 @@ mod tests {
         assert_eq!(dec.times.len(), rows.len());
         // The encoded form is much smaller than the struct form.
         assert!(blob.len() < rows.len() * std::mem::size_of::<SnmpRow>() / 2);
+        // The per-entity index costs nothing until a lookup asks for it,
+        // then answers exactly what a scan of the rows would.
+        let scan_only = dec.approx_bytes();
+        let entity = rows[0].entity();
+        let want: Vec<u32> = (0..rows.len() as u32)
+            .filter(|&i| rows[i as usize].entity() == entity)
+            .collect();
+        assert_eq!(dec.offsets_of(&entity), want.as_slice());
+        assert!(dec.offsets_of(&(RouterId(99), None)).is_empty());
+        assert!(dec.approx_bytes() > scan_only);
     }
 
     #[test]

@@ -438,11 +438,7 @@ impl<'a, R: Row> EntityRows<'a, R> {
 
     pub fn len(&self) -> usize {
         let sealed: usize = match &self.entity {
-            Some(e) => self
-                .segs
-                .iter()
-                .map(|s| s.groups.get(e).map_or(0, Vec::len))
-                .sum(),
+            Some(e) => self.segs.iter().map(|s| s.offsets_of(e).len()).sum(),
             None => 0,
         };
         sealed + self.offsets.len()
@@ -458,10 +454,7 @@ impl<'a, R: Row> EntityRows<'a, R> {
         self.segs
             .iter()
             .flat_map(move |s| {
-                let offs: &[u32] = e
-                    .and_then(|e| s.groups.get(&e))
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
+                let offs: &[u32] = e.map_or(&[], |e| s.offsets_of(&e));
                 offs.iter().map(move |&i| &s.rows[i as usize])
             })
             .chain(self.offsets.iter().map(move |&i| &rows[i as usize]))
