@@ -40,5 +40,5 @@ pub use rows::*;
 pub use segment::{
     decode_segment, encode_segment, try_decode_segment, DecodedSeg, SegmentMeta, StoredRow,
 };
-pub use storage::{SegmentedTable, StorageConfig, StorageStats};
+pub use storage::{SealedRun, SegmentedTable, StorageConfig, StorageStats};
 pub use tables::{EntityRows, FlatTable, RowSet, Table};

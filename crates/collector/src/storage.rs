@@ -30,6 +30,14 @@
 //! [`RowSet`]. With [`StorageConfig::spill_dir`] set, sealed blobs live
 //! on disk and only the zone maps stay resident.
 //!
+//! A reader that re-scans history every cycle does not have to decode it
+//! every cycle: [`SegmentedTable::runs`] walks the table as its sealed
+//! runs, each a [`SealedRun`] whose id names those immutable rows for the
+//! life of the process, followed by the tail. What a run contributes can
+//! be computed once and kept under its id; retention and reseals retire
+//! ids and never reuse one. Incremental extraction reads history this
+//! way, so the LRU is left to per-entity lookups and drill-down.
+//!
 //! **Retention** ([`SegmentedTable::retain_before`]) drops whole sealed
 //! segments whose max time is below the floor — O(dropped), no row
 //! copying — which is exactly what `OnlineRca`'s skip-floor pruning
@@ -166,8 +174,9 @@ impl Blob {
 
 #[derive(Debug, Clone)]
 struct SealedSegment<R: StoredRow> {
-    /// Stable identity for the decode cache (survives index shifts from
-    /// retention).
+    /// Names this immutable run of rows for the life of the process (see
+    /// [`RUN_SEQ`]): the decode cache's key, and the key under which a
+    /// reader may keep anything it derived from the run ([`SealedRun`]).
     id: u64,
     meta: SegmentMeta<R::Entity>,
     blob: Blob,
@@ -192,6 +201,16 @@ struct Cache<R: StoredRow> {
 /// Names spill files uniquely across every table in the process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Mints sealed-run ids, process-wide like [`SPILL_SEQ`] and for the same
+/// reason: an id must name one immutable run of rows wherever it is met. A
+/// per-table counter would hand the same number to different rows in two
+/// tables, in a table and its diverged clone, or in a database restored
+/// from a manifest — and whoever memoized by id would read the wrong run.
+/// A clone shares its original's runs and their ids, which is sound (same
+/// rows); whatever either seals afterwards gets a fresh one, as does
+/// every run a reseal rewrites.
+static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// The segmented columnar backend. See the module docs for the design.
 pub struct SegmentedTable<R: StoredRow> {
     cfg: StorageConfig,
@@ -200,7 +219,6 @@ pub struct SegmentedTable<R: StoredRow> {
     /// Unsealed rows, newest history — a flat table so the ingest path
     /// and the merge-finalize are shared with the baseline backend.
     tail: FlatTable<R>,
-    next_id: u64,
     reseals: u64,
     dropped_rows: u64,
     dropped_segments: u64,
@@ -214,7 +232,6 @@ impl<R: StoredRow> SegmentedTable<R> {
             cfg,
             segs: Vec::new(),
             tail: FlatTable::default(),
-            next_id: 0,
             reseals: 0,
             dropped_rows: 0,
             dropped_segments: 0,
@@ -359,8 +376,7 @@ impl<R: StoredRow> SegmentedTable<R> {
                 }
             }
         };
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
         self.segs.push(SealedSegment { id, meta, blob });
     }
 
@@ -444,6 +460,31 @@ impl<R: StoredRow> SegmentedTable<R> {
     }
 }
 
+/// One sealed run of a [`SegmentedTable`], met on a
+/// [`SegmentedTable::runs`] walk. Its rows are immutable and its
+/// [`id`](SealedRun::id) names them for the life of the process, so what a
+/// reader derives from the rows once it may keep under that id; retention
+/// and reseals retire ids, they never reuse one.
+pub struct SealedRun<'a, R: StoredRow> {
+    table: &'a SegmentedTable<R>,
+    ix: usize,
+}
+
+impl<'a, R: StoredRow> SealedRun<'a, R> {
+    pub fn id(&self) -> u64 {
+        self.table.segs[self.ix].id
+    }
+
+    /// The run's rows, decoded through the table's LRU like any scan (a
+    /// torn blob reads as rowless, as it does for every other query).
+    pub fn rows(&self) -> RowSet<'a, R> {
+        self.table.counters.scanned.fetch_add(1, Ordering::Relaxed);
+        let seg = self.table.decoded(self.ix);
+        let end = seg.rows.len();
+        RowSet::from_parts(vec![SegChunk { seg, start: 0, end }], &[])
+    }
+}
+
 /// The table operations [`crate::tables::Table`] dispatches to.
 #[allow(clippy::len_without_is_empty)]
 impl<R: StoredRow> SegmentedTable<R> {
@@ -501,6 +542,17 @@ impl<R: StoredRow> SegmentedTable<R> {
     pub fn all(&self) -> RowSet<'_, R> {
         let chunks = self.time_chunks(|_| true, |d| (0, d.rows.len()));
         RowSet::from_parts(chunks, self.tail.all_slice())
+    }
+
+    /// The table as its sealed runs, in time order, and the unsealed tail
+    /// that follows them: the same rows in the same order as
+    /// [`SegmentedTable::all`], but nothing decodes until a run is asked
+    /// for its rows.
+    pub fn runs(&self) -> (Vec<SealedRun<'_, R>>, RowSet<'_, R>) {
+        let sealed = (0..self.segs.len())
+            .map(|ix| SealedRun { table: self, ix })
+            .collect();
+        (sealed, RowSet::from_slice(self.tail.all_slice()))
     }
 
     /// Rows with `start <= time <= end` (closed window).
@@ -615,7 +667,6 @@ impl<R: StoredRow> Clone for SegmentedTable<R> {
             cfg: self.cfg.clone(),
             segs: self.segs.clone(),
             tail: self.tail.clone(),
-            next_id: self.next_id,
             reseals: self.reseals,
             dropped_rows: self.dropped_rows,
             dropped_segments: self.dropped_segments,

@@ -26,7 +26,7 @@
 
 use crate::rows::Row;
 use crate::segment::{DecodedSeg, StoredRow};
-use crate::storage::{SegmentedTable, StorageConfig, StorageStats};
+use crate::storage::{SealedRun, SegmentedTable, StorageConfig, StorageStats};
 use grca_types::{TimeWindow, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -556,6 +556,17 @@ impl<R: StoredRow> Table<R> {
         }
     }
 
+    /// The table as its immutable sealed runs, in time order, and the rows
+    /// that follow them — [`Table::all`] in pieces a reader can tell
+    /// apart, none decoded until asked. The flat backend has no sealed
+    /// runs: every row is in the second part.
+    pub fn runs(&self) -> (Vec<SealedRun<'_, R>>, RowSet<'_, R>) {
+        match self {
+            Table::Flat(t) => (Vec::new(), RowSet::from_slice(t.all_slice())),
+            Table::Seg(t) => t.runs(),
+        }
+    }
+
     /// The timestamp column (flat backend only — diagnostic/test helper).
     pub fn times(&self) -> &[Timestamp] {
         match self {
@@ -899,6 +910,69 @@ mod tests {
         let odds: Vec<u32> = t.rows_of(&1).iter().map(|r| r.1).collect();
         assert_eq!(odds, vec![5]);
         assert_eq!(t.retain_before(ts(0)), 0);
+    }
+
+    /// The run walk is `all()` in pieces, and a run id names one immutable
+    /// run of rows wherever it is met: in another table, in a clone that
+    /// went its own way, after retention shifted the indexes, after a
+    /// reseal rewrote the overlap.
+    #[test]
+    fn run_walk_matches_all_and_ids_never_alias() {
+        fn check(t: &Table<TR>, seen: &mut std::collections::HashMap<u64, Vec<TR>>) {
+            let (sealed, tail) = t.runs();
+            let mut walked: Vec<TR> = Vec::new();
+            for run in &sealed {
+                let rows = run.rows().to_vec();
+                let first_met = seen.entry(run.id()).or_insert_with(|| rows.clone());
+                assert_eq!(*first_met, rows, "run id {} names two row sets", run.id());
+                walked.extend(rows);
+            }
+            walked.extend(tail.to_vec());
+            assert_eq!(walked, t.all().to_vec());
+        }
+        let cfg = StorageConfig {
+            segment_rows: 4,
+            cache_segments: 2,
+            spill_dir: None,
+            durable: false,
+        };
+        let fill = |t: &mut Table<TR>, times: std::ops::Range<i64>, tag: u32| {
+            for s in times {
+                t.push(TR(ts(s), tag + s as u32));
+            }
+            t.finalize();
+        };
+        let mut seen = std::collections::HashMap::new();
+        let mut a = Table::segmented(cfg.clone());
+        let mut other = Table::segmented(cfg);
+        fill(&mut a, 0..20, 0);
+        fill(&mut other, 0..20, 1000);
+        check(&a, &mut seen);
+        check(&other, &mut seen);
+        assert!(a.runs().0.len() >= 3, "sealing must have happened");
+        // A clone shares the runs it was born with, then seals its own.
+        let mut b = a.clone();
+        fill(&mut a, 20..40, 0);
+        fill(&mut b, 20..40, 5000);
+        check(&a, &mut seen);
+        check(&b, &mut seen);
+        // Retention drops a prefix: the survivors keep their ids.
+        let before: Vec<u64> = a.runs().0.iter().map(SealedRun::id).collect();
+        assert!(a.retain_before(ts(9)) > 0);
+        let after: Vec<u64> = a.runs().0.iter().map(SealedRun::id).collect();
+        assert!(after.len() < before.len() && before.ends_with(&after));
+        check(&a, &mut seen);
+        // A late row reseals the overlap under ids never used before.
+        a.push(TR(ts(25), 77));
+        a.finalize();
+        assert!(a.seg_stats().unwrap().reseals > 0);
+        check(&a, &mut seen);
+        // The flat backend is zero runs plus its rows.
+        let mut flat = Table::default();
+        fill(&mut flat, 0..5, 0);
+        let (sealed, tail) = flat.runs();
+        assert!(sealed.is_empty());
+        assert_eq!(tail.len(), 5);
     }
 
     /// The segmented backend answers every query identically to the flat
