@@ -24,7 +24,10 @@ use crate::extract::{
     server_node_events, snmp_entity_events, ExtractCx, RECONV_DUR,
 };
 use crate::instance::{EventInstance, EventStore};
-use grca_collector::{RowSet, StoredRow, Table};
+use grca_collector::{
+    BgpRow, CdnRow, L1Row, OspfRow, PerfRow, RowSet, ServerRow, SnmpRow, StoredRow, SyslogRow,
+    Table, TacacsRow, WorkflowRow,
+};
 use grca_net_model::{InterfaceId, Ipv4, LinkId, Location, Prefix, RouterId, RouterRole};
 use grca_telemetry::records::{PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::SyslogEvent;
@@ -102,28 +105,22 @@ pub fn is_stateless(def: &EventDefinition) -> bool {
     )
 }
 
-/// One accumulator per syslog-reading definition (mnemonic definitions
+/// What a syslog-reading definition does with a row (mnemonic definitions
 /// dispatch through a hash map instead — see `run`).
-enum SyslogAcc {
+enum SyslogKind {
     /// Interface or line-protocol state transitions, paired at finish.
     Iface {
         sel: StateSel,
         proto: bool,
-        tr: Vec<(Timestamp, InterfaceId, bool)>,
     },
     Reboot,
     Cpu {
         min: u32,
     },
-    EbgpFlap {
-        tr: Vec<(Timestamp, (RouterId, Ipv4), bool)>,
-    },
+    EbgpFlap,
     HoldTimer,
     Reset,
-    Pim {
-        scope: PimScope,
-        tr: Vec<(Timestamp, (RouterId, Ipv4), bool)>,
-    },
+    Pim(PimScope),
 }
 
 /// Per-entity timestamp series keyed by (router, optional ifindex).
@@ -135,171 +132,216 @@ type CdnSeries = BTreeMap<(u32, u32), Vec<(Timestamp, f64, f64)>>;
 /// High-load sample timestamps per CDN node.
 type NodeTimes = BTreeMap<u32, Vec<Timestamp>>;
 
+/// Point instances in row order, each tagged with its definition's slot.
+type Points = Vec<(usize, EventInstance)>;
+
+/// What a run of syslog rows contributes. The transition lists are
+/// parallel to the matcher list (empty for point matchers).
+struct SyslogPart {
+    points: Points,
+    iface: Vec<Vec<(Timestamp, InterfaceId, bool)>>,
+    session: Vec<Vec<(Timestamp, (RouterId, Ipv4), bool)>>,
+}
+
+/// What a run of OSPF rows contributes: reconvergence instances, and —
+/// when a cost definition reads them — every row's `(instant, link, alive)`.
+/// Whether a row *changes* a link's state depends on the rows before it, so
+/// that is decided at finish, over all parts in order.
+#[derive(Default)]
+struct OspfPart {
+    points: Points,
+    rows: Vec<(Timestamp, LinkId, bool)>,
+}
+
+/// One BGP update as the reflector-copy dedup sees it.
+type UpdateKey = (Timestamp, Prefix, RouterId, Option<(u32, u32)>);
+
+/// Append point instances to their slots: earlier parts' by clone, the
+/// last part's by move.
+fn emit_points<'p>(
+    earlier: impl Iterator<Item = &'p Points>,
+    last: Points,
+    outs: &mut [Vec<EventInstance>],
+) {
+    for (slot, inst) in earlier.flatten() {
+        outs[*slot].push(inst.clone());
+    }
+    for (slot, inst) in last {
+        outs[slot].push(inst);
+    }
+}
+
 /// Interpret every definition over each table in one pass. Output is
 /// indexed like `defs`; each entry equals `extract(defs[i], cx)` exactly
 /// (over the cut slice).
+///
+/// Each table block is a **collect** — rows → that block's *part*: point
+/// instances in row order, and for definitions that pair, merge or
+/// baseline across rows, the projected columns they will need — and a
+/// **finish**: the parts, in row order, through the same helpers as the
+/// baseline. A part is a pure function of the rows it was collected from
+/// (and the topology): no collect loop carries state from one row to the
+/// next, so collecting a table in pieces and finishing over the pieces in
+/// order equals collecting it whole.
 pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Vec<EventInstance>> {
     let mut outs: Vec<Vec<EventInstance>> = vec![Vec::new(); defs.len()];
+    let point = |slot: usize, at: Timestamp, loc: Location| {
+        EventInstance::new(&defs[slot].name, TimeWindow::at(at), loc)
+    };
 
     // ------------------------------------------------------------ syslog
-    // (slot, def, accumulator) for every definition reading syslog.
-    // Mnemonic definitions are keyed by their message type instead: the
-    // screening configuration registers one definition per syslog mnemonic
-    // (the paper's §IV-B had 2533), and a linear matcher sweep per row
-    // would put extraction right back at O(definitions × rows). A hash
-    // lookup on the row's mnemonic finds the interested definitions in
-    // O(1) regardless of how many are registered.
-    let mut syslog: Vec<(usize, &EventDefinition, SyslogAcc)> = Vec::new();
-    let mut mnemonics: HashMap<&str, Vec<(usize, &EventDefinition)>> = HashMap::new();
+    // (slot, kind) for every definition reading syslog. Mnemonic
+    // definitions are keyed by their message type instead: the screening
+    // configuration registers one definition per syslog mnemonic (the
+    // paper's §IV-B had 2533), and a linear matcher sweep per row would
+    // put extraction right back at O(definitions × rows). A hash lookup on
+    // the row's mnemonic finds the interested definitions in O(1)
+    // regardless of how many are registered.
+    let mut syslog: Vec<(usize, SyslogKind)> = Vec::new();
+    let mut mnemonics: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, def) in defs.iter().enumerate() {
-        if let Retrieval::SyslogMnemonic { mnemonic } = &def.retrieval {
-            mnemonics
-                .entry(mnemonic.as_str())
-                .or_default()
-                .push((i, *def));
-            continue;
-        }
-        let acc = match &def.retrieval {
-            Retrieval::InterfaceState(sel) => SyslogAcc::Iface {
+        let kind = match &def.retrieval {
+            Retrieval::SyslogMnemonic { mnemonic } => {
+                mnemonics.entry(mnemonic.as_str()).or_default().push(i);
+                continue;
+            }
+            Retrieval::InterfaceState(sel) => SyslogKind::Iface {
                 sel: *sel,
                 proto: false,
-                tr: Vec::new(),
             },
-            Retrieval::LineProtoState(sel) => SyslogAcc::Iface {
+            Retrieval::LineProtoState(sel) => SyslogKind::Iface {
                 sel: *sel,
                 proto: true,
-                tr: Vec::new(),
             },
-            Retrieval::RouterReboot => SyslogAcc::Reboot,
-            Retrieval::CpuSpike { min_pct } => SyslogAcc::Cpu { min: *min_pct },
-            Retrieval::EbgpFlap => SyslogAcc::EbgpFlap { tr: Vec::new() },
-            Retrieval::EbgpHoldTimerExpired => SyslogAcc::HoldTimer,
-            Retrieval::CustomerResetSession => SyslogAcc::Reset,
-            Retrieval::PimAdjacencyChange(scope) => SyslogAcc::Pim {
-                scope: *scope,
-                tr: Vec::new(),
-            },
+            Retrieval::RouterReboot => SyslogKind::Reboot,
+            Retrieval::CpuSpike { min_pct } => SyslogKind::Cpu { min: *min_pct },
+            Retrieval::EbgpFlap => SyslogKind::EbgpFlap,
+            Retrieval::EbgpHoldTimerExpired => SyslogKind::HoldTimer,
+            Retrieval::CustomerResetSession => SyslogKind::Reset,
+            Retrieval::PimAdjacencyChange(scope) => SyslogKind::Pim(*scope),
             _ => continue,
         };
-        syslog.push((i, *def, acc));
+        syslog.push((i, kind));
     }
     if !syslog.is_empty() || !mnemonics.is_empty() {
-        for row in sliced(&cx.db.syslog, cut, T_SYSLOG).iter() {
-            // Mnemonic matchers see every line, parsed or not; one hash
-            // lookup replaces a sweep over every registered message type.
-            if !mnemonics.is_empty() {
-                if let Some(hits) = mnemonics.get(row.mnemonic()) {
-                    for (slot, def) in hits {
-                        outs[*slot].push(
-                            EventInstance::new(
-                                &def.name,
-                                TimeWindow::at(row.utc),
-                                Location::Router(row.router),
-                            )
-                            .with_info(row.raw.as_str()),
-                        );
+        let collect = |rows: &RowSet<SyslogRow>| {
+            let mut part = SyslogPart {
+                points: Vec::new(),
+                iface: vec![Vec::new(); syslog.len()],
+                session: vec![Vec::new(); syslog.len()],
+            };
+            for row in rows.iter() {
+                // Mnemonic matchers see every line, parsed or not; one hash
+                // lookup replaces a sweep over every registered message type.
+                if !mnemonics.is_empty() {
+                    if let Some(hits) = mnemonics.get(row.mnemonic()) {
+                        for &slot in hits {
+                            part.points.push((
+                                slot,
+                                point(slot, row.utc, Location::Router(row.router))
+                                    .with_info(row.raw.as_str()),
+                            ));
+                        }
                     }
                 }
-            }
-            // Interface resolution is shared across matchers of one row.
-            let mut resolved: Option<Option<InterfaceId>> = None;
-            for (slot, def, acc) in syslog.iter_mut() {
-                match acc {
-                    SyslogAcc::Iface { proto, tr, .. } => {
-                        let iface = match (&row.event, *proto) {
-                            (Some(SyslogEvent::LinkUpDown { iface, up }), false) => (iface, *up),
-                            (Some(SyslogEvent::LineProtoUpDown { iface, up }), true) => {
-                                (iface, *up)
-                            }
-                            _ => continue,
-                        };
-                        let (name, up) = iface;
-                        let id = *resolved
-                            .get_or_insert_with(|| cx.topo.iface_by_name(row.router, name));
-                        if let Some(id) = id {
-                            tr.push((row.utc, id, up));
-                        }
-                    }
-                    SyslogAcc::Reboot => {
-                        if matches!(row.event, Some(SyslogEvent::Restart)) {
-                            outs[*slot].push(EventInstance::new(
-                                &def.name,
-                                TimeWindow::at(row.utc),
-                                Location::Router(row.router),
-                            ));
-                        }
-                    }
-                    SyslogAcc::Cpu { min } => {
-                        if let Some(SyslogEvent::CpuHog { pct }) = &row.event {
-                            if pct >= min {
-                                outs[*slot].push(
-                                    EventInstance::new(
-                                        &def.name,
-                                        TimeWindow::at(row.utc),
-                                        Location::Router(row.router),
-                                    )
-                                    .with_info(format!("{pct}%")),
-                                );
-                            }
-                        }
-                    }
-                    SyslogAcc::EbgpFlap { tr } => {
-                        if let Some(SyslogEvent::BgpAdjChange { neighbor, up }) = &row.event {
-                            tr.push((row.utc, (row.router, *neighbor), *up));
-                        }
-                    }
-                    SyslogAcc::HoldTimer => {
-                        if let Some(SyslogEvent::BgpHoldTimerExpired { neighbor }) = &row.event {
-                            outs[*slot].push(EventInstance::new(
-                                &def.name,
-                                TimeWindow::at(row.utc),
-                                Location::RouterNeighborIp {
-                                    router: row.router,
-                                    neighbor: *neighbor,
-                                },
-                            ));
-                        }
-                    }
-                    SyslogAcc::Reset => {
-                        if let Some(SyslogEvent::BgpPeerReset { neighbor }) = &row.event {
-                            outs[*slot].push(EventInstance::new(
-                                &def.name,
-                                TimeWindow::at(row.utc),
-                                Location::RouterNeighborIp {
-                                    router: row.router,
-                                    neighbor: *neighbor,
-                                },
-                            ));
-                        }
-                    }
-                    SyslogAcc::Pim { scope, tr } => {
-                        if let Some(SyslogEvent::PimNbrChange { neighbor, up, .. }) = &row.event {
-                            let is_uplink = cx
-                                .topo
-                                .router_by_loopback(*neighbor)
-                                .is_some_and(|r| cx.topo.router(r).role == RouterRole::Core);
-                            let keep = match scope {
-                                PimScope::Uplink => is_uplink,
-                                PimScope::PePeOrCe => !is_uplink,
+                // Interface resolution is shared across matchers of one row.
+                let mut resolved: Option<Option<InterfaceId>> = None;
+                for (k, (slot, kind)) in syslog.iter().enumerate() {
+                    let slot = *slot;
+                    match kind {
+                        SyslogKind::Iface { proto, .. } => {
+                            let iface = match (&row.event, *proto) {
+                                (Some(SyslogEvent::LinkUpDown { iface, up }), false) => {
+                                    (iface, *up)
+                                }
+                                (Some(SyslogEvent::LineProtoUpDown { iface, up }), true) => {
+                                    (iface, *up)
+                                }
+                                _ => continue,
                             };
-                            if keep {
-                                tr.push((row.utc, (row.router, *neighbor), *up));
+                            let (name, up) = iface;
+                            let id = *resolved
+                                .get_or_insert_with(|| cx.topo.iface_by_name(row.router, name));
+                            if let Some(id) = id {
+                                part.iface[k].push((row.utc, id, up));
+                            }
+                        }
+                        SyslogKind::Reboot => {
+                            if matches!(row.event, Some(SyslogEvent::Restart)) {
+                                let loc = Location::Router(row.router);
+                                part.points.push((slot, point(slot, row.utc, loc)));
+                            }
+                        }
+                        SyslogKind::Cpu { min } => {
+                            if let Some(SyslogEvent::CpuHog { pct }) = &row.event {
+                                if pct >= min {
+                                    let loc = Location::Router(row.router);
+                                    part.points.push((
+                                        slot,
+                                        point(slot, row.utc, loc).with_info(format!("{pct}%")),
+                                    ));
+                                }
+                            }
+                        }
+                        SyslogKind::EbgpFlap => {
+                            if let Some(SyslogEvent::BgpAdjChange { neighbor, up }) = &row.event {
+                                part.session[k].push((row.utc, (row.router, *neighbor), *up));
+                            }
+                        }
+                        SyslogKind::HoldTimer | SyslogKind::Reset => {
+                            let neighbor = match (&row.event, kind) {
+                                (
+                                    Some(SyslogEvent::BgpHoldTimerExpired { neighbor }),
+                                    SyslogKind::HoldTimer,
+                                )
+                                | (
+                                    Some(SyslogEvent::BgpPeerReset { neighbor }),
+                                    SyslogKind::Reset,
+                                ) => *neighbor,
+                                _ => continue,
+                            };
+                            let loc = Location::RouterNeighborIp {
+                                router: row.router,
+                                neighbor,
+                            };
+                            part.points.push((slot, point(slot, row.utc, loc)));
+                        }
+                        SyslogKind::Pim(scope) => {
+                            if let Some(SyslogEvent::PimNbrChange { neighbor, up, .. }) = &row.event
+                            {
+                                let is_uplink = cx
+                                    .topo
+                                    .router_by_loopback(*neighbor)
+                                    .is_some_and(|r| cx.topo.router(r).role == RouterRole::Core);
+                                let keep = match scope {
+                                    PimScope::Uplink => is_uplink,
+                                    PimScope::PePeOrCe => !is_uplink,
+                                };
+                                if keep {
+                                    part.session[k].push((row.utc, (row.router, *neighbor), *up));
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-        for (slot, def, acc) in syslog {
-            match acc {
-                SyslogAcc::Iface { sel, tr, .. } => {
+            part
+        };
+        let part = collect(&sliced(&cx.db.syslog, cut, T_SYSLOG));
+        let parts = || std::iter::once(&part);
+        for (k, (slot, kind)) in syslog.iter().enumerate() {
+            let (slot, def) = (*slot, defs[*slot]);
+            match kind {
+                SyslogKind::Iface { sel, .. } => {
+                    let tr = parts().flat_map(|p| &p.iface[k]).copied().collect();
                     outs[slot].extend(
-                        pair_transitions(tr, sel)
+                        pair_transitions(tr, *sel)
                             .into_iter()
                             .map(|(i, w)| EventInstance::new(&def.name, w, Location::Interface(i))),
                     );
                 }
-                SyslogAcc::EbgpFlap { tr } | SyslogAcc::Pim { tr, .. } => {
+                SyslogKind::EbgpFlap | SyslogKind::Pim(_) => {
+                    let tr = parts().flat_map(|p| &p.session[k]).copied().collect();
                     outs[slot].extend(pair_transitions(tr, StateSel::Flap).into_iter().map(
                         |((router, neighbor), w)| {
                             EventInstance::new(
@@ -310,238 +352,256 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                         },
                     ));
                 }
-                _ => {} // point events already emitted in row order
+                _ => {} // point events, emitted below
             }
         }
+        emit_points(std::iter::empty(), part.points, &mut outs);
     }
 
     // -------------------------------------------------------------- snmp
-    let mut snmp: Vec<(usize, &EventDefinition, SnmpMetric, f64, SnmpSeries)> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        if let Retrieval::SnmpThreshold { metric, min } = &def.retrieval {
-            snmp.push((i, *def, *metric, *min, BTreeMap::new()));
-        }
-    }
+    let snmp: Vec<(usize, SnmpMetric, f64)> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| match &def.retrieval {
+            Retrieval::SnmpThreshold { metric, min } => Some((i, *metric, *min)),
+            _ => None,
+        })
+        .collect();
     if !snmp.is_empty() {
-        for row in sliced(&cx.db.snmp, cut, T_SNMP).iter() {
-            for (_, _, metric, min, by_entity) in snmp.iter_mut() {
-                if row.metric == *metric && row.value >= *min {
-                    by_entity
-                        .entry((row.router, row.iface.map(|i| i.0)))
-                        .or_default()
-                        .push(row.utc);
+        // Per matcher: the qualifying samples' (router, ifindex, instant).
+        type SnmpHit = (RouterId, Option<u32>, Timestamp);
+        let collect = |rows: &RowSet<SnmpRow>| {
+            let mut hits: Vec<Vec<SnmpHit>> = vec![Vec::new(); snmp.len()];
+            for row in rows.iter() {
+                for (k, (_, metric, min)) in snmp.iter().enumerate() {
+                    if row.metric == *metric && row.value >= *min {
+                        hits[k].push((row.router, row.iface.map(|i| i.0), row.utc));
+                    }
                 }
             }
-        }
-        for (slot, def, _, _, by_entity) in snmp {
+            hits
+        };
+        let part = collect(&sliced(&cx.db.snmp, cut, T_SNMP));
+        let parts = || std::iter::once(&part);
+        for (k, (slot, _, _)) in snmp.iter().enumerate() {
+            let mut by_entity: SnmpSeries = BTreeMap::new();
+            for &(router, iface, utc) in parts().flat_map(|p| &p[k]) {
+                by_entity.entry((router, iface)).or_default().push(utc);
+            }
             for ((router, iface), times) in by_entity {
-                snmp_entity_events(def, router, iface, &times, &mut outs[slot]);
+                snmp_entity_events(defs[*slot], router, iface, &times, &mut outs[*slot]);
             }
         }
     }
 
     // ---------------------------------------------------------------- l1
-    let l1: Vec<(
-        usize,
-        &EventDefinition,
-        grca_telemetry::records::L1EventKind,
-    )> = defs
+    let l1: Vec<(usize, grca_telemetry::records::L1EventKind)> = defs
         .iter()
         .enumerate()
         .filter_map(|(i, def)| match &def.retrieval {
-            Retrieval::L1Restoration(kind) => Some((i, *def, *kind)),
+            Retrieval::L1Restoration(kind) => Some((i, *kind)),
             _ => None,
         })
         .collect();
     if !l1.is_empty() {
-        for row in sliced(&cx.db.l1, cut, T_L1).iter() {
-            for (slot, def, kind) in &l1 {
-                if row.kind == *kind {
-                    outs[*slot].push(
-                        EventInstance::new(
-                            &def.name,
-                            TimeWindow::at(row.utc),
-                            Location::PhysicalLink(row.circuit),
-                        )
-                        .with_info(Symbol::from(&cx.topo.phys_link(row.circuit).circuit).as_arc()),
-                    );
+        let collect = |rows: &RowSet<L1Row>| {
+            let mut points: Points = Vec::new();
+            for row in rows.iter() {
+                for &(slot, kind) in &l1 {
+                    if row.kind == kind {
+                        let circuit = &cx.topo.phys_link(row.circuit).circuit;
+                        points.push((
+                            slot,
+                            point(slot, row.utc, Location::PhysicalLink(row.circuit))
+                                .with_info(Symbol::from(circuit).as_arc()),
+                        ));
+                    }
                 }
             }
-        }
+            points
+        };
+        let part = collect(&sliced(&cx.db.l1, cut, T_L1));
+        emit_points(std::iter::empty(), part, &mut outs);
     }
 
     // -------------------------------------------------------------- ospf
-    enum OspfAcc {
+    enum OspfKind {
         Reconv,
         LinkCost { cost_in: bool },
-        RouterCost(BTreeMap<RouterId, Vec<(Timestamp, LinkId, bool)>>),
+        RouterCost,
     }
-    let mut ospf: Vec<(usize, &EventDefinition, OspfAcc)> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        let acc = match &def.retrieval {
-            Retrieval::OspfReconvergence => OspfAcc::Reconv,
-            Retrieval::LinkCostOutDown => OspfAcc::LinkCost { cost_in: false },
-            Retrieval::LinkCostInUp => OspfAcc::LinkCost { cost_in: true },
-            Retrieval::RouterCostInOut => OspfAcc::RouterCost(BTreeMap::new()),
-            _ => continue,
-        };
-        ospf.push((i, *def, acc));
-    }
+    let ospf: Vec<(usize, OspfKind)> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| {
+            let kind = match &def.retrieval {
+                Retrieval::OspfReconvergence => OspfKind::Reconv,
+                Retrieval::LinkCostOutDown => OspfKind::LinkCost { cost_in: false },
+                Retrieval::LinkCostInUp => OspfKind::LinkCost { cost_in: true },
+                Retrieval::RouterCostInOut => OspfKind::RouterCost,
+                _ => return None,
+            };
+            Some((i, kind))
+        })
+        .collect();
     if !ospf.is_empty() {
-        // One shared alive-state trajectory: every cost matcher would
-        // build the identical map, so track it once.
-        let mut last: BTreeMap<LinkId, bool> = BTreeMap::new();
-        for row in sliced(&cx.db.ospf, cut, T_OSPF).iter() {
-            let alive_now = row.weight.is_some();
-            let was_alive = *last.get(&row.link).unwrap_or(&true);
-            for (slot, def, acc) in ospf.iter_mut() {
-                match acc {
-                    OspfAcc::Reconv => {
-                        outs[*slot].push(
-                            EventInstance::new(
-                                &def.name,
-                                TimeWindow::new(row.utc, row.utc + RECONV_DUR),
-                                Location::LogicalLink(row.link),
-                            )
-                            .with_info(match row.weight {
-                                Some(w) => format!("weight -> {w}"),
-                                None => "withdrawn".to_string(),
-                            }),
+        let reads_cost = ospf.iter().any(|(_, k)| !matches!(k, OspfKind::Reconv));
+        let collect = |rows: &RowSet<OspfRow>| {
+            let mut part = OspfPart::default();
+            for row in rows.iter() {
+                for (slot, kind) in &ospf {
+                    if let OspfKind::Reconv = kind {
+                        let inst = EventInstance::new(
+                            &defs[*slot].name,
+                            TimeWindow::new(row.utc, row.utc + RECONV_DUR),
+                            Location::LogicalLink(row.link),
+                        )
+                        .with_info(match row.weight {
+                            Some(w) => format!("weight -> {w}"),
+                            None => "withdrawn".to_string(),
+                        });
+                        part.points.push((*slot, inst));
+                    }
+                }
+                if reads_cost {
+                    part.rows.push((row.utc, row.link, row.weight.is_some()));
+                }
+            }
+            part
+        };
+        let part = collect(&sliced(&cx.db.ospf, cut, T_OSPF));
+        let parts = || std::iter::once(&part);
+        if reads_cost {
+            // One shared alive-state trajectory: every cost matcher would
+            // build the identical map, so replay it once and keep the rows
+            // that flip a link — `(instant, link, alive now)`.
+            let mut last: BTreeMap<LinkId, bool> = BTreeMap::new();
+            let mut flips: Vec<(Timestamp, LinkId, bool)> = Vec::new();
+            for &(utc, link, alive_now) in parts().flat_map(|p| &p.rows) {
+                if last.insert(link, alive_now).unwrap_or(true) != alive_now {
+                    flips.push((utc, link, alive_now));
+                }
+            }
+            for (slot, kind) in &ospf {
+                match kind {
+                    OspfKind::Reconv => {}
+                    OspfKind::LinkCost { cost_in } => {
+                        // Cost-in is a link coming alive, cost-out one going.
+                        outs[*slot].extend(
+                            flips
+                                .iter()
+                                .filter(|(_, _, alive_now)| alive_now == cost_in)
+                                .map(|&(utc, link, _)| {
+                                    point(*slot, utc, Location::LogicalLink(link))
+                                }),
                         );
                     }
-                    OspfAcc::LinkCost { cost_in } => {
-                        let is_cost_out = was_alive && !alive_now;
-                        let is_cost_in = !was_alive && alive_now;
-                        if (*cost_in && is_cost_in) || (!*cost_in && is_cost_out) {
-                            outs[*slot].push(EventInstance::new(
-                                &def.name,
-                                TimeWindow::at(row.utc),
-                                Location::LogicalLink(row.link),
-                            ));
-                        }
-                    }
-                    OspfAcc::RouterCost(per_router) => {
-                        if alive_now != was_alive {
-                            let (a, b) = cx.topo.link_routers(row.link);
+                    OspfKind::RouterCost => {
+                        let mut per_router: BTreeMap<RouterId, Vec<(Timestamp, LinkId, bool)>> =
+                            BTreeMap::new();
+                        for &(utc, link, alive_now) in &flips {
+                            let (a, b) = cx.topo.link_routers(link);
                             for r in [a, b] {
                                 per_router
                                     .entry(r)
                                     .or_default()
-                                    .push((row.utc, row.link, !alive_now));
+                                    .push((utc, link, !alive_now));
                             }
                         }
+                        outs[*slot] = router_cost_finish(defs[*slot], cx, per_router);
                     }
                 }
             }
-            last.insert(row.link, alive_now);
         }
-        for (slot, def, acc) in ospf {
-            if let OspfAcc::RouterCost(per_router) = acc {
-                outs[slot] = router_cost_finish(def, cx, per_router);
-            }
-        }
+        emit_points(std::iter::empty(), part.points, &mut outs);
     }
 
     // --------------------------------------------------------------- bgp
-    type UpdateKey = (Timestamp, Prefix, RouterId, Option<(u32, u32)>);
-    struct BgpAcc<'a> {
-        slot: usize,
-        def: &'a EventDefinition,
-        ingresses: &'a [RouterId],
-        seen: BTreeSet<UpdateKey>,
-        update_times: PrefixTimes,
-    }
-    let mut bgp: Vec<BgpAcc<'_>> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        if let Retrieval::BgpEgressChange { ingresses } = &def.retrieval {
-            if cx.routing.is_some() {
-                bgp.push(BgpAcc {
-                    slot: i,
-                    def,
-                    ingresses: ingresses.as_slice(),
-                    seen: BTreeSet::new(),
-                    update_times: BTreeMap::new(),
-                });
+    let bgp: Vec<(usize, &[RouterId])> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| match &def.retrieval {
+            Retrieval::BgpEgressChange { ingresses } => Some((i, ingresses.as_slice())),
+            _ => None,
+        })
+        .collect();
+    if let (false, Some(routing)) = (bgp.is_empty(), cx.routing) {
+        // Every matcher reads the same projection; which rows are
+        // reflector copies of an update already seen depends on the rows
+        // before them, so the dedup runs at finish.
+        let collect = |rows: &RowSet<BgpRow>| -> Vec<UpdateKey> {
+            rows.iter()
+                .map(|row| (row.utc, row.prefix, row.egress, row.attrs))
+                .collect()
+        };
+        let part = collect(&sliced(&cx.db.bgp, cut, T_BGP));
+        let parts = || std::iter::once(&part);
+        let mut seen: BTreeSet<UpdateKey> = BTreeSet::new();
+        let mut update_times: PrefixTimes = BTreeMap::new();
+        for &key in parts().flatten() {
+            if seen.insert(key) {
+                update_times.entry(key.1).or_default().push(key.0);
             }
         }
-    }
-    if !bgp.is_empty() {
-        for row in sliced(&cx.db.bgp, cut, T_BGP).iter() {
-            for acc in bgp.iter_mut() {
-                if acc
-                    .seen
-                    .insert((row.utc, row.prefix, row.egress, row.attrs))
-                {
-                    acc.update_times
-                        .entry(row.prefix)
-                        .or_default()
-                        .push(row.utc);
-                }
-            }
-        }
-        let routing = cx
-            .routing
-            .expect("bgp matchers only registered with routing");
-        for acc in bgp {
-            outs[acc.slot] = egress_finish(acc.def, cx, routing, acc.ingresses, acc.update_times);
+        for (slot, ingresses) in bgp {
+            outs[slot] = egress_finish(defs[slot], cx, routing, ingresses, update_times.clone());
         }
     }
 
     // ------------------------------------------------------------ tacacs
-    enum TacacsAcc {
+    enum TacacsKind {
         Command { out_dir: bool },
         PimConfig,
     }
-    let mut tacacs: Vec<(usize, &EventDefinition, TacacsAcc)> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        let acc = match &def.retrieval {
-            Retrieval::CommandCostOut => TacacsAcc::Command { out_dir: true },
-            Retrieval::CommandCostIn => TacacsAcc::Command { out_dir: false },
-            Retrieval::PimConfigCommand => TacacsAcc::PimConfig,
-            _ => continue,
-        };
-        tacacs.push((i, *def, acc));
-    }
+    let tacacs: Vec<(usize, TacacsKind)> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| {
+            let kind = match &def.retrieval {
+                Retrieval::CommandCostOut => TacacsKind::Command { out_dir: true },
+                Retrieval::CommandCostIn => TacacsKind::Command { out_dir: false },
+                Retrieval::PimConfigCommand => TacacsKind::PimConfig,
+                _ => return None,
+            };
+            Some((i, kind))
+        })
+        .collect();
     if !tacacs.is_empty() {
-        for row in sliced(&cx.db.tacacs, cut, T_TACACS).iter() {
-            let c = &row.command;
-            for (slot, def, acc) in &tacacs {
-                match acc {
-                    TacacsAcc::PimConfig => {
-                        if c.contains("mvpn customer") {
-                            outs[*slot].push(
-                                EventInstance::new(
-                                    &def.name,
-                                    TimeWindow::at(row.utc),
-                                    Location::Router(row.router),
-                                )
-                                .with_info(c.as_str()),
-                            );
+        let collect = |rows: &RowSet<TacacsRow>| {
+            let mut points: Points = Vec::new();
+            for row in rows.iter() {
+                let c = &row.command;
+                for (slot, kind) in &tacacs {
+                    let loc = match kind {
+                        TacacsKind::PimConfig => {
+                            if !c.contains("mvpn customer") {
+                                continue;
+                            }
+                            Location::Router(row.router)
                         }
-                    }
-                    TacacsAcc::Command { out_dir } => {
-                        let is_out = c.contains("cost 65535")
-                            || (c.contains("max-metric") && !c.contains("no max-metric"));
-                        let is_in = (c.contains("ip ospf cost ") && !c.contains("65535"))
-                            || c.contains("no max-metric");
-                        if (*out_dir && !is_out) || (!*out_dir && !is_in) {
-                            continue;
+                        TacacsKind::Command { out_dir } => {
+                            let is_out = c.contains("cost 65535")
+                                || (c.contains("max-metric") && !c.contains("no max-metric"));
+                            let is_in = (c.contains("ip ospf cost ") && !c.contains("65535"))
+                                || c.contains("no max-metric");
+                            if (*out_dir && !is_out) || (!*out_dir && !is_in) {
+                                continue;
+                            }
+                            c.split_whitespace()
+                                .skip_while(|w| *w != "interface")
+                                .nth(1)
+                                .and_then(|name| cx.topo.iface_by_name(row.router, name))
+                                .map(Location::Interface)
+                                .unwrap_or(Location::Router(row.router))
                         }
-                        let loc = c
-                            .split_whitespace()
-                            .skip_while(|w| *w != "interface")
-                            .nth(1)
-                            .and_then(|name| cx.topo.iface_by_name(row.router, name))
-                            .map(Location::Interface)
-                            .unwrap_or(Location::Router(row.router));
-                        outs[*slot].push(
-                            EventInstance::new(&def.name, TimeWindow::at(row.utc), loc)
-                                .with_info(c.as_str()),
-                        );
-                    }
+                    };
+                    points.push((*slot, point(*slot, row.utc, loc).with_info(c.as_str())));
                 }
             }
-        }
+            points
+        };
+        let part = collect(&sliced(&cx.db.tacacs, cut, T_TACACS));
+        emit_points(std::iter::empty(), part, &mut outs);
     }
 
     // ---------------------------------------------------------- workflow
@@ -549,91 +609,120 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
     // screening configuration registers one definition per activity type
     // (the paper had 831), so per-row dispatch must not scale with the
     // registry size.
-    let mut wf: HashMap<&str, Vec<(usize, &EventDefinition)>> = HashMap::new();
+    let mut wf: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, def) in defs.iter().enumerate() {
         if let Retrieval::WorkflowActivity { activity } = &def.retrieval {
-            wf.entry(activity.as_str()).or_default().push((i, *def));
+            wf.entry(activity.as_str()).or_default().push(i);
         }
     }
     if !wf.is_empty() {
-        for row in sliced(&cx.db.workflow, cut, T_WORKFLOW).iter() {
-            let Some(hits) = wf.get(row.activity.as_str()) else {
-                continue;
-            };
-            for (slot, def) in hits {
-                let loc = row.router.map(Location::Router).or_else(|| {
-                    let node = cx.topo.cdn_node_by_name(&row.entity)?;
-                    Some(Location::Router(cx.topo.cdn_node(node).attach_router))
-                });
-                if let Some(loc) = loc {
-                    outs[*slot].push(
-                        EventInstance::new(&def.name, TimeWindow::at(row.utc), loc)
-                            .with_info(Symbol::from(&row.activity).as_arc()),
-                    );
+        let collect = |rows: &RowSet<WorkflowRow>| {
+            let mut points: Points = Vec::new();
+            for row in rows.iter() {
+                let Some(hits) = wf.get(row.activity.as_str()) else {
+                    continue;
+                };
+                for &slot in hits {
+                    let loc = row.router.map(Location::Router).or_else(|| {
+                        let node = cx.topo.cdn_node_by_name(&row.entity)?;
+                        Some(Location::Router(cx.topo.cdn_node(node).attach_router))
+                    });
+                    if let Some(loc) = loc {
+                        points.push((
+                            slot,
+                            point(slot, row.utc, loc)
+                                .with_info(Symbol::from(&row.activity).as_arc()),
+                        ));
+                    }
                 }
             }
-        }
+            points
+        };
+        let part = collect(&sliced(&cx.db.workflow, cut, T_WORKFLOW));
+        emit_points(std::iter::empty(), part, &mut outs);
     }
 
     // -------------------------------------------------------------- perf
-    type PairSeries = BTreeMap<(RouterId, RouterId), Vec<(Timestamp, f64)>>;
-    let mut perf: Vec<(
-        usize,
-        &EventDefinition,
-        PerfMetric,
-        AnomalySense,
-        PairSeries,
-    )> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        if let Retrieval::PerfAnomaly { metric, sense } = &def.retrieval {
-            perf.push((i, *def, *metric, *sense, BTreeMap::new()));
-        }
-    }
+    let perf: Vec<(usize, PerfMetric, AnomalySense)> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| match &def.retrieval {
+            Retrieval::PerfAnomaly { metric, sense } => Some((i, *metric, *sense)),
+            _ => None,
+        })
+        .collect();
     if !perf.is_empty() {
-        for row in sliced(&cx.db.perf, cut, T_PERF).iter() {
-            for (_, _, metric, _, series) in perf.iter_mut() {
-                if row.metric == *metric {
-                    series
-                        .entry((row.ingress, row.egress))
-                        .or_default()
-                        .push((row.utc, row.value));
+        // Per matcher: its metric's samples as (ingress, egress, instant,
+        // value).
+        type PerfPoint = (RouterId, RouterId, Timestamp, f64);
+        let collect = |rows: &RowSet<PerfRow>| {
+            let mut series: Vec<Vec<PerfPoint>> = vec![Vec::new(); perf.len()];
+            for row in rows.iter() {
+                for (k, (_, metric, _)) in perf.iter().enumerate() {
+                    if row.metric == *metric {
+                        series[k].push((row.ingress, row.egress, row.utc, row.value));
+                    }
                 }
             }
-        }
-        for (slot, def, _, sense, series) in perf {
-            for ((ingress, egress), pts) in series {
-                perf_pair_events(def, ingress, egress, pts, sense, &mut outs[slot]);
+            series
+        };
+        let part = collect(&sliced(&cx.db.perf, cut, T_PERF));
+        let parts = || std::iter::once(&part);
+        for (k, (slot, _, sense)) in perf.iter().enumerate() {
+            let mut by_pair: BTreeMap<(RouterId, RouterId), Vec<(Timestamp, f64)>> =
+                BTreeMap::new();
+            for &(ingress, egress, utc, value) in parts().flat_map(|p| &p[k]) {
+                by_pair
+                    .entry((ingress, egress))
+                    .or_default()
+                    .push((utc, value));
+            }
+            for ((ingress, egress), pts) in by_pair {
+                perf_pair_events(defs[*slot], ingress, egress, pts, *sense, &mut outs[*slot]);
             }
         }
     }
 
     // --------------------------------------------------------------- cdn
-    let cdn: Vec<(usize, &EventDefinition, Option<f64>, Option<f64>)> = defs
+    let cdn: Vec<(usize, Option<f64>, Option<f64>)> = defs
         .iter()
         .enumerate()
         .filter_map(|(i, def)| match &def.retrieval {
-            Retrieval::CdnRttIncrease { rtt_factor } => Some((i, *def, Some(*rtt_factor), None)),
-            Retrieval::CdnThroughputDrop { tput_factor } => {
-                Some((i, *def, None, Some(*tput_factor)))
-            }
+            Retrieval::CdnRttIncrease { rtt_factor } => Some((i, Some(*rtt_factor), None)),
+            Retrieval::CdnThroughputDrop { tput_factor } => Some((i, None, Some(*tput_factor))),
             _ => None,
         })
         .collect();
     if !cdn.is_empty() {
-        // Every CDN matcher consumes the full unfiltered series, so build
-        // it once and share.
+        // Every CDN matcher consumes the full unfiltered series, so
+        // project it once and share: (node, client, instant, rtt, tput).
+        type CdnPoint = (u32, u32, Timestamp, f64, f64);
+        let collect = |rows: &RowSet<CdnRow>| -> Vec<CdnPoint> {
+            rows.iter()
+                .map(|row| {
+                    (
+                        row.node.0,
+                        row.client.0,
+                        row.utc,
+                        row.rtt_ms,
+                        row.throughput_mbps,
+                    )
+                })
+                .collect()
+        };
+        let part = collect(&sliced(&cx.db.cdn, cut, T_CDN));
+        let parts = || std::iter::once(&part);
         let mut series: CdnSeries = BTreeMap::new();
-        for row in sliced(&cx.db.cdn, cut, T_CDN).iter() {
-            series.entry((row.node.0, row.client.0)).or_default().push((
-                row.utc,
-                row.rtt_ms,
-                row.throughput_mbps,
-            ));
+        for &(node, client, utc, rtt, tput) in parts().flatten() {
+            series
+                .entry((node, client))
+                .or_default()
+                .push((utc, rtt, tput));
         }
-        for (slot, def, rtt_factor, tput_factor) in cdn {
+        for (slot, rtt_factor, tput_factor) in cdn {
             for (&(node, client), pts) in &series {
                 cdn_pair_events(
-                    def,
+                    defs[slot],
                     node,
                     client,
                     pts,
@@ -646,23 +735,36 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
     }
 
     // ------------------------------------------------------------ server
-    let mut server: Vec<(usize, &EventDefinition, f64, NodeTimes)> = Vec::new();
-    for (i, def) in defs.iter().enumerate() {
-        if let Retrieval::CdnServerIssue { min_load } = &def.retrieval {
-            server.push((i, *def, *min_load, BTreeMap::new()));
-        }
-    }
+    let server: Vec<(usize, f64)> = defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| match &def.retrieval {
+            Retrieval::CdnServerIssue { min_load } => Some((i, *min_load)),
+            _ => None,
+        })
+        .collect();
     if !server.is_empty() {
-        for row in sliced(&cx.db.server, cut, T_SERVER).iter() {
-            for (_, _, min_load, by_node) in server.iter_mut() {
-                if row.load >= *min_load {
-                    by_node.entry(row.node.0).or_default().push(row.utc);
+        // Per matcher: the high-load samples' (node, instant).
+        let collect = |rows: &RowSet<ServerRow>| {
+            let mut hits: Vec<Vec<(u32, Timestamp)>> = vec![Vec::new(); server.len()];
+            for row in rows.iter() {
+                for (k, (_, min_load)) in server.iter().enumerate() {
+                    if row.load >= *min_load {
+                        hits[k].push((row.node.0, row.utc));
+                    }
                 }
             }
-        }
-        for (slot, def, _, by_node) in server {
+            hits
+        };
+        let part = collect(&sliced(&cx.db.server, cut, T_SERVER));
+        let parts = || std::iter::once(&part);
+        for (k, (slot, _)) in server.iter().enumerate() {
+            let mut by_node: NodeTimes = BTreeMap::new();
+            for &(node, utc) in parts().flat_map(|p| &p[k]) {
+                by_node.entry(node).or_default().push(utc);
+            }
             for (node, times) in by_node {
-                server_node_events(def, cx, node, &times, &mut outs[slot]);
+                server_node_events(defs[*slot], cx, node, &times, &mut outs[*slot]);
             }
         }
     }
