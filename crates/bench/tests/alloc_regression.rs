@@ -1,7 +1,7 @@
 //! Allocation regression gates for the simnet record-generation hot
-//! path and the collector's ingest path, measured with
-//! [`grca_bench::mem::CountingAlloc`] as this test binary's global
-//! allocator.
+//! path, the collector's ingest path and steady-state incremental
+//! extraction, measured with [`grca_bench::mem::CountingAlloc`] as this
+//! test binary's global allocator.
 //!
 //! Every feed emitter on [`Sim`] is pinned to an allocs-per-emit
 //! ceiling. Since telemetry names moved to interned `Arc<str>` handles
@@ -12,7 +12,8 @@
 //! exceeds these bounds.
 
 use grca_bench::mem::{alloc_snapshot, CountingAlloc};
-use grca_collector::{Database, IngestStats};
+use grca_collector::{Database, IngestStats, StorageConfig};
+use grca_events::{bgp_app_events, knowledge_library, ExtractCx, IncrementalExtractor};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{CdnNodeId, ClientSiteId, PhysLinkId, RouterId};
 use grca_simnet::{FaultRates, ScenarioConfig, Sim};
@@ -255,5 +256,59 @@ fn ingest_of_ever_new_names_stays_within_alloc_budget() {
     assert!(
         per_record < 0.9,
         "ingest allocates {per_record:.2}/record — a per-name key or case-folded copy is back"
+    );
+}
+
+/// A polling cycle that ingests nothing should cost what the unsealed tail
+/// and the finish cost, not what the retained history costs: the sealed
+/// runs' contributions are memoized, so a steady-state `extract` decodes
+/// nothing. Two hundred SNMP polls of every router (one in ten samples over
+/// the CPU threshold) in 128-row segments is a table of well over twenty
+/// sealed runs.
+#[test]
+fn steady_state_extract_allocations_do_not_scale_with_sealed_history() {
+    const POLLS: usize = 200;
+    const CALLS: usize = 20;
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let topo = generate(&TopoGenConfig::small());
+    let cfg = ScenarioConfig::new(1, 5, FaultRates::zero());
+    let mut sim = Sim::new(&topo, &cfg);
+    for p in 0..POLLS {
+        let at = t0() + Duration::secs(300 * p as i64);
+        for r in 0..topo.routers.len() {
+            let value = if (p + r) % 10 == 0 { 95.0 } else { 40.0 };
+            sim.snmp(RouterId::from(r), at, SnmpMetric::CpuUtil5m, None, value);
+        }
+    }
+    let mut db = Database::with_storage(&StorageConfig {
+        segment_rows: 128,
+        ..Default::default()
+    });
+    db.ingest_more(&topo, &sim.records, &mut IngestStats::default());
+    let sealed = db.storage_stats().expect("segmented").sealed_segments;
+    assert!(sealed >= 20, "only {sealed} sealed runs");
+
+    let mut defs = knowledge_library();
+    defs.extend(bgp_app_events());
+    let mut inc = IncrementalExtractor::new(defs);
+    let cx = ExtractCx::new(&topo, &db, None);
+    let warm = inc.extract(&cx);
+    assert!(warm.total() > 0, "no sample crossed the threshold");
+    let decodes0 = db.storage_stats().expect("segmented").decodes;
+    let (allocs0, _) = alloc_snapshot();
+    for _ in 0..CALLS {
+        let store = inc.extract(&cx);
+        assert_eq!(store.total(), warm.total());
+    }
+    let (allocs1, _) = alloc_snapshot();
+    let decodes = db.storage_stats().expect("segmented").decodes - decodes0;
+    let per_call = (allocs1 - allocs0) / CALLS as u64;
+    // Measures 215 a call (the finish over the ~360 qualifying samples,
+    // the store, the walk's bookkeeping) and no decode. Re-reading the 27
+    // sealed runs every call measured 1364 a call and 27 decodes each.
+    assert!(
+        per_call < 400 && decodes == 0,
+        "steady-state extract: {per_call} allocations a call, {decodes} decodes in {CALLS} \
+         calls over {sealed} sealed runs — sealed history is being re-read"
     );
 }

@@ -26,7 +26,7 @@
 use crate::latency::{measure, LatencyReport, VerdictEvent};
 use crate::replay::{labels, Cadence, Cycle, Replay};
 use grca_apps::{score, OnlineRca, Study};
-use grca_collector::{Database, StorageConfig};
+use grca_collector::{Database, StorageConfig, StorageStats};
 use grca_core::{fold_stream, Emission};
 use grca_net_model::TierConfig;
 use grca_simnet::{
@@ -96,6 +96,9 @@ pub struct SoakCycle {
     pub db_rows: usize,
     /// [`grca_apps::OnlineRca::state_size`] after the cycle.
     pub state_size: usize,
+    /// The online database's storage counters after the cycle (`None` on
+    /// the flat backend).
+    pub storage: Option<StorageStats>,
 }
 
 /// Everything one soak run produced.
@@ -211,6 +214,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
             records: c.records,
             db_rows: online.database().total_rows(),
             state_size: online.state_size(),
+            storage: online.database().storage_stats(),
         });
     };
     // One simulated day at a time, so neither the generator's memory nor

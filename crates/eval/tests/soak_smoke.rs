@@ -1,8 +1,9 @@
 //! Smoke-preset soak: the full manifest-driven streaming pipeline at unit
 //! scale, with the convergence gate the big benchmark relies on — the
 //! folded online verdict stream must be label-identical to the batch
-//! pipeline run over the same complete record set — and the bounded-memory
-//! gate: with segmented storage and retention on, the footprint plateaus.
+//! pipeline run over the same complete record set — the bounded-memory
+//! gate: with segmented storage and retention on, the footprint plateaus —
+//! and the settled-history gate: no sealed run is decoded twice.
 
 use grca_collector::StorageConfig;
 use grca_eval::{run_soak, SoakRunOpts};
@@ -93,21 +94,15 @@ fn checkpointed_soak_is_result_identical() {
     assert_eq!(plain.checkpoints, 0);
 }
 
-/// Segmented storage plus database retention keep the online path's
-/// footprint flat once the retention window has filled: the retained row
-/// count and the bounded-state size at the end of the fourth simulated day
-/// are no more than 10% above their end-of-third-day values (without
-/// retention the rows grow by a third). Counts, not RSS, so the gate is
-/// deterministic.
-#[test]
-fn retained_rows_and_state_plateau_by_day_four() {
+/// Four simulated days at the smoke preset, retention on. Retention drops
+/// whole sealed segments, and the smoke topology produces ~3 k rows a day
+/// over ten tables, so default 4096-row segments would never seal; size
+/// them for this scale.
+fn four_days_in_small_segments() -> (TierConfig, SoakRunOpts) {
     let tier = TierConfig {
         soak_days: 4,
         ..TierConfig::smoke()
     };
-    // Retention drops whole sealed segments. The smoke topology produces
-    // ~3 k rows a day over ten tables, so default 4096-row segments would
-    // never seal; size them for this scale.
     let opts = SoakRunOpts {
         storage: Some(StorageConfig {
             segment_rows: 64,
@@ -116,6 +111,18 @@ fn retained_rows_and_state_plateau_by_day_four() {
         ..Default::default()
     };
     assert!(opts.db_retention.is_some());
+    (tier, opts)
+}
+
+/// Segmented storage plus database retention keep the online path's
+/// footprint flat once the retention window has filled: the retained row
+/// count and the bounded-state size at the end of the fourth simulated day
+/// are no more than 10% above their end-of-third-day values (without
+/// retention the rows grow by a third). Counts, not RSS, so the gate is
+/// deterministic.
+#[test]
+fn retained_rows_and_state_plateau_by_day_four() {
+    let (tier, opts) = four_days_in_small_segments();
     // (db_rows, state_size) after the last cycle of each simulated day.
     let mut day_end = vec![(0usize, 0usize); tier.soak_days as usize];
     run_soak(&tier, &opts, |c| {
@@ -133,6 +140,31 @@ fn retained_rows_and_state_plateau_by_day_four() {
     assert!(
         state4 * 10 <= state3 * 11,
         "online state still growing: {state3} -> {state4} ({day_end:?})"
+    );
+}
+
+/// Settled history is read once. Sealed segments are immutable, and the
+/// online path's extraction keeps what each contributed, so over the whole
+/// soak the collector decodes no more blobs than it ever sealed: the runs
+/// still held, the ones retention dropped, and the ones reseals rewrote.
+/// (Re-scanning history every cycle through a cache smaller than the scan
+/// decodes cycles × segments instead.) A count, so the gate is
+/// deterministic.
+#[test]
+fn extraction_decodes_each_sealed_run_at_most_once() {
+    let (tier, opts) = four_days_in_small_segments();
+    let mut last = None;
+    run_soak(&tier, &opts, |c| last = c.storage);
+    let st = last.expect("segmented storage reports counters");
+    let minted = st.sealed_segments as u64 + st.dropped_segments + st.reseals;
+    assert!(
+        st.sealed_segments > 20 && st.dropped_segments > 0,
+        "the run must seal and retire segments to mean anything: {st:?}"
+    );
+    assert!(
+        st.decodes <= minted,
+        "{} decodes for {minted} sealed runs ever minted: {st:?}",
+        st.decodes
     );
 }
 

@@ -1,33 +1,54 @@
 //! Incremental extraction over a growing collector database.
 //!
-//! The online pipeline re-extracts the whole event history every polling
-//! cycle; with day-long histories that cost grows linearly even though
-//! each cycle only appends a few seconds of telemetry. The
-//! [`IncrementalExtractor`] avoids that for the **stateless** definitions
-//! (see [`crate::singlepass::is_stateless`]): it remembers a per-table
-//! watermark — row count and last timestamp — and on the next cycle
-//! extracts only the rows strictly *after* the watermark (a binary-searched
-//! suffix of each time-sorted table), appending the new instances to a
-//! per-definition cache. Stateful definitions (down/up pairing, threshold
-//! merging, trailing baselines, cost-state tracking, update dedup) are
-//! re-extracted in full each cycle — an old row can change their output
-//! retroactively, so no watermark is sound for them.
+//! The online pipeline needs the whole event history every polling cycle;
+//! with day-long histories, re-reading it costs more each cycle even though
+//! a cycle only appends a few seconds of telemetry. The
+//! [`IncrementalExtractor`] re-reads as little as is sound, two ways.
+//!
+//! **Stateless definitions** (see [`crate::singlepass::is_stateless`])
+//! extend a per-definition cache from a delta: the extractor remembers a
+//! per-table watermark — row count and last timestamp — and on the next
+//! cycle extracts only the rows strictly *after* it (a binary-searched
+//! suffix of each time-sorted table).
+//!
+//! **Stateful definitions** (down/up pairing, threshold merging, trailing
+//! baselines, cost-state tracking, update dedup) have no sound watermark —
+//! an old row can change their output retroactively — so they are
+//! *finished* over the whole history each cycle. But finishing needs only
+//! what each row contributed, and most of the history sits in sealed
+//! segments, which never change: every full pass goes through a
+//! [`Memo`] that holds each sealed run's part under the run's id, so a run
+//! is decoded and collected once — for every definition, stateless ones
+//! included — and afterwards only the unsealed tail (at most two segments'
+//! worth of rows per table) is re-read. Per cycle the work is
+//! O(tail + newly sealed runs) of reading plus the finish over the
+//! accumulated parts, instead of O(retained history) of decoding.
 //!
 //! **Soundness of the delta.** The cache-append path is taken only when
 //! every table satisfies `new_len == old_len + rows_after(old_last)`.
 //! Tables sort by the record's own clock, and feeds may deliver late
 //! (arrival jitter): a late record landing at or before the watermark
 //! breaks that identity — `rows_after` misses it — so the extractor falls
-//! back to a full stateless re-extraction for that cycle. When the
-//! identity holds, the new rows are exactly the suffix strictly after the
-//! watermark, so cache + delta reproduces full-table row order and the
-//! resulting store is *equal* to batch extraction — the online tests
-//! assert store equality every cycle.
+//! back to a full stateless pass for that cycle (through the memo, like
+//! the stateful one: one pass finishes both). When the identity holds, the
+//! new rows are exactly the suffix strictly after the watermark, so cache +
+//! delta reproduces full-table row order and the resulting store is *equal*
+//! to batch extraction — the online tests assert store equality every
+//! cycle.
+//!
+//! **Soundness of the memo.** A part is a pure function of its run's rows
+//! (no collect loop carries state across rows), a run's rows never change,
+//! and its id is never reused in the process — so the parts of the runs a
+//! walk meets, in order, followed by the tail's, are what one collect over
+//! [`grca_collector::Table::all`] would have produced. Retention and
+//! reseals change which runs a walk meets; entries for runs it did not
+//! meet are dropped that cycle. Handing the extractor another database is
+//! safe for the same reason: it meets other ids.
 
 use crate::def::EventDefinition;
 use crate::extract::ExtractCx;
 use crate::instance::{EventInstance, EventStore};
-use crate::singlepass::{is_stateless, run, Cut};
+use crate::singlepass::{is_stateless, run, Cut, Memo};
 use grca_collector::Database;
 use grca_types::Timestamp;
 
@@ -58,30 +79,32 @@ impl Marks {
 }
 
 /// Extracts a definition library repeatedly over a growing database,
-/// re-reading only the new rows for stateless definitions.
+/// re-reading only the new rows for stateless definitions and only the
+/// unsealed rows for stateful ones.
+///
+/// One extractor serves one definition list over one topology (cached
+/// instances and memoized parts are resolved against it); the database may
+/// be any — the same one grown, a clone, one restored from a checkpoint.
 pub struct IncrementalExtractor {
     defs: Vec<EventDefinition>,
-    /// Indices into `defs` of the stateless / stateful definitions.
+    /// Indices into `defs` of the stateless definitions.
     stateless: Vec<usize>,
-    stateful: Vec<usize>,
+    /// Per definition: is it stateful (finished in full every cycle)?
+    stateful: Vec<bool>,
     marks: Option<Marks>,
     /// Cached instances per stateless definition (parallel to
     /// `stateless`), in table row order.
     cache: Vec<Vec<EventInstance>>,
+    /// Every sealed run's part, for every definition.
+    memo: Memo,
     full_passes: usize,
     delta_passes: usize,
 }
 
 impl IncrementalExtractor {
     pub fn new(defs: Vec<EventDefinition>) -> Self {
-        let (mut stateless, mut stateful) = (Vec::new(), Vec::new());
-        for (i, def) in defs.iter().enumerate() {
-            if is_stateless(def) {
-                stateless.push(i);
-            } else {
-                stateful.push(i);
-            }
-        }
+        let stateful: Vec<bool> = defs.iter().map(|d| !is_stateless(d)).collect();
+        let stateless: Vec<usize> = (0..defs.len()).filter(|&i| !stateful[i]).collect();
         let cache = vec![Vec::new(); stateless.len()];
         IncrementalExtractor {
             defs,
@@ -89,6 +112,7 @@ impl IncrementalExtractor {
             stateful,
             marks: None,
             cache,
+            memo: Memo::default(),
             full_passes: 0,
             delta_passes: 0,
         }
@@ -142,38 +166,51 @@ impl IncrementalExtractor {
         })
     }
 
+    /// Sealed runs whose parts the memo holds, and the heap bytes of
+    /// those parts — the extractor's other state, bounded by what the
+    /// database retains (an entry goes when its run does).
+    pub fn memo_size(&self) -> (usize, usize) {
+        self.memo.size()
+    }
+
     /// Extract the whole library against `cx.db`, equal to batch
     /// [`crate::singlepass::extract_all`] over the same database.
     pub fn extract(&mut self, cx: &ExtractCx) -> EventStore {
-        let stateless_refs: Vec<&EventDefinition> =
-            self.stateless.iter().map(|&i| &self.defs[i]).collect();
-        match &self.marks {
+        let delta = match &self.marks {
             Some(marks) if marks.extended_by(cx.db) => {
+                let stateless_refs: Vec<&EventDefinition> =
+                    self.stateless.iter().map(|&i| &self.defs[i]).collect();
                 let outs = run(&stateless_refs, cx, Cut::After(&marks.last));
                 for (cached, new) in self.cache.iter_mut().zip(outs) {
                     cached.extend(new);
                 }
                 self.delta_passes += 1;
+                true
             }
             _ => {
-                self.cache = run(&stateless_refs, cx, Cut::Full);
                 self.full_passes += 1;
+                false
             }
-        }
+        };
         self.marks = Some(Marks::of(cx.db));
 
-        let stateful_refs: Vec<&EventDefinition> =
-            self.stateful.iter().map(|&i| &self.defs[i]).collect();
-        let stateful_outs = run(&stateful_refs, cx, Cut::Full);
-
-        // Reassemble in original definition order so the store is built
-        // exactly as the batch extractors build it.
-        let mut per_def: Vec<Vec<EventInstance>> = vec![Vec::new(); self.defs.len()];
-        for (k, &i) in self.stateless.iter().enumerate() {
-            per_def[i] = self.cache[k].clone();
-        }
-        for (out, &i) in stateful_outs.into_iter().zip(&self.stateful) {
-            per_def[i] = out;
+        // One full pass through the memo, over every definition in its
+        // original order (so the store is built exactly as the batch
+        // extractors build it): it finishes the stateful ones, and the
+        // stateless ones too when no delta was sound.
+        let refs: Vec<&EventDefinition> = self.defs.iter().collect();
+        let all = vec![true; refs.len()];
+        let cut = Cut::Memo {
+            memo: &mut self.memo,
+            finish: if delta { &self.stateful } else { &all },
+        };
+        let mut per_def = run(&refs, cx, cut);
+        for (cached, &i) in self.cache.iter_mut().zip(&self.stateless) {
+            if delta {
+                per_def[i] = cached.clone();
+            } else {
+                *cached = per_def[i].clone();
+            }
         }
         let mut store = EventStore::new();
         for v in per_def {

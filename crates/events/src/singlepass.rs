@@ -11,12 +11,25 @@
 //! identical — the differential tests in `tests/extraction.rs` pin the two
 //! paths against each other over the golden evaluation corpus.
 //!
-//! The pass also takes a `Cut`: `Full` reads whole tables, `After`
-//! restricts each table to the rows strictly after a per-table watermark
-//! via the collector's binary-searched time index. Stateless definitions
-//! (point events with no cross-row state, see [`is_stateless`]) extract
-//! correctly over such a delta slice; the incremental extractor in
-//! [`crate::delta`] builds on that.
+//! Each table block is two steps. **Collect** turns rows into that block's
+//! *part*: point instances in row order and, for the definitions that pair,
+//! merge or baseline across rows, the few columns they will need, in flat
+//! vectors. **Finish** takes the parts in row order through the finish
+//! helpers. A part is a pure function of the rows it was collected from
+//! (and the topology) — no collect loop carries state from one row to the
+//! next — so collecting a table in pieces and finishing over the pieces in
+//! order equals collecting it whole.
+//!
+//! The pass takes a [`Cut`] saying which pieces. `Full` collects each table
+//! whole. `After` collects the rows strictly after a per-table watermark
+//! (the collector's binary-searched time index); stateless definitions
+//! (point events, see [`is_stateless`]) extract correctly over such a delta
+//! slice. `Memo` reads each table as its sealed runs plus its tail
+//! ([`Table::runs`]): sealed runs are immutable, so a run's part is
+//! collected the first time the run is met and kept under the run's id in
+//! a [`Memo`]; only the tail is collected every time. With nothing sealed
+//! (or nothing memoized yet) that is `Full`. The incremental extractor in
+//! [`crate::delta`] builds on both.
 
 use crate::def::{AnomalySense, EventDefinition, PimScope, Retrieval, StateSel};
 use crate::extract::{
@@ -34,17 +47,24 @@ use grca_telemetry::syslog::SyslogEvent;
 use grca_types::{Symbol, TimeWindow, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Which slice of each table a pass reads.
+/// Which rows of each table a pass reads, and in how many pieces.
 ///
 /// The watermark array is indexed in [`grca_collector::Database::row_counts`]
 /// order: syslog, snmp, l1, ospf, bgp, tacacs, workflow, perf, cdn, server.
 /// `None` for a table means "no prior rows" — read it whole.
-#[derive(Clone, Copy)]
 pub(crate) enum Cut<'a> {
     /// Every row of every table.
     Full,
     /// Only rows strictly after each table's watermark.
     After(&'a [Option<Timestamp>; 10]),
+    /// Every row of every table, sealed runs through `memo`. Every
+    /// definition is collected (a memoized part must serve any later
+    /// pass), but only those flagged in `finish` are finished; the other
+    /// slots come back empty.
+    Memo {
+        memo: &'a mut Memo,
+        finish: &'a [bool],
+    },
 }
 
 pub(crate) const T_SYSLOG: usize = 0;
@@ -58,15 +78,39 @@ pub(crate) const T_PERF: usize = 7;
 pub(crate) const T_CDN: usize = 8;
 pub(crate) const T_SERVER: usize = 9;
 
-/// The rows of `t` selected by `cut` (binary-searched, not scanned).
-fn sliced<'a, R: StoredRow>(t: &'a Table<R>, cut: Cut, ix: usize) -> RowSet<'a, R> {
-    match cut {
-        Cut::Full => t.all(),
-        Cut::After(marks) => match marks[ix] {
+/// One table's memoized parts: `(run id, part)` in run order.
+type Sealed<P> = Vec<(u64, P)>;
+
+/// The parts of `t` for one pass, in row order: the sealed runs' (none
+/// unless the pass is memoized) and the one collected fresh from the rows
+/// that follow them — the tail, or without a memo the whole table, cut at
+/// `after` when given (binary-searched, not scanned).
+///
+/// A memoized pass collects a sealed run only if the memo does not hold
+/// its id, and drops every entry whose id the walk did not meet: retention
+/// dropped that run, or a reseal rewrote it under new ids.
+fn gather<'m, R: StoredRow, P>(
+    t: &Table<R>,
+    after: Option<Timestamp>,
+    memo: Option<&'m mut Sealed<P>>,
+    collect: impl Fn(&RowSet<'_, R>) -> P,
+) -> (&'m [(u64, P)], P) {
+    let Some(memo) = memo else {
+        let rows = match after {
             Some(w) => t.after(w),
             None => t.all(),
-        },
-    }
+        };
+        return (&[], collect(&rows));
+    };
+    let (sealed, tail) = t.runs();
+    let mut held: HashMap<u64, P> = std::mem::take(memo).into_iter().collect();
+    memo.extend(sealed.iter().map(|run| {
+        let part = held
+            .remove(&run.id())
+            .unwrap_or_else(|| collect(&run.rows()));
+        (run.id(), part)
+    }));
+    (memo, collect(&tail))
 }
 
 /// Extract all instances for a set of definitions into a store, scanning
@@ -135,12 +179,16 @@ type NodeTimes = BTreeMap<u32, Vec<Timestamp>>;
 /// Point instances in row order, each tagged with its definition's slot.
 type Points = Vec<(usize, EventInstance)>;
 
+/// `(instant, key, up)` transitions in row order, as `pair_transitions`
+/// takes them.
+type Transitions<K> = Vec<(Timestamp, K, bool)>;
+
 /// What a run of syslog rows contributes. The transition lists are
 /// parallel to the matcher list (empty for point matchers).
 struct SyslogPart {
     points: Points,
-    iface: Vec<Vec<(Timestamp, InterfaceId, bool)>>,
-    session: Vec<Vec<(Timestamp, (RouterId, Ipv4), bool)>>,
+    iface: Vec<Transitions<InterfaceId>>,
+    session: Vec<Transitions<(RouterId, Ipv4)>>,
 }
 
 /// What a run of OSPF rows contributes: reconvergence instances, and —
@@ -155,36 +203,108 @@ struct OspfPart {
 
 /// One BGP update as the reflector-copy dedup sees it.
 type UpdateKey = (Timestamp, Prefix, RouterId, Option<(u32, u32)>);
+/// A qualifying SNMP sample: (router, ifindex, instant).
+type SnmpHit = (RouterId, Option<u32>, Timestamp);
+/// A probe sample: (ingress, egress, instant, value).
+type PerfPoint = (RouterId, RouterId, Timestamp, f64);
+/// A CDN sample: (node, client site, instant, rtt, throughput).
+type CdnPoint = (u32, u32, Timestamp, f64, f64);
+/// A high-load server sample: (node, instant).
+type ServerHit = (u32, Timestamp);
 
-/// Append point instances to their slots: earlier parts' by clone, the
-/// last part's by move.
+/// What each sealed run contributes to each definition, per table, under
+/// the run's id ([`grca_collector::SealedRun::id`]). Ids are process-wide
+/// and name immutable rows, so an entry stays right for as long as its id
+/// is met — in this database, a clone of it, or one restored from it — and
+/// is dropped the first time it is not. Parts are shaped by the definition
+/// list and resolved against the topology, so a memo belongs to one
+/// definition list and one topology: the extractor that owns it.
+///
+/// Per contributing row a part holds 16–32 bytes of projected columns (no
+/// row, no string, no per-entity index); per point instance, the instance.
+#[derive(Default)]
+pub(crate) struct Memo {
+    syslog: Sealed<SyslogPart>,
+    snmp: Sealed<Vec<Vec<SnmpHit>>>,
+    l1: Sealed<Points>,
+    ospf: Sealed<OspfPart>,
+    bgp: Sealed<Vec<UpdateKey>>,
+    tacacs: Sealed<Points>,
+    workflow: Sealed<Points>,
+    perf: Sealed<Vec<Vec<PerfPoint>>>,
+    cdn: Sealed<Vec<CdnPoint>>,
+    server: Sealed<Vec<Vec<ServerHit>>>,
+}
+
+impl Memo {
+    /// Entries held, and the heap bytes of their vectors (instances' info
+    /// text, shared by `Arc`, not counted).
+    pub(crate) fn size(&self) -> (usize, usize) {
+        fn flat<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        fn nested<T>(v: &Vec<Vec<T>>) -> usize {
+            flat(v) + v.iter().map(flat).sum::<usize>()
+        }
+        fn table<P>(t: &Sealed<P>, part: impl Fn(&P) -> usize) -> (usize, usize) {
+            (
+                t.len(),
+                flat(t) + t.iter().map(|(_, p)| part(p)).sum::<usize>(),
+            )
+        }
+        let tables = [
+            table(&self.syslog, |p| {
+                flat(&p.points) + nested(&p.iface) + nested(&p.session)
+            }),
+            table(&self.snmp, nested),
+            table(&self.l1, flat),
+            table(&self.ospf, |p| flat(&p.points) + flat(&p.rows)),
+            table(&self.bgp, flat),
+            table(&self.tacacs, flat),
+            table(&self.workflow, flat),
+            table(&self.perf, nested),
+            table(&self.cdn, flat),
+            table(&self.server, nested),
+        ];
+        tables
+            .iter()
+            .fold((0, 0), |(n, b), (tn, tb)| (n + tn, b + tb))
+    }
+}
+
+/// Append the wanted point instances to their slots: the sealed parts' by
+/// clone, the fresh part's by move.
 fn emit_points<'p>(
-    earlier: impl Iterator<Item = &'p Points>,
-    last: Points,
+    sealed: impl Iterator<Item = &'p Points>,
+    fresh: Points,
+    want: impl Fn(usize) -> bool,
     outs: &mut [Vec<EventInstance>],
 ) {
-    for (slot, inst) in earlier.flatten() {
-        outs[*slot].push(inst.clone());
+    for (slot, inst) in sealed.flatten() {
+        if want(*slot) {
+            outs[*slot].push(inst.clone());
+        }
     }
-    for (slot, inst) in last {
-        outs[slot].push(inst);
+    for (slot, inst) in fresh {
+        if want(slot) {
+            outs[slot].push(inst);
+        }
     }
 }
 
 /// Interpret every definition over each table in one pass. Output is
-/// indexed like `defs`; each entry equals `extract(defs[i], cx)` exactly
-/// (over the cut slice).
-///
-/// Each table block is a **collect** — rows → that block's *part*: point
-/// instances in row order, and for definitions that pair, merge or
-/// baseline across rows, the projected columns they will need — and a
-/// **finish**: the parts, in row order, through the same helpers as the
-/// baseline. A part is a pure function of the rows it was collected from
-/// (and the topology): no collect loop carries state from one row to the
-/// next, so collecting a table in pieces and finishing over the pieces in
-/// order equals collecting it whole.
+/// indexed like `defs`; each finished entry equals `extract(defs[i], cx)`
+/// exactly (over the cut slice). See the module docs for the collect /
+/// finish shape every table block has.
 pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Vec<EventInstance>> {
     let mut outs: Vec<Vec<EventInstance>> = vec![Vec::new(); defs.len()];
+    let (marks, mut memo, finish) = match cut {
+        Cut::Full => (None, None, None),
+        Cut::After(marks) => (Some(marks), None, None),
+        Cut::Memo { memo, finish } => (None, Some(memo), Some(finish)),
+    };
+    let after = |table: usize| marks.and_then(|m| m[table]);
+    let want = |slot: usize| finish.is_none_or(|f| f[slot]);
     let point = |slot: usize, at: Timestamp, loc: Location| {
         EventInstance::new(&defs[slot].name, TimeWindow::at(at), loc)
     };
@@ -327,10 +447,14 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             part
         };
-        let part = collect(&sliced(&cx.db.syslog, cut, T_SYSLOG));
-        let parts = || std::iter::once(&part);
+        let memo = memo.as_deref_mut().map(|m| &mut m.syslog);
+        let (sealed, fresh) = gather(&cx.db.syslog, after(T_SYSLOG), memo, collect);
+        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
         for (k, (slot, kind)) in syslog.iter().enumerate() {
             let (slot, def) = (*slot, defs[*slot]);
+            if !want(slot) {
+                continue;
+            }
             match kind {
                 SyslogKind::Iface { sel, .. } => {
                     let tr = parts().flat_map(|p| &p.iface[k]).copied().collect();
@@ -355,7 +479,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 _ => {} // point events, emitted below
             }
         }
-        emit_points(std::iter::empty(), part.points, &mut outs);
+        let sealed = sealed.iter().map(|(_, p)| &p.points);
+        emit_points(sealed, fresh.points, want, &mut outs);
     }
 
     // -------------------------------------------------------------- snmp
@@ -368,8 +493,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !snmp.is_empty() {
-        // Per matcher: the qualifying samples' (router, ifindex, instant).
-        type SnmpHit = (RouterId, Option<u32>, Timestamp);
+        // Per matcher: its qualifying samples.
         let collect = |rows: &RowSet<SnmpRow>| {
             let mut hits: Vec<Vec<SnmpHit>> = vec![Vec::new(); snmp.len()];
             for row in rows.iter() {
@@ -381,9 +505,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             hits
         };
-        let part = collect(&sliced(&cx.db.snmp, cut, T_SNMP));
-        let parts = || std::iter::once(&part);
+        let memo = memo.as_deref_mut().map(|m| &mut m.snmp);
+        let (sealed, fresh) = gather(&cx.db.snmp, after(T_SNMP), memo, collect);
+        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
         for (k, (slot, _, _)) in snmp.iter().enumerate() {
+            if !want(*slot) {
+                continue;
+            }
             let mut by_entity: SnmpSeries = BTreeMap::new();
             for &(router, iface, utc) in parts().flat_map(|p| &p[k]) {
                 by_entity.entry((router, iface)).or_default().push(utc);
@@ -420,8 +548,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             points
         };
-        let part = collect(&sliced(&cx.db.l1, cut, T_L1));
-        emit_points(std::iter::empty(), part, &mut outs);
+        let memo = memo.as_deref_mut().map(|m| &mut m.l1);
+        let (sealed, fresh) = gather(&cx.db.l1, after(T_L1), memo, collect);
+        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
     }
 
     // -------------------------------------------------------------- ospf
@@ -469,9 +598,12 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             part
         };
-        let part = collect(&sliced(&cx.db.ospf, cut, T_OSPF));
-        let parts = || std::iter::once(&part);
-        if reads_cost {
+        let memo = memo.as_deref_mut().map(|m| &mut m.ospf);
+        let (sealed, fresh) = gather(&cx.db.ospf, after(T_OSPF), memo, collect);
+        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let wants_cost =
+            |(slot, kind): &(usize, OspfKind)| !matches!(kind, OspfKind::Reconv) && want(*slot);
+        if ospf.iter().any(wants_cost) {
             // One shared alive-state trajectory: every cost matcher would
             // build the identical map, so replay it once and keep the rows
             // that flip a link — `(instant, link, alive now)`.
@@ -482,7 +614,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     flips.push((utc, link, alive_now));
                 }
             }
-            for (slot, kind) in &ospf {
+            for (slot, kind) in ospf.iter().filter(|m| wants_cost(m)) {
                 match kind {
                     OspfKind::Reconv => {}
                     OspfKind::LinkCost { cost_in } => {
@@ -513,7 +645,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 }
             }
         }
-        emit_points(std::iter::empty(), part.points, &mut outs);
+        let sealed = sealed.iter().map(|(_, p)| &p.points);
+        emit_points(sealed, fresh.points, want, &mut outs);
     }
 
     // --------------------------------------------------------------- bgp
@@ -534,17 +667,20 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 .map(|row| (row.utc, row.prefix, row.egress, row.attrs))
                 .collect()
         };
-        let part = collect(&sliced(&cx.db.bgp, cut, T_BGP));
-        let parts = || std::iter::once(&part);
+        let memo = memo.as_deref_mut().map(|m| &mut m.bgp);
+        let (sealed, fresh) = gather(&cx.db.bgp, after(T_BGP), memo, collect);
         let mut seen: BTreeSet<UpdateKey> = BTreeSet::new();
         let mut update_times: PrefixTimes = BTreeMap::new();
-        for &key in parts().flatten() {
+        for &key in sealed.iter().map(|(_, p)| p).chain([&fresh]).flatten() {
             if seen.insert(key) {
                 update_times.entry(key.1).or_default().push(key.0);
             }
         }
         for (slot, ingresses) in bgp {
-            outs[slot] = egress_finish(defs[slot], cx, routing, ingresses, update_times.clone());
+            if want(slot) {
+                outs[slot] =
+                    egress_finish(defs[slot], cx, routing, ingresses, update_times.clone());
+            }
         }
     }
 
@@ -600,8 +736,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             points
         };
-        let part = collect(&sliced(&cx.db.tacacs, cut, T_TACACS));
-        emit_points(std::iter::empty(), part, &mut outs);
+        let memo = memo.as_deref_mut().map(|m| &mut m.tacacs);
+        let (sealed, fresh) = gather(&cx.db.tacacs, after(T_TACACS), memo, collect);
+        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
     }
 
     // ---------------------------------------------------------- workflow
@@ -638,8 +775,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             points
         };
-        let part = collect(&sliced(&cx.db.workflow, cut, T_WORKFLOW));
-        emit_points(std::iter::empty(), part, &mut outs);
+        let memo = memo.as_deref_mut().map(|m| &mut m.workflow);
+        let (sealed, fresh) = gather(&cx.db.workflow, after(T_WORKFLOW), memo, collect);
+        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
     }
 
     // -------------------------------------------------------------- perf
@@ -652,9 +790,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !perf.is_empty() {
-        // Per matcher: its metric's samples as (ingress, egress, instant,
-        // value).
-        type PerfPoint = (RouterId, RouterId, Timestamp, f64);
+        // Per matcher: its metric's samples.
         let collect = |rows: &RowSet<PerfRow>| {
             let mut series: Vec<Vec<PerfPoint>> = vec![Vec::new(); perf.len()];
             for row in rows.iter() {
@@ -666,9 +802,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             series
         };
-        let part = collect(&sliced(&cx.db.perf, cut, T_PERF));
-        let parts = || std::iter::once(&part);
+        let memo = memo.as_deref_mut().map(|m| &mut m.perf);
+        let (sealed, fresh) = gather(&cx.db.perf, after(T_PERF), memo, collect);
+        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
         for (k, (slot, _, sense)) in perf.iter().enumerate() {
+            if !want(*slot) {
+                continue;
+            }
             let mut by_pair: BTreeMap<(RouterId, RouterId), Vec<(Timestamp, f64)>> =
                 BTreeMap::new();
             for &(ingress, egress, utc, value) in parts().flat_map(|p| &p[k]) {
@@ -695,8 +835,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         .collect();
     if !cdn.is_empty() {
         // Every CDN matcher consumes the full unfiltered series, so
-        // project it once and share: (node, client, instant, rtt, tput).
-        type CdnPoint = (u32, u32, Timestamp, f64, f64);
+        // project it once and share.
         let collect = |rows: &RowSet<CdnRow>| -> Vec<CdnPoint> {
             rows.iter()
                 .map(|row| {
@@ -710,16 +849,21 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 })
                 .collect()
         };
-        let part = collect(&sliced(&cx.db.cdn, cut, T_CDN));
-        let parts = || std::iter::once(&part);
+        let memo = memo.as_deref_mut().map(|m| &mut m.cdn);
+        let (sealed, fresh) = gather(&cx.db.cdn, after(T_CDN), memo, collect);
         let mut series: CdnSeries = BTreeMap::new();
-        for &(node, client, utc, rtt, tput) in parts().flatten() {
+        for &(node, client, utc, rtt, tput) in
+            sealed.iter().map(|(_, p)| p).chain([&fresh]).flatten()
+        {
             series
                 .entry((node, client))
                 .or_default()
                 .push((utc, rtt, tput));
         }
         for (slot, rtt_factor, tput_factor) in cdn {
+            if !want(slot) {
+                continue;
+            }
             for (&(node, client), pts) in &series {
                 cdn_pair_events(
                     defs[slot],
@@ -744,9 +888,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !server.is_empty() {
-        // Per matcher: the high-load samples' (node, instant).
+        // Per matcher: its high-load samples.
         let collect = |rows: &RowSet<ServerRow>| {
-            let mut hits: Vec<Vec<(u32, Timestamp)>> = vec![Vec::new(); server.len()];
+            let mut hits: Vec<Vec<ServerHit>> = vec![Vec::new(); server.len()];
             for row in rows.iter() {
                 for (k, (_, min_load)) in server.iter().enumerate() {
                     if row.load >= *min_load {
@@ -756,9 +900,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             hits
         };
-        let part = collect(&sliced(&cx.db.server, cut, T_SERVER));
-        let parts = || std::iter::once(&part);
+        let memo = memo.map(|m| &mut m.server);
+        let (sealed, fresh) = gather(&cx.db.server, after(T_SERVER), memo, collect);
+        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
         for (k, (slot, _)) in server.iter().enumerate() {
+            if !want(*slot) {
+                continue;
+            }
             let mut by_node: NodeTimes = BTreeMap::new();
             for &(node, utc) in parts().flat_map(|p| &p[k]) {
                 by_node.entry(node).or_default().push(utc);
