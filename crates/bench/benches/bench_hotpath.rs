@@ -3,7 +3,9 @@
 //! Three loops the engine overhaul targets: single-symptom `diagnose`
 //! over a dense synthetic graph (interned names, indexed rules, memoized
 //! joins), the store's binary-search `candidates` cut over a large index,
-//! and a cache-hit route-oracle path query (the sharded-cache read path).
+//! and a cache-hit route-oracle path query (the sharded-cache read path) —
+//! plus the two per-cycle costs of the online path: merging a batch into a
+//! finalized table, and an incremental `extract` over settled history.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grca_core::{DiagnosisGraph, DiagnosisRule, Engine, TemporalRule};
@@ -145,6 +147,39 @@ fn bench_hotpath(c: &mut Criterion) {
                 )
             });
         }
+    }
+
+    // incremental extract, steady state: one simulated day of the BGP study
+    // in 64-row segments (every table many sealed runs deep), the BGP
+    // application's definitions. The warm call collects every sealed run
+    // into the extractor's memo; the timed calls are what a polling cycle
+    // pays over settled history — the tail and the finish, no decode.
+    {
+        use grca_collector::{Database, IngestStats, StorageConfig};
+        use grca_events::{bgp_app_events, knowledge_library, ExtractCx, IncrementalExtractor};
+        use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
+        let mut cfg = ScenarioConfig::new(1, 41, FaultRates::bgp_study());
+        cfg.background.emit_baseline = true;
+        let records = run_scenario(&topo, &cfg).records;
+        let mut db = Database::with_storage(&StorageConfig {
+            segment_rows: 64,
+            ..Default::default()
+        });
+        db.ingest_more(&topo, &records, &mut IngestStats::default());
+        let sealed = db.storage_stats().expect("segmented").sealed_segments;
+        assert!(sealed >= 40, "only {sealed} sealed runs");
+        let mut defs = knowledge_library();
+        defs.extend(bgp_app_events());
+        let mut inc = IncrementalExtractor::new(defs);
+        let cx = ExtractCx::new(&topo, &db, None);
+        let warm = inc.extract(&cx).total();
+        group.bench_function("incremental_extract_steady_state", |b| {
+            b.iter(|| {
+                let store = inc.extract(&cx);
+                assert_eq!(store.total(), warm);
+                black_box(store)
+            })
+        });
     }
 
     // oracle cache-hit: the sharded read path on a warm cache.
