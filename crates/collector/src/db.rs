@@ -18,6 +18,7 @@ use grca_net_model::Topology;
 use grca_telemetry::records::RawRecord;
 use grca_telemetry::syslog::{parse_syslog_message, split_line};
 use grca_types::{TimeZone, Timestamp};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -449,6 +450,13 @@ pub struct Database {
     /// [`Database::retain_before`] can drop fingerprints along with the
     /// history they belong to.
     seen: std::collections::HashMap<u128, Timestamp>,
+    /// The fingerprints of `seen` by age: instant ÷ [`SEEN_BUCKET_SECS`] →
+    /// the fingerprints recorded with an instant in that bucket (the
+    /// quarantined, which never age out, are not listed). Derived from
+    /// `seen`, so that [`Database::retain_before`] visits the fingerprints
+    /// it drops plus one bucket, not every fingerprint held: 16 bytes a
+    /// fingerprint, plus the vectors' growth slack.
+    seen_by_age: BTreeMap<i64, Vec<u128>>,
     /// Insertion-order journal of every `seen` mutation since this
     /// database was built (or restored): the checkpoint path persists the
     /// *delta* since the last barrier instead of re-serializing the whole
@@ -534,6 +542,12 @@ pub enum SeenEvent {
     /// Every fingerprint strictly older than the instant was pruned.
     Floor(Timestamp),
 }
+
+/// Width of one [`Database`] fingerprint-age bucket. A retention call
+/// re-examines the one bucket its floor falls in, so narrower is cheaper
+/// per call and wider is fewer buckets; five minutes is the finest cadence
+/// any caller polls at.
+const SEEN_BUCKET_SECS: i64 = 300;
 
 /// Compaction slack: the journal is rewritten from the live map only
 /// once it carries this many entries beyond twice the live set, keeping
@@ -645,7 +659,44 @@ impl Database {
 
     fn note_seen(&mut self, fp: u128, at: Timestamp) {
         self.seen.insert(fp, at);
+        self.index_seen(fp, at);
         self.seen_log.push(SeenEvent::Insert { fp, at });
+    }
+
+    fn index_seen(&mut self, fp: u128, at: Timestamp) {
+        if at != Timestamp(i64::MAX) {
+            let bucket = at.0.div_euclid(SEEN_BUCKET_SECS);
+            self.seen_by_age.entry(bucket).or_default().push(fp);
+        }
+    }
+
+    /// `self.seen.retain(|_, t| *t >= floor)`, visiting only the buckets
+    /// at or before the floor's. A fingerprint recorded at `t` is listed
+    /// in `t`'s bucket, and buckets are monotone in `t`, so nothing older
+    /// than the floor is listed anywhere later; what a visited bucket lists
+    /// is dropped only if `seen` still holds it with an instant before the
+    /// floor, so nothing else can go.
+    fn prune_seen(&mut self, floor: Timestamp) {
+        let floor_bucket = floor.0.div_euclid(SEEN_BUCKET_SECS);
+        let seen = &mut self.seen;
+        let mut drop_if_older = |fp: &u128| match seen.entry(*fp) {
+            Entry::Occupied(held) if *held.get() < floor => {
+                held.remove();
+                true
+            }
+            _ => false,
+        };
+        while let Some(oldest) = self.seen_by_age.first_entry() {
+            if *oldest.key() >= floor_bucket {
+                break;
+            }
+            oldest.remove().iter().for_each(|fp| {
+                drop_if_older(fp);
+            });
+        }
+        if let Some(straddling) = self.seen_by_age.get_mut(&floor_bucket) {
+            straddling.retain(|fp| !drop_if_older(fp));
+        }
     }
 
     /// The journal epoch and the mutation events since this database was
@@ -667,6 +718,11 @@ impl Database {
                 }
                 SeenEvent::Floor(floor) => self.seen.retain(|_, t| *t >= floor),
             }
+        }
+        self.seen_by_age.clear();
+        let live: Vec<(u128, Timestamp)> = self.export_seen();
+        for (fp, at) in live {
+            self.index_seen(fp, at);
         }
         self.seen_log = events;
         self.seen_epoch = epoch;
@@ -748,7 +804,7 @@ impl Database {
         let dropped = each_table!(&mut self, |t| t.retain_before(floor))
             .iter()
             .sum();
-        self.seen.retain(|_, t| *t >= floor);
+        self.prune_seen(floor);
         self.seen_log.push(SeenEvent::Floor(floor));
         if self.seen_log.len() > 2 * self.seen.len() + SEEN_LOG_COMPACT_SLACK {
             self.compact_seen_log();
@@ -767,6 +823,11 @@ impl Database {
             .iter()
             .sum::<usize>()
             + self.seen.len() * (std::mem::size_of::<(u128, Timestamp)>() + 8)
+            + self
+                .seen_by_age
+                .values()
+                .map(|fps| fps.capacity() * std::mem::size_of::<u128>() + 32)
+                .sum::<usize>()
             + self.seen_log.len() * std::mem::size_of::<SeenEvent>()
     }
 
@@ -1021,6 +1082,65 @@ mod tests {
         assert!(!db.ospf.is_empty());
         assert!(!db.bgp.is_empty());
         assert!(!db.tacacs.is_empty());
+    }
+
+    /// `retain_before` prunes the fingerprint map through the age index;
+    /// after every call the map must hold exactly what a walk over every
+    /// fingerprint would have left — through late and already-expired
+    /// re-deliveries, quarantined records (which never age out), floors
+    /// that fall inside a bucket or do not advance, and a journal
+    /// export/import in the middle.
+    #[test]
+    fn retain_before_prunes_fingerprints_exactly_as_a_full_walk() {
+        let topo = generate(&TopoGenConfig::small());
+        let cfg = ScenarioConfig::new(2, 3, FaultRates::bgp_study());
+        let mut records = run_scenario(&topo, &cfg).records;
+        records.push(RawRecord::Syslog(SyslogLine {
+            host: "ghost-router".into(),
+            line: "2010-01-01 04:00:00 %SYS-5-RESTART: System restarted".into(),
+        }));
+        let mut db = Database::default();
+        let mut stats = IngestStats::default();
+        // What `seen` would hold had every call walked the whole map.
+        let mut walked: std::collections::HashMap<u128, Timestamp> = Default::default();
+        let chunk = records.len() / 12;
+        for (i, batch) in records.chunks(chunk).enumerate() {
+            db.ingest_more(&topo, batch, &mut stats);
+            // An earlier batch again: partly deduplicated, partly (once the
+            // floor has passed it) expired and recorded below the floor.
+            db.ingest_more(&topo, &records[..chunk / 2], &mut stats);
+            for (fp, at) in db.export_seen() {
+                walked.entry(fp).or_insert(at);
+            }
+            // Floors off the bucket grid, one of them not advancing.
+            let newest = db.feed_watermarks()[0].1.unwrap();
+            let back = if i == 7 {
+                9 * 3600
+            } else {
+                5 * 3600 + 17 * i as i64
+            };
+            let floor = newest - grca_types::Duration::secs(back);
+            db.retain_before(floor);
+            walked.retain(|_, t| *t >= floor);
+            assert_eq!(db.seen, walked, "after cycle {i}");
+            if i == 5 {
+                let (epoch, events) = db.seen_log();
+                let events = events.to_vec();
+                db.import_seen_events(epoch, events);
+                assert_eq!(db.seen, walked, "after the journal round-trip");
+            }
+        }
+        assert!(stats.total_expired() > 0 && stats.total_quarantined() > 0);
+        let dropped = records.len() + 1 - walked.len();
+        assert!(dropped > records.len() / 2, "the floors dropped too little");
+        assert!(walked.values().any(|t| *t == Timestamp(i64::MAX)));
+        // The index lists what the map holds, once each, and nothing else.
+        let listed: usize = db.seen_by_age.values().map(Vec::len).sum();
+        let aging = walked
+            .values()
+            .filter(|t| **t != Timestamp(i64::MAX))
+            .count();
+        assert_eq!(listed, aging);
     }
 
     /// The ingest-epoch fingerprint moves on every real state change and
