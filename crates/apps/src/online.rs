@@ -46,7 +46,8 @@ const QUARANTINE_KEEP: usize = 10_000;
 pub struct OnlineRca<'a> {
     topo: &'a Topology,
     /// Incremental extraction state: stateless definitions extract only
-    /// the rows appended since the previous cycle.
+    /// the rows appended since the previous cycle, stateful ones re-read
+    /// only the unsealed tail (sealed history's contribution is memoized).
     extractor: IncrementalExtractor,
     graph: DiagnosisGraph,
     /// Accumulated normalized data.
