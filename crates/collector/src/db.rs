@@ -549,6 +549,12 @@ pub enum SeenEvent {
 /// any caller polls at.
 const SEEN_BUCKET_SECS: i64 = 300;
 
+/// The age bucket a fingerprint recorded at `at` is listed in; `None` for
+/// the quarantined, which never age out.
+fn age_bucket(at: Timestamp) -> Option<i64> {
+    (at != Timestamp(i64::MAX)).then(|| at.0.div_euclid(SEEN_BUCKET_SECS))
+}
+
 /// Compaction slack: the journal is rewritten from the live map only
 /// once it carries this many entries beyond twice the live set, keeping
 /// both the journal's memory and full-rewrite frequency bounded.
@@ -659,15 +665,10 @@ impl Database {
 
     fn note_seen(&mut self, fp: u128, at: Timestamp) {
         self.seen.insert(fp, at);
-        self.index_seen(fp, at);
-        self.seen_log.push(SeenEvent::Insert { fp, at });
-    }
-
-    fn index_seen(&mut self, fp: u128, at: Timestamp) {
-        if at != Timestamp(i64::MAX) {
-            let bucket = at.0.div_euclid(SEEN_BUCKET_SECS);
+        if let Some(bucket) = age_bucket(at) {
             self.seen_by_age.entry(bucket).or_default().push(fp);
         }
+        self.seen_log.push(SeenEvent::Insert { fp, at });
     }
 
     /// `self.seen.retain(|_, t| *t >= floor)`, visiting only the buckets
@@ -720,9 +721,10 @@ impl Database {
             }
         }
         self.seen_by_age.clear();
-        let live: Vec<(u128, Timestamp)> = self.export_seen();
-        for (fp, at) in live {
-            self.index_seen(fp, at);
+        for (&fp, &at) in &self.seen {
+            if let Some(bucket) = age_bucket(at) {
+                self.seen_by_age.entry(bucket).or_default().push(fp);
+            }
         }
         self.seen_log = events;
         self.seen_epoch = epoch;

@@ -17,7 +17,7 @@
 //! *finished* over the whole history each cycle. But finishing needs only
 //! what each row contributed, and most of the history sits in sealed
 //! segments, which never change: every full pass goes through a
-//! [`Memo`] that holds each sealed run's part under the run's id, so a run
+//! memo that holds each sealed run's part under the run's id, so a run
 //! is decoded and collected once — for every definition, stateless ones
 //! included — and afterwards only the unsealed tail (at most two segments'
 //! worth of rows per table) is re-read. Per cycle the work is
@@ -89,8 +89,6 @@ pub struct IncrementalExtractor {
     defs: Vec<EventDefinition>,
     /// Indices into `defs` of the stateless definitions.
     stateless: Vec<usize>,
-    /// Per definition: is it stateful (finished in full every cycle)?
-    stateful: Vec<bool>,
     marks: Option<Marks>,
     /// Cached instances per stateless definition (parallel to
     /// `stateless`), in table row order.
@@ -103,13 +101,13 @@ pub struct IncrementalExtractor {
 
 impl IncrementalExtractor {
     pub fn new(defs: Vec<EventDefinition>) -> Self {
-        let stateful: Vec<bool> = defs.iter().map(|d| !is_stateless(d)).collect();
-        let stateless: Vec<usize> = (0..defs.len()).filter(|&i| !stateful[i]).collect();
+        let stateless: Vec<usize> = (0..defs.len())
+            .filter(|&i| is_stateless(&defs[i]))
+            .collect();
         let cache = vec![Vec::new(); stateless.len()];
         IncrementalExtractor {
             defs,
             stateless,
-            stateful,
             marks: None,
             cache,
             memo: Memo::default(),
@@ -199,10 +197,9 @@ impl IncrementalExtractor {
         // extractors build it): it finishes the stateful ones, and the
         // stateless ones too when no delta was sound.
         let refs: Vec<&EventDefinition> = self.defs.iter().collect();
-        let all = vec![true; refs.len()];
         let cut = Cut::Memo {
             memo: &mut self.memo,
-            finish: if delta { &self.stateful } else { &all },
+            stateful_only: delta,
         };
         let mut per_def = run(&refs, cx, cut);
         for (cached, &i) in self.cache.iter_mut().zip(&self.stateless) {

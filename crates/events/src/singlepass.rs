@@ -20,14 +20,14 @@
 //! next — so collecting a table in pieces and finishing over the pieces in
 //! order equals collecting it whole.
 //!
-//! The pass takes a [`Cut`] saying which pieces. `Full` collects each table
+//! The pass takes a `Cut` saying which pieces. `Full` collects each table
 //! whole. `After` collects the rows strictly after a per-table watermark
 //! (the collector's binary-searched time index); stateless definitions
 //! (point events, see [`is_stateless`]) extract correctly over such a delta
 //! slice. `Memo` reads each table as its sealed runs plus its tail
 //! ([`Table::runs`]): sealed runs are immutable, so a run's part is
 //! collected the first time the run is met and kept under the run's id in
-//! a [`Memo`]; only the tail is collected every time. With nothing sealed
+//! a `Memo`; only the tail is collected every time. With nothing sealed
 //! (or nothing memoized yet) that is `Full`. The incremental extractor in
 //! [`crate::delta`] builds on both.
 
@@ -59,11 +59,11 @@ pub(crate) enum Cut<'a> {
     After(&'a [Option<Timestamp>; 10]),
     /// Every row of every table, sealed runs through `memo`. Every
     /// definition is collected (a memoized part must serve any later
-    /// pass), but only those flagged in `finish` are finished; the other
-    /// slots come back empty.
+    /// pass); with `stateful_only` the stateless ones are not finished —
+    /// the caller has them from a delta — and their slots come back empty.
     Memo {
         memo: &'a mut Memo,
-        finish: &'a [bool],
+        stateful_only: bool,
     },
 }
 
@@ -81,26 +81,45 @@ pub(crate) const T_SERVER: usize = 9;
 /// One table's memoized parts: `(run id, part)` in run order.
 type Sealed<P> = Vec<(u64, P)>;
 
-/// The parts of `t` for one pass, in row order: the sealed runs' (none
+/// One table's parts for one pass, in row order: the sealed runs' (none
 /// unless the pass is memoized) and the one collected fresh from the rows
-/// that follow them — the tail, or without a memo the whole table, cut at
-/// `after` when given (binary-searched, not scanned).
-///
-/// A memoized pass collects a sealed run only if the memo does not hold
-/// its id, and drops every entry whose id the walk did not meet: retention
+/// that follow them.
+struct Parts<'m, P> {
+    sealed: &'m [(u64, P)],
+    fresh: P,
+}
+
+impl<'m, P> Parts<'m, P> {
+    fn sealed(&self) -> impl Iterator<Item = &'m P> + use<'m, P> {
+        self.sealed.iter().map(|(_, part)| part)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &P> {
+        self.sealed().chain([&self.fresh])
+    }
+}
+
+/// Collect `t` for one pass. Without a memo that is one part: the whole
+/// table, cut at `after` when given (binary-searched, not scanned). With
+/// one, the table is walked as its sealed runs and its tail: a sealed run
+/// is collected only if the memo does not hold its id, the tail always,
+/// and every entry whose id the walk did not meet is dropped — retention
 /// dropped that run, or a reseal rewrote it under new ids.
 fn gather<'m, R: StoredRow, P>(
     t: &Table<R>,
     after: Option<Timestamp>,
     memo: Option<&'m mut Sealed<P>>,
     collect: impl Fn(&RowSet<'_, R>) -> P,
-) -> (&'m [(u64, P)], P) {
+) -> Parts<'m, P> {
     let Some(memo) = memo else {
         let rows = match after {
             Some(w) => t.after(w),
             None => t.all(),
         };
-        return (&[], collect(&rows));
+        return Parts {
+            sealed: &[],
+            fresh: collect(&rows),
+        };
     };
     let (sealed, tail) = t.runs();
     let mut held: HashMap<u64, P> = std::mem::take(memo).into_iter().collect();
@@ -110,7 +129,10 @@ fn gather<'m, R: StoredRow, P>(
             .unwrap_or_else(|| collect(&run.rows()));
         (run.id(), part)
     }));
-    (memo, collect(&tail))
+    Parts {
+        sealed: memo,
+        fresh: collect(&tail),
+    }
 }
 
 /// Extract all instances for a set of definitions into a store, scanning
@@ -298,13 +320,16 @@ fn emit_points<'p>(
 /// finish shape every table block has.
 pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Vec<EventInstance>> {
     let mut outs: Vec<Vec<EventInstance>> = vec![Vec::new(); defs.len()];
-    let (marks, mut memo, finish) = match cut {
-        Cut::Full => (None, None, None),
-        Cut::After(marks) => (Some(marks), None, None),
-        Cut::Memo { memo, finish } => (None, Some(memo), Some(finish)),
+    let (marks, mut memo, stateful_only) = match cut {
+        Cut::Full => (None, None, false),
+        Cut::After(marks) => (Some(marks), None, false),
+        Cut::Memo {
+            memo,
+            stateful_only,
+        } => (None, Some(memo), stateful_only),
     };
     let after = |table: usize| marks.and_then(|m| m[table]);
-    let want = |slot: usize| finish.is_none_or(|f| f[slot]);
+    let want = |slot: usize| !(stateful_only && is_stateless(defs[slot]));
     let point = |slot: usize, at: Timestamp, loc: Location| {
         EventInstance::new(&defs[slot].name, TimeWindow::at(at), loc)
     };
@@ -448,8 +473,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.syslog);
-        let (sealed, fresh) = gather(&cx.db.syslog, after(T_SYSLOG), memo, collect);
-        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let parts = gather(&cx.db.syslog, after(T_SYSLOG), memo, collect);
         for (k, (slot, kind)) in syslog.iter().enumerate() {
             let (slot, def) = (*slot, defs[*slot]);
             if !want(slot) {
@@ -457,7 +481,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             match kind {
                 SyslogKind::Iface { sel, .. } => {
-                    let tr = parts().flat_map(|p| &p.iface[k]).copied().collect();
+                    let tr = parts.iter().flat_map(|p| &p.iface[k]).copied().collect();
                     outs[slot].extend(
                         pair_transitions(tr, *sel)
                             .into_iter()
@@ -465,7 +489,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     );
                 }
                 SyslogKind::EbgpFlap | SyslogKind::Pim(_) => {
-                    let tr = parts().flat_map(|p| &p.session[k]).copied().collect();
+                    let tr = parts.iter().flat_map(|p| &p.session[k]).copied().collect();
                     outs[slot].extend(pair_transitions(tr, StateSel::Flap).into_iter().map(
                         |((router, neighbor), w)| {
                             EventInstance::new(
@@ -479,8 +503,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 _ => {} // point events, emitted below
             }
         }
-        let sealed = sealed.iter().map(|(_, p)| &p.points);
-        emit_points(sealed, fresh.points, want, &mut outs);
+        let sealed = parts.sealed().map(|p| &p.points);
+        emit_points(sealed, parts.fresh.points, want, &mut outs);
     }
 
     // -------------------------------------------------------------- snmp
@@ -506,14 +530,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.snmp);
-        let (sealed, fresh) = gather(&cx.db.snmp, after(T_SNMP), memo, collect);
-        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let parts = gather(&cx.db.snmp, after(T_SNMP), memo, collect);
         for (k, (slot, _, _)) in snmp.iter().enumerate() {
             if !want(*slot) {
                 continue;
             }
             let mut by_entity: SnmpSeries = BTreeMap::new();
-            for &(router, iface, utc) in parts().flat_map(|p| &p[k]) {
+            for &(router, iface, utc) in parts.iter().flat_map(|p| &p[k]) {
                 by_entity.entry((router, iface)).or_default().push(utc);
             }
             for ((router, iface), times) in by_entity {
@@ -549,8 +572,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.l1);
-        let (sealed, fresh) = gather(&cx.db.l1, after(T_L1), memo, collect);
-        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
+        let parts = gather(&cx.db.l1, after(T_L1), memo, collect);
+        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
     // -------------------------------------------------------------- ospf
@@ -599,8 +622,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.ospf);
-        let (sealed, fresh) = gather(&cx.db.ospf, after(T_OSPF), memo, collect);
-        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let parts = gather(&cx.db.ospf, after(T_OSPF), memo, collect);
         let wants_cost =
             |(slot, kind): &(usize, OspfKind)| !matches!(kind, OspfKind::Reconv) && want(*slot);
         if ospf.iter().any(wants_cost) {
@@ -609,7 +631,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             // that flip a link — `(instant, link, alive now)`.
             let mut last: BTreeMap<LinkId, bool> = BTreeMap::new();
             let mut flips: Vec<(Timestamp, LinkId, bool)> = Vec::new();
-            for &(utc, link, alive_now) in parts().flat_map(|p| &p.rows) {
+            for &(utc, link, alive_now) in parts.iter().flat_map(|p| &p.rows) {
                 if last.insert(link, alive_now).unwrap_or(true) != alive_now {
                     flips.push((utc, link, alive_now));
                 }
@@ -645,8 +667,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 }
             }
         }
-        let sealed = sealed.iter().map(|(_, p)| &p.points);
-        emit_points(sealed, fresh.points, want, &mut outs);
+        let sealed = parts.sealed().map(|p| &p.points);
+        emit_points(sealed, parts.fresh.points, want, &mut outs);
     }
 
     // --------------------------------------------------------------- bgp
@@ -668,10 +690,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 .collect()
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.bgp);
-        let (sealed, fresh) = gather(&cx.db.bgp, after(T_BGP), memo, collect);
+        let parts = gather(&cx.db.bgp, after(T_BGP), memo, collect);
         let mut seen: BTreeSet<UpdateKey> = BTreeSet::new();
         let mut update_times: PrefixTimes = BTreeMap::new();
-        for &key in sealed.iter().map(|(_, p)| p).chain([&fresh]).flatten() {
+        for &key in parts.iter().flatten() {
             if seen.insert(key) {
                 update_times.entry(key.1).or_default().push(key.0);
             }
@@ -737,8 +759,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.tacacs);
-        let (sealed, fresh) = gather(&cx.db.tacacs, after(T_TACACS), memo, collect);
-        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
+        let parts = gather(&cx.db.tacacs, after(T_TACACS), memo, collect);
+        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
     // ---------------------------------------------------------- workflow
@@ -776,8 +798,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.workflow);
-        let (sealed, fresh) = gather(&cx.db.workflow, after(T_WORKFLOW), memo, collect);
-        emit_points(sealed.iter().map(|(_, p)| p), fresh, want, &mut outs);
+        let parts = gather(&cx.db.workflow, after(T_WORKFLOW), memo, collect);
+        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
     // -------------------------------------------------------------- perf
@@ -803,15 +825,14 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             series
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.perf);
-        let (sealed, fresh) = gather(&cx.db.perf, after(T_PERF), memo, collect);
-        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let parts = gather(&cx.db.perf, after(T_PERF), memo, collect);
         for (k, (slot, _, sense)) in perf.iter().enumerate() {
             if !want(*slot) {
                 continue;
             }
             let mut by_pair: BTreeMap<(RouterId, RouterId), Vec<(Timestamp, f64)>> =
                 BTreeMap::new();
-            for &(ingress, egress, utc, value) in parts().flat_map(|p| &p[k]) {
+            for &(ingress, egress, utc, value) in parts.iter().flat_map(|p| &p[k]) {
                 by_pair
                     .entry((ingress, egress))
                     .or_default()
@@ -850,11 +871,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 .collect()
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.cdn);
-        let (sealed, fresh) = gather(&cx.db.cdn, after(T_CDN), memo, collect);
+        let parts = gather(&cx.db.cdn, after(T_CDN), memo, collect);
         let mut series: CdnSeries = BTreeMap::new();
-        for &(node, client, utc, rtt, tput) in
-            sealed.iter().map(|(_, p)| p).chain([&fresh]).flatten()
-        {
+        for &(node, client, utc, rtt, tput) in parts.iter().flatten() {
             series
                 .entry((node, client))
                 .or_default()
@@ -901,14 +920,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.map(|m| &mut m.server);
-        let (sealed, fresh) = gather(&cx.db.server, after(T_SERVER), memo, collect);
-        let parts = || sealed.iter().map(|(_, p)| p).chain([&fresh]);
+        let parts = gather(&cx.db.server, after(T_SERVER), memo, collect);
         for (k, (slot, _)) in server.iter().enumerate() {
             if !want(*slot) {
                 continue;
             }
             let mut by_node: NodeTimes = BTreeMap::new();
-            for &(node, utc) in parts().flat_map(|p| &p[k]) {
+            for &(node, utc) in parts.iter().flat_map(|p| &p[k]) {
                 by_node.entry(node).or_default().push(utc);
             }
             for (node, times) in by_node {
