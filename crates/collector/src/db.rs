@@ -455,8 +455,11 @@ pub struct Database {
     /// quarantined, which never age out, are not listed). Derived from
     /// `seen`, so that [`Database::retain_before`] visits the fingerprints
     /// it drops plus one bucket, not every fingerprint held: 16 bytes a
-    /// fingerprint, plus the vectors' growth slack.
-    seen_by_age: BTreeMap<i64, Vec<u128>>,
+    /// fingerprint, plus the vectors' growth slack. `None` until the first
+    /// retention call builds it (and again after a journal import): a
+    /// database that never ages history out — a batch ingest, a serving
+    /// publisher — pays nothing for it.
+    seen_by_age: Option<BTreeMap<i64, Vec<u128>>>,
     /// Insertion-order journal of every `seen` mutation since this
     /// database was built (or restored): the checkpoint path persists the
     /// *delta* since the last barrier instead of re-serializing the whole
@@ -549,10 +552,13 @@ pub enum SeenEvent {
 /// any caller polls at.
 const SEEN_BUCKET_SECS: i64 = 300;
 
-/// The age bucket a fingerprint recorded at `at` is listed in; `None` for
-/// the quarantined, which never age out.
-fn age_bucket(at: Timestamp) -> Option<i64> {
-    (at != Timestamp(i64::MAX)).then(|| at.0.div_euclid(SEEN_BUCKET_SECS))
+/// List `fp`, recorded at `at`, in its age bucket — unless it is a
+/// quarantined record's, which never ages out.
+fn list_by_age(index: &mut BTreeMap<i64, Vec<u128>>, fp: u128, at: Timestamp) {
+    if at != Timestamp(i64::MAX) {
+        let bucket = at.0.div_euclid(SEEN_BUCKET_SECS);
+        index.entry(bucket).or_default().push(fp);
+    }
 }
 
 /// Compaction slack: the journal is rewritten from the live map only
@@ -665,8 +671,8 @@ impl Database {
 
     fn note_seen(&mut self, fp: u128, at: Timestamp) {
         self.seen.insert(fp, at);
-        if let Some(bucket) = age_bucket(at) {
-            self.seen_by_age.entry(bucket).or_default().push(fp);
+        if let Some(index) = &mut self.seen_by_age {
+            list_by_age(index, fp, at);
         }
         self.seen_log.push(SeenEvent::Insert { fp, at });
     }
@@ -680,6 +686,13 @@ impl Database {
     fn prune_seen(&mut self, floor: Timestamp) {
         let floor_bucket = floor.0.div_euclid(SEEN_BUCKET_SECS);
         let seen = &mut self.seen;
+        let by_age = self.seen_by_age.get_or_insert_with(|| {
+            let mut index = BTreeMap::new();
+            for (&fp, &at) in seen.iter() {
+                list_by_age(&mut index, fp, at);
+            }
+            index
+        });
         let mut drop_if_older = |fp: &u128| match seen.entry(*fp) {
             Entry::Occupied(held) if *held.get() < floor => {
                 held.remove();
@@ -687,7 +700,7 @@ impl Database {
             }
             _ => false,
         };
-        while let Some(oldest) = self.seen_by_age.first_entry() {
+        while let Some(oldest) = by_age.first_entry() {
             if *oldest.key() >= floor_bucket {
                 break;
             }
@@ -695,7 +708,7 @@ impl Database {
                 drop_if_older(fp);
             });
         }
-        if let Some(straddling) = self.seen_by_age.get_mut(&floor_bucket) {
+        if let Some(straddling) = by_age.get_mut(&floor_bucket) {
             straddling.retain(|fp| !drop_if_older(fp));
         }
     }
@@ -720,12 +733,7 @@ impl Database {
                 SeenEvent::Floor(floor) => self.seen.retain(|_, t| *t >= floor),
             }
         }
-        self.seen_by_age.clear();
-        for (&fp, &at) in &self.seen {
-            if let Some(bucket) = age_bucket(at) {
-                self.seen_by_age.entry(bucket).or_default().push(fp);
-            }
-        }
+        self.seen_by_age = None;
         self.seen_log = events;
         self.seen_epoch = epoch;
     }
@@ -827,7 +835,8 @@ impl Database {
             + self.seen.len() * (std::mem::size_of::<(u128, Timestamp)>() + 8)
             + self
                 .seen_by_age
-                .values()
+                .iter()
+                .flat_map(BTreeMap::values)
                 .map(|fps| fps.capacity() * std::mem::size_of::<u128>() + 32)
                 .sum::<usize>()
             + self.seen_log.len() * std::mem::size_of::<SeenEvent>()
@@ -1137,7 +1146,8 @@ mod tests {
         assert!(dropped > records.len() / 2, "the floors dropped too little");
         assert!(walked.values().any(|t| *t == Timestamp(i64::MAX)));
         // The index lists what the map holds, once each, and nothing else.
-        let listed: usize = db.seen_by_age.values().map(Vec::len).sum();
+        let by_age = db.seen_by_age.as_ref().expect("built by the first call");
+        let listed: usize = by_age.values().map(Vec::len).sum();
         let aging = walked
             .values()
             .filter(|t| **t != Timestamp(i64::MAX))

@@ -280,7 +280,22 @@ impl<'a> Engine<'a> {
 
     /// Diagnose one symptom instance.
     pub fn diagnose(&self, symptom: &EventInstance) -> Diagnosis {
-        let mut evidence: Vec<Evidence> = Vec::new();
+        // Evidence is found in a per-thread scratch vector and copied out
+        // at its exact size: a verdict is built once and kept by whoever
+        // consumes it (an emission log, a served epoch), so it should hold
+        // no growth slack, and the copy is cheaper than growing a fresh
+        // vector by `push` (capacity 4 at the first, for two or three
+        // entries) and shrinking it afterwards.
+        thread_local! {
+            static FOUND: std::cell::RefCell<Vec<Evidence>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+        FOUND.with_borrow_mut(|found| {
+            found.clear(); // a panic mid-diagnosis may have left entries
+            self.diagnose_into(symptom, found)
+        })
+    }
+
+    fn diagnose_into(&self, symptom: &EventInstance, evidence: &mut Vec<Evidence>) -> Diagnosis {
         // Dedup key: (rule, diag window, diag location) — the same
         // instance can be reachable through several parents.
         let mut seen: HashSet<(usize, i64, i64, Location), FxBuild> = HashSet::default();
@@ -337,25 +352,23 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Winner(s): maximum priority.
+        // Winner(s): maximum priority. Counted first, so this vector is
+        // sized exactly too.
         let max_prio = evidence.iter().map(|e| e.priority).max();
-        let mut root_causes: Vec<usize> = match max_prio {
-            None => Vec::new(),
-            Some(p) => evidence
+        let winners = || {
+            evidence
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.priority == p)
+                .filter(|(_, e)| Some(e.priority) == max_prio)
                 .map(|(i, _)| i)
-                .collect(),
         };
-        // A verdict is built once and kept by whoever consumes it (an
-        // emission log, a served epoch): hold no growth slack. Both grew by
-        // `push` — capacity 4 at the first, for two or three entries.
-        evidence.shrink_to_fit();
-        root_causes.shrink_to_fit();
+        let mut root_causes = Vec::with_capacity(winners().count());
+        root_causes.extend(winners());
+        let mut exact = Vec::with_capacity(evidence.len());
+        exact.append(evidence);
         Diagnosis {
             symptom: symptom.clone(),
-            evidence,
+            evidence: exact,
             root_causes,
         }
     }

@@ -57,10 +57,11 @@ pub(crate) enum Cut<'a> {
     Full,
     /// Only rows strictly after each table's watermark.
     After(&'a [Option<Timestamp>; 10]),
-    /// Every row of every table, sealed runs through `memo`. Every
-    /// definition is collected (a memoized part must serve any later
-    /// pass); with `stateful_only` the stateless ones are not finished —
-    /// the caller has them from a delta — and their slots come back empty.
+    /// Every row of every table, sealed runs through `memo`. With
+    /// `stateful_only` the stateless definitions are not finished — the
+    /// caller has them from a delta — and their slots come back empty (a
+    /// sealed run met for the first time is still collected for them: a
+    /// memoized part must serve any later pass).
     Memo {
         memo: &'a mut Memo,
         stateful_only: bool,
@@ -99,17 +100,25 @@ impl<'m, P> Parts<'m, P> {
     }
 }
 
+/// Which definitions (by slot) a collect serves.
+type Serve<'a> = &'a dyn Fn(usize) -> bool;
+
 /// Collect `t` for one pass. Without a memo that is one part: the whole
 /// table, cut at `after` when given (binary-searched, not scanned). With
 /// one, the table is walked as its sealed runs and its tail: a sealed run
 /// is collected only if the memo does not hold its id, the tail always,
 /// and every entry whose id the walk did not meet is dropped — retention
 /// dropped that run, or a reseal rewrote it under new ids.
+///
+/// A part that enters the memo serves every definition, whatever this
+/// pass finishes: it must do for any later pass. The fresh part is used
+/// once, so it serves only the definitions this pass `want`s.
 fn gather<'m, R: StoredRow, P>(
     t: &Table<R>,
     after: Option<Timestamp>,
     memo: Option<&'m mut Sealed<P>>,
-    collect: impl Fn(&RowSet<'_, R>) -> P,
+    want: Serve,
+    collect: impl Fn(&RowSet<'_, R>, Serve) -> P,
 ) -> Parts<'m, P> {
     let Some(memo) = memo else {
         let rows = match after {
@@ -118,7 +127,7 @@ fn gather<'m, R: StoredRow, P>(
         };
         return Parts {
             sealed: &[],
-            fresh: collect(&rows),
+            fresh: collect(&rows, want),
         };
     };
     let (sealed, tail) = t.runs();
@@ -126,13 +135,24 @@ fn gather<'m, R: StoredRow, P>(
     memo.extend(sealed.iter().map(|run| {
         let part = held
             .remove(&run.id())
-            .unwrap_or_else(|| collect(&run.rows()));
+            .unwrap_or_else(|| collect(&run.rows(), &|_| true));
         (run.id(), part)
     }));
     Parts {
         sealed: memo,
-        fresh: collect(&tail),
+        fresh: collect(&tail, want),
     }
+}
+
+/// The matchers a collect serves, each with its index in the full list
+/// (a part's per-matcher vectors are parallel to the full list).
+fn serving<'a, K>(matchers: &'a [(usize, K)], serve: Serve) -> Vec<(usize, usize, &'a K)> {
+    matchers
+        .iter()
+        .enumerate()
+        .filter(|(_, (slot, _))| serve(*slot))
+        .map(|(k, (slot, kind))| (k, *slot, kind))
+        .collect()
 }
 
 /// Extract all instances for a set of definitions into a store, scanning
@@ -369,7 +389,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         syslog.push((i, kind));
     }
     if !syslog.is_empty() || !mnemonics.is_empty() {
-        let collect = |rows: &RowSet<SyslogRow>| {
+        let collect = |rows: &RowSet<SyslogRow>, serve: Serve| {
+            let live = serving(&syslog, serve);
             let mut part = SyslogPart {
                 points: Vec::new(),
                 iface: vec![Vec::new(); syslog.len()],
@@ -380,7 +401,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 // lookup replaces a sweep over every registered message type.
                 if !mnemonics.is_empty() {
                     if let Some(hits) = mnemonics.get(row.mnemonic()) {
-                        for &slot in hits {
+                        for &slot in hits.iter().filter(|&&slot| serve(slot)) {
                             part.points.push((
                                 slot,
                                 point(slot, row.utc, Location::Router(row.router))
@@ -391,8 +412,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 }
                 // Interface resolution is shared across matchers of one row.
                 let mut resolved: Option<Option<InterfaceId>> = None;
-                for (k, (slot, kind)) in syslog.iter().enumerate() {
-                    let slot = *slot;
+                for &(k, slot, kind) in &live {
                     match kind {
                         SyslogKind::Iface { proto, .. } => {
                             let iface = match (&row.event, *proto) {
@@ -473,7 +493,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.syslog);
-        let parts = gather(&cx.db.syslog, after(T_SYSLOG), memo, collect);
+        let parts = gather(&cx.db.syslog, after(T_SYSLOG), memo, &want, collect);
         for (k, (slot, kind)) in syslog.iter().enumerate() {
             let (slot, def) = (*slot, defs[*slot]);
             if !want(slot) {
@@ -508,20 +528,21 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
     }
 
     // -------------------------------------------------------------- snmp
-    let snmp: Vec<(usize, SnmpMetric, f64)> = defs
+    let snmp: Vec<(usize, (SnmpMetric, f64))> = defs
         .iter()
         .enumerate()
         .filter_map(|(i, def)| match &def.retrieval {
-            Retrieval::SnmpThreshold { metric, min } => Some((i, *metric, *min)),
+            Retrieval::SnmpThreshold { metric, min } => Some((i, (*metric, *min))),
             _ => None,
         })
         .collect();
     if !snmp.is_empty() {
         // Per matcher: its qualifying samples.
-        let collect = |rows: &RowSet<SnmpRow>| {
+        let collect = |rows: &RowSet<SnmpRow>, serve: Serve| {
+            let live = serving(&snmp, serve);
             let mut hits: Vec<Vec<SnmpHit>> = vec![Vec::new(); snmp.len()];
             for row in rows.iter() {
-                for (k, (_, metric, min)) in snmp.iter().enumerate() {
+                for &(k, _, (metric, min)) in &live {
                     if row.metric == *metric && row.value >= *min {
                         hits[k].push((row.router, row.iface.map(|i| i.0), row.utc));
                     }
@@ -530,8 +551,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.snmp);
-        let parts = gather(&cx.db.snmp, after(T_SNMP), memo, collect);
-        for (k, (slot, _, _)) in snmp.iter().enumerate() {
+        let parts = gather(&cx.db.snmp, after(T_SNMP), memo, &want, collect);
+        for (k, (slot, _)) in snmp.iter().enumerate() {
             if !want(*slot) {
                 continue;
             }
@@ -555,11 +576,12 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !l1.is_empty() {
-        let collect = |rows: &RowSet<L1Row>| {
+        let collect = |rows: &RowSet<L1Row>, serve: Serve| {
+            let live = serving(&l1, serve);
             let mut points: Points = Vec::new();
             for row in rows.iter() {
-                for &(slot, kind) in &l1 {
-                    if row.kind == kind {
+                for &(_, slot, kind) in &live {
+                    if row.kind == *kind {
                         let circuit = &cx.topo.phys_link(row.circuit).circuit;
                         points.push((
                             slot,
@@ -572,7 +594,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.l1);
-        let parts = gather(&cx.db.l1, after(T_L1), memo, collect);
+        let parts = gather(&cx.db.l1, after(T_L1), memo, &want, collect);
         emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
@@ -597,14 +619,17 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !ospf.is_empty() {
-        let reads_cost = ospf.iter().any(|(_, k)| !matches!(k, OspfKind::Reconv));
-        let collect = |rows: &RowSet<OspfRow>| {
+        let collect = |rows: &RowSet<OspfRow>, serve: Serve| {
+            let live = serving(&ospf, serve);
+            let reads_cost = live
+                .iter()
+                .any(|(_, _, kind)| !matches!(kind, OspfKind::Reconv));
             let mut part = OspfPart::default();
             for row in rows.iter() {
-                for (slot, kind) in &ospf {
+                for &(_, slot, kind) in &live {
                     if let OspfKind::Reconv = kind {
                         let inst = EventInstance::new(
-                            &defs[*slot].name,
+                            &defs[slot].name,
                             TimeWindow::new(row.utc, row.utc + RECONV_DUR),
                             Location::LogicalLink(row.link),
                         )
@@ -612,7 +637,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                             Some(w) => format!("weight -> {w}"),
                             None => "withdrawn".to_string(),
                         });
-                        part.points.push((*slot, inst));
+                        part.points.push((slot, inst));
                     }
                 }
                 if reads_cost {
@@ -622,7 +647,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.ospf);
-        let parts = gather(&cx.db.ospf, after(T_OSPF), memo, collect);
+        let parts = gather(&cx.db.ospf, after(T_OSPF), memo, &want, collect);
         let wants_cost =
             |(slot, kind): &(usize, OspfKind)| !matches!(kind, OspfKind::Reconv) && want(*slot);
         if ospf.iter().any(wants_cost) {
@@ -684,13 +709,16 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         // Every matcher reads the same projection; which rows are
         // reflector copies of an update already seen depends on the rows
         // before them, so the dedup runs at finish.
-        let collect = |rows: &RowSet<BgpRow>| -> Vec<UpdateKey> {
+        let collect = |rows: &RowSet<BgpRow>, serve: Serve| -> Vec<UpdateKey> {
+            if !bgp.iter().any(|(slot, _)| serve(*slot)) {
+                return Vec::new();
+            }
             rows.iter()
                 .map(|row| (row.utc, row.prefix, row.egress, row.attrs))
                 .collect()
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.bgp);
-        let parts = gather(&cx.db.bgp, after(T_BGP), memo, collect);
+        let parts = gather(&cx.db.bgp, after(T_BGP), memo, &want, collect);
         let mut seen: BTreeSet<UpdateKey> = BTreeSet::new();
         let mut update_times: PrefixTimes = BTreeMap::new();
         for &key in parts.iter().flatten() {
@@ -725,11 +753,12 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !tacacs.is_empty() {
-        let collect = |rows: &RowSet<TacacsRow>| {
+        let collect = |rows: &RowSet<TacacsRow>, serve: Serve| {
+            let live = serving(&tacacs, serve);
             let mut points: Points = Vec::new();
             for row in rows.iter() {
                 let c = &row.command;
-                for (slot, kind) in &tacacs {
+                for &(_, slot, kind) in &live {
                     let loc = match kind {
                         TacacsKind::PimConfig => {
                             if !c.contains("mvpn customer") {
@@ -753,13 +782,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                                 .unwrap_or(Location::Router(row.router))
                         }
                     };
-                    points.push((*slot, point(*slot, row.utc, loc).with_info(c.as_str())));
+                    points.push((slot, point(slot, row.utc, loc).with_info(c.as_str())));
                 }
             }
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.tacacs);
-        let parts = gather(&cx.db.tacacs, after(T_TACACS), memo, collect);
+        let parts = gather(&cx.db.tacacs, after(T_TACACS), memo, &want, collect);
         emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
@@ -775,13 +804,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         }
     }
     if !wf.is_empty() {
-        let collect = |rows: &RowSet<WorkflowRow>| {
+        let collect = |rows: &RowSet<WorkflowRow>, serve: Serve| {
             let mut points: Points = Vec::new();
             for row in rows.iter() {
                 let Some(hits) = wf.get(row.activity.as_str()) else {
                     continue;
                 };
-                for &slot in hits {
+                for &slot in hits.iter().filter(|&&slot| serve(slot)) {
                     let loc = row.router.map(Location::Router).or_else(|| {
                         let node = cx.topo.cdn_node_by_name(&row.entity)?;
                         Some(Location::Router(cx.topo.cdn_node(node).attach_router))
@@ -798,25 +827,26 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.workflow);
-        let parts = gather(&cx.db.workflow, after(T_WORKFLOW), memo, collect);
+        let parts = gather(&cx.db.workflow, after(T_WORKFLOW), memo, &want, collect);
         emit_points(parts.sealed(), parts.fresh, want, &mut outs);
     }
 
     // -------------------------------------------------------------- perf
-    let perf: Vec<(usize, PerfMetric, AnomalySense)> = defs
+    let perf: Vec<(usize, (PerfMetric, AnomalySense))> = defs
         .iter()
         .enumerate()
         .filter_map(|(i, def)| match &def.retrieval {
-            Retrieval::PerfAnomaly { metric, sense } => Some((i, *metric, *sense)),
+            Retrieval::PerfAnomaly { metric, sense } => Some((i, (*metric, *sense))),
             _ => None,
         })
         .collect();
     if !perf.is_empty() {
         // Per matcher: its metric's samples.
-        let collect = |rows: &RowSet<PerfRow>| {
+        let collect = |rows: &RowSet<PerfRow>, serve: Serve| {
+            let live = serving(&perf, serve);
             let mut series: Vec<Vec<PerfPoint>> = vec![Vec::new(); perf.len()];
             for row in rows.iter() {
-                for (k, (_, metric, _)) in perf.iter().enumerate() {
+                for &(k, _, (metric, _)) in &live {
                     if row.metric == *metric {
                         series[k].push((row.ingress, row.egress, row.utc, row.value));
                     }
@@ -825,8 +855,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             series
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.perf);
-        let parts = gather(&cx.db.perf, after(T_PERF), memo, collect);
-        for (k, (slot, _, sense)) in perf.iter().enumerate() {
+        let parts = gather(&cx.db.perf, after(T_PERF), memo, &want, collect);
+        for (k, (slot, (_, sense))) in perf.iter().enumerate() {
             if !want(*slot) {
                 continue;
             }
@@ -857,7 +887,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
     if !cdn.is_empty() {
         // Every CDN matcher consumes the full unfiltered series, so
         // project it once and share.
-        let collect = |rows: &RowSet<CdnRow>| -> Vec<CdnPoint> {
+        let collect = |rows: &RowSet<CdnRow>, serve: Serve| -> Vec<CdnPoint> {
+            if !cdn.iter().any(|(slot, ..)| serve(*slot)) {
+                return Vec::new();
+            }
             rows.iter()
                 .map(|row| {
                     (
@@ -871,7 +904,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 .collect()
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.cdn);
-        let parts = gather(&cx.db.cdn, after(T_CDN), memo, collect);
+        let parts = gather(&cx.db.cdn, after(T_CDN), memo, &want, collect);
         let mut series: CdnSeries = BTreeMap::new();
         for &(node, client, utc, rtt, tput) in parts.iter().flatten() {
             series
@@ -908,10 +941,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         .collect();
     if !server.is_empty() {
         // Per matcher: its high-load samples.
-        let collect = |rows: &RowSet<ServerRow>| {
+        let collect = |rows: &RowSet<ServerRow>, serve: Serve| {
+            let live = serving(&server, serve);
             let mut hits: Vec<Vec<ServerHit>> = vec![Vec::new(); server.len()];
             for row in rows.iter() {
-                for (k, (_, min_load)) in server.iter().enumerate() {
+                for &(k, _, min_load) in &live {
                     if row.load >= *min_load {
                         hits[k].push((row.node.0, row.utc));
                     }
@@ -920,7 +954,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.map(|m| &mut m.server);
-        let parts = gather(&cx.db.server, after(T_SERVER), memo, collect);
+        let parts = gather(&cx.db.server, after(T_SERVER), memo, &want, collect);
         for (k, (slot, _)) in server.iter().enumerate() {
             if !want(*slot) {
                 continue;
