@@ -11,6 +11,8 @@ use grca_net_model::{
 use grca_telemetry::records::{L1EventKind, PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::SyslogEvent;
 use grca_types::{Symbol, Timestamp};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Every normalized row exposes its UTC instant (tables sort on it) and
 /// the entity it belongs to (tables group on it — see
@@ -33,6 +35,47 @@ pub trait Row {
     /// batch database. `0` (the default) keeps arrival order for ties.
     fn tiebreak(&self) -> u64 {
         0
+    }
+}
+
+/// Entity → ascending offsets into one canonical row slice: the crate's one
+/// per-entity index, held by the flat table (and so the segmented tail) and
+/// by every decoded segment. Built by the first lookup and dropped by
+/// whatever moves the rows; ingest, scans, sealing and retention never read
+/// it, and at thousands of entities it costs more than the sort it follows.
+#[derive(Debug, Clone)]
+pub(crate) struct EntityIndex<E>(OnceLock<BTreeMap<E, Vec<u32>>>);
+
+impl<E> Default for EntityIndex<E> {
+    fn default() -> Self {
+        EntityIndex(OnceLock::new())
+    }
+}
+
+impl<E: Ord + Copy> EntityIndex<E> {
+    /// The index over `rows` — the slice this index is held beside.
+    pub(crate) fn of<R: Row<Entity = E>>(&self, rows: &[R]) -> &BTreeMap<E, Vec<u32>> {
+        self.0.get_or_init(|| {
+            let mut groups: BTreeMap<E, Vec<u32>> = BTreeMap::new();
+            for (i, row) in rows.iter().enumerate() {
+                groups.entry(row.entity()).or_default().push(i as u32);
+            }
+            groups
+        })
+    }
+
+    /// Forget the index: the rows it described moved.
+    pub(crate) fn clear(&mut self) {
+        self.0.take();
+    }
+
+    /// Estimated resident bytes — nothing until a lookup has built it.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.0.get().map_or(0, |g| {
+            g.values()
+                .map(|v| v.len() * 4 + std::mem::size_of::<(E, Vec<u32>)>())
+                .sum()
+        })
     }
 }
 

@@ -22,8 +22,8 @@
 //! proptests pin that.
 
 use crate::rows::{
-    BgpRow, CdnRow, L1Row, OspfRow, PerfRow, Row, ServerRow, SnmpRow, SyslogRow, TacacsRow,
-    WorkflowRow,
+    BgpRow, CdnRow, EntityIndex, L1Row, OspfRow, PerfRow, Row, ServerRow, SnmpRow, SyslogRow,
+    TacacsRow, WorkflowRow,
 };
 use grca_net_model::{
     CdnNodeId, ClientSiteId, InterfaceId, L1DeviceId, LinkId, PhysLinkId, Prefix, RouterId,
@@ -31,8 +31,6 @@ use grca_net_model::{
 use grca_telemetry::records::{L1EventKind, PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::parse_syslog_message;
 use grca_types::Timestamp;
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// A row type that can live in either storage backend: queryable
 /// ([`Row`]) plus a columnar encoding for sealed segments.
@@ -201,24 +199,15 @@ pub struct DecodedSeg<R: Row> {
     pub rows: Vec<R>,
     /// Timestamp column aligned with `rows`.
     pub times: Vec<Timestamp>,
-    /// Entity → ascending offsets into `rows` (the per-segment
-    /// generalization of the flat finalize-time index). Built on the
-    /// first [`DecodedSeg::offsets_of`]: full scans, reseals and
-    /// extraction's one collect per sealed run never read it, and at
-    /// thousands of entities a segment it is most of a decode's cost.
-    groups: OnceLock<BTreeMap<R::Entity, Vec<u32>>>,
+    /// Built on the first [`DecodedSeg::offsets_of`]: full scans, reseals
+    /// and extraction's one collect per sealed run never read it.
+    groups: EntityIndex<R::Entity>,
 }
 
 impl<R: Row> DecodedSeg<R> {
     /// One entity's ascending offsets into `rows` (empty if unseen).
     pub fn offsets_of(&self, entity: &R::Entity) -> &[u32] {
-        let groups = self.groups.get_or_init(|| {
-            let mut groups: BTreeMap<R::Entity, Vec<u32>> = BTreeMap::new();
-            for (i, row) in self.rows.iter().enumerate() {
-                groups.entry(row.entity()).or_default().push(i as u32);
-            }
-            groups
-        });
+        let groups = self.groups.of(&self.rows);
         groups.get(entity).map_or(&[], Vec::as_slice)
     }
 }
@@ -234,7 +223,7 @@ impl<R: StoredRow> DecodedSeg<R> {
         DecodedSeg {
             rows,
             times,
-            groups: OnceLock::new(),
+            groups: EntityIndex::default(),
         }
     }
 
@@ -244,12 +233,7 @@ impl<R: StoredRow> DecodedSeg<R> {
         let rows: usize = self.rows.len() * std::mem::size_of::<R>()
             + self.rows.iter().map(StoredRow::heap_bytes).sum::<usize>();
         let times = self.times.len() * std::mem::size_of::<Timestamp>();
-        let groups: usize = self.groups.get().map_or(0, |g| {
-            g.values()
-                .map(|v| v.len() * 4 + std::mem::size_of::<(R::Entity, Vec<u32>)>())
-                .sum()
-        });
-        rows + times + groups
+        rows + times + self.groups.approx_bytes()
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`FlatTable`] — the original `Vec`-backed implementation and the
 //!   differential baseline: one dense row vector, a **timestamp column**
 //!   for O(log n) binary-searched range cuts, and a **per-entity offset
-//!   index** (`BTreeMap` for deterministic group order).
+//!   index** (`BTreeMap` for deterministic group order) built by the
+//!   first per-entity lookup after a change, never by ingest.
 //! * [`crate::storage::SegmentedTable`] — memory-bounded segmented
 //!   columnar storage for long horizons: sealed encoded segments with
 //!   zone maps, an LRU of hot decoded segments, and segment-granular
@@ -24,11 +25,10 @@
 //! behind incremental extraction: "every row strictly after `t`" is one
 //! `partition_point` per storage piece.
 
-use crate::rows::Row;
+use crate::rows::{EntityIndex, Row};
 use crate::segment::{DecodedSeg, StoredRow};
 use crate::storage::{SealedRun, SegmentedTable, StorageConfig, StorageStats};
 use grca_types::{TimeWindow, Timestamp};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -45,8 +45,9 @@ pub struct FlatTable<R: Row> {
     rows: Vec<R>,
     /// Columnar copy of each row's timestamp for `rows[..finalized]`.
     times: Vec<Timestamp>,
-    /// Entity → offsets into `rows[..finalized]`, ascending (time order).
-    groups: BTreeMap<R::Entity, Vec<u32>>,
+    /// Entity → offsets into the finalized `rows`: built by the first
+    /// per-entity lookup, dropped by finalize, sealing and retention.
+    groups: EntityIndex<R::Entity>,
     /// Rows covered by the indexes; `rows[finalized..]` are raw pushes.
     finalized: usize,
 }
@@ -56,7 +57,7 @@ impl<R: Row> Default for FlatTable<R> {
         FlatTable {
             rows: Vec::new(),
             times: Vec::new(),
-            groups: BTreeMap::new(),
+            groups: EntityIndex::default(),
             finalized: 0,
         }
     }
@@ -75,9 +76,9 @@ impl<R: Row> FlatTable<R> {
         self.rows.push(row);
     }
 
-    /// Sort by `(time, tiebreak)` and extend the timestamp column and
-    /// per-entity offset index. Must be called after ingestion, before
-    /// querying. The tiebreak makes the final order *canonical*: a pure
+    /// Sort by `(time, tiebreak)`, extend the timestamp column and drop
+    /// the per-entity offset index (the next lookup rebuilds it). Must be
+    /// called after ingestion, before querying. The tiebreak makes the final order *canonical*: a pure
     /// function of the row set, independent of delivery order — so a
     /// database rebuilt from chaos-reordered feeds is byte-identical to
     /// the batch one. (Rows with the default tiebreak of 0 keep arrival
@@ -87,7 +88,7 @@ impl<R: Row> FlatTable<R> {
     /// Cost is proportional to the new suffix plus the merge overlap: the
     /// sorted prefix is *merged* with the sorted new batch rather than
     /// re-sorting the whole vector, and a batch that lands entirely past
-    /// the prefix (the common in-order case) just extends the indexes.
+    /// the prefix (the common in-order case) just extends the column.
     pub fn finalize(&mut self) {
         let n0 = self.finalized;
         let n = self.rows.len();
@@ -127,22 +128,11 @@ impl<R: Row> FlatTable<R> {
             }
             self.rows.extend(ia);
             self.rows.extend(ib);
-            // Offsets at or past the merge region shifted: trim them from
-            // every group, then re-extend below.
-            self.groups.retain(|_, offs| {
-                offs.truncate(offs.partition_point(|&o| (o as usize) < start));
-                !offs.is_empty()
-            });
         }
         self.times.truncate(start);
         self.times
             .extend(self.rows[start..].iter().map(|r| r.time()));
-        for (k, row) in self.rows[start..].iter().enumerate() {
-            self.groups
-                .entry(row.entity())
-                .or_default()
-                .push((start + k) as u32);
-        }
+        self.groups.clear();
         self.finalized = n;
     }
 
@@ -194,22 +184,17 @@ impl<R: Row> FlatTable<R> {
 
     /// One entity's row store and offsets (empty if unseen).
     pub(crate) fn rows_of_parts(&self, entity: &R::Entity) -> (&[R], &[u32]) {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        (
-            &self.rows,
-            self.groups.get(entity).map(Vec::as_slice).unwrap_or(&[]),
-        )
+        let groups = self.groups.of(self.all_slice());
+        (&self.rows, groups.get(entity).map_or(&[], Vec::as_slice))
     }
 
     /// Distinct entities, ascending.
     pub fn group_entities(&self) -> Vec<R::Entity> {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        self.groups.keys().copied().collect()
+        self.groups.of(self.all_slice()).keys().copied().collect()
     }
 
     pub fn entity_count(&self) -> usize {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        self.groups.len()
+        self.groups.of(self.all_slice()).len()
     }
 
     /// Canonical key of row `i` (finalized region).
@@ -226,18 +211,12 @@ impl<R: Row> FlatTable<R> {
 
     /// Build directly from rows already in canonical order.
     pub(crate) fn from_sorted_rows(rows: Vec<R>) -> Self {
-        let mut t = FlatTable {
+        FlatTable {
+            times: rows.iter().map(|r| r.time()).collect(),
+            finalized: rows.len(),
             rows,
-            times: Vec::new(),
-            groups: BTreeMap::new(),
-            finalized: 0,
-        };
-        t.times.extend(t.rows.iter().map(|r| r.time()));
-        for (i, row) in t.rows.iter().enumerate() {
-            t.groups.entry(row.entity()).or_default().push(i as u32);
+            groups: EntityIndex::default(),
         }
-        t.finalized = t.rows.len();
-        t
     }
 
     /// Consume the table, returning the canonical row vector.
@@ -247,16 +226,13 @@ impl<R: Row> FlatTable<R> {
     }
 
     /// Remove and return the first `n` rows (sealing cut); the remaining
-    /// rows keep canonical order and the indexes are rebuilt.
+    /// rows keep canonical order.
     pub(crate) fn take_prefix(&mut self, n: usize) -> Vec<R> {
         debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
         let rest = self.rows.split_off(n);
         let sealed = std::mem::replace(&mut self.rows, rest);
         self.times.drain(..n);
         self.groups.clear();
-        for (i, row) in self.rows.iter().enumerate() {
-            self.groups.entry(row.entity()).or_default().push(i as u32);
-        }
         self.finalized = self.rows.len();
         sealed
     }
@@ -271,9 +247,6 @@ impl<R: Row> FlatTable<R> {
         self.rows.drain(..cut);
         self.times.drain(..cut);
         self.groups.clear();
-        for (i, row) in self.rows.iter().enumerate() {
-            self.groups.entry(row.entity()).or_default().push(i as u32);
-        }
         self.finalized = self.rows.len();
         cut
     }
@@ -281,17 +254,12 @@ impl<R: Row> FlatTable<R> {
 
 impl<R: StoredRow> FlatTable<R> {
     /// Estimated resident bytes: rows (plus string payloads), timestamp
-    /// column, and offset index.
+    /// column, and the offset index once a lookup has built it.
     pub fn approx_bytes(&self) -> usize {
         let rows = self.rows.len() * std::mem::size_of::<R>()
             + self.rows.iter().map(StoredRow::heap_bytes).sum::<usize>();
         let times = self.times.len() * std::mem::size_of::<Timestamp>();
-        let groups: usize = self
-            .groups
-            .values()
-            .map(|v| v.len() * 4 + std::mem::size_of::<(R::Entity, Vec<u32>)>())
-            .sum();
-        rows + times + groups
+        rows + times + self.groups.approx_bytes()
     }
 }
 
@@ -858,6 +826,28 @@ mod tests {
         t.finalize();
         let odds: Vec<u32> = t.rows_of(&1).iter().map(|r| r.1).collect();
         assert_eq!(odds, vec![1, 3, 5, 9]);
+    }
+
+    /// Ingest does not index: a finalized table nobody has looked an entity
+    /// up in holds no per-entity index. The first lookup builds it (and
+    /// `approx_bytes` starts counting it); the next finalize drops it.
+    #[test]
+    fn entity_index_is_built_by_the_first_lookup_not_by_finalize() {
+        let mut t = Table::default();
+        for s in [5, 2, 9, 4, 1] {
+            t.push(TR(ts(s), s as u32));
+        }
+        t.finalize();
+        let bare = t.approx_bytes();
+        assert_eq!(t.rows_of(&1).len(), 3);
+        // Five offsets under two entities.
+        let index = 5 * 4 + 2 * std::mem::size_of::<(u32, Vec<u32>)>();
+        assert_eq!(t.approx_bytes(), bare + index);
+        t.push(TR(ts(7), 7));
+        t.finalize();
+        let row = std::mem::size_of::<TR>() + std::mem::size_of::<Timestamp>();
+        assert_eq!(t.approx_bytes(), bare + row, "finalize kept a stale index");
+        assert_eq!(t.rows_of(&1).len(), 4);
     }
 
     /// Merge-finalize must equal a full stable sort for every batch

@@ -1,7 +1,8 @@
 //! Property-based tests: normalization is the exact inverse of each feed's
 //! clock/naming conventions, and table queries agree with full scans.
 
-use grca_collector::Database;
+use grca_collector::segment::{SegReader, SegWriter};
+use grca_collector::{Database, Row, StorageConfig, StoredRow, Table};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{RouterId, Topology};
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
@@ -111,6 +112,143 @@ proptest! {
         db2.ingest_more(&topo, rest, &mut stats);
         prop_assert_eq!(db2.syslog.len(), db.syslog.len());
         prop_assert_eq!(db2.syslog.range(w).len(), via_range);
+    }
+}
+
+/// A minimal stored row: entity `e`, payload `v` as the tiebreak.
+#[derive(Debug, Clone, PartialEq)]
+struct TRow {
+    t: Timestamp,
+    e: u32,
+    v: u64,
+}
+
+impl Row for TRow {
+    type Entity = u32;
+    fn time(&self) -> Timestamp {
+        self.t
+    }
+    fn entity(&self) -> u32 {
+        self.e
+    }
+    fn tiebreak(&self) -> u64 {
+        self.v
+    }
+}
+
+impl StoredRow for TRow {
+    fn encode_cols(rows: &[Self], w: &mut SegWriter) {
+        for r in rows {
+            w.varu(r.e as u64);
+            w.varu(r.v);
+        }
+    }
+    fn decode_cols(times: &[Timestamp], r: &mut SegReader) -> Vec<Self> {
+        let row = |&t| TRow {
+            t,
+            e: r.varu() as u32,
+            v: r.varu(),
+        };
+        times.iter().map(row).collect()
+    }
+}
+
+const ENTITIES: u32 = 6;
+
+/// One mutation of a table: a batch of `(time offset, entity, payload)`
+/// rows that lands past the newest row, across it, or anywhere in the
+/// history (late: a reseal on the segmented backend); a retention cut at a
+/// fraction of the time span held; or the checkpoint barrier, which seals
+/// a tail that the lookups after the previous step have indexed.
+#[derive(Debug, Clone)]
+enum Step {
+    InOrder(Vec<(i64, u32, u64)>),
+    Overlapping(Vec<(i64, u32, u64)>),
+    Late(Vec<(i64, u32, u64)>),
+    Retain(u8),
+    SealAll,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let rows = proptest::collection::vec((0i64..40, 0..ENTITIES, 0u64..1000), 1..40);
+    (0u8..10, rows, 0u8..100).prop_map(|(kind, rows, pct)| match kind {
+        0..=3 => Step::InOrder(rows),
+        4..=5 => Step::Overlapping(rows),
+        6 => Step::Late(rows),
+        7..=8 => Step::Retain(pct),
+        _ => Step::SealAll,
+    })
+}
+
+/// Every per-entity answer of `t` against a filter scan of `t.all()`.
+fn assert_lookups_match_a_scan(t: &Table<TRow>, when: &str) {
+    let all = t.all().to_vec();
+    let scan = |e: u32| -> Vec<TRow> { all.iter().filter(|r| r.e == e).cloned().collect() };
+    for e in 0..ENTITIES + 1 {
+        let got: Vec<TRow> = t.rows_of(&e).iter().cloned().collect();
+        assert_eq!(got, scan(e), "rows_of({e}) {when}");
+        assert_eq!(t.rows_of(&e).len(), got.len(), "rows_of({e}).len() {when}");
+    }
+    let groups: Vec<(u32, Vec<TRow>)> = t
+        .groups()
+        .map(|(e, rows)| (e, rows.iter().cloned().collect()))
+        .collect();
+    let expect: Vec<(u32, Vec<TRow>)> = (0..ENTITIES)
+        .map(|e| (e, scan(e)))
+        .filter(|(_, rows)| !rows.is_empty())
+        .collect();
+    assert_eq!(groups, expect, "groups() {when}");
+    assert_eq!(t.entity_count(), expect.len(), "entity_count() {when}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-entity index is built by the first lookup and dropped by
+    /// whatever moves rows, so no interleaving of ingest, sealing, reseals
+    /// and retention with lookups may ever be answered from an index that
+    /// describes rows as they used to be. Looked up after every step, on
+    /// both backends, against a scan.
+    #[test]
+    fn lazy_entity_index_never_goes_stale(
+        steps in proptest::collection::vec(step_strategy(), 4..16),
+        segment_rows in 8usize..=64,
+    ) {
+        let mut tables = [
+            Table::<TRow>::default(),
+            Table::segmented(StorageConfig {
+                segment_rows,
+                cache_segments: 2,
+                ..Default::default()
+            }),
+        ];
+        for t in &mut tables {
+            for (i, step) in steps.iter().enumerate() {
+                let newest = t.last_time().map_or(0, |t| t.0);
+                let batch = match step {
+                    Step::InOrder(rows) => Some((newest, 1, rows)),
+                    Step::Overlapping(rows) => Some(((newest - 20).max(0), 1, rows)),
+                    Step::Late(rows) => Some((0, newest / 40 + 1, rows)),
+                    Step::Retain(pct) => {
+                        let oldest = t.all().first().map_or(0, |r| r.t.0);
+                        let floor = oldest + (newest - oldest) * *pct as i64 / 100;
+                        t.retain_before(Timestamp(floor));
+                        None
+                    }
+                    Step::SealAll => {
+                        t.seal_all();
+                        None
+                    }
+                };
+                if let Some((base, span, rows)) = batch {
+                    for &(dt, e, v) in rows {
+                        t.push(TRow { t: Timestamp(base + dt * span), e, v });
+                    }
+                    t.finalize();
+                }
+                assert_lookups_match_a_scan(t, &format!("after step {i} ({step:?})"));
+            }
+        }
     }
 }
 
