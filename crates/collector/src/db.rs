@@ -18,9 +18,9 @@ use grca_net_model::Topology;
 use grca_telemetry::records::RawRecord;
 use grca_telemetry::syslog::{parse_syslog_message, split_line};
 use grca_types::{TimeZone, Timestamp};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Ingestion statistics. Every input record is accounted for exactly once:
 /// `accepted + quarantined + deduplicated == records offered` — nothing is
@@ -419,6 +419,36 @@ pub fn record_fingerprint(rec: &RawRecord) -> u128 {
     ((half(rec, 0x9e37_79b9_7f4a_7c15) as u128) << 64) | half(rec, 0x2545_f491_4f6c_dd1d) as u128
 }
 
+/// Hasher of [`Database`]'s fingerprint map. The key is already a uniform
+/// 128-bit hash, so hashing it again buys nothing: fold the two halves, so
+/// that the bits hashbrown picks a bucket by and the bits it tags the slot
+/// with both carry all of the key's entropy. The fingerprint's keys are
+/// fixed (it is persisted), so this map is as resistant to records crafted
+/// to collide as the fingerprint is, no more: the feeds are the operator's
+/// own network, not an open endpoint.
+#[derive(Debug, Default, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    /// Total, for whatever else is ever fed in: xor in 8-byte words, which
+    /// is what `write_u128` does to a fingerprint.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 ^= u64::from_le_bytes(word);
+        }
+    }
+    fn write_u128(&mut self, fp: u128) {
+        self.0 ^= (fp >> 64) as u64 ^ fp as u64;
+    }
+}
+
+type SeenMap = HashMap<u128, Timestamp, BuildHasherDefault<FoldHasher>>;
+
 /// The collector's normalized database.
 ///
 /// Equality compares row contents per table (indexes are derived state) —
@@ -448,8 +478,9 @@ pub struct Database {
     /// Quarantined records map to `Timestamp(i64::MAX)` (they never age
     /// out); accepted/expired ones carry their row instant so
     /// [`Database::retain_before`] can drop fingerprints along with the
-    /// history they belong to.
-    seen: std::collections::HashMap<u128, Timestamp>,
+    /// history they belong to. Probed once per record offered, by the
+    /// fingerprint's own bits ([`FoldHasher`]).
+    seen: SeenMap,
     /// The fingerprints of `seen` by age: instant ÷ [`SEEN_BUCKET_SECS`] →
     /// the fingerprints recorded with an instant in that bucket (the
     /// quarantined, which never age out, are not listed). Derived from
@@ -607,26 +638,32 @@ impl Database {
     /// (`quarantined`), rows older than the retention floor are counted
     /// but not stored (`expired`), and the rest are appended (`accepted`).
     pub fn ingest_more(&mut self, topo: &Topology, records: &[RawRecord], stats: &mut IngestStats) {
+        // Once a call, not by doubling (and re-hashing) through a bulk one.
+        self.seen.reserve(records.len());
+        self.seen_log.reserve(records.len());
         for rec in records {
             let feed = rec.feed();
             let fp = record_fingerprint(rec);
-            if self.seen.contains_key(&fp) {
+            let Entry::Vacant(unseen) = self.seen.entry(fp) else {
                 *stats.deduplicated.entry(feed).or_default() += 1;
                 continue;
+            };
+            let row = normalize(topo, rec, stats);
+            let at = row.as_ref().map_or(Timestamp(i64::MAX), NormRow::utc);
+            unseen.insert(at);
+            if let Some(index) = &mut self.seen_by_age {
+                list_by_age(index, fp, at);
             }
-            match normalize(topo, rec, stats) {
+            self.seen_log.push(SeenEvent::Insert { fp, at });
+            match row {
+                Ok(_) if self.retention_floor.is_some_and(|floor| at < floor) => {
+                    *stats.expired.entry(feed).or_default() += 1;
+                }
                 Ok(row) => {
-                    let utc = row.utc();
-                    self.note_seen(fp, utc);
-                    if self.retention_floor.is_some_and(|floor| utc < floor) {
-                        *stats.expired.entry(feed).or_default() += 1;
-                        continue;
-                    }
                     *stats.accepted.entry(feed).or_default() += 1;
                     self.push_norm(row);
                 }
                 Err(reason) => {
-                    self.note_seen(fp, Timestamp(i64::MAX));
                     *stats.quarantined.entry(feed).or_default() += 1;
                     self.quarantine.push(Quarantined { feed, reason });
                 }
@@ -667,14 +704,6 @@ impl Database {
     /// The dedup fingerprint map, exported for checkpointing.
     pub fn export_seen(&self) -> Vec<(u128, Timestamp)> {
         self.seen.iter().map(|(&fp, &t)| (fp, t)).collect()
-    }
-
-    fn note_seen(&mut self, fp: u128, at: Timestamp) {
-        self.seen.insert(fp, at);
-        if let Some(index) = &mut self.seen_by_age {
-            list_by_age(index, fp, at);
-        }
-        self.seen_log.push(SeenEvent::Insert { fp, at });
     }
 
     /// `self.seen.retain(|_, t| *t >= floor)`, visiting only the buckets
@@ -1095,6 +1124,20 @@ mod tests {
         assert!(!db.tacacs.is_empty());
     }
 
+    /// `FoldHasher::write` is total and agrees with the `write_u128` fast
+    /// path on a fingerprint's bytes, whichever way `u128::hash` feeds it.
+    #[test]
+    fn fold_hasher_folds_both_halves_either_way() {
+        let fp = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128;
+        let (mut a, mut b, mut c) = <(FoldHasher, FoldHasher, FoldHasher)>::default();
+        a.write_u128(fp);
+        b.write(&fp.to_ne_bytes());
+        assert_eq!(a.finish(), 0x0123_4567_89ab_cdef ^ 0xfedc_ba98_7654_3210);
+        assert_eq!(a.finish(), b.finish());
+        c.write(b"odd-sized input");
+        assert_ne!(c.finish(), 0);
+    }
+
     /// `retain_before` prunes the fingerprint map through the age index;
     /// after every call the map must hold exactly what a walk over every
     /// fingerprint would have left — through late and already-expired
@@ -1113,7 +1156,7 @@ mod tests {
         let mut db = Database::default();
         let mut stats = IngestStats::default();
         // What `seen` would hold had every call walked the whole map.
-        let mut walked: std::collections::HashMap<u128, Timestamp> = Default::default();
+        let mut walked = SeenMap::default();
         let chunk = records.len() / 12;
         for (i, batch) in records.chunks(chunk).enumerate() {
             db.ingest_more(&topo, batch, &mut stats);
