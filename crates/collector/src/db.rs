@@ -344,79 +344,158 @@ fn normalize_inner(
     }
 }
 
-/// 128-bit content fingerprint of a raw record, keyed on every field —
-/// the identity the transport-level dedup uses. Two passes of the (fixed
-/// key, hence deterministic) `DefaultHasher` with distinct seeds make
-/// accidental collisions across millions of records implausible.
-pub fn record_fingerprint(rec: &RawRecord) -> u128 {
-    fn half(rec: &RawRecord, seed: u64) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        seed.hash(&mut h);
-        rec.feed().hash(&mut h);
-        match rec {
-            RawRecord::Syslog(l) => {
-                l.host.hash(&mut h);
-                l.line.hash(&mut h);
-            }
-            RawRecord::Snmp(s) => {
-                s.system.hash(&mut h);
-                s.local_time.hash(&mut h);
-                (s.metric as u8).hash(&mut h);
-                s.if_index.hash(&mut h);
-                s.value.to_bits().hash(&mut h);
-            }
-            RawRecord::L1Log(l) => {
-                l.device.hash(&mut h);
-                l.local_time.hash(&mut h);
-                (l.kind as u8).hash(&mut h);
-                l.circuit.hash(&mut h);
-            }
-            RawRecord::OspfMon(o) => {
-                o.utc.hash(&mut h);
-                o.link_addr.hash(&mut h);
-                o.weight.hash(&mut h);
-            }
-            RawRecord::BgpMon(b) => {
-                b.utc.hash(&mut h);
-                b.reflector.hash(&mut h);
-                b.prefix.hash(&mut h);
-                b.egress_router.hash(&mut h);
-                b.attrs.hash(&mut h);
-            }
-            RawRecord::Tacacs(t) => {
-                t.local_time.hash(&mut h);
-                t.router.hash(&mut h);
-                t.user.hash(&mut h);
-                t.command.hash(&mut h);
-            }
-            RawRecord::Workflow(w) => {
-                w.local_time.hash(&mut h);
-                w.router.hash(&mut h);
-                w.activity.hash(&mut h);
-            }
-            RawRecord::Perf(p) => {
-                p.utc.hash(&mut h);
-                p.ingress_router.hash(&mut h);
-                p.egress_router.hash(&mut h);
-                (p.metric as u8).hash(&mut h);
-                p.value.to_bits().hash(&mut h);
-            }
-            RawRecord::CdnMon(c) => {
-                c.utc.hash(&mut h);
-                c.node.hash(&mut h);
-                c.client_addr.hash(&mut h);
-                c.rtt_ms.to_bits().hash(&mut h);
-                c.throughput_mbps.to_bits().hash(&mut h);
-            }
-            RawRecord::ServerLog(s) => {
-                s.local_time.hash(&mut h);
-                s.node.hash(&mut h);
-                s.load.to_bits().hash(&mut h);
-            }
+/// The fingerprint's hasher: two 64-bit lanes, keyed apart, fed the same
+/// words in one pass. A lane step is a folded 64×64→128 multiply (the two
+/// halves of the product xored), which moves every input bit across the
+/// word; the engine's rotate-xor-multiply is cheaper still but weak on
+/// short structured keys, and a collision here is a silently dropped
+/// record. The keys are fixed, so a fingerprint means the same thing in
+/// every process — the seen log persists them.
+struct TwoLane {
+    a: u64,
+    b: u64,
+}
+
+fn fold_mul(x: u64, key: u64) -> u64 {
+    let wide = x as u128 * key as u128;
+    wide as u64 ^ (wide >> 64) as u64
+}
+
+impl TwoLane {
+    const KEY_A: u64 = 0xa076_1d64_78bd_642f;
+    const KEY_B: u64 = 0xe703_7ed1_a0b4_28db;
+
+    fn new() -> Self {
+        TwoLane {
+            a: 0x9e37_79b9_7f4a_7c15,
+            b: 0x2545_f491_4f6c_dd1d,
         }
-        h.finish()
     }
-    ((half(rec, 0x9e37_79b9_7f4a_7c15) as u128) << 64) | half(rec, 0x2545_f491_4f6c_dd1d) as u128
+
+    fn word(&mut self, w: u64) {
+        self.a = fold_mul(self.a ^ w, Self::KEY_A);
+        self.b = fold_mul(self.b ^ w, Self::KEY_B);
+    }
+
+    /// One closing round per lane under the other lane's key. Each half is
+    /// one lane's alone, so a lane gone degenerate shows as collisions in
+    /// its half (the quality test counts them per half).
+    fn finish128(&self) -> u128 {
+        let hi = fold_mul(self.a ^ Self::KEY_B, Self::KEY_A);
+        let lo = fold_mul(self.b ^ Self::KEY_A, Self::KEY_B);
+        (hi as u128) << 64 | lo as u128
+    }
+}
+
+impl Hasher for TwoLane {
+    fn finish(&self) -> u64 {
+        let fp = self.finish128();
+        (fp >> 64) as u64 ^ fp as u64
+    }
+    /// Length first, then little-endian words, the last zero-padded: with
+    /// the length known the padding is unambiguous, and with `str`'s
+    /// terminator after it adjacent strings cannot trade bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+    // An integer is one word (the signed writes default to these).
+    fn write_u8(&mut self, i: u8) {
+        self.word(i as u64);
+    }
+    fn write_u16(&mut self, i: u16) {
+        self.word(i as u64);
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.word(i as u64);
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+}
+
+/// 128-bit content fingerprint of a raw record, keyed on every field —
+/// the identity the transport-level dedup uses, computed in one pass of
+/// [`TwoLane`]. Fields are fed through their `Hash` impls, so every `str`
+/// carries its terminator. The value is persisted (the seen log): changing
+/// what it hashes or how requires a [`crate::MANIFEST_VERSION`] bump.
+pub fn record_fingerprint(rec: &RawRecord) -> u128 {
+    let h = &mut TwoLane::new();
+    rec.feed().hash(h);
+    match rec {
+        RawRecord::Syslog(l) => {
+            l.host.hash(h);
+            l.line.hash(h);
+        }
+        RawRecord::Snmp(s) => {
+            s.system.hash(h);
+            s.local_time.hash(h);
+            (s.metric as u8).hash(h);
+            s.if_index.hash(h);
+            s.value.to_bits().hash(h);
+        }
+        RawRecord::L1Log(l) => {
+            l.device.hash(h);
+            l.local_time.hash(h);
+            (l.kind as u8).hash(h);
+            l.circuit.hash(h);
+        }
+        RawRecord::OspfMon(o) => {
+            o.utc.hash(h);
+            o.link_addr.hash(h);
+            o.weight.hash(h);
+        }
+        RawRecord::BgpMon(b) => {
+            b.utc.hash(h);
+            b.reflector.hash(h);
+            b.prefix.hash(h);
+            b.egress_router.hash(h);
+            b.attrs.hash(h);
+        }
+        RawRecord::Tacacs(t) => {
+            t.local_time.hash(h);
+            t.router.hash(h);
+            t.user.hash(h);
+            t.command.hash(h);
+        }
+        RawRecord::Workflow(w) => {
+            w.local_time.hash(h);
+            w.router.hash(h);
+            w.activity.hash(h);
+        }
+        RawRecord::Perf(p) => {
+            p.utc.hash(h);
+            p.ingress_router.hash(h);
+            p.egress_router.hash(h);
+            (p.metric as u8).hash(h);
+            p.value.to_bits().hash(h);
+        }
+        RawRecord::CdnMon(c) => {
+            c.utc.hash(h);
+            c.node.hash(h);
+            c.client_addr.hash(h);
+            c.rtt_ms.to_bits().hash(h);
+            c.throughput_mbps.to_bits().hash(h);
+        }
+        RawRecord::ServerLog(s) => {
+            s.local_time.hash(h);
+            s.node.hash(h);
+            s.load.to_bits().hash(h);
+        }
+    }
+    h.finish128()
 }
 
 /// Hasher of [`Database`]'s fingerprint map. The key is already a uniform

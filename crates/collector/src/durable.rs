@@ -42,8 +42,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"GRCA";
 /// Frame layout version.
 pub const FRAME_VERSION: u8 = 1;
 /// Manifest schema version. v2 moved the dedup fingerprints out of the
-/// manifest body into the append-only seen log ([`SeenLogRef`]).
-pub const MANIFEST_VERSION: u32 = 2;
+/// manifest body into the append-only seen log ([`SeenLogRef`]); v3 is the
+/// same layout holding [`crate::record_fingerprint`]'s one-pass values, so
+/// that a v2 log's numbers are never restored into a map they mean nothing
+/// in.
+pub const MANIFEST_VERSION: u32 = 3;
 
 const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
 

@@ -4,6 +4,7 @@
 
 use grca_collector::{
     Database, DurableStore, FeedRegistry, IngestStats, StorageConfig, StoreManifest, Table,
+    MANIFEST_VERSION,
 };
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
@@ -177,5 +178,46 @@ fn manifest_capture_restore_roundtrip_is_identical() {
         rstats2.total_deduplicated() >= first.len() - stats.total_dropped(),
         "re-delivered records must dedup via the restored fingerprints"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The seen log of a version-2 store holds the two-pass SipHash
+/// fingerprints; today's records hash to other numbers, so restoring it
+/// would dedup nothing and remember garbage. Such a store is refused whole
+/// — `load` reads it as a cold start, `restore` as an error — and the very
+/// same barrier under today's version restores.
+#[test]
+fn version_2_manifest_is_a_cold_start_never_a_restore() {
+    let dir = temp_dir("v2");
+    let topo = generate(&TopoGenConfig::small());
+    let cfg = ScenarioConfig::new(1, 17, FaultRates::bgp_study());
+    let out = run_scenario(&topo, &cfg);
+    let scfg = durable_cfg(&dir);
+    let mut db = Database::with_storage(&scfg);
+    let mut stats = IngestStats::default();
+    db.ingest_more(&topo, &out.records, &mut stats);
+    let store = DurableStore::open(&dir).unwrap();
+    let seen_log = store.persist_seen(&db, None).expect("persist seen log");
+    assert!(seen_log.entries > 0);
+    let registry = FeedRegistry::new();
+    let current =
+        StoreManifest::capture(&mut db, &stats, &registry, 1, 0, None, seen_log).expect("capture");
+    assert_eq!(current.version, MANIFEST_VERSION);
+    assert_eq!(MANIFEST_VERSION, 3);
+
+    let old = StoreManifest {
+        version: 2,
+        ..current.clone()
+    };
+    store.save(&old).unwrap();
+    assert_eq!(store.load(), None, "a version-2 manifest must cold-start");
+    let err = old.restore(&dir, &scfg).unwrap_err();
+    assert!(err.contains("version 2"), "unexpected refusal: {err}");
+
+    store.save(&current).unwrap();
+    let loaded = store.load().expect("today's version loads");
+    let (rdb, rstats, _) = loaded.restore(&dir, &scfg).expect("and restores");
+    assert_eq!(rdb.row_counts(), db.row_counts());
+    assert_eq!(rstats, stats);
     std::fs::remove_dir_all(&dir).ok();
 }
