@@ -27,18 +27,19 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// silently dropped anywhere in the pipeline.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IngestStats {
-    pub accepted: BTreeMap<&'static str, usize>,
+    /// Per-feed counts, here and below in [`FEEDS`] order.
+    pub accepted: [usize; 10],
     /// Records rejected by normalization (unknown entity, malformed line,
     /// implausible value). The record itself lands in
     /// [`Database::quarantine`] with a structured reason.
-    pub quarantined: BTreeMap<&'static str, usize>,
+    pub quarantined: [usize; 10],
     /// Exact re-deliveries of an already-ingested record (transport
     /// retries, chaos duplication), skipped by the content-hash dedup.
-    pub deduplicated: BTreeMap<&'static str, usize>,
+    pub deduplicated: [usize; 10],
     /// Records whose normalized instant falls before the database's
     /// retention floor ([`Database::retain_before`]): already-aged-out
     /// history re-delivered by a slow transport. Counted, never stored.
-    pub expired: BTreeMap<&'static str, usize>,
+    pub expired: [usize; 10],
     /// Syslog rows whose body did not match the known message catalog
     /// (kept as raw rows — they still feed exploration and screening).
     pub syslog_unparsed: usize,
@@ -46,19 +47,20 @@ pub struct IngestStats {
 
 impl IngestStats {
     pub fn total_accepted(&self) -> usize {
-        self.accepted.values().sum()
+        self.accepted.iter().sum()
     }
     pub fn total_quarantined(&self) -> usize {
-        self.quarantined.values().sum()
+        self.quarantined.iter().sum()
     }
     pub fn total_deduplicated(&self) -> usize {
-        self.deduplicated.values().sum()
+        self.deduplicated.iter().sum()
     }
     pub fn total_expired(&self) -> usize {
-        self.expired.values().sum()
+        self.expired.iter().sum()
     }
-    /// Compatibility alias from when rejected records were dropped rather
-    /// than quarantined.
+    /// [`IngestStats::total_quarantined`] under its name from when rejected
+    /// records were dropped rather than quarantined; the benchmark harness
+    /// still calls it.
     pub fn total_dropped(&self) -> usize {
         self.total_quarantined()
     }
@@ -71,27 +73,18 @@ impl IngestStats {
             + self.total_expired()
     }
 
-    /// One line per feed, for reports.
+    /// One line per feed that was offered anything, in feed-name order,
+    /// for reports.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let mut feeds: Vec<&'static str> = self
-            .accepted
-            .keys()
-            .chain(self.quarantined.keys())
-            .chain(self.deduplicated.keys())
-            .chain(self.expired.keys())
-            .copied()
-            .collect();
-        feeds.sort_unstable();
-        feeds.dedup();
-        for feed in feeds {
-            let n = self.accepted.get(feed).copied().unwrap_or(0);
-            let q = self.quarantined.get(feed).copied().unwrap_or(0);
-            let d = self.deduplicated.get(feed).copied().unwrap_or(0);
-            let e = self.expired.get(feed).copied().unwrap_or(0);
-            out.push_str(&format!(
-                "{feed:>10}: {n} accepted, {q} quarantined, {d} deduplicated, {e} expired\n"
-            ));
+        for i in feeds_by_name() {
+            let (feed, n, q) = (FEEDS[i], self.accepted[i], self.quarantined[i]);
+            let (d, e) = (self.deduplicated[i], self.expired[i]);
+            if n + q + d + e > 0 {
+                out.push_str(&format!(
+                    "{feed:>10}: {n} accepted, {q} quarantined, {d} deduplicated, {e} expired\n"
+                ));
+            }
         }
         out
     }
@@ -147,6 +140,22 @@ impl NormRow {
             NormRow::Cdn(r) => r.utc,
             NormRow::Server(r) => r.utc,
         }
+    }
+}
+
+/// A record's index into [`FEEDS`] (and so into every per-feed array).
+fn feed_index(rec: &RawRecord) -> usize {
+    match rec {
+        RawRecord::Syslog(_) => 0,
+        RawRecord::Snmp(_) => 1,
+        RawRecord::L1Log(_) => 2,
+        RawRecord::OspfMon(_) => 3,
+        RawRecord::BgpMon(_) => 4,
+        RawRecord::Tacacs(_) => 5,
+        RawRecord::Workflow(_) => 6,
+        RawRecord::Perf(_) => 7,
+        RawRecord::CdnMon(_) => 8,
+        RawRecord::ServerLog(_) => 9,
     }
 }
 
@@ -676,7 +685,8 @@ fn list_by_age(index: &mut BTreeMap<i64, Vec<u128>>, fp: u128, at: Timestamp) {
 /// both the journal's memory and full-rewrite frequency bounded.
 const SEEN_LOG_COMPACT_SLACK: usize = 8192;
 
-/// Feed names in [`Database::row_counts`] table order.
+/// Feed names in [`Database::row_counts`] table order
+/// ([`RawRecord::feed`]'s names).
 pub const FEEDS: [&str; 10] = [
     "syslog",
     "snmp",
@@ -689,6 +699,14 @@ pub const FEEDS: [&str; 10] = [
     "cdnmon",
     "serverlog",
 ];
+
+/// [`FEEDS`] indexes in feed-name order: the order reports and the manifest
+/// list feeds in.
+pub(crate) fn feeds_by_name() -> [usize; 10] {
+    let mut by_name: [usize; 10] = std::array::from_fn(|i| i);
+    by_name.sort_unstable_by_key(|&i| FEEDS[i]);
+    by_name
+}
 
 impl Database {
     /// An empty database whose tables use the segmented columnar backend
@@ -721,10 +739,10 @@ impl Database {
         self.seen.reserve(records.len());
         self.seen_log.reserve(records.len());
         for rec in records {
-            let feed = rec.feed();
+            let feed = feed_index(rec);
             let fp = record_fingerprint(rec);
             let Entry::Vacant(unseen) = self.seen.entry(fp) else {
-                *stats.deduplicated.entry(feed).or_default() += 1;
+                stats.deduplicated[feed] += 1;
                 continue;
             };
             let row = normalize(topo, rec, stats);
@@ -736,14 +754,15 @@ impl Database {
             self.seen_log.push(SeenEvent::Insert { fp, at });
             match row {
                 Ok(_) if self.retention_floor.is_some_and(|floor| at < floor) => {
-                    *stats.expired.entry(feed).or_default() += 1;
+                    stats.expired[feed] += 1;
                 }
                 Ok(row) => {
-                    *stats.accepted.entry(feed).or_default() += 1;
+                    stats.accepted[feed] += 1;
                     self.push_norm(row);
                 }
                 Err(reason) => {
-                    *stats.quarantined.entry(feed).or_default() += 1;
+                    stats.quarantined[feed] += 1;
+                    let feed = FEEDS[feed];
                     self.quarantine.push(Quarantined { feed, reason });
                 }
             }
@@ -1126,6 +1145,53 @@ mod tests {
         );
         assert_eq!(db.quarantine.len(), stats.total_quarantined());
         assert_eq!(stats.total_deduplicated(), n_clean.div_ceil(7));
+    }
+
+    /// Per-feed counts live in arrays indexed by `feed_index`: it must name
+    /// the feed `RawRecord::feed` names, for every feed, and `render` must
+    /// list exactly the feeds that were offered something, by name.
+    #[test]
+    fn feed_index_agrees_with_feed_names_and_render_lists_by_name() {
+        let topo = generate(&TopoGenConfig::small());
+        let mut records = Vec::new();
+        for rates in [
+            FaultRates::bgp_study(),
+            FaultRates::cdn_study(),
+            FaultRates::pim_study(),
+        ] {
+            records.extend(run_scenario(&topo, &ScenarioConfig::new(2, 3, rates)).records);
+        }
+        let mut fed = [false; 10];
+        for rec in &records {
+            assert_eq!(FEEDS[feed_index(rec)], rec.feed());
+            fed[feed_index(rec)] = true;
+        }
+        assert_eq!(fed, [true; 10], "a feed the scenarios never emit");
+        let mut sorted = FEEDS;
+        sorted.sort_unstable();
+        assert_eq!(feeds_by_name().map(|i| FEEDS[i]), sorted);
+
+        let syslog: Vec<RawRecord> = records
+            .iter()
+            .filter(|r| r.feed() == "syslog")
+            .take(3)
+            .cloned()
+            .collect();
+        let mut batch = syslog.clone();
+        batch.push(syslog[0].clone());
+        batch.push(RawRecord::Snmp(SnmpSample {
+            system: "GHOST.ISP.NET".into(),
+            local_time: Timestamp(0),
+            metric: SnmpMetric::CpuUtil5m,
+            if_index: None,
+            value: 1.0,
+        }));
+        let (_, stats) = Database::ingest(&topo, &batch);
+        assert_eq!(
+            stats.render(),
+            "      snmp: 0 accepted, 1 quarantined, 0 deduplicated, 0 expired\n    \
+             syslog: 3 accepted, 0 quarantined, 1 deduplicated, 0 expired\n"
+        );
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! swept by [`DurableStore::gc`] at the next successful save.
 
 use crate::db::{
-    each_table, Database, IngestStats, QuarantineReason, Quarantined, SeenEvent, FEEDS,
+    each_table, feeds_by_name, Database, IngestStats, QuarantineReason, Quarantined, SeenEvent,
+    FEEDS,
 };
 use crate::health::FeedRegistry;
 use crate::segment::try_decode_segment;
@@ -589,15 +590,19 @@ impl DurableStore {
     }
 }
 
-fn stats_to_vec(m: &std::collections::BTreeMap<&'static str, usize>) -> Vec<(String, u64)> {
-    m.iter().map(|(k, v)| (k.to_string(), *v as u64)).collect()
+/// The feeds counted at all, by name — what the manifest has always listed.
+fn stats_to_vec(counts: &[usize; 10]) -> Vec<(String, u64)> {
+    let counted = feeds_by_name().into_iter().filter(|&i| counts[i] > 0);
+    counted
+        .map(|i| (FEEDS[i].to_string(), counts[i] as u64))
+        .collect()
 }
 
-fn stats_from_vec(v: &[(String, u64)]) -> std::collections::BTreeMap<&'static str, usize> {
-    let mut out = std::collections::BTreeMap::new();
+fn stats_from_vec(v: &[(String, u64)]) -> [usize; 10] {
+    let mut out = [0; 10];
     for (feed, n) in v {
-        if let Some(&stat) = FEEDS.iter().find(|&&f| f == feed) {
-            out.insert(stat, *n as usize);
+        if let Some(i) = FEEDS.iter().position(|f| f == feed) {
+            out[i] = *n as usize;
         }
     }
     out
