@@ -17,7 +17,7 @@
 use crate::graph::{DiagnosisGraph, DiagnosisRule};
 use grca_events::{EventInstance, EventStore};
 use grca_net_model::{JoinLevel, Location, SpatialModel};
-use grca_types::{batch_size, map_indexed, Symbol, Timestamp};
+use grca_types::{batch_size, map_indexed, FxBuild, Symbol, Timestamp};
 use std::collections::{HashMap, HashSet};
 
 /// Label used when no diagnostic evidence joined a symptom.
@@ -144,62 +144,6 @@ pub struct Engine<'a> {
     /// [`Engine::new`], borrowed when shared via [`Engine::with_index`].
     index: std::borrow::Cow<'a, RuleIndex>,
 }
-
-/// A fast, non-cryptographic hasher for the engine's per-diagnosis
-/// tables. The join memo and the dedup set are probed once or twice per
-/// candidate, so SipHash (the `HashMap` default, DoS-resistant) is
-/// measurable overhead on keys the engine builds itself from small
-/// fixed-shape ids. FxHash-style rotate-xor-multiply.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_i64(&mut self, n: i64) {
-        self.add(n as u64);
-    }
-}
-
-type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
 /// Spatial-join memo for one diagnosis: within a routing epoch the join
 /// answer is a pure function of the level and the two locations, so

@@ -17,9 +17,10 @@
 
 use crate::ids::*;
 use crate::ip::{Ipv4, Prefix};
-use grca_types::TimeZone;
+use grca_types::{FxBuild, TimeZone};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hash};
 
 /// A point of presence: a city site housing routers and layer-1 gear.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -254,15 +255,17 @@ pub struct Topology {
 
     // ---- lookup indices: derived data, rebuilt on deserialization ----
     // The name-keyed ones are hash maps looked up by `&str`; none is ever
-    // iterated, so hash order reaches no output.
+    // iterated, so hash order reaches no output. The ones every ingested
+    // record asks take the cheap hasher: their keys are this inventory's.
     #[serde(skip)]
-    router_by_name: HashMap<String, RouterId>,
+    router_by_name: HashMap<String, RouterId, FxBuild>,
     /// Interface name → interface, one map per router (indexed by
     /// `RouterId`), so a lookup borrows the name.
     #[serde(skip)]
     iface_by_name: Vec<HashMap<String, InterfaceId>>,
+    /// SNMP ifIndex → interface, one map per router like the names.
     #[serde(skip)]
-    iface_by_ifindex: BTreeMap<(RouterId, u32), InterfaceId>,
+    iface_by_ifindex: Vec<HashMap<u32, InterfaceId, FxBuild>>,
     #[serde(skip)]
     iface_by_ip: BTreeMap<Ipv4, InterfaceId>,
     #[serde(skip)]
@@ -271,12 +274,12 @@ pub struct Topology {
     l1dev_by_name: HashMap<String, L1DeviceId>,
     /// CDN node name → node; the first node of a name wins.
     #[serde(skip)]
-    cdn_node_by_name: HashMap<String, CdnNodeId>,
-    /// External nets bucketed by prefix length: length → network bits →
-    /// net. Longest-prefix match walks the lengths present, longest first;
-    /// the last net added with a given prefix wins.
+    cdn_node_by_name: HashMap<String, CdnNodeId, FxBuild>,
+    /// External nets bucketed by prefix length: length → network number
+    /// ([`net_number`]) → net. Longest-prefix match walks the lengths
+    /// present, longest first; the last net added with a given prefix wins.
     #[serde(skip)]
-    ext_net_by_prefix: BTreeMap<u8, HashMap<u32, ClientSiteId>>,
+    ext_net_by_prefix: BTreeMap<u8, HashMap<u32, ClientSiteId, FxBuild>>,
     #[serde(skip)]
     session_by_neighbor: BTreeMap<(RouterId, Ipv4), SessionId>,
     #[serde(skip)]
@@ -322,18 +325,28 @@ fn members<K: Ord, V>(index: &BTreeMap<K, Vec<V>>, key: K) -> &[V] {
     index.get(&key).map(Vec::as_slice).unwrap_or(&[])
 }
 
-/// Record `name → id` in `router`'s map of the per-router interface-name
-/// index, growing the index to reach that router.
-fn index_iface_name(
-    index: &mut Vec<HashMap<String, InterfaceId>>,
+/// The `len` leading bits of `addr` as a number: a prefix's key among the
+/// prefixes of its length. The host bits are shifted out, not masked, so
+/// that neighbouring nets differ in their low bits — where the cheap
+/// hasher needs its keys to differ.
+fn net_number(addr: Ipv4, len: u8) -> u32 {
+    addr.0
+        .checked_shr(32u32.saturating_sub(len.into()))
+        .unwrap_or(0)
+}
+
+/// Record `key → id` in `router`'s map of a per-router interface index,
+/// growing the index to reach that router.
+fn index_iface<K: Eq + Hash, S: BuildHasher + Default>(
+    index: &mut Vec<HashMap<K, InterfaceId, S>>,
     router: RouterId,
-    name: &str,
+    key: K,
     id: InterfaceId,
 ) {
     if index.len() <= router.index() {
-        index.resize_with(router.index() + 1, HashMap::new);
+        index.resize_with(router.index() + 1, HashMap::default);
     }
-    index[router.index()].insert(name.to_owned(), id);
+    index[router.index()].insert(key, id);
 }
 
 impl Topology {
@@ -357,8 +370,8 @@ impl Topology {
         self.iface_by_ip.clear();
         for (i, ifc) in self.interfaces.iter().enumerate() {
             let id = InterfaceId::from(i);
-            index_iface_name(&mut self.iface_by_name, ifc.router, &ifc.name, id);
-            self.iface_by_ifindex.insert((ifc.router, ifc.if_index), id);
+            index_iface(&mut self.iface_by_name, ifc.router, ifc.name.clone(), id);
+            index_iface(&mut self.iface_by_ifindex, ifc.router, ifc.if_index, id);
             if let Some(ip) = ifc.ip {
                 self.iface_by_ip.insert(ip, id);
             }
@@ -407,7 +420,10 @@ impl Topology {
             self.ext_net_by_prefix
                 .entry(n.prefix.len)
                 .or_default()
-                .insert(n.prefix.bits, ClientSiteId::from(i));
+                .insert(
+                    net_number(n.prefix.network(), n.prefix.len),
+                    ClientSiteId::from(i),
+                );
         }
     }
 
@@ -476,8 +492,8 @@ impl Topology {
             .iter()
             .map(|c| self.cards[c.index()].interfaces.len() as u32)
             .sum::<u32>();
-        index_iface_name(&mut self.iface_by_name, router, &name, id);
-        self.iface_by_ifindex.insert((router, if_index), id);
+        index_iface(&mut self.iface_by_name, router, name.clone(), id);
+        index_iface(&mut self.iface_by_ifindex, router, if_index, id);
         if let Some(ip) = ip {
             self.iface_by_ip.insert(ip, id);
         }
@@ -634,7 +650,7 @@ impl Topology {
         self.ext_net_by_prefix
             .entry(prefix.len)
             .or_default()
-            .insert(prefix.bits, id);
+            .insert(net_number(prefix.network(), prefix.len), id);
         self.ext_nets.push(ExtNet {
             name: name.into(),
             prefix,
@@ -722,7 +738,8 @@ impl Topology {
     }
 
     pub fn iface_by_ifindex(&self, router: RouterId, if_index: u32) -> Option<InterfaceId> {
-        self.iface_by_ifindex.get(&(router, if_index)).copied()
+        let of_router = self.iface_by_ifindex.get(router.index())?;
+        of_router.get(&if_index).copied()
     }
 
     pub fn iface_by_ip(&self, ip: Ipv4) -> Option<InterfaceId> {
@@ -836,7 +853,7 @@ impl Topology {
         self.ext_net_by_prefix
             .iter()
             .rev()
-            .find_map(|(&len, nets)| nets.get(&Prefix::new(addr, len).bits).copied())
+            .find_map(|(&len, nets)| nets.get(&net_number(addr, len)).copied())
     }
 
     /// Summary line used by reports.

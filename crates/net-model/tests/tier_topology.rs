@@ -365,11 +365,24 @@ fn check_name_indexes(topo: &Topology, what: &str) {
                 .filter(|&i| topo.interface(i).name == *name)
                 .max();
             assert_eq!(topo.iface_by_name(rid, name), want, "{what}: {}", r.name);
+            let ifindex = topo.interface(iid).if_index;
+            let want: Option<InterfaceId> = on_router()
+                .filter(|&i| topo.interface(i).if_index == ifindex)
+                .max();
+            assert_eq!(
+                topo.iface_by_ifindex(rid, ifindex),
+                want,
+                "{what}: {}#{ifindex}",
+                r.name
+            );
         }
         assert_eq!(topo.iface_by_name(rid, "Serial99/99/9"), None);
+        assert_eq!(topo.iface_by_ifindex(rid, 0), None);
+        assert_eq!(topo.iface_by_ifindex(rid, u32::MAX), None);
     }
     let beyond = RouterId::from(topo.routers.len());
     assert_eq!(topo.iface_by_name(beyond, "Serial0/0/0"), None);
+    assert_eq!(topo.iface_by_ifindex(beyond, 1), None);
 
     let circuits = scan_names(topo.phys_links.iter().map(|p| p.circuit.as_str()));
     for p in &topo.phys_links {

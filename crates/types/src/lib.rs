@@ -9,6 +9,7 @@
 //!   normalization into UTC performed by the Data Collector is built on the
 //!   types defined here.
 //! * [`error`] — the crate-spanning error type.
+//! * [`hash`] — the cheap hasher for maps keyed by trusted, self-built keys.
 //! * [`par`] — the one work-stealing parallel map the engine, the
 //!   screening pool and the simulator share.
 //! * [`seq`] — small typed index newtypes used by arena-style stores.
@@ -21,12 +22,14 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
+pub mod hash;
 pub mod par;
 pub mod seq;
 pub mod sym;
 pub mod time;
 
 pub use error::{GrcaError, Result};
+pub use hash::FxBuild;
 pub use par::{batch_size, map_indexed};
 pub use sym::{Symbol, SymbolTable};
 pub use time::{Duration, TimeWindow, TimeZone, Timestamp};
