@@ -437,7 +437,7 @@ impl Hasher for TwoLane {
 
 /// 128-bit content fingerprint of a raw record, keyed on every field —
 /// the identity the transport-level dedup uses, computed in one pass of
-/// [`TwoLane`]. Fields are fed through their `Hash` impls, so every `str`
+/// `TwoLane`. Fields are fed through their `Hash` impls, so every `str`
 /// carries its terminator. The value is persisted (the seen log): changing
 /// what it hashes or how requires a [`crate::MANIFEST_VERSION`] bump.
 pub fn record_fingerprint(rec: &RawRecord) -> u128 {
@@ -785,8 +785,8 @@ impl Database {
         }
     }
 
-    /// Sort every table and rebuild its time/entity indexes (call once
-    /// after ingestion).
+    /// Sort every table and extend its timestamp column (call once after
+    /// ingestion); per-entity indexes are left to the first lookup.
     pub fn finalize(&mut self) {
         each_table!(&mut self, |t| t.finalize());
     }
@@ -953,8 +953,10 @@ impl Database {
         dropped
     }
 
-    /// Estimated resident bytes across all tables (rows, indexes, encoded
-    /// blobs and decode caches) plus the fingerprint map.
+    /// Estimated resident bytes across all tables (rows, timestamp
+    /// columns, encoded blobs, decode caches, and whichever per-entity
+    /// indexes a lookup has built) plus the fingerprint map, its age index
+    /// and its journal.
     pub fn approx_bytes(&self) -> usize {
         each_table!(&self, |t| t.approx_bytes())
             .iter()

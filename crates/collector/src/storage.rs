@@ -642,7 +642,8 @@ impl<R: StoredRow> SegmentedTable<R> {
         dropped
     }
 
-    /// Estimated resident bytes (rows, indexes, encoded blobs, caches).
+    /// Estimated resident bytes (rows, encoded blobs, caches, and the
+    /// per-entity indexes lookups have built).
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for s in &self.segs {
