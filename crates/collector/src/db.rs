@@ -78,9 +78,10 @@ impl IngestStats {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for i in feeds_by_name() {
-            let (feed, n, q) = (FEEDS[i], self.accepted[i], self.quarantined[i]);
+            let (n, q) = (self.accepted[i], self.quarantined[i]);
             let (d, e) = (self.deduplicated[i], self.expired[i]);
             if n + q + d + e > 0 {
+                let feed = FEEDS[i];
                 out.push_str(&format!(
                     "{feed:>10}: {n} accepted, {q} quarantined, {d} deduplicated, {e} expired\n"
                 ));
@@ -522,12 +523,12 @@ impl Hasher for FoldHasher {
         self.0
     }
     /// Total, for whatever else is ever fed in: xor in 8-byte words, which
-    /// is what `write_u128` does to a fingerprint.
+    /// is what `write_u128` does to a fingerprint's native-endian bytes.
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.0 ^= u64::from_le_bytes(word);
+            self.0 ^= u64::from_ne_bytes(word);
         }
     }
     fn write_u128(&mut self, fp: u128) {

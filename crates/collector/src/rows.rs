@@ -64,6 +64,11 @@ impl<E: Ord + Copy> EntityIndex<E> {
         })
     }
 
+    /// One entity's ascending offsets into `rows` (empty if unseen).
+    pub(crate) fn offsets_of<R: Row<Entity = E>>(&self, rows: &[R], entity: &E) -> &[u32] {
+        self.of(rows).get(entity).map_or(&[], Vec::as_slice)
+    }
+
     /// Forget the index: the rows it described moved.
     pub(crate) fn clear(&mut self) {
         self.0.take();

@@ -207,8 +207,7 @@ pub struct DecodedSeg<R: Row> {
 impl<R: Row> DecodedSeg<R> {
     /// One entity's ascending offsets into `rows` (empty if unseen).
     pub fn offsets_of(&self, entity: &R::Entity) -> &[u32] {
-        let groups = self.groups.of(&self.rows);
-        groups.get(entity).map_or(&[], Vec::as_slice)
+        self.groups.offsets_of(&self.rows, entity)
     }
 }
 

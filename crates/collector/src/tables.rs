@@ -78,10 +78,10 @@ impl<R: Row> FlatTable<R> {
 
     /// Sort by `(time, tiebreak)`, extend the timestamp column and drop
     /// the per-entity offset index (the next lookup rebuilds it). Must be
-    /// called after ingestion, before querying. The tiebreak makes the final order *canonical*: a pure
-    /// function of the row set, independent of delivery order — so a
-    /// database rebuilt from chaos-reordered feeds is byte-identical to
-    /// the batch one. (Rows with the default tiebreak of 0 keep arrival
+    /// called after ingestion, before querying. The tiebreak makes the
+    /// final order *canonical*: a pure function of the row set,
+    /// independent of delivery order — so a database rebuilt from
+    /// chaos-reordered feeds is byte-identical to the batch one. (Rows with the default tiebreak of 0 keep arrival
     /// order: every sort and merge here is stable, and suffix rows
     /// arrived after the already-finalized prefix.)
     ///
@@ -184,8 +184,8 @@ impl<R: Row> FlatTable<R> {
 
     /// One entity's row store and offsets (empty if unseen).
     pub(crate) fn rows_of_parts(&self, entity: &R::Entity) -> (&[R], &[u32]) {
-        let groups = self.groups.of(self.all_slice());
-        (&self.rows, groups.get(entity).map_or(&[], Vec::as_slice))
+        let rows = self.all_slice();
+        (rows, self.groups.offsets_of(rows, entity))
     }
 
     /// Distinct entities, ascending.
