@@ -25,6 +25,8 @@ pub mod delta;
 pub mod dsl;
 pub mod extract;
 pub mod instance;
+#[cfg(test)]
+mod kernel_oracle;
 pub mod library;
 pub mod singlepass;
 
