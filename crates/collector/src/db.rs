@@ -1101,6 +1101,60 @@ mod tests {
         ));
     }
 
+    /// A NaN or infinite measurement is `Implausible` and reaches no table,
+    /// whichever measured column carries it. Extraction relies on this: its
+    /// trailing medians keep a sorted window, which a NaN would corrupt.
+    #[test]
+    fn non_finite_measurements_are_quarantined_in_every_column() {
+        let topo = generate(&TopoGenConfig::small());
+        let cfg = ScenarioConfig::new(1, 3, FaultRates::cdn_study());
+        let records = run_scenario(&topo, &cfg).records;
+        type Corrupt = fn(&mut RawRecord, f64);
+        let columns: [(&str, &str, Corrupt); 5] = [
+            ("snmp", "snmp sample", |r, v| {
+                if let RawRecord::Snmp(s) = r {
+                    s.value = v;
+                }
+            }),
+            ("perf", "perf probe", |r, v| {
+                if let RawRecord::Perf(p) = r {
+                    p.value = v;
+                }
+            }),
+            ("cdnmon", "cdn rtt", |r, v| {
+                if let RawRecord::CdnMon(c) = r {
+                    c.rtt_ms = v;
+                }
+            }),
+            ("cdnmon", "cdn throughput", |r, v| {
+                if let RawRecord::CdnMon(c) = r {
+                    c.throughput_mbps = v;
+                }
+            }),
+            ("serverlog", "server load", |r, v| {
+                if let RawRecord::ServerLog(s) = r {
+                    s.load = v;
+                }
+            }),
+        ];
+        for (feed, column, corrupt) in columns {
+            let clean = records.iter().find(|r| r.feed() == feed).expect(feed);
+            let (db, _) = Database::ingest(&topo, std::slice::from_ref(clean));
+            assert_eq!(db.total_rows(), 1, "a clean {feed} record must land");
+            for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut rec = clean.clone();
+                corrupt(&mut rec, bad);
+                let (db, stats) = Database::ingest(&topo, &[rec]);
+                let reason = &db.quarantine[0].reason;
+                assert_eq!((db.total_rows(), stats.total_quarantined()), (0, 1));
+                assert!(
+                    matches!(reason, QuarantineReason::Implausible { what, .. } if *what == column),
+                    "{column} = {bad}: {reason:?}"
+                );
+            }
+        }
+    }
+
     /// Exact re-deliveries are skipped and counted, including across
     /// incremental batches (transport retries replaying an earlier batch).
     #[test]
