@@ -359,10 +359,11 @@ fn steady_state_extract_allocations_do_not_scale_with_sealed_history() {
     let (allocs1, _) = alloc_snapshot();
     let decodes = db.storage_stats().expect("segmented").decodes - decodes0;
     let per_call = (allocs1 - allocs0) / CALLS as u64;
-    // Measures 205 a call (the finish over the ~360 qualifying samples,
-    // the store, the walk's bookkeeping) and no decode; 223 while the probe
-    // finish built a tree. Re-reading the 27 sealed runs every call
-    // measured 1364 a call and 27 decodes each.
+    // Measures 133 a call (the finish merging the ~360 qualifying samples
+    // out of the sorted parts, the store, the walk's bookkeeping) and no
+    // decode; 205 while the SNMP finish grouped them in a tree per call,
+    // 223 while the probe finish built one too. Re-reading the 27 sealed
+    // runs every call measured 1364 a call and 27 decodes each.
     assert!(
         per_call < 260 && decodes == 0,
         "steady-state extract: {per_call} allocations a call, {decodes} decodes in {CALLS} \
@@ -371,8 +372,9 @@ fn steady_state_extract_allocations_do_not_scale_with_sealed_history() {
 }
 
 /// A stateful finish costs a few buffers per definition, not a node or a
-/// vector per entity it judges: a metric's probe samples are grouped by one
-/// sort, and one trailing baseline judges every pair. Six polls of 600
+/// vector per entity it judges: a metric's probe samples are grouped by
+/// merging the parts' sorted runs, and one trailing baseline judges every
+/// pair. Six polls of 600
 /// probe pairs of the default topology (each past the baseline's
 /// four-sample warm-up, none anomalous) in 128-row segments.
 #[test]
@@ -413,8 +415,10 @@ fn steady_state_extract_allocations_do_not_scale_with_probe_pairs() {
     }
     let (allocs1, _) = alloc_snapshot();
     let per_call = (allocs1 - allocs0) / CALLS as u64;
-    // Measures 52 a call. A tree of per-pair vectors and a baseline per
-    // pair, copying and sorting its window per sample, measured 3724.
+    // Measures 48 a call; 52 while the finish copied every part's samples
+    // into one buffer and sorted it. A tree of per-pair vectors and a
+    // baseline per pair, copying and sorting its window per sample,
+    // measured 3724.
     assert!(
         per_call < 150,
         "steady-state extract: {per_call} allocations a call over {PAIRS} probe pairs — \

@@ -172,7 +172,7 @@ pub fn extract(def: &EventDefinition, cx: &ExtractCx) -> Vec<EventInstance> {
             }
             let mut out = Vec::new();
             for (node, times) in by_node {
-                server_node_events(def, cx, node, &times, &mut out);
+                server_node_events(def, cx, node, times, &mut out);
             }
             out
         }
@@ -223,36 +223,57 @@ pub(crate) fn pair_transitions<K: Ord + Copy>(
     mut events: Vec<(Timestamp, K, bool)>,
     sel: StateSel,
 ) -> Vec<(K, TimeWindow)> {
+    sort_transitions(&mut events);
+    let mut out = Vec::new();
+    for seq in events.chunk_by_mut(|a, b| a.1 == b.1) {
+        pair_key(seq, sel, |k, w| out.push((k, w)));
+    }
+    out
+}
+
+/// Sort transitions by (key, instant, up), the order pairing reads them in.
+pub(crate) fn sort_transitions<K: Ord + Copy>(events: &mut [(Timestamp, K, bool)]) {
     // Elements equal under this key are identical, so unstable is exact.
     events.sort_unstable_by_key(|&(t, k, up)| (k, t, up));
-    let mut out = Vec::new();
-    for seq in events.chunk_by(|a, b| a.1 == b.1) {
-        let k = seq[0].1;
-        match sel {
-            StateSel::Down | StateSel::Up => {
-                let up = sel == StateSel::Up;
-                let hits = seq.iter().filter(|e| e.2 == up);
-                out.extend(hits.map(|&(t, ..)| (k, TimeWindow::at(t))));
+}
+
+/// Pair one key's transitions into down / up / flap windows (shared by
+/// both extractors). Merged parts may hand a key's transitions over out of
+/// (instant, up) order — rows at one instant can straddle a seal in
+/// tiebreak order — so they are sorted first, but only then.
+pub(crate) fn pair_key<K: Copy>(
+    seq: &mut [(Timestamp, K, bool)],
+    sel: StateSel,
+    mut emit: impl FnMut(K, TimeWindow),
+) {
+    if !seq.is_sorted_by_key(|&(t, _, up)| (t, up)) {
+        seq.sort_unstable_by_key(|&(t, _, up)| (t, up));
+    }
+    match sel {
+        StateSel::Down | StateSel::Up => {
+            let up = sel == StateSel::Up;
+            for &(t, k, _) in seq.iter().filter(|e| e.2 == up) {
+                emit(k, TimeWindow::at(t));
             }
-            StateSel::Flap => {
-                // Each down is matched to the first up at or after it: the
-                // downs since the previous up all pair with this one (a
-                // down sorts before an up at its own instant). Overlapping
-                // outages (two downs before an up — e.g. two independent
-                // faults hitting one session) still yield one flap per
-                // down, matching how each underlying incident is counted.
-                let mut from = 0;
-                for (i, &(u, _, up)) in seq.iter().enumerate() {
-                    if up {
-                        let downs = seq[from..i].iter().filter(|d| u - d.0 <= MAX_FLAP_GAP);
-                        out.extend(downs.map(|&(t, ..)| (k, TimeWindow::new(t, u))));
-                        from = i + 1;
+        }
+        StateSel::Flap => {
+            // Each down is matched to the first up at or after it: the
+            // downs since the previous up all pair with this one (a down
+            // sorts before an up at its own instant). Overlapping outages
+            // (two downs before an up — e.g. two independent faults
+            // hitting one session) still yield one flap per down, matching
+            // how each underlying incident is counted.
+            let mut from = 0;
+            for (i, &(u, k, up)) in seq.iter().enumerate() {
+                if up {
+                    for &(t, ..) in seq[from..i].iter().filter(|d| u - d.0 <= MAX_FLAP_GAP) {
+                        emit(k, TimeWindow::new(t, u));
                     }
+                    from = i + 1;
                 }
             }
         }
     }
-    out
 }
 
 /// Interface or line-protocol state events.
@@ -392,7 +413,7 @@ fn snmp_threshold(
     }
     let mut out = Vec::new();
     for ((router, iface), times) in by_entity {
-        snmp_entity_events(def, router, iface, &times, &mut out);
+        snmp_entity_events(def, router, iface, times, &mut out);
     }
     out
 }
@@ -404,7 +425,7 @@ pub(crate) fn snmp_entity_events(
     def: &EventDefinition,
     router: RouterId,
     iface: Option<u32>,
-    times: &[Timestamp],
+    times: impl IntoIterator<Item = Timestamp>,
     out: &mut Vec<EventInstance>,
 ) {
     let loc = match iface {
@@ -419,7 +440,7 @@ pub(crate) fn snmp_entity_events(
 fn bin_episodes(
     def: &EventDefinition,
     loc: Location,
-    times: &[Timestamp],
+    times: impl IntoIterator<Item = Timestamp>,
     out: &mut Vec<EventInstance>,
 ) {
     for w in merge_times(times, MERGE_GAP) {
@@ -434,7 +455,7 @@ pub(crate) fn server_node_events(
     def: &EventDefinition,
     cx: &ExtractCx,
     node: u32,
-    times: &[Timestamp],
+    times: impl IntoIterator<Item = Timestamp>,
     out: &mut Vec<EventInstance>,
 ) {
     let node = grca_net_model::CdnNodeId::new(node);
@@ -449,10 +470,13 @@ pub(crate) fn server_node_events(
 
 /// Merge sorted instants within `gap` into windows. Every caller passes
 /// instants in row order, which is time order.
-pub(crate) fn merge_times(times: &[Timestamp], gap: Duration) -> Vec<TimeWindow> {
-    debug_assert!(times.is_sorted(), "instants out of time order");
+pub(crate) fn merge_times<I: IntoIterator<Item = Timestamp>>(
+    times: I,
+    gap: Duration,
+) -> Vec<TimeWindow> {
     let mut out: Vec<TimeWindow> = Vec::new();
-    for &t in times {
+    for t in times {
+        debug_assert!(out.last().is_none_or(|w| w.end <= t), "out of time order");
         match out.last_mut() {
             Some(w) if t - w.end <= gap => w.end = t,
             _ => out.push(TimeWindow::at(t)),
@@ -753,19 +777,16 @@ pub(crate) fn perf_pair_events(
     out: &mut Vec<EventInstance>,
 ) {
     baseline.clear();
-    let anomalous: Vec<Timestamp> = pts
-        .into_iter()
-        .filter_map(|(t, v)| {
-            let med = baseline.observe(v)?;
-            let hit = match sense {
-                AnomalySense::Increase => v > 2.0 * med + 0.2,
-                AnomalySense::Drop => v < 0.5 * med,
-            };
-            hit.then_some(t)
-        })
-        .collect();
+    let anomalous = pts.into_iter().filter_map(|(t, v)| {
+        let med = baseline.observe(v)?;
+        let hit = match sense {
+            AnomalySense::Increase => v > 2.0 * med + 0.2,
+            AnomalySense::Drop => v < 0.5 * med,
+        };
+        hit.then_some(t)
+    });
     let loc = Location::IngressEgress { ingress, egress };
-    bin_episodes(def, loc, &anomalous, out);
+    bin_episodes(def, loc, anomalous, out);
 }
 
 /// CDN RTT / throughput anomalies relative to the per-pair median.
@@ -803,20 +824,17 @@ pub(crate) fn cdn_pair_events(
     out: &mut Vec<EventInstance>,
 ) {
     baseline.clear();
-    let anomalous: Vec<Timestamp> = pts
-        .into_iter()
-        .filter_map(|(t, rtt, tput)| {
-            let hit = match (rtt_factor, tput_factor) {
-                (Some(f), _) => rtt > f * baseline.observe(rtt)?,
-                (None, Some(f)) => tput < baseline.observe(tput)? / f,
-                (None, None) => false,
-            };
-            hit.then_some(t)
-        })
-        .collect();
+    let anomalous = pts.into_iter().filter_map(|(t, rtt, tput)| {
+        let hit = match (rtt_factor, tput_factor) {
+            (Some(f), _) => rtt > f * baseline.observe(rtt)?,
+            (None, Some(f)) => tput < baseline.observe(tput)? / f,
+            (None, None) => false,
+        };
+        hit.then_some(t)
+    });
     let loc = Location::ServerClient {
         node: grca_net_model::CdnNodeId::new(node),
         client: grca_net_model::ClientSiteId::new(client),
     };
-    bin_episodes(def, loc, &anomalous, out);
+    bin_episodes(def, loc, anomalous, out);
 }

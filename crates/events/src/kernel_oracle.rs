@@ -5,12 +5,16 @@
 //! inside a kernel. These properties hold each kernel to its previous,
 //! plainest body, kept here as the oracle: the copy-and-sort trailing
 //! median, the tree of per-key vectors transitions were paired through, and
-//! the tree of per-pair vectors the probe finish grouped samples in.
+//! the tree of per-pair vectors the probe finish grouped samples in. And
+//! the merge of sorted parts is held to the one sort of their concatenation
+//! it replaced.
 
 use crate::def::{AnomalySense, EventDefinition, Retrieval, StateSel};
-use crate::extract::{pair_transitions, ExtractCx, TrailingBaseline, MAX_FLAP_GAP, MERGE_GAP};
+use crate::extract::{
+    pair_transitions, sort_transitions, ExtractCx, TrailingBaseline, MAX_FLAP_GAP, MERGE_GAP,
+};
 use crate::instance::EventInstance;
-use crate::singlepass::{run, Cut};
+use crate::singlepass::{merge_runs, pair_parts, run, sort_by_u64, Cut};
 use grca_collector::{Database, PerfRow};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{Location, LocationType, RouterId, Topology};
@@ -19,6 +23,7 @@ use grca_types::{Duration, TimeWindow, Timestamp};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Debug;
 
 /// The trailing median as it was: copy the window and sort it per call.
 struct CopyAndSort {
@@ -160,6 +165,43 @@ fn state_sel() -> impl Strategy<Value = StateSel> {
     sample::select(vec![StateSel::Down, StateSel::Up, StateSel::Flap])
 }
 
+/// `points` cut at `cuts` into parts (empty ones too), each sorted by
+/// `sort` as its collect sorts it.
+fn sorted_parts<T: Copy>(points: &[T], cuts: &[usize], sort: impl Fn(&mut [T])) -> Vec<Vec<T>> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (points.len() + 1)).collect();
+    at.sort();
+    let bounds: Vec<usize> = [0].into_iter().chain(at).chain([points.len()]).collect();
+    let mut parts: Vec<Vec<T>> = bounds
+        .windows(2)
+        .map(|b| points[b[0]..b[1]].to_vec())
+        .collect();
+    parts.iter_mut().for_each(|p| sort(p));
+    parts
+}
+
+/// Each key's runs as the merge hands them over, joined: one vector a key,
+/// led by the element the merge names the key by.
+fn merged<T: Copy + PartialEq + Debug>(parts: &[Vec<T>], key: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
+    let mut out = Vec::new();
+    let parts = parts.iter().map(|p| &p[..]);
+    merge_runs(&mut Vec::new(), parts, key, |&head, runs| {
+        let run: Vec<T> = runs.flatten().copied().collect();
+        assert_eq!(run.first(), Some(&head));
+        out.push(run);
+    });
+    out
+}
+
+/// The grouping the merge replaced: `chunk_by` over one stable sort of
+/// every point, by the tuple key the finish grouped by.
+fn chunked<T: Copy, K: Ord>(points: &[T], key: impl Fn(&T) -> K) -> Vec<Vec<T>> {
+    let mut all = points.to_vec();
+    all.sort_by_key(&key);
+    all.chunk_by(|a, b| key(a) == key(b))
+        .map(<[T]>::to_vec)
+        .collect()
+}
+
 /// The small topology, generated once.
 fn topo() -> &'static Topology {
     static TOPO: std::sync::OnceLock<Topology> = std::sync::OnceLock::new();
@@ -205,6 +247,74 @@ proptest! {
             .map(|(t, k, up)| (Timestamp::from_unix(60 * t), k % keys, up))
             .collect();
         prop_assert_eq!(pair_transitions(events.clone(), sel), pair_by_tree(events, sel));
+    }
+
+    /// Probe, CDN, SNMP and server points cut into 1-40 parts, each sorted
+    /// by its `u64` key as its collect sorts it, merge key by key into what
+    /// one stable sort of all of them by the tuple key groups: the same
+    /// keys in the same order, each key's points in row order. Few keys and
+    /// instants, so one key often has several points at one instant.
+    #[test]
+    fn merged_parts_group_as_one_stable_sort(
+        raw in vec((0u32..4, 0u32..4, 0i64..8, 0u8..8), 0..=300),
+        cuts in vec(0usize..=300, 0..40),
+    ) {
+        let ts = |t: i64| Timestamp::from_unix(300 * t);
+
+        let probe: Vec<(RouterId, RouterId, Timestamp, f64)> = raw
+            .iter()
+            .map(|&(a, b, t, v)| (RouterId(a), RouterId(b), ts(t), f64::from(v)))
+            .collect();
+        let key = |&(i, e, ..): &(RouterId, RouterId, _, _)| u64::from(i.0) << 32 | u64::from(e.0);
+        let parts = sorted_parts(&probe, &cuts, |p| sort_by_u64(p, key));
+        prop_assert_eq!(merged(&parts, key), chunked(&probe, |&(i, e, ..)| (i, e)));
+
+        let cdn: Vec<(u32, u32, Timestamp, f64, f64)> = raw
+            .iter()
+            .map(|&(a, b, t, v)| (a, b, ts(t), f64::from(v), -f64::from(v)))
+            .collect();
+        let key = |&(n, c, ..): &(u32, u32, _, _, _)| u64::from(n) << 32 | u64::from(c);
+        let parts = sorted_parts(&cdn, &cuts, |p| sort_by_u64(p, key));
+        prop_assert_eq!(merged(&parts, key), chunked(&cdn, |&(n, c, ..)| (n, c)));
+
+        // Ifindex 0 is no ifindex: router-level samples sort first.
+        let snmp: Vec<(RouterId, Option<u32>, Timestamp)> = raw
+            .iter()
+            .map(|&(a, b, t, _)| (RouterId(a), b.checked_sub(1), ts(t)))
+            .collect();
+        let key = |&(r, i, _): &(RouterId, Option<u32>, _)| {
+            u64::from(r.0) << 33 | i.map_or(0, |i| u64::from(i) + 1)
+        };
+        let parts = sorted_parts(&snmp, &cuts, |p| sort_by_u64(p, key));
+        prop_assert_eq!(merged(&parts, key), chunked(&snmp, |&(r, i, _)| (r, i)));
+
+        let server: Vec<(u32, Timestamp)> = raw.iter().map(|&(a, _, t, _)| (a, ts(t))).collect();
+        let key = |&(n, _): &(u32, _)| u64::from(n);
+        let parts = sorted_parts(&server, &cuts, |p| sort_by_u64(p, key));
+        prop_assert_eq!(merged(&parts, key), chunked(&server, |&(n, _)| n));
+    }
+
+    /// Transitions in row order — time, then whatever order their
+    /// tiebreaks give one instant's rows — cut into 1-40 parts, each sorted
+    /// as its collect sorts it, pair across the parts as their
+    /// concatenation pairs. Instants from a short range, so one key's down
+    /// and up at one instant often land in two parts, either way round.
+    #[test]
+    fn merged_transitions_pair_as_the_concatenation(
+        raw in vec((0i64..40, 0u32..6, any::<bool>()), 0..=300),
+        cuts in vec(0usize..=300, 0..40),
+        sel in state_sel(),
+    ) {
+        let mut events: Vec<(Timestamp, u32, bool)> = raw
+            .into_iter()
+            .map(|(t, k, up)| (Timestamp::from_unix(60 * t), k, up))
+            .collect();
+        events.sort_by_key(|&(t, ..)| t);
+        let parts = sorted_parts(&events, &cuts, sort_transitions);
+        let mut paired = Vec::new();
+        let scratch = (&mut Vec::new(), &mut Vec::new());
+        pair_parts(scratch, parts.iter().map(|p| &p[..]), sel, |k, w| paired.push((k, w)));
+        prop_assert_eq!(paired, pair_transitions(events, sel));
     }
 }
 

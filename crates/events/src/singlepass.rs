@@ -20,11 +20,12 @@
 //! next — so collecting a table in pieces and finishing over the pieces in
 //! order equals collecting it whole.
 //!
-//! The probe, CDN and transition finishes group by one sort of the parts'
-//! points and a walk over its `chunk_by` runs, not by a tree of per-entity
-//! vectors: probe and CDN samples sort stably by pair, keeping row order,
-//! which is time order. One trailing median, a sorted window cleared
-//! between pairs, judges every pair of a finish.
+//! The probe, CDN, SNMP, server and transition finishes group by entity.
+//! Each collect sorts its vectors by that entity (samples stably, keeping
+//! row order, which is time order), so a memoized sealed part is sorted
+//! once and a pass sorts only its tail; the finish merges the parts' runs
+//! (`merge_runs`). One trailing median, a sorted window cleared between
+//! pairs, judges every pair of a finish.
 //!
 //! The pass takes a `Cut` saying which pieces. `Full` collects each table
 //! whole. `After` collects the rows strictly after a per-table watermark
@@ -39,8 +40,9 @@
 
 use crate::def::{AnomalySense, EventDefinition, PimScope, Retrieval, StateSel};
 use crate::extract::{
-    cdn_pair_events, egress_finish, pair_transitions, perf_pair_events, router_cost_finish,
-    server_node_events, snmp_entity_events, ExtractCx, TrailingBaseline, RECONV_DUR,
+    cdn_pair_events, egress_finish, pair_key, perf_pair_events, router_cost_finish,
+    server_node_events, snmp_entity_events, sort_transitions, ExtractCx, TrailingBaseline,
+    RECONV_DUR,
 };
 use crate::instance::{EventInstance, EventStore};
 use grca_collector::{
@@ -97,13 +99,81 @@ struct Parts<'m, P> {
 }
 
 impl<'m, P> Parts<'m, P> {
-    fn sealed(&self) -> impl Iterator<Item = &'m P> + use<'m, P> {
+    fn sealed(&self) -> impl Iterator<Item = &'m P> + Clone + use<'m, P> {
         self.sealed.iter().map(|(_, part)| part)
     }
 
-    fn iter(&self) -> impl Iterator<Item = &P> {
+    fn iter(&self) -> impl Iterator<Item = &P> + Clone {
         self.sealed().chain([&self.fresh])
     }
+}
+
+/// Walk the parts' vectors, each sorted by `key`, as one stable sort of
+/// their concatenation: for each key in key order, `each` gets the key's
+/// first element and every part's run of it (maybe empty), in part order.
+/// `cursors` holds each part's last run as offsets: one vector serves all.
+pub(crate) fn merge_runs<'a, T: 'a, K: Ord>(
+    cursors: &mut Vec<(usize, usize)>,
+    parts: impl Iterator<Item = &'a [T]> + Clone,
+    key: impl Fn(&T) -> K,
+    mut each: impl FnMut(&'a T, &mut dyn Iterator<Item = &'a [T]>),
+) {
+    cursors.clear();
+    cursors.extend(parts.clone().map(|_| (0, 0)));
+    // A few dozen parts: a linear scan finds the least next key.
+    let least = |cursors: &[(usize, usize)]| {
+        let heads = parts.clone().zip(cursors);
+        let heads = heads.filter_map(|(v, &(_, end))| v.get(end));
+        heads.min_by_key(|x| key(x))
+    };
+    while let Some(head) = least(cursors) {
+        for (v, cur) in parts.clone().zip(cursors.iter_mut()) {
+            let run = v[cur.1..].iter().take_while(|x| key(x) == key(head));
+            *cur = (cur.1, cur.1 + run.count());
+        }
+        let runs = parts.clone().zip(cursors.iter());
+        each(head, &mut runs.map(|(v, &(from, to))| &v[from..to]));
+    }
+}
+
+/// Sort stably by `key`: a radix sort, one counting pass per byte in
+/// which the keys differ, least significant first.
+pub(crate) fn sort_by_u64<T: Copy>(v: &mut [T], key: impl Fn(&T) -> u64) {
+    let first = v.first().map_or(0, &key);
+    let differ = v.iter().fold(0, |acc, x| acc | (key(x) ^ first));
+    let mut from = Vec::new();
+    for shift in (0..64).step_by(8).filter(|s| (differ >> s) & 0xff != 0) {
+        let digit = |x: &T| (key(x) >> shift) as usize & 0xff;
+        let mut at = [0; 256];
+        v.iter().for_each(|x| at[digit(x)] += 1);
+        let mut sum = 0;
+        for a in &mut at {
+            (*a, sum) = (sum, sum + *a);
+        }
+        from.clear();
+        from.extend_from_slice(v);
+        for x in &from {
+            let d = digit(x);
+            (v[at[d]], at[d]) = (*x, at[d] + 1);
+        }
+    }
+}
+
+/// Pair one matcher's transitions across the parts, each sorted by (key,
+/// instant, up), as `pair_transitions` pairs their concatenation; `seq`
+/// holds one key's transitions at a time.
+pub(crate) fn pair_parts<'a, K: Ord + Copy + 'a>(
+    (cursors, seq): (&mut Vec<(usize, usize)>, &mut Transitions<K>),
+    parts: impl Iterator<Item = &'a [(Timestamp, K, bool)]> + Clone,
+    sel: StateSel,
+    mut emit: impl FnMut(K, TimeWindow),
+) {
+    let key = |&(_, k, _): &(Timestamp, K, bool)| k;
+    merge_runs(cursors, parts, key, |_, runs| {
+        seq.clear();
+        runs.for_each(|run| seq.extend_from_slice(run));
+        pair_key(seq, sel, &mut emit);
+    });
 }
 
 /// Which definitions (by slot) a collect serves.
@@ -215,22 +285,18 @@ enum SyslogKind {
     Pim(PimScope),
 }
 
-/// Per-entity timestamp series keyed by (router, optional ifindex).
-type SnmpSeries = BTreeMap<(RouterId, Option<u32>), Vec<Timestamp>>;
 /// Deduplicated update timestamps per prefix.
 type PrefixTimes = BTreeMap<Prefix, Vec<Timestamp>>;
-/// High-load sample timestamps per CDN node.
-type NodeTimes = BTreeMap<u32, Vec<Timestamp>>;
 
 /// Point instances in row order, each tagged with its definition's slot.
 type Points = Vec<(usize, EventInstance)>;
 
-/// `(instant, key, up)` transitions in row order, as `pair_transitions`
-/// takes them.
+/// `(instant, key, up)` transitions.
 type Transitions<K> = Vec<(Timestamp, K, bool)>;
 
 /// What a run of syslog rows contributes. The transition lists are
-/// parallel to the matcher list (empty for point matchers).
+/// parallel to the matcher list (empty for point matchers), each sorted by
+/// (key, instant, up).
 struct SyslogPart {
     points: Points,
     iface: Vec<Transitions<InterfaceId>>,
@@ -344,6 +410,7 @@ fn emit_points<'p>(
 /// finish shape every table block has.
 pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Vec<EventInstance>> {
     let mut outs: Vec<Vec<EventInstance>> = vec![Vec::new(); defs.len()];
+    let mut cursors = Vec::new();
     let (marks, mut memo, stateful_only) = match cut {
         Cut::Full => (None, None, false),
         Cut::After(marks) => (Some(marks), None, false),
@@ -494,35 +561,32 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     }
                 }
             }
+            part.iface.iter_mut().for_each(|tr| sort_transitions(tr));
+            part.session.iter_mut().for_each(|tr| sort_transitions(tr));
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.syslog);
         let parts = gather(&cx.db.syslog, after(T_SYSLOG), memo, &want, collect);
+        let (mut iface_seq, mut session_seq) = (Vec::new(), Vec::new());
         for (k, (slot, kind)) in syslog.iter().enumerate() {
-            let (slot, def) = (*slot, defs[*slot]);
-            if !want(slot) {
+            let (def, out) = (defs[*slot], &mut outs[*slot]);
+            if !want(*slot) {
                 continue;
             }
             match kind {
                 SyslogKind::Iface { sel, .. } => {
-                    let tr = parts.iter().flat_map(|p| &p.iface[k]).copied().collect();
-                    outs[slot].extend(
-                        pair_transitions(tr, *sel)
-                            .into_iter()
-                            .map(|(i, w)| EventInstance::new(&def.name, w, Location::Interface(i))),
-                    );
+                    let parts = parts.iter().map(|p| &p.iface[k][..]);
+                    pair_parts((&mut cursors, &mut iface_seq), parts, *sel, |i, w| {
+                        out.push(EventInstance::new(&def.name, w, Location::Interface(i)));
+                    });
                 }
                 SyslogKind::EbgpFlap | SyslogKind::Pim(_) => {
-                    let tr = parts.iter().flat_map(|p| &p.session[k]).copied().collect();
-                    outs[slot].extend(pair_transitions(tr, StateSel::Flap).into_iter().map(
-                        |((router, neighbor), w)| {
-                            EventInstance::new(
-                                &def.name,
-                                w,
-                                Location::RouterNeighborIp { router, neighbor },
-                            )
-                        },
-                    ));
+                    let parts = parts.iter().map(|p| &p.session[k][..]);
+                    let seq = (&mut cursors, &mut session_seq);
+                    pair_parts(seq, parts, StateSel::Flap, |(router, neighbor), w| {
+                        let loc = Location::RouterNeighborIp { router, neighbor };
+                        out.push(EventInstance::new(&def.name, w, loc));
+                    });
                 }
                 _ => {} // point events, emitted below
             }
@@ -541,7 +605,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !snmp.is_empty() {
-        // Per matcher: its qualifying samples.
+        // Entities in (router, ifindex) order, no ifindex first.
+        let entity =
+            |&(r, i, _): &SnmpHit| u64::from(r.0) << 33 | i.map_or(0, |i| u64::from(i) + 1);
+        // Per matcher: its qualifying samples, stably by entity.
         let collect = |rows: &RowSet<SnmpRow>, serve: Serve| {
             let live = serving(&snmp, serve);
             let mut hits: Vec<Vec<SnmpHit>> = vec![Vec::new(); snmp.len()];
@@ -552,6 +619,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     }
                 }
             }
+            hits.iter_mut().for_each(|h| sort_by_u64(h, entity));
             hits
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.snmp);
@@ -560,13 +628,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             if !want(*slot) {
                 continue;
             }
-            let mut by_entity: SnmpSeries = BTreeMap::new();
-            for &(router, iface, utc) in parts.iter().flat_map(|p| &p[k]) {
-                by_entity.entry((router, iface)).or_default().push(utc);
-            }
-            for ((router, iface), times) in by_entity {
-                snmp_entity_events(defs[*slot], router, iface, &times, &mut outs[*slot]);
-            }
+            let parts = parts.iter().map(|p| &p[k][..]);
+            merge_runs(&mut cursors, parts, entity, |&(router, iface, _), runs| {
+                let times = runs.flatten().map(|&(.., utc)| utc);
+                snmp_entity_events(defs[*slot], router, iface, times, &mut outs[*slot]);
+            });
         }
     }
 
@@ -845,7 +911,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !perf.is_empty() {
-        // Per matcher: its metric's samples.
+        let pair =
+            |&(ingress, egress, ..): &PerfPoint| u64::from(ingress.0) << 32 | u64::from(egress.0);
+        // Per matcher: its metric's samples, stably by pair.
         let collect = |rows: &RowSet<PerfRow>, serve: Serve| {
             let live = serving(&perf, serve);
             let mut series: Vec<Vec<PerfPoint>> = vec![Vec::new(); perf.len()];
@@ -856,26 +924,22 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     }
                 }
             }
+            series.iter_mut().for_each(|s| sort_by_u64(s, pair));
             series
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.perf);
         let parts = gather(&cx.db.perf, after(T_PERF), memo, &want, collect);
-        // Per matcher, one stable sort by pair: within a pair the samples
-        // keep row order, which is time order.
-        let (mut pts, mut baseline) = (Vec::new(), TrailingBaseline::default());
+        let mut baseline = TrailingBaseline::default();
         for (k, &(slot, (_, sense))) in perf.iter().enumerate() {
             if !want(slot) {
                 continue;
             }
-            pts.clear();
-            pts.extend(parts.iter().flat_map(|p| &p[k]));
-            pts.sort_by_key(|&(ingress, egress, ..): &PerfPoint| (ingress, egress));
             let (def, out) = (defs[slot], &mut outs[slot]);
-            for run in pts.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-                let pair = (run[0].0, run[0].1);
-                let series = run.iter().map(|&(.., utc, value)| (utc, value));
-                perf_pair_events(def, pair, series, sense, &mut baseline, out);
-            }
+            let parts = parts.iter().map(|p| &p[k][..]);
+            merge_runs(&mut cursors, parts, pair, |&(ingress, egress, ..), runs| {
+                let series = runs.flatten().map(|&(.., utc, value)| (utc, value));
+                perf_pair_events(def, (ingress, egress), series, sense, &mut baseline, out);
+            });
         }
     }
 
@@ -891,12 +955,14 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         .collect();
     if !cdn.is_empty() {
         // Every CDN matcher consumes the full unfiltered series, so
-        // project it once and share.
+        // project it once, stably by pair, and share.
+        let pair = |&(node, client, ..): &CdnPoint| u64::from(node) << 32 | u64::from(client);
         let collect = |rows: &RowSet<CdnRow>, serve: Serve| -> Vec<CdnPoint> {
             if !cdn.iter().any(|(slot, ..)| serve(*slot)) {
                 return Vec::new();
             }
-            rows.iter()
+            let mut pts: Vec<CdnPoint> = rows
+                .iter()
                 .map(|row| {
                     (
                         row.node.0,
@@ -906,13 +972,12 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                         row.throughput_mbps,
                     )
                 })
-                .collect()
+                .collect();
+            sort_by_u64(&mut pts, pair);
+            pts
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.cdn);
         let parts = gather(&cx.db.cdn, after(T_CDN), memo, &want, collect);
-        // One stable sort by pair, as for the probes, shared by every matcher.
-        let mut pts: Vec<CdnPoint> = parts.iter().flatten().copied().collect();
-        pts.sort_by_key(|&(node, client, ..)| (node, client));
         let mut baseline = TrailingBaseline::default();
         for (slot, rtt_factor, tput_factor) in cdn {
             if !want(slot) {
@@ -920,11 +985,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
             let factors = (rtt_factor, tput_factor);
             let (def, out) = (defs[slot], &mut outs[slot]);
-            for run in pts.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-                let pair = (run[0].0, run[0].1);
-                let series = run.iter().map(|&(.., utc, rtt, tput)| (utc, rtt, tput));
-                cdn_pair_events(def, pair, series, factors, &mut baseline, out);
-            }
+            let parts = parts.iter().map(|p| &p[..]);
+            merge_runs(&mut cursors, parts, pair, |&(node, client, ..), runs| {
+                let series = runs.flatten().map(|&(.., utc, rtt, tput)| (utc, rtt, tput));
+                cdn_pair_events(def, (node, client), series, factors, &mut baseline, out);
+            });
         }
     }
 
@@ -938,7 +1003,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !server.is_empty() {
-        // Per matcher: its high-load samples.
+        let node = |&(node, _): &ServerHit| u64::from(node);
+        // Per matcher: its high-load samples, stably by node.
         let collect = |rows: &RowSet<ServerRow>, serve: Serve| {
             let live = serving(&server, serve);
             let mut hits: Vec<Vec<ServerHit>> = vec![Vec::new(); server.len()];
@@ -949,6 +1015,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     }
                 }
             }
+            hits.iter_mut().for_each(|h| sort_by_u64(h, node));
             hits
         };
         let memo = memo.map(|m| &mut m.server);
@@ -957,13 +1024,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             if !want(*slot) {
                 continue;
             }
-            let mut by_node: NodeTimes = BTreeMap::new();
-            for &(node, utc) in parts.iter().flat_map(|p| &p[k]) {
-                by_node.entry(node).or_default().push(utc);
-            }
-            for (node, times) in by_node {
-                server_node_events(defs[*slot], cx, node, &times, &mut outs[*slot]);
-            }
+            let parts = parts.iter().map(|p| &p[k][..]);
+            merge_runs(&mut cursors, parts, node, |&(node, _), runs| {
+                let times = runs.flatten().map(|&(_, utc)| utc);
+                server_node_events(defs[*slot], cx, node, times, &mut outs[*slot]);
+            });
         }
     }
 

@@ -22,7 +22,8 @@ use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{LocationType, RouteOracle, Topology};
 use grca_routing::{OspfState, RoutingState, WeightEvent};
 use grca_simnet::{FaultRates, ScenarioConfig};
-use grca_telemetry::records::{BgpMonRecord, OspfMonRecord, RawRecord};
+use grca_telemetry::records::{BgpMonRecord, OspfMonRecord, RawRecord, SyslogLine};
+use grca_telemetry::syslog::SyslogEvent;
 use grca_types::{Duration, Timestamp};
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -425,4 +426,68 @@ fn reflector_duplicate_straddling_a_seal_boundary() {
     let mut inc = IncrementalExtractor::new(defs);
     assert!(inc.extract(&cx) == want, "first pass (every run collected)");
     assert!(inc.extract(&cx) == want, "second pass (every run memoized)");
+}
+
+/// One interface goes down and comes up at one instant, and the seal
+/// boundary falls between the two rows. Rows at one instant sort by
+/// tiebreak, so either can be the last row of the first run; the collects
+/// sort each run's transitions by (interface, instant, up), but when the up
+/// row is the earlier one the interface's runs meet up-then-down and the
+/// finish must sort them before pairing, or the flap is lost. Both ways
+/// round, the memoized incremental store equals batch every cycle.
+#[test]
+fn same_instant_down_and_up_straddling_a_seal_boundary() {
+    let topo = generate(&TopoGenConfig::small());
+    let t = Timestamp::from_civil(2010, 1, 2, 0, 0, 0);
+    let line = |iface: &grca_net_model::Interface, at: Timestamp, ev: SyslogEvent| {
+        let router = iface.router;
+        RawRecord::Syslog(SyslogLine {
+            host: topo.router(router).name.to_lowercase().into(),
+            line: ev.format_line(topo.router_tz(router).to_local(at)),
+        })
+    };
+    let updown = |iface: &grca_net_model::Interface, up: bool| {
+        let name = iface.name.clone();
+        line(iface, t, SyslogEvent::LinkUpDown { iface: name, up })
+    };
+    // The first interface whose up row sorts before / after its down row.
+    let first_up = |iface: &&grca_net_model::Interface| {
+        let (db, _) = Database::ingest(&topo, &[updown(iface, false), updown(iface, true)]);
+        let first = &db.syslog.all()[0];
+        matches!(first.event, Some(SyslogEvent::LinkUpDown { up: true, .. }))
+    };
+    let up_first = topo.interfaces.iter().find(first_up).unwrap();
+    let down_first = topo.interfaces.iter().find(|i| !first_up(i)).unwrap();
+
+    let defs = knowledge_library();
+    for (iface, up) in [(up_first, true), (down_first, false)] {
+        let what = if up { "up row first" } else { "down row first" };
+        // Three earlier rows, the pair, four later ones: with four-row
+        // segments the pair straddles the first seal.
+        let filler = |mins: i64| line(iface, t + Duration::mins(mins), SyslogEvent::Restart);
+        let mut recs: Vec<RawRecord> = (-3..0).map(filler).collect();
+        recs.extend([updown(iface, false), updown(iface, true)]);
+        recs.extend((1..5).map(filler));
+
+        let (mut db, mut stats) = (four_row_segments(), IngestStats::default());
+        let mut inc = IncrementalExtractor::new(defs.clone());
+        for (cycle, rec) in recs.chunks(1).enumerate() {
+            db.ingest_more(&topo, rec, &mut stats);
+            let cycle = format!("{what}, cycle {cycle}");
+            assert_cycle(&mut inc, &defs, &topo, &db, &cycle);
+        }
+        db.seal_all();
+        let (sealed, _) = db.syslog.runs();
+        let (first, next) = (sealed[0].rows(), sealed[1].rows());
+        let at_t = |row: &grca_collector::SyslogRow| match row.event {
+            Some(SyslogEvent::LinkUpDown { up, .. }) if row.utc == t => up,
+            _ => panic!("{what}: the pair does not straddle the seal"),
+        };
+        assert_eq!((first.len(), at_t(&first[3]), at_t(&next[0])), (4, up, !up));
+        assert_cycle(&mut inc, &defs, &topo, &db, &format!("{what}, all sealed"));
+        assert_cycle(&mut inc, &defs, &topo, &db, &format!("{what}, memoized"));
+        let cx = ExtractCx::new(&topo, &db, None);
+        let flaps = extract_all_baseline(&defs, &cx);
+        assert_eq!(flaps.instances(names::INTERFACE_FLAP).len(), 1, "{what}");
+    }
 }

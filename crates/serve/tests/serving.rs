@@ -152,8 +152,10 @@ fn serves_racing_publishes_stay_epoch_consistent() {
             for i in 1..8 {
                 publisher.ingest(&records[i * chunk..((i + 1) * chunk).min(records.len())]);
                 let snap = publisher.publish().unwrap();
-                server.publish(snap.clone());
-                epochs.lock().unwrap().push(snap);
+                // Record the epoch before serving it: a client served at
+                // the new epoch looks it up as soon as it is live.
+                epochs.lock().unwrap().push(snap.clone());
+                server.publish(snap);
             }
         });
         // Clients: rounds of the query mix, each verified against the
