@@ -8,8 +8,8 @@
 //!   value as an `RwLock<Arc<T>>`; readers clone the `Arc`, the
 //!   publisher swaps it and frees the old one outside the lock;
 //! * [`snapshot`] — [`ServingSnapshot`]: one epoch's immutable world
-//!   (per-tenant rule libraries with overlays resolved at publish time,
-//!   frozen route caches, extracted event store);
+//!   (per-tenant rule libraries with overlays resolved once per
+//!   publisher, frozen route caches, extracted event store);
 //! * [`publisher`] — [`Publisher`]: the ingest-side epoch builder
 //!   (collector database + incremental extraction + routing freeze),
 //!   running entirely off the query path;

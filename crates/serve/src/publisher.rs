@@ -2,20 +2,20 @@
 //!
 //! Owns the collector database, a watermark-delta incremental extractor
 //! over the *union* of every tenant's event definitions (extraction
-//! happens once per epoch, shared by all tenants), and the tenant
-//! specs. Each cycle: [`Publisher::ingest`] raw records, then
-//! [`Publisher::publish_if_changed`] — rebuild routing, extract, resolve
-//! overlays, warm the route caches, freeze, and hand the assembled
-//! [`ServingSnapshot`] to the serving cell. All of that happens off to
-//! the side of the query path; readers only ever see the one atomic
-//! swap at the end.
+//! happens once per epoch, shared by all tenants), and the tenants,
+//! resolved once at construction. Each cycle: [`Publisher::ingest`] raw
+//! records, then [`Publisher::publish_if_changed`] — rebuild routing,
+//! extract, freeze, and hand the assembled [`ServingSnapshot`] to the
+//! serving cell. There is no warm step: the route caches start empty
+//! each epoch and a served miss memoizes like a batch one. All of that
+//! happens off to the side of the query path; readers only ever see the
+//! one atomic swap at the end.
 
 use crate::snapshot::{ServingSnapshot, Tenant, TenantSpec};
 use grca_apps::build_routing;
 use grca_collector::{Database, IngestStats, StorageConfig};
-use grca_core::Engine;
 use grca_events::{EventDefinition, ExtractCx, IncrementalExtractor};
-use grca_net_model::{SpatialModel, Topology};
+use grca_net_model::Topology;
 use grca_telemetry::records::RawRecord;
 use grca_types::Result;
 use std::sync::Arc;
@@ -26,9 +26,10 @@ pub struct Publisher {
     db: Database,
     stats: IngestStats,
     extractor: IncrementalExtractor,
-    /// Tenant configurations, re-resolved at every publish (overlays are
-    /// cheap to merge; validation cost is per publish, not per query).
-    specs: Vec<TenantSpec>,
+    /// The tenants, resolved once by [`Publisher::new`]; each epoch
+    /// takes a clone (a few `Arc` bumps). A spec that fails to resolve
+    /// fails every publish with the same error.
+    tenants: Result<Vec<Tenant>>,
     /// Next epoch number to assign.
     next_epoch: u64,
     /// Collector fingerprint of the last published epoch, for no-op
@@ -53,7 +54,7 @@ impl Publisher {
             db: Database::default(),
             stats: IngestStats::default(),
             extractor: IncrementalExtractor::new(defs),
-            specs,
+            tenants: specs.into_iter().map(Tenant::resolve).collect(),
             next_epoch: 0,
             published_ingest_epoch: None,
         }
@@ -91,37 +92,16 @@ impl Publisher {
     }
 
     /// Build the next epoch: reconstruct routing, extract the delta,
-    /// resolve tenant overlays, warm the route caches with a batch pass
-    /// per tenant, freeze, assemble.
+    /// freeze, assemble with the tenants resolved at construction. No
+    /// diagnosis runs here; the snapshot's route caches fill on demand.
     pub fn publish(&mut self) -> Result<Arc<ServingSnapshot>> {
+        let tenants = self.tenants.clone()?;
         let ingest_epoch = self.db.ingest_epoch();
         let live = build_routing(&self.topo, &self.db);
         let store = {
             let cx = ExtractCx::new(&self.topo, &self.db, Some(&live));
             self.extractor.extract(&cx)
         };
-        let tenants = self
-            .specs
-            .iter()
-            .map(|s| {
-                Tenant::resolve(TenantSpec {
-                    name: s.name.clone(),
-                    graph: s.graph.clone(),
-                    overlay: s.overlay.clone(),
-                    poison: s.poison.clone(),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        // One batch pass per tenant populates every path/egress the
-        // current symptom set joins through, so the snapshot serves those
-        // as cache hits from its first request. A latency nicety, not a
-        // correctness need: the caches move into the snapshot as they
-        // are, and a served miss computes and memoizes like a live one.
-        let spatial = SpatialModel::new(&self.topo, &live);
-        for t in &tenants {
-            let engine = Engine::with_index(&t.graph, &store, &spatial, &t.index);
-            let _ = engine.diagnose_all();
-        }
         let snap = Arc::new(ServingSnapshot::from_parts(
             self.next_epoch,
             ingest_epoch,

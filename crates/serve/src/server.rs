@@ -182,6 +182,15 @@ pub struct Server {
 impl Server {
     /// Start `cfg.workers` workers serving `initial`.
     pub fn start(initial: Arc<ServingSnapshot>, cfg: &ServeConfig) -> Self {
+        let mut server = Server::idle(initial, cfg);
+        for _ in 0..cfg.workers.max(1) {
+            server.spawn_worker();
+        }
+        server
+    }
+
+    /// A server with its queue and counters set up but no worker yet.
+    fn idle(initial: Arc<ServingSnapshot>, cfg: &ServeConfig) -> Self {
         let shared = Arc::new(Shared {
             tenants: initial.tenants().len(),
             cell: EpochCell::new(initial),
@@ -195,13 +204,16 @@ impl Server {
             batches: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
         });
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
-                let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Server { shared, workers }
+        Server {
+            shared,
+            workers: Vec::new(),
+        }
+    }
+
+    fn spawn_worker(&mut self) {
+        let shared = self.shared.clone();
+        self.workers
+            .push(std::thread::spawn(move || worker_loop(&shared)));
     }
 
     /// Publish the next epoch. Readers mid-query keep the epoch they
@@ -385,5 +397,66 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "diagnosis panicked (non-string payload)".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::{Tenant, TenantSpec};
+    use grca_core::DiagnosisGraph;
+    use grca_events::EventStore;
+    use grca_net_model::gen::{generate, TopoGenConfig};
+    use grca_net_model::{Location, RouterId};
+    use grca_types::{TimeWindow, Timestamp};
+
+    /// Back-pressure: the bounded queue rejects when full instead of
+    /// growing; accepted work still completes. The burst lands before
+    /// any worker exists, so nothing drains the queue meanwhile and the
+    /// split between admitted and rejected is exact.
+    #[test]
+    fn bounded_queue_rejects_over_capacity() {
+        let topo = Arc::new(generate(&TopoGenConfig::small()));
+        let sym = EventInstance::new(
+            "marker",
+            TimeWindow::new(Timestamp::from_unix(0), Timestamp::from_unix(60)),
+            Location::Router(RouterId::new(0)),
+        );
+        let mut store = EventStore::new();
+        store.add(vec![sym.clone()]);
+        let routing =
+            grca_apps::build_routing(&topo, &grca_collector::Database::default()).freeze();
+        let tenant = Tenant::resolve(TenantSpec::new("t", DiagnosisGraph::new("g", "marker")))
+            .expect("zero-rule graph validates");
+        let snap = ServingSnapshot::from_parts(0, 0, topo, routing, store, vec![tenant]);
+        let cfg = ServeConfig {
+            workers: 1,
+            queue_cap: 4,
+            max_batch: 2,
+        };
+        let mut server = Server::idle(Arc::new(snap), &cfg);
+
+        let mut accepted = Vec::new();
+        let mut rejected = 0u64;
+        for _ in 0..200 {
+            match server.submit(0, sym.clone()) {
+                Ok(t) => accepted.push(t),
+                Err(SubmitError::QueueFull) => rejected += 1,
+                Err(e) => panic!("unexpected submit error: {e}"),
+            }
+        }
+        assert_eq!(accepted.len(), cfg.queue_cap);
+        assert_eq!(rejected, (200 - cfg.queue_cap) as u64);
+        assert_eq!(server.stats().rejected, rejected);
+
+        server.spawn_worker();
+        for t in accepted {
+            let served = t.wait();
+            assert!(served.error.is_none());
+            assert_eq!(served.diagnosis.symptom, sym);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.served, cfg.queue_cap as u64);
+        assert_eq!(stats.rejected, rejected);
     }
 }

@@ -9,8 +9,9 @@
 //! application (BGP flap, CDN, PIM MVPN, e2e loss) is *configuration*
 //! over the shared engine, so a tenant here is a named diagnosis graph.
 //! Overlays — tenant-specific extra rules on top of a base library —
-//! are resolved and validated once at snapshot build time, never on the
-//! query path; a query only ever indexes into prebuilt state.
+//! are resolved and validated once per [`crate::Publisher`], never per
+//! epoch or on the query path; a query only ever indexes into prebuilt
+//! state.
 
 use grca_core::{Diagnosis, DiagnosisGraph, DiagnosisRule, Engine, RuleIndex};
 use grca_events::{EventInstance, EventStore};
@@ -19,12 +20,13 @@ use grca_routing::FrozenRoutingState;
 use grca_types::Result;
 use std::sync::Arc;
 
-/// A tenant's configuration, as handed to the snapshot builder: a base
-/// diagnosis graph plus overlay rules resolved at publish time.
+/// A tenant's configuration, as handed to the [`crate::Publisher`]: a
+/// base diagnosis graph plus overlay rules, resolved once when the
+/// publisher is built.
 pub struct TenantSpec {
     pub name: String,
     pub graph: DiagnosisGraph,
-    /// Extra rules layered onto `graph` when the snapshot is built.
+    /// Extra rules layered onto `graph` when the tenant is resolved.
     pub overlay: Vec<DiagnosisRule>,
     /// Fault injection: when set, every engine bind for this tenant
     /// panics with this message — stands in for a rule library whose
@@ -46,7 +48,8 @@ impl TenantSpec {
     }
 
     /// Layer tenant-specific rules on top of the base graph. Applied —
-    /// and re-validated — once per snapshot publish, not per query.
+    /// and validated — once by [`Tenant::resolve`], not per epoch or
+    /// per query.
     pub fn with_overlay(mut self, rules: Vec<DiagnosisRule>) -> Self {
         self.overlay = rules;
         self
@@ -59,19 +62,21 @@ impl TenantSpec {
     }
 }
 
-/// A tenant resolved into its publish-time form: overlay merged,
-/// graph validated, rule index prebuilt.
+/// A tenant resolved into its serving form: overlay merged, graph
+/// validated, rule index prebuilt. Graph and index sit behind `Arc`s, so
+/// every epoch shares one resolution.
+#[derive(Clone)]
 pub struct Tenant {
     pub name: String,
-    pub graph: DiagnosisGraph,
-    pub index: RuleIndex,
+    pub graph: Arc<DiagnosisGraph>,
+    pub index: Arc<RuleIndex>,
     /// Carried over from [`TenantSpec::poison`] — fault injection only.
     pub poison: Option<String>,
 }
 
 impl Tenant {
     /// Merge the overlay into the base graph, validate the result, and
-    /// prebuild the rule index — the publish-time resolution step.
+    /// prebuild the rule index — the one resolution step.
     pub fn resolve(spec: TenantSpec) -> Result<Self> {
         let mut graph = spec.graph;
         graph.extend_rules(spec.overlay);
@@ -79,8 +84,8 @@ impl Tenant {
         let index = RuleIndex::build(&graph);
         Ok(Tenant {
             name: spec.name,
-            graph,
-            index,
+            graph: Arc::new(graph),
+            index: Arc::new(index),
             poison: spec.poison,
         })
     }
@@ -104,34 +109,9 @@ pub struct ServingSnapshot {
 }
 
 impl ServingSnapshot {
-    /// Resolve tenant overlays, validate every resulting graph, prebuild
-    /// rule indexes, and assemble the epoch. All the per-library work a
-    /// query would otherwise repeat happens here, once per publish.
-    pub fn build(
-        epoch: u64,
-        ingest_epoch: u64,
-        topo: Arc<Topology>,
-        routing: FrozenRoutingState,
-        store: EventStore,
-        specs: Vec<TenantSpec>,
-    ) -> Result<Self> {
-        let tenants = specs
-            .into_iter()
-            .map(Tenant::resolve)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self::from_parts(
-            epoch,
-            ingest_epoch,
-            topo,
-            routing,
-            store,
-            tenants,
-        ))
-    }
-
-    /// Assemble from already-resolved tenants (the [`crate::Publisher`]
-    /// resolves tenants first so it can warm the route caches against
-    /// the live routing state before freezing it).
+    /// Assemble the epoch from already-resolved tenants ([`Tenant::resolve`];
+    /// the [`crate::Publisher`] resolves its tenants once and hands each
+    /// epoch a clone).
     pub fn from_parts(
         epoch: u64,
         ingest_epoch: u64,

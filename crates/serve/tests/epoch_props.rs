@@ -13,7 +13,7 @@ use grca_core::DiagnosisGraph;
 use grca_events::{EventInstance, EventStore};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{Location, RouterId, Topology};
-use grca_serve::{EpochCell, ServingSnapshot, TenantSpec};
+use grca_serve::{EpochCell, ServingSnapshot, Tenant, TenantSpec};
 use grca_types::{TimeWindow, Timestamp};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,17 +31,16 @@ fn synthetic_snapshot(topo: &Arc<Topology>, epoch: u64) -> Arc<ServingSnapshot> 
     )
     .with_info(epoch.to_string())]);
     let routing = grca_apps::build_routing(topo, &grca_collector::Database::default());
-    Arc::new(
-        ServingSnapshot::build(
-            epoch,
-            epoch,
-            topo.clone(),
-            routing.freeze(),
-            store,
-            vec![TenantSpec::new(format!("t{epoch}"), graph)],
-        )
-        .expect("zero-rule graph validates"),
-    )
+    let tenant = Tenant::resolve(TenantSpec::new(format!("t{epoch}"), graph))
+        .expect("zero-rule graph validates");
+    Arc::new(ServingSnapshot::from_parts(
+        epoch,
+        epoch,
+        topo.clone(),
+        routing.freeze(),
+        store,
+        vec![tenant],
+    ))
 }
 
 /// Panics if any component disagrees with the snapshot's epoch; returns
