@@ -148,7 +148,7 @@ impl<'a> OnlineRca<'a> {
         })
     }
 
-    /// Switch the accumulated database to the segmented columnar backend
+    /// Give the accumulated database tables that seal as `cfg` says
     /// (sealed immutable segments, compact encoding, LRU decode cache).
     /// Must be called before the first ingest — it replaces the empty
     /// database.
@@ -601,8 +601,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The segmented backend with retention enabled must emit the same
-    /// verdict stream as the flat backend keeping everything: retention
+    /// Sealing storage with retention enabled must emit the same verdict
+    /// stream as a database that never seals and keeps everything: retention
     /// only drops rows past the settled floor, never live evidence.
     #[test]
     fn segmented_storage_with_retention_streams_identically() {

@@ -223,8 +223,8 @@ fn publisher_recovers_identically(
     }
     let fresh_snap = fresh.publish().expect("publish fresh snapshot");
 
-    // Sorted labels: symptom ordering may differ between the flat and
-    // restored-segmented backends, labels must not.
+    // Sorted labels: symptom ordering may differ between the never-sealing
+    // and the restored segmented database, labels must not.
     let keyed = |snap: &grca_serve::ServingSnapshot| {
         let id = snap.tenant_id(s.name).expect("tenant present");
         labels(&topo, &snap.diagnose_all(id))

@@ -12,8 +12,7 @@
 //! in O(1) without allocating, so nothing here keeps a map of its own.
 
 use crate::rows::*;
-use crate::storage::{StorageConfig, StorageStats};
-use crate::tables::Table;
+use crate::storage::{StorageConfig, StorageStats, Table};
 use grca_net_model::Topology;
 use grca_telemetry::records::RawRecord;
 use grca_telemetry::syslog::{parse_syslog_message, split_line};
@@ -541,7 +540,7 @@ type SeenMap = HashMap<u128, Timestamp, BuildHasherDefault<FoldHasher>>;
 /// The collector's normalized database.
 ///
 /// Equality compares row contents per table (indexes are derived state) —
-/// this is what the delivery-order and backend determinism tests assert on.
+/// this is what the delivery-order and storage determinism tests assert on.
 /// The seen-log journal and its epoch are excluded: they record the
 /// *insertion order* of fingerprints, which legitimately differs between
 /// delivery schedules that converge to the same database (chaotic vs
@@ -595,8 +594,8 @@ pub struct Database {
     /// Rows before this instant have been aged out of the tables; late
     /// re-deliveries of pre-floor history are counted as `expired` and
     /// never re-ingested (which is what keeps the fingerprint aging of
-    /// `seen` sound even when the segmented backend retains a partial
-    /// segment past the floor).
+    /// `seen` sound even when a table retains a partial segment, or its
+    /// whole unsealed tail, past the floor).
     retention_floor: Option<Timestamp>,
 }
 
@@ -721,13 +720,14 @@ pub(crate) fn feeds_by_name() -> [usize; 10] {
 }
 
 impl Database {
-    /// An empty database whose tables use the segmented columnar backend
-    /// ([`crate::storage::SegmentedTable`]) instead of the flat `Vec`
-    /// baseline. Query-identical to the default; memory-bounded when the
-    /// caller also applies [`Database::retain_before`].
+    /// An empty database whose tables seal, spill and cache as `cfg`
+    /// says. The default database's tables never seal
+    /// ([`Table::default`]); these are query-identical to it, and
+    /// memory-bounded when the caller also applies
+    /// [`Database::retain_before`].
     pub fn with_storage(cfg: &StorageConfig) -> Database {
         let mut db = Database::default();
-        each_table!(&mut db, |t| *t = Table::segmented(cfg.clone()));
+        each_table!(&mut db, |t| *t = Table::new(cfg.clone()));
         db
     }
 
@@ -836,8 +836,8 @@ impl Database {
 
     /// The newest instant the database holds: its newest row, or its
     /// retention floor if that is later. Rows older than the floor that a
-    /// segmented table still keeps cannot decide it, so it is the same on
-    /// either backend.
+    /// table still keeps cannot decide it, so it is the same whatever the
+    /// tables' storage config.
     fn newest_instant(&self) -> Option<Timestamp> {
         let rows = self.feed_watermarks().into_iter().filter_map(|(_, t)| t);
         rows.chain(self.retention_floor).max()
@@ -865,8 +865,7 @@ impl Database {
     }
 
     /// Force-seal every table's tail so all rows live in sealed segments
-    /// — the durable checkpoint barrier ([`crate::durable`]). On flat
-    /// tables this just finalizes.
+    /// — the durable checkpoint barrier ([`crate::durable`]).
     pub fn seal_all(&mut self) {
         self.finalize();
         each_table!(&mut self, |t| t.seal_all());
@@ -1002,10 +1001,10 @@ impl Database {
     }
 
     /// Age out all rows strictly before `floor`: drop them from every
-    /// table (whole sealed segments only on the segmented backend), drop
-    /// the fingerprints of the dropped history, and raise the retention
-    /// floor so late re-deliveries of pre-floor records are expired on
-    /// arrival instead of re-ingested. Returns rows dropped.
+    /// table (whole sealed segments only, so none from a table that never
+    /// seals), drop the fingerprints of the dropped history, and raise the
+    /// retention floor so late re-deliveries of pre-floor records are
+    /// expired on arrival instead of re-ingested. Returns rows dropped.
     ///
     /// Note this breaks the "tables only ever grow" identity incremental
     /// extraction checks — its watermark test fails and it soundly falls
@@ -1044,17 +1043,14 @@ impl Database {
             + self.seen_log.len() * std::mem::size_of::<SeenEvent>()
     }
 
-    /// Storage counters merged across all tables — `Some` only when the
-    /// database uses the segmented backend.
+    /// Storage counters merged across all tables. Always `Some`: a
+    /// database whose tables never seal reports zero sealed segments.
     pub fn storage_stats(&self) -> Option<StorageStats> {
-        let per_table = each_table!(&self, |t| t.seg_stats());
         let mut out = StorageStats::default();
-        let mut any = false;
-        for s in per_table.into_iter().flatten() {
+        for s in each_table!(&self, |t| t.stats()) {
             out.merge(&s);
-            any = true;
         }
-        any.then_some(out)
+        Some(out)
     }
 
     /// A cheap fingerprint of the ingested state — the collector-side
@@ -1593,5 +1589,53 @@ mod tests {
         let mid = db.feed_watermarks()[0].1.unwrap();
         db.retain_before(mid);
         assert_ne!(db.ingest_epoch(), e2);
+    }
+
+    /// 9000 SNMP samples from one router, five minutes apart: more than
+    /// two default segments' worth of rows in one table.
+    fn snmp_burst(topo: &Topology) -> Vec<RawRecord> {
+        let name = topo.routers[0].name.to_uppercase() + ".ISP.NET";
+        (0..9000)
+            .map(|k| {
+                RawRecord::Snmp(SnmpSample {
+                    system: name.as_str().into(),
+                    local_time: Timestamp::from_civil(2010, 1, 1, 0, 0, 0) + Duration::mins(5 * k),
+                    metric: SnmpMetric::CpuUtil5m,
+                    if_index: None,
+                    value: 42.0,
+                })
+            })
+            .collect()
+    }
+
+    /// A batch database never seals: `Table::default()`'s `segment_rows`
+    /// of `usize::MAX` keeps every row in the flat tail (and, in a debug
+    /// build, would panic if the seal loop's arithmetic overflowed on it).
+    /// The same rows under the default storage config do seal.
+    #[test]
+    fn default_database_never_seals() {
+        let topo = generate(&TopoGenConfig::small());
+        let recs = snmp_burst(&topo);
+        assert!(recs.len() > 2 * StorageConfig::default().segment_rows);
+        let (db, stats) = Database::ingest(&topo, &recs);
+        assert_eq!(stats.total_accepted(), recs.len(), "{}", stats.render());
+        let st = db.storage_stats().unwrap();
+        assert_eq!(st.sealed_segments, 0);
+        assert_eq!(st.tail_rows, recs.len());
+        let mut sealing = Database::with_storage(&StorageConfig::default());
+        sealing.ingest_more(&topo, &recs, &mut IngestStats::default());
+        assert!(sealing.storage_stats().unwrap().sealed_segments >= 1);
+        assert!(sealing == db, "sealing must not change a query");
+    }
+
+    /// Only a database whose tables spill to disk can list segment files
+    /// for a checkpoint manifest; a default one refuses, empty or not.
+    #[test]
+    fn segment_manifests_need_spill_mode() {
+        let topo = generate(&TopoGenConfig::small());
+        let mut db = Database::default();
+        assert!(db.segment_manifests().is_none());
+        db.ingest_more(&topo, &snmp_burst(&topo), &mut IngestStats::default());
+        assert!(db.segment_manifests().is_none());
     }
 }

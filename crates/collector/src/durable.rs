@@ -32,8 +32,7 @@ use crate::db::{
 };
 use crate::health::FeedRegistry;
 use crate::segment::try_decode_segment;
-use crate::storage::StorageConfig;
-use crate::tables::Table;
+use crate::storage::{StorageConfig, Table};
 use grca_types::Timestamp;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -687,8 +686,8 @@ impl StoreManifest {
     /// all rows live in durable segments), then snapshot the collector's
     /// full logical state. `seen_log` is the already-persisted dedup log
     /// prefix this barrier is consistent with
-    /// ([`DurableStore::persist_seen`], called first). Requires the
-    /// durable segmented backend — returns `Err` on in-memory tables.
+    /// ([`DurableStore::persist_seen`], called first). Requires tables
+    /// that spill to disk — returns `Err` on in-memory tables.
     pub fn capture(
         db: &mut Database,
         stats: &IngestStats,
@@ -701,7 +700,7 @@ impl StoreManifest {
         db.seal_all();
         let tables = db
             .segment_manifests()
-            .ok_or("durable checkpoint requires the segmented spill backend")?;
+            .ok_or("durable checkpoint requires tables that spill to disk")?;
         Ok(StoreManifest {
             version: MANIFEST_VERSION,
             cycle,
@@ -765,7 +764,7 @@ impl StoreManifest {
 
 impl Database {
     /// Per-feed manifests of every sealed on-disk segment, in time
-    /// order. `None` if any table is not on the durable spill backend.
+    /// order. `None` if any table does not spill to disk.
     pub fn segment_manifests(&self) -> Option<Vec<TableManifest>> {
         let tables = each_table!(&self, |i, t| TableManifest {
             feed: FEEDS[i].to_string(),

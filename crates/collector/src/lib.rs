@@ -6,13 +6,14 @@
 //! and identifiers takes place as data is ingested."
 //!
 //! * [`rows`] — the normalized schema (UTC times, canonical entity ids);
-//! * [`tables`] — time-indexed tables: binary-searched range queries plus
-//!   a per-entity offset index, behind a pluggable storage facade;
+//! * [`storage`] — the one table type, [`Table`]: sealed columnar
+//!   segments (LRU decode cache, optional on-disk spill,
+//!   segment-granular retention) ahead of an unsealed tail, or only the
+//!   tail when it never seals;
+//! * [`tables`] — that tail: binary-searched range queries plus a
+//!   per-entity offset index, and the row sets queries answer in;
 //! * [`segment`] — the columnar codec for sealed segments (delta-encoded
 //!   timestamps, interned strings, zone maps);
-//! * [`storage`] — the storage backends: the flat `Vec` baseline and the
-//!   memory-bounded segmented columnar store (LRU decode cache, optional
-//!   on-disk spill, segment-granular retention);
 //! * [`db`] — the ingestion pipeline over all feeds, with per-feed
 //!   accept/drop statistics;
 //! * [`durable`] — crash-consistent durability: checksummed atomic spill
@@ -40,5 +41,5 @@ pub use rows::*;
 pub use segment::{
     decode_segment, encode_segment, try_decode_segment, DecodedSeg, SegmentMeta, StoredRow,
 };
-pub use storage::{SealedRun, SegmentedTable, StorageConfig, StorageStats};
-pub use tables::{EntityRows, FlatTable, RowSet, Table};
+pub use storage::{SealedRun, StorageConfig, StorageStats, Table};
+pub use tables::{EntityRows, FlatTable, RowSet};

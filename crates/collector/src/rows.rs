@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 /// Every normalized row exposes its UTC instant (tables sort on it) and
 /// the entity it belongs to (tables group on it — see
-/// [`crate::tables::Table::groups`]).
+/// [`crate::Table::groups`]).
 ///
 /// The entity is the key extraction naturally series-es the feed by: the
 /// sampled device/pair for telemetry feeds, the emitting element for
@@ -39,8 +39,8 @@ pub trait Row {
 }
 
 /// Entity → ascending offsets into one canonical row slice: the crate's one
-/// per-entity index, held by the flat table (and so the segmented tail) and
-/// by every decoded segment. Built by the first lookup and dropped by
+/// per-entity index, held by every table's flat tail and by every decoded
+/// segment. Built by the first lookup and dropped by
 /// whatever moves the rows; ingest, scans, sealing and retention never read
 /// it, and at thousands of entities it costs more than the sort it follows.
 #[derive(Debug, Clone)]

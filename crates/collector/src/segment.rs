@@ -32,13 +32,13 @@ use grca_telemetry::records::{L1EventKind, PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::parse_syslog_message;
 use grca_types::Timestamp;
 
-/// A row type that can live in either storage backend: queryable
-/// ([`Row`]) plus a columnar encoding for sealed segments.
+/// A row type a [`crate::Table`] can hold: queryable ([`Row`]) plus a
+/// columnar encoding for sealed segments.
 ///
 /// Implementations must round-trip exactly: `decode_cols(encode_cols(r))
 /// == r` for every row the collector can produce — decoded rows must hash
 /// (`tiebreak`) and compare equal to the originals, or the differential
-/// guarantees of the segmented backend collapse.
+/// guarantees of sealed storage collapse.
 pub trait StoredRow: Row + Clone {
     /// Append every non-timestamp column of `rows` to the writer.
     fn encode_cols(rows: &[Self], w: &mut SegWriter);

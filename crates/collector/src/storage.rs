@@ -1,17 +1,16 @@
-//! The memory-bounded segmented columnar table backend.
+//! The segmented columnar [`Table`]: the one table type every feed lands in.
 //!
-//! [`crate::tables::Table`] is the enum facade the rest of the platform
-//! talks to: each of its methods matches on the backend and calls either
-//! [`crate::tables::FlatTable`] (the original implementation, kept
-//! verbatim as the differential baseline) or [`SegmentedTable`] directly.
-//! The backend choice is a construction-time decision
-//! ([`crate::Database::with_storage`]), and the differential tests pin the
-//! two backends query-identical: push, finalize, the binary-searched time
-//! queries, the per-entity index, and retention.
+//! Whether a table seals at all is a value, not a backend:
+//! [`StorageConfig::segment_rows`] of `usize::MAX` (what
+//! [`Table::default`] uses, so batch windows and the default online and
+//! serve databases) never seals, and every row stays in the flat tail; a
+//! finite value ([`crate::Database::with_storage`]) gives the
+//! memory-bounded store below. The differential tests pin both
+//! query-identical to a plain sorted `Vec` model.
 //!
 //! # Segment lifecycle
 //!
-//! Rows land in an **unsealed tail** (a `FlatTable`) on the ingest path.
+//! Rows land in an **unsealed tail** (a [`FlatTable`]) on the ingest path.
 //! `finalize` sorts the tail, then **seals** full chunks of
 //! [`StorageConfig::segment_rows`] rows into immutable, time-ordered
 //! segments — encoded blobs ([`crate::segment`]) plus always-resident
@@ -31,17 +30,18 @@
 //! on disk and only the zone maps stay resident.
 //!
 //! A reader that re-scans history every cycle does not have to decode it
-//! every cycle: [`SegmentedTable::runs`] walks the table as its sealed
+//! every cycle: [`Table::runs`] walks the table as its sealed
 //! runs, each a [`SealedRun`] whose id names those immutable rows for the
 //! life of the process, followed by the tail. What a run contributes can
 //! be computed once and kept under its id; retention and reseals retire
 //! ids and never reuse one. Incremental extraction reads history this
 //! way, so the LRU is left to per-entity lookups and drill-down.
 //!
-//! **Retention** ([`SegmentedTable::retain_before`]) drops whole sealed
+//! **Retention** ([`Table::retain_before`]) drops whole sealed
 //! segments whose max time is below the floor — O(dropped), no row
 //! copying — which is exactly what `OnlineRca`'s skip-floor pruning
-//! wants: sealed history ages out; the live tail is never touched.
+//! wants: sealed history ages out; the live tail is never touched, so a
+//! table that never seals never drops a row.
 
 use crate::segment::{decode_segment, encode_segment, DecodedSeg, SegmentMeta, StoredRow};
 use crate::tables::{EntityRows, FlatTable, RowSet, SegChunk};
@@ -51,12 +51,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Construction-time knobs of the segmented backend.
+/// Construction-time knobs of a [`Table`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Target rows per sealed segment. Sealing keeps one full segment of
     /// hysteresis unsealed, so the tail holds at most `2 * segment_rows`
-    /// rows (modulo canonical-key ties, which never split).
+    /// rows (modulo canonical-key ties, which never split). `usize::MAX`
+    /// never seals: every row stays in the flat tail, as in a batch
+    /// window ([`Table::default`]).
     pub segment_rows: usize,
     /// Decoded segments kept hot (LRU). Memory ceiling per table is
     /// roughly `cache_segments * segment_rows * row size` plus the tail.
@@ -211,13 +213,14 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// every run a reseal rewrites.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The segmented columnar backend. See the module docs for the design.
-pub struct SegmentedTable<R: StoredRow> {
+/// A table of one row type, sorted by canonical `(time, tiebreak)` order
+/// after [`Table::finalize`]: sealed segments, then the unsealed tail.
+/// See the module docs for the design.
+pub struct Table<R: StoredRow> {
     cfg: StorageConfig,
     /// Sealed segments in time order; pairwise `max_key <= next.min_key`.
     segs: Vec<SealedSegment<R>>,
-    /// Unsealed rows, newest history — a flat table so the ingest path
-    /// and the merge-finalize are shared with the baseline backend.
+    /// Unsealed rows, newest history.
     tail: FlatTable<R>,
     reseals: u64,
     dropped_rows: u64,
@@ -226,9 +229,27 @@ pub struct SegmentedTable<R: StoredRow> {
     cache: Mutex<Cache<R>>,
 }
 
-impl<R: StoredRow> SegmentedTable<R> {
+/// A table that never seals: every row lives in the flat tail.
+impl<R: StoredRow> Default for Table<R> {
+    fn default() -> Self {
+        Table::new(StorageConfig {
+            segment_rows: usize::MAX,
+            ..StorageConfig::default()
+        })
+    }
+}
+
+/// Two tables are equal when they hold the same rows in the same order,
+/// however they are split into segments (both must be finalized).
+impl<R: StoredRow + PartialEq> PartialEq for Table<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.all().iter().eq(other.all().iter())
+    }
+}
+
+impl<R: StoredRow> Table<R> {
     pub fn new(cfg: StorageConfig) -> Self {
-        SegmentedTable {
+        Table {
             cfg,
             segs: Vec::new(),
             tail: FlatTable::default(),
@@ -272,9 +293,10 @@ impl<R: StoredRow> SegmentedTable<R> {
 
     /// Every sealed segment's on-disk file (name relative to the spill
     /// dir) and row count, in time order — the table's contribution to a
-    /// checkpoint manifest. `None` if any sealed blob is memory-resident
-    /// (the table is not running in spill mode).
+    /// checkpoint manifest. `None` unless the table runs in spill mode
+    /// with every sealed blob on disk.
     pub fn segment_files(&self) -> Option<Vec<crate::durable::SegmentRecord>> {
+        self.cfg.spill_dir.as_ref()?;
         self.segs
             .iter()
             .map(|s| match &s.blob {
@@ -287,10 +309,11 @@ impl<R: StoredRow> SegmentedTable<R> {
             .collect()
     }
 
-    /// Force-seal the entire tail (no hysteresis): after this every row
-    /// the table holds lives in a sealed segment — the precondition for
-    /// a checkpoint barrier. Later arrivals older than the sealed
-    /// maximum fall into the existing reseal path.
+    /// Force-seal the entire tail (no hysteresis, whatever
+    /// `segment_rows` says): after this every row the table holds lives
+    /// in a sealed segment — the precondition for a checkpoint barrier.
+    /// Later arrivals older than the sealed maximum fall into the
+    /// existing reseal path.
     pub fn seal_all(&mut self) {
         self.finalize();
         if !self.tail.is_empty() {
@@ -460,13 +483,12 @@ impl<R: StoredRow> SegmentedTable<R> {
     }
 }
 
-/// One sealed run of a [`SegmentedTable`], met on a
-/// [`SegmentedTable::runs`] walk. Its rows are immutable and its
-/// [`id`](SealedRun::id) names them for the life of the process, so what a
-/// reader derives from the rows once it may keep under that id; retention
-/// and reseals retire ids, they never reuse one.
+/// One sealed run of a [`Table`], met on a [`Table::runs`] walk. Its rows
+/// are immutable and its [`id`](SealedRun::id) names them for the life of
+/// the process, so what a reader derives from the rows once it may keep
+/// under that id; retention and reseals retire ids, they never reuse one.
 pub struct SealedRun<'a, R: StoredRow> {
-    table: &'a SegmentedTable<R>,
+    table: &'a Table<R>,
     ix: usize,
 }
 
@@ -485,15 +507,15 @@ impl<'a, R: StoredRow> SealedRun<'a, R> {
     }
 }
 
-/// The table operations [`crate::tables::Table`] dispatches to.
-#[allow(clippy::len_without_is_empty)]
-impl<R: StoredRow> SegmentedTable<R> {
+impl<R: StoredRow> Table<R> {
     pub fn push(&mut self, row: R) {
         self.tail.push(row);
     }
 
-    /// Sort the tail, merge late rows back through a reseal, and seal
-    /// full chunks (see the module docs).
+    /// Restore canonical order after a batch of pushes: sort the tail,
+    /// merge late rows back through a reseal, and seal full chunks (see
+    /// the module docs and [`FlatTable::finalize`] for the ordering
+    /// contract). Must be called after ingestion, before querying.
     pub fn finalize(&mut self) {
         self.tail.finalize();
         if !self.tail.is_empty() {
@@ -509,7 +531,7 @@ impl<R: StoredRow> SegmentedTable<R> {
         let target = self.cfg.segment_rows.max(1);
         let mut cuts: Vec<usize> = Vec::new();
         let mut start = 0usize;
-        while n - start >= 2 * target {
+        while (n - start) / 2 >= target {
             let mut cut = start + target;
             // Never split canonical-key ties across a seal boundary.
             while cut < n && self.tail.key_at(cut) == self.tail.key_at(cut - 1) {
@@ -539,6 +561,11 @@ impl<R: StoredRow> SegmentedTable<R> {
         self.segs.iter().map(|s| s.meta.rows).sum::<usize>() + self.tail.len()
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.segs.is_empty() && self.tail.is_empty()
+    }
+
+    /// All rows, in time order.
     pub fn all(&self) -> RowSet<'_, R> {
         let chunks = self.time_chunks(|_| true, |d| (0, d.rows.len()));
         RowSet::from_parts(chunks, self.tail.all_slice())
@@ -546,8 +573,8 @@ impl<R: StoredRow> SegmentedTable<R> {
 
     /// The table as its sealed runs, in time order, and the unsealed tail
     /// that follows them: the same rows in the same order as
-    /// [`SegmentedTable::all`], but nothing decodes until a run is asked
-    /// for its rows.
+    /// [`Table::all`], but nothing decodes until a run is asked for its
+    /// rows. A table that never seals is zero runs plus its rows.
     pub fn runs(&self) -> (Vec<SealedRun<'_, R>>, RowSet<'_, R>) {
         let sealed = (0..self.segs.len())
             .map(|ix| SealedRun { table: self, ix })
@@ -586,12 +613,28 @@ impl<R: StoredRow> SegmentedTable<R> {
         RowSet::from_parts(chunks, self.tail.after_slice(t))
     }
 
+    /// The latest timestamp in the table.
     pub fn last_time(&self) -> Option<Timestamp> {
         self.tail
             .last_time()
             .or_else(|| self.segs.last().map(|s| s.meta.max_time()))
     }
 
+    /// First row at or after `t` (cloned out of the backing storage).
+    pub fn first_at_or_after(&self, t: Timestamp) -> Option<R> {
+        self.since(t).first().cloned()
+    }
+
+    /// The distinct entities and their rows, in entity order; each
+    /// entity's rows come back in time order. Deterministic, so
+    /// extraction passes that flush per group emit reproducibly.
+    pub fn groups(&self) -> impl Iterator<Item = (R::Entity, EntityRows<'_, R>)> + '_ {
+        self.group_entities()
+            .into_iter()
+            .map(move |e| (e, self.rows_of(&e)))
+    }
+
+    /// One entity's rows in time order (empty if unseen).
     pub fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
         let mut hot = Vec::new();
         for ix in 0..self.segs.len() {
@@ -603,11 +646,11 @@ impl<R: StoredRow> SegmentedTable<R> {
             hot.push(self.decoded(ix));
         }
         let (rows, offsets) = self.tail.rows_of_parts(entity);
-        EntityRows::segmented(hot, *entity, rows, offsets)
+        EntityRows::new(hot, *entity, rows, offsets)
     }
 
     /// Distinct entities, ascending (drives deterministic group order).
-    pub fn group_entities(&self) -> Vec<R::Entity> {
+    fn group_entities(&self) -> Vec<R::Entity> {
         let mut out: Vec<R::Entity> = Vec::new();
         for s in &self.segs {
             out.extend_from_slice(&s.meta.entities);
@@ -618,13 +661,14 @@ impl<R: StoredRow> SegmentedTable<R> {
         out
     }
 
+    /// Number of distinct entities.
     pub fn entity_count(&self) -> usize {
         self.group_entities().len()
     }
 
     /// Drop whole sealed segments whose newest row is older than `floor`
-    /// (so slightly more than asked may be retained); returns how many
-    /// rows were dropped.
+    /// (so slightly more than asked may be retained, and a table that
+    /// never seals drops nothing); returns how many rows were dropped.
     pub fn retain_before(&mut self, floor: Timestamp) -> usize {
         let k = self.segs.partition_point(|s| s.meta.max_time() < floor);
         if k == 0 {
@@ -662,9 +706,9 @@ impl<R: StoredRow> SegmentedTable<R> {
     }
 }
 
-impl<R: StoredRow> Clone for SegmentedTable<R> {
+impl<R: StoredRow> Clone for Table<R> {
     fn clone(&self) -> Self {
-        SegmentedTable {
+        Table {
             cfg: self.cfg.clone(),
             segs: self.segs.clone(),
             tail: self.tail.clone(),
@@ -680,9 +724,9 @@ impl<R: StoredRow> Clone for SegmentedTable<R> {
     }
 }
 
-impl<R: StoredRow> std::fmt::Debug for SegmentedTable<R> {
+impl<R: StoredRow> std::fmt::Debug for Table<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SegmentedTable")
+        f.debug_struct("Table")
             .field("segments", &self.segs.len())
             .field(
                 "sealed_rows",

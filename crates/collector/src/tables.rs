@@ -1,52 +1,44 @@
-//! Time-indexed tables over one of two storage backends.
+//! The row storage under [`crate::Table`]: its flat tail and the shapes
+//! its queries answer in.
 //!
 //! The paper's deployment lands normalized records in real-time database
 //! tables (§II-A); the access patterns the RCA engine needs are "all rows
 //! of feed F in time window W (optionally matching a predicate)" and "the
-//! rows of one entity, in time order". [`Table`] is the facade the rest
-//! of the platform queries: an enum whose every method matches on the
-//! backend and calls it directly (see [`crate::storage`]):
+//! rows of one entity, in time order". A table (see [`crate::storage`])
+//! keeps its newest rows — all of them, when it never seals — in a
+//! [`FlatTable`]: one dense row vector, a **timestamp column** for
+//! O(log n) binary-searched range cuts, and a **per-entity offset index**
+//! (`BTreeMap` for deterministic group order) built by the first
+//! per-entity lookup after a change, never by ingest.
 //!
-//! * [`FlatTable`] — the original `Vec`-backed implementation and the
-//!   differential baseline: one dense row vector, a **timestamp column**
-//!   for O(log n) binary-searched range cuts, and a **per-entity offset
-//!   index** (`BTreeMap` for deterministic group order) built by the
-//!   first per-entity lookup after a change, never by ingest.
-//! * [`crate::storage::SegmentedTable`] — memory-bounded segmented
-//!   columnar storage for long horizons: sealed encoded segments with
-//!   zone maps, an LRU of hot decoded segments, and segment-granular
-//!   retention.
-//!
-//! Because segmented queries assemble rows from several decoded segments
-//! plus the flat tail, queries return a [`RowSet`] — a small list of
-//! pinned segment chunks plus a tail slice — instead of one borrowed
-//! slice. For the flat backend a `RowSet` is exactly the old slice (no
-//! chunks, no allocation). [`Table::after`] remains the watermark cut
-//! behind incremental extraction: "every row strictly after `t`" is one
+//! Because queries assemble rows from several decoded sealed segments
+//! plus the flat tail, they return a [`RowSet`] — a small list of pinned
+//! segment chunks plus a tail slice — instead of one borrowed slice. With
+//! nothing sealed a `RowSet` is exactly the tail slice (no chunks, no
+//! allocation). [`crate::Table::after`] remains the watermark cut behind
+//! incremental extraction: "every row strictly after `t`" is one
 //! `partition_point` per storage piece.
 
 use crate::rows::{EntityIndex, Row};
 use crate::segment::{DecodedSeg, StoredRow};
-use crate::storage::{SealedRun, SegmentedTable, StorageConfig, StorageStats};
 use grca_types::{TimeWindow, Timestamp};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Flat baseline backend
+// The unsealed tail
 // ---------------------------------------------------------------------------
 
-/// The original `Vec`-backed table: all rows resident, sorted by the
-/// canonical `(time, tiebreak)` key after [`FlatTable::finalize`].
-///
-/// Also serves as the segmented backend's unsealed tail, so the ingest
-/// hot path and the merge-finalize are shared between backends.
+/// A `Vec`-backed run of rows, all resident, sorted by the canonical
+/// `(time, tiebreak)` key after [`FlatTable::finalize`]: the unsealed
+/// tail of a [`crate::Table`], where the ingest hot path and the
+/// merge-finalize live.
 #[derive(Debug, Clone)]
 pub struct FlatTable<R: Row> {
     rows: Vec<R>,
     /// Columnar copy of each row's timestamp for `rows[..finalized]`.
     times: Vec<Timestamp>,
     /// Entity → offsets into the finalized `rows`: built by the first
-    /// per-entity lookup, dropped by finalize, sealing and retention.
+    /// per-entity lookup, dropped by finalize and sealing.
     groups: EntityIndex<R::Entity>,
     /// Rows covered by the indexes; `rows[finalized..]` are raw pushes.
     finalized: usize,
@@ -60,14 +52,6 @@ impl<R: Row> Default for FlatTable<R> {
             groups: EntityIndex::default(),
             finalized: 0,
         }
-    }
-}
-
-/// Two tables are equal when they hold the same rows in the same order
-/// (the indexes are derived state).
-impl<R: Row + PartialEq> PartialEq for FlatTable<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
     }
 }
 
@@ -150,12 +134,6 @@ impl<R: Row> FlatTable<R> {
         &self.rows
     }
 
-    /// The timestamp column, aligned with [`FlatTable::all_slice`].
-    pub fn times(&self) -> &[Timestamp] {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        &self.times
-    }
-
     /// Rows with `start <= time <= end` (closed window).
     pub fn range_slice(&self, w: TimeWindow) -> &[R] {
         debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
@@ -191,10 +169,6 @@ impl<R: Row> FlatTable<R> {
     /// Distinct entities, ascending.
     pub fn group_entities(&self) -> Vec<R::Entity> {
         self.groups.of(self.all_slice()).keys().copied().collect()
-    }
-
-    pub fn entity_count(&self) -> usize {
-        self.groups.of(self.all_slice()).len()
     }
 
     /// Canonical key of row `i` (finalized region).
@@ -236,20 +210,6 @@ impl<R: Row> FlatTable<R> {
         self.finalized = self.rows.len();
         sealed
     }
-
-    /// Drop rows with `time < floor`; returns how many were dropped.
-    pub fn retain_before(&mut self, floor: Timestamp) -> usize {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        let cut = self.times.partition_point(|&t| t < floor);
-        if cut == 0 {
-            return 0;
-        }
-        self.rows.drain(..cut);
-        self.times.drain(..cut);
-        self.groups.clear();
-        self.finalized = self.rows.len();
-        cut
-    }
 }
 
 impl<R: StoredRow> FlatTable<R> {
@@ -276,9 +236,9 @@ pub(crate) struct SegChunk<R: Row> {
 }
 
 /// The result of a time query: zero or more pinned segment chunks (in
-/// time order) followed by a borrowed slice of the flat tail. For the
-/// flat backend there are never chunks, so a `RowSet` is a zero-cost
-/// wrapper over the old borrowed slice.
+/// time order) followed by a borrowed slice of the flat tail. With
+/// nothing sealed there are no chunks, so a `RowSet` is a zero-cost
+/// wrapper over the tail slice.
 pub struct RowSet<'a, R: Row> {
     chunks: Vec<SegChunk<R>>,
     tail: &'a [R],
@@ -361,10 +321,10 @@ impl<'a, 'b, R: Row> IntoIterator for &'b RowSet<'a, R> {
 }
 
 /// One entity's rows in time order: offsets into pinned decoded segments
-/// (segmented backend) followed by offsets into the flat row store.
+/// followed by offsets into the flat tail.
 pub struct EntityRows<'a, R: Row> {
     segs: Vec<Arc<DecodedSeg<R>>>,
-    entity: Option<R::Entity>,
+    entity: R::Entity,
     rows: &'a [R],
     offsets: &'a [u32],
 }
@@ -381,16 +341,7 @@ impl<'a, R: Row> Clone for EntityRows<'a, R> {
 }
 
 impl<'a, R: Row> EntityRows<'a, R> {
-    pub(crate) fn flat(rows: &'a [R], offsets: &'a [u32]) -> Self {
-        EntityRows {
-            segs: Vec::new(),
-            entity: None,
-            rows,
-            offsets,
-        }
-    }
-
-    pub(crate) fn segmented(
+    pub(crate) fn new(
         segs: Vec<Arc<DecodedSeg<R>>>,
         entity: R::Entity,
         rows: &'a [R],
@@ -398,17 +349,18 @@ impl<'a, R: Row> EntityRows<'a, R> {
     ) -> Self {
         EntityRows {
             segs,
-            entity: Some(entity),
+            entity,
             rows,
             offsets,
         }
     }
 
     pub fn len(&self) -> usize {
-        let sealed: usize = match &self.entity {
-            Some(e) => self.segs.iter().map(|s| s.offsets_of(e).len()).sum(),
-            None => 0,
-        };
+        let sealed: usize = self
+            .segs
+            .iter()
+            .map(|s| s.offsets_of(&self.entity).len())
+            .sum();
         sealed + self.offsets.len()
     }
 
@@ -421,240 +373,8 @@ impl<'a, R: Row> EntityRows<'a, R> {
         let rows = self.rows;
         self.segs
             .iter()
-            .flat_map(move |s| {
-                let offs: &[u32] = e.map_or(&[], |e| s.offsets_of(&e));
-                offs.iter().map(move |&i| &s.rows[i as usize])
-            })
+            .flat_map(move |s| s.offsets_of(&e).iter().map(move |&i| &s.rows[i as usize]))
             .chain(self.offsets.iter().map(move |&i| &rows[i as usize]))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------------
-
-/// A table of one row type, sorted by canonical `(time, tiebreak)` order
-/// after [`Table::finalize`], on the flat baseline or the segmented
-/// columnar backend; see the module docs.
-// A `Database` holds exactly ten tables, never collections of them, so
-// the flat/segmented size difference buys nothing to box away.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum Table<R: StoredRow> {
-    Flat(FlatTable<R>),
-    Seg(SegmentedTable<R>),
-}
-
-impl<R: StoredRow> std::fmt::Debug for Table<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Table::Flat(t) => f
-                .debug_struct("Table::Flat")
-                .field("rows", &t.len())
-                .finish(),
-            Table::Seg(t) => t.fmt(f),
-        }
-    }
-}
-
-impl<R: StoredRow> Default for Table<R> {
-    fn default() -> Self {
-        Table::Flat(FlatTable::default())
-    }
-}
-
-/// Two tables are equal when they hold the same rows in the same order,
-/// regardless of backend. (Flat/flat comparison works pre-finalize; any
-/// comparison involving a segmented table requires both finalized.)
-impl<R: StoredRow + PartialEq> PartialEq for Table<R> {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Table::Flat(a), Table::Flat(b)) => a == b,
-            _ => {
-                self.len() == other.len()
-                    && self
-                        .all()
-                        .iter()
-                        .zip(other.all().iter())
-                        .all(|(a, b)| a == b)
-            }
-        }
-    }
-}
-
-impl<R: StoredRow> Table<R> {
-    /// A table on the segmented columnar backend.
-    pub fn segmented(cfg: StorageConfig) -> Self {
-        Table::Seg(SegmentedTable::new(cfg))
-    }
-
-    pub fn push(&mut self, row: R) {
-        match self {
-            Table::Flat(t) => t.push(row),
-            Table::Seg(t) => t.push(row),
-        }
-    }
-
-    /// Restore canonical order and indexes after a batch of pushes; on
-    /// the segmented backend this is also where full segments seal. See
-    /// [`FlatTable::finalize`] for the ordering contract.
-    pub fn finalize(&mut self) {
-        match self {
-            Table::Flat(t) => t.finalize(),
-            Table::Seg(t) => t.finalize(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            Table::Flat(t) => t.len(),
-            Table::Seg(t) => t.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All rows, in time order.
-    pub fn all(&self) -> RowSet<'_, R> {
-        match self {
-            Table::Flat(t) => RowSet::from_slice(t.all_slice()),
-            Table::Seg(t) => t.all(),
-        }
-    }
-
-    /// The table as its immutable sealed runs, in time order, and the rows
-    /// that follow them — [`Table::all`] in pieces a reader can tell
-    /// apart, none decoded until asked. The flat backend has no sealed
-    /// runs: every row is in the second part.
-    pub fn runs(&self) -> (Vec<SealedRun<'_, R>>, RowSet<'_, R>) {
-        match self {
-            Table::Flat(t) => (Vec::new(), RowSet::from_slice(t.all_slice())),
-            Table::Seg(t) => t.runs(),
-        }
-    }
-
-    /// The timestamp column (flat backend only — diagnostic/test helper).
-    pub fn times(&self) -> &[Timestamp] {
-        match self {
-            Table::Flat(t) => t.times(),
-            Table::Seg(_) => panic!("times() requires the flat backend"),
-        }
-    }
-
-    /// Rows with `start <= time <= end` (closed window).
-    pub fn range(&self, w: TimeWindow) -> RowSet<'_, R> {
-        match self {
-            Table::Flat(t) => RowSet::from_slice(t.range_slice(w)),
-            Table::Seg(t) => t.range(w),
-        }
-    }
-
-    /// Rows with `time >= t`.
-    pub fn since(&self, t: Timestamp) -> RowSet<'_, R> {
-        match self {
-            Table::Flat(f) => RowSet::from_slice(f.since_slice(t)),
-            Table::Seg(s) => s.since(t),
-        }
-    }
-
-    /// Rows with `time > t` — the watermark cut of incremental extraction.
-    pub fn after(&self, t: Timestamp) -> RowSet<'_, R> {
-        match self {
-            Table::Flat(f) => RowSet::from_slice(f.after_slice(t)),
-            Table::Seg(s) => s.after(t),
-        }
-    }
-
-    /// The latest timestamp in the table.
-    pub fn last_time(&self) -> Option<Timestamp> {
-        match self {
-            Table::Flat(t) => t.last_time(),
-            Table::Seg(t) => t.last_time(),
-        }
-    }
-
-    /// First row at or after `t` (cloned out of the backing storage).
-    pub fn first_at_or_after(&self, t: Timestamp) -> Option<R> {
-        self.since(t).first().cloned()
-    }
-
-    /// The distinct entities and their rows, in entity order; each
-    /// entity's rows come back in time order. Deterministic, so
-    /// extraction passes that flush per group emit reproducibly.
-    pub fn groups(&self) -> impl Iterator<Item = (R::Entity, EntityRows<'_, R>)> + '_ {
-        let entities = match self {
-            Table::Flat(t) => t.group_entities(),
-            Table::Seg(t) => t.group_entities(),
-        };
-        entities.into_iter().map(move |e| {
-            let rows = self.rows_of(&e);
-            (e, rows)
-        })
-    }
-
-    /// One entity's rows in time order (empty if unseen).
-    pub fn rows_of(&self, entity: &R::Entity) -> EntityRows<'_, R> {
-        match self {
-            Table::Flat(t) => {
-                let (rows, offsets) = t.rows_of_parts(entity);
-                EntityRows::flat(rows, offsets)
-            }
-            Table::Seg(t) => t.rows_of(entity),
-        }
-    }
-
-    /// Number of distinct entities.
-    pub fn entity_count(&self) -> usize {
-        match self {
-            Table::Flat(t) => t.entity_count(),
-            Table::Seg(t) => t.entity_count(),
-        }
-    }
-
-    /// Drop rows with `time < floor`; returns how many were dropped. The
-    /// segmented backend drops whole sealed segments only (never the live
-    /// tail), so it may retain slightly more history than asked.
-    pub fn retain_before(&mut self, floor: Timestamp) -> usize {
-        match self {
-            Table::Flat(t) => t.retain_before(floor),
-            Table::Seg(t) => t.retain_before(floor),
-        }
-    }
-
-    /// Estimated resident bytes of rows, indexes, blobs and caches.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            Table::Flat(t) => t.approx_bytes(),
-            Table::Seg(t) => t.approx_bytes(),
-        }
-    }
-
-    /// Storage counters — `Some` only on the segmented backend.
-    pub fn seg_stats(&self) -> Option<StorageStats> {
-        match self {
-            Table::Flat(_) => None,
-            Table::Seg(t) => Some(t.stats()),
-        }
-    }
-
-    /// Force-seal the entire tail so every row lives in a sealed segment
-    /// (the checkpoint barrier). No-op on the flat backend.
-    pub fn seal_all(&mut self) {
-        match self {
-            Table::Flat(t) => t.finalize(),
-            Table::Seg(t) => t.seal_all(),
-        }
-    }
-
-    /// On-disk segment files for a checkpoint manifest — `Some` only on
-    /// the segmented spill backend with every blob on disk.
-    pub fn segment_files(&self) -> Option<Vec<crate::durable::SegmentRecord>> {
-        match self {
-            Table::Flat(_) => None,
-            Table::Seg(t) => t.segment_files(),
-        }
     }
 }
 
@@ -662,6 +382,7 @@ impl<R: StoredRow> Table<R> {
 mod tests {
     use super::*;
     use crate::segment::{SegReader, SegWriter};
+    use crate::storage::{SealedRun, StorageConfig, Table};
 
     #[derive(Debug, Clone, PartialEq)]
     struct TR(Timestamp, u32);
@@ -687,6 +408,15 @@ mod tests {
 
     fn ts(s: i64) -> Timestamp {
         Timestamp::from_unix(s)
+    }
+
+    /// The reference a table must answer like: every row pushed so far,
+    /// stable-sorted by `(time, tiebreak)` (ties keep arrival order), with
+    /// `keep` as the query.
+    fn model(pushed: &[TR], keep: impl Fn(&TR) -> bool) -> Vec<TR> {
+        let mut rows: Vec<TR> = pushed.iter().filter(|r| keep(r)).cloned().collect();
+        rows.sort_by_key(|r| (r.time(), r.tiebreak()));
+        rows
     }
 
     #[test]
@@ -774,21 +504,30 @@ mod tests {
         assert!(t.first_at_or_after(ts(7)).is_none());
     }
 
+    /// The timestamp column the time queries cut on stays aligned with the
+    /// rows through a merge-finalize: `all()`'s times are the model's, and
+    /// a cut at every instant returns the model's rows.
     #[test]
     fn timestamp_column_tracks_rows_through_resort() {
         let mut t = Table::default();
-        for s in [5, 1, 3] {
-            t.push(TR(ts(s), s as u32));
+        let mut pushed = Vec::new();
+        // The second batch arrives out of order and merges into the column.
+        for batch in [vec![5, 1, 3], vec![2]] {
+            for s in batch {
+                t.push(TR(ts(s), s as u32));
+                pushed.push(TR(ts(s), s as u32));
+            }
+            t.finalize();
+            let times: Vec<Timestamp> = t.all().iter().map(|r| r.0).collect();
+            let expect: Vec<Timestamp> = model(&pushed, |_| true).iter().map(|r| r.0).collect();
+            assert_eq!(times, expect);
+            assert_eq!(t.last_time(), expect.last().copied());
+            for s in 0..7 {
+                assert_eq!(t.since(ts(s)).to_vec(), model(&pushed, |r| r.0 >= ts(s)));
+            }
         }
-        t.finalize();
-        assert_eq!(t.times(), &[ts(1), ts(3), ts(5)]);
-        // A second batch arriving out of order merges into both columns.
-        t.push(TR(ts(2), 2));
-        t.finalize();
-        assert_eq!(t.times(), &[ts(1), ts(2), ts(3), ts(5)]);
-        assert_eq!(t.last_time(), Some(ts(5)));
-        let aligned: Vec<Timestamp> = t.all().iter().map(|r| r.0).collect();
-        assert_eq!(t.times(), aligned.as_slice());
+        let times: Vec<Timestamp> = t.all().iter().map(|r| r.0).collect();
+        assert_eq!(times, [ts(1), ts(2), ts(3), ts(5)]);
     }
 
     #[test]
@@ -863,43 +602,22 @@ mod tests {
             vec![14, 10, 15], // duplicates of earlier instants
         ];
         let mut t = Table::default();
-        let mut naive: Vec<TR> = Vec::new();
+        let mut pushed: Vec<TR> = Vec::new();
         for (bi, batch) in batches.iter().enumerate() {
             for (k, &s) in batch.iter().enumerate() {
                 let row = TR(ts(s), (bi * 100 + k) as u32);
                 t.push(row.clone());
-                naive.push(row);
+                pushed.push(row);
             }
             t.finalize();
-            let mut expect = naive.clone();
-            expect.sort_by_key(|r| r.0); // stable: arrival order on ties
-            let got: Vec<TR> = t.all().iter().cloned().collect();
-            assert_eq!(got, expect, "batch {}", bi);
+            assert_eq!(t.all().to_vec(), model(&pushed, |_| true), "batch {}", bi);
             // Indexes stay aligned after every merge.
-            assert_eq!(t.times().len(), got.len());
-            let evens: Vec<u32> = t.rows_of(&0).iter().map(|r| r.1).collect();
-            let expect_evens: Vec<u32> = expect
-                .iter()
-                .filter(|r| r.1 % 2 == 0)
-                .map(|r| r.1)
-                .collect();
-            assert_eq!(evens, expect_evens);
+            for s in [0, 10, 13, 14, 17] {
+                assert_eq!(t.after(ts(s)).to_vec(), model(&pushed, |r| r.0 > ts(s)));
+            }
+            let evens: Vec<TR> = t.rows_of(&0).iter().cloned().collect();
+            assert_eq!(evens, model(&pushed, |r| r.1 % 2 == 0));
         }
-    }
-
-    #[test]
-    fn flat_retain_before_drops_prefix_and_reindexes() {
-        let mut t = Table::default();
-        for s in [1, 2, 3, 4, 5, 6] {
-            t.push(TR(ts(s), s as u32));
-        }
-        t.finalize();
-        assert_eq!(t.retain_before(ts(4)), 3);
-        let got: Vec<u32> = t.all().iter().map(|r| r.1).collect();
-        assert_eq!(got, vec![4, 5, 6]);
-        let odds: Vec<u32> = t.rows_of(&1).iter().map(|r| r.1).collect();
-        assert_eq!(odds, vec![5]);
-        assert_eq!(t.retain_before(ts(0)), 0);
     }
 
     /// The run walk is `all()` in pieces, and a run id names one immutable
@@ -933,8 +651,8 @@ mod tests {
             t.finalize();
         };
         let mut seen = std::collections::HashMap::new();
-        let mut a = Table::segmented(cfg.clone());
-        let mut other = Table::segmented(cfg);
+        let mut a = Table::new(cfg.clone());
+        let mut other = Table::new(cfg);
         fill(&mut a, 0..20, 0);
         fill(&mut other, 0..20, 1000);
         check(&a, &mut seen);
@@ -955,18 +673,18 @@ mod tests {
         // A late row reseals the overlap under ids never used before.
         a.push(TR(ts(25), 77));
         a.finalize();
-        assert!(a.seg_stats().unwrap().reseals > 0);
+        assert!(a.stats().reseals > 0);
         check(&a, &mut seen);
-        // The flat backend is zero runs plus its rows.
-        let mut flat = Table::default();
-        fill(&mut flat, 0..5, 0);
-        let (sealed, tail) = flat.runs();
+        // A table that never seals is zero runs plus its rows.
+        let mut unsealed = Table::default();
+        fill(&mut unsealed, 0..5, 0);
+        let (sealed, tail) = unsealed.runs();
         assert!(sealed.is_empty());
         assert_eq!(tail.len(), 5);
     }
 
-    /// The segmented backend answers every query identically to the flat
-    /// baseline, including across sealing, late batches, and groups.
+    /// A sealing table answers every query as the model does, across
+    /// sealing, late batches that force reseals, groups and retention.
     #[test]
     fn segmented_matches_flat_on_every_query() {
         let cfg = StorageConfig {
@@ -975,8 +693,8 @@ mod tests {
             spill_dir: None,
             durable: false,
         };
-        let mut flat = Table::default();
-        let mut seg = Table::segmented(cfg);
+        let mut seg = Table::new(cfg);
+        let mut pushed = Vec::new();
         let batches: Vec<Vec<i64>> = vec![
             vec![5, 1, 3, 9, 7, 2, 8, 4],
             vec![20, 11, 15, 13, 18, 12, 19, 14],
@@ -986,36 +704,40 @@ mod tests {
         for (bi, batch) in batches.iter().enumerate() {
             for (k, &s) in batch.iter().enumerate() {
                 let row = TR(ts(s), (bi * 100 + k) as u32);
-                flat.push(row.clone());
+                pushed.push(row.clone());
                 seg.push(row);
             }
-            flat.finalize();
             seg.finalize();
-            assert_eq!(flat.len(), seg.len());
-            assert_eq!(flat.last_time(), seg.last_time());
-            assert_eq!(flat, seg, "all-rows equality after batch {}", bi);
+            let all = model(&pushed, |_| true);
+            assert_eq!(seg.len(), all.len());
+            assert_eq!(seg.last_time(), all.last().map(|r| r.0));
+            assert_eq!(seg.all().to_vec(), all, "all rows after batch {}", bi);
             let w = TimeWindow::new(ts(3), ts(22));
-            assert_eq!(flat.range(w).to_vec(), seg.range(w).to_vec());
-            assert_eq!(flat.since(ts(12)).to_vec(), seg.since(ts(12)).to_vec());
-            assert_eq!(flat.after(ts(9)).to_vec(), seg.after(ts(9)).to_vec());
-            assert_eq!(flat.entity_count(), seg.entity_count());
+            let in_w = |r: &TR| r.0 >= w.start && r.0 <= w.end;
+            assert_eq!(seg.range(w).to_vec(), model(&pushed, in_w));
+            assert_eq!(
+                seg.since(ts(12)).to_vec(),
+                model(&pushed, |r| r.0 >= ts(12))
+            );
+            assert_eq!(seg.after(ts(9)).to_vec(), model(&pushed, |r| r.0 > ts(9)));
+            assert_eq!(seg.entity_count(), 2);
             for e in [0u32, 1, 7] {
-                let a: Vec<u32> = flat.rows_of(&e).iter().map(|r| r.1).collect();
-                let b: Vec<u32> = seg.rows_of(&e).iter().map(|r| r.1).collect();
-                assert_eq!(a, b, "entity {} after batch {}", e, bi);
+                let got: Vec<TR> = seg.rows_of(&e).iter().cloned().collect();
+                let want = model(&pushed, |r| r.entity() == e);
+                assert_eq!(got, want, "entity {} after batch {}", e, bi);
             }
         }
-        let stats = seg.seg_stats().expect("segmented backend has stats");
+        let stats = seg.stats();
         assert!(stats.sealed_segments > 0, "sealing must have happened");
         assert!(stats.reseals > 0, "late batch must have forced a reseal");
-        // Retention drops whole sealed segments; the flat baseline drops
-        // exactly, so re-align the flat table to the segmented floor.
+        // Retention drops whole sealed segments, so what survives is the
+        // model from the oldest kept row up.
         let before = seg.len();
         let dropped = seg.retain_before(ts(20));
         assert!(dropped > 0);
         assert_eq!(seg.len(), before - dropped);
         let min_kept = seg.all().first().unwrap().0;
-        flat.retain_before(min_kept);
-        assert_eq!(flat, seg, "equality after retention re-alignment");
+        assert!(min_kept <= ts(20));
+        assert_eq!(seg.all().to_vec(), model(&pushed, |r| r.0 >= min_kept));
     }
 }

@@ -64,7 +64,7 @@ fn torn_spill_blob_is_quarantined_not_panicked() {
     // else is intact, and the torn read is counted.
     let after: Vec<_> = db.syslog.all().iter().cloned().collect();
     assert_eq!(after.len(), full.len() - victim.rows as usize);
-    let stats = db.syslog.seg_stats().expect("segmented backend");
+    let stats = db.syslog.stats();
     assert_eq!(stats.torn_blobs, 1, "torn blob counted exactly once");
 
     // And a restore that references the torn segment fails loudly
@@ -155,7 +155,7 @@ fn manifest_capture_restore_roundtrip_is_identical() {
     assert_eq!(rreg.export_seen(), registry.export_seen());
     assert_eq!(rdb.quarantine.len(), db.quarantine.len());
     // Query-identical row contents, per table (Table::PartialEq is
-    // row-content equality across backends).
+    // row-content equality, however the rows are split into segments).
     fn eq<R: grca_collector::StoredRow + PartialEq>(a: &Table<R>, b: &Table<R>) -> bool {
         a == b
     }

@@ -157,7 +157,7 @@ const ENTITIES: u32 = 6;
 
 /// One mutation of a table: a batch of `(time offset, entity, payload)`
 /// rows that lands past the newest row, across it, or anywhere in the
-/// history (late: a reseal on the segmented backend); a retention cut at a
+/// history (late: a reseal once something has sealed); a retention cut at a
 /// fraction of the time span held; or the checkpoint barrier, which seals
 /// a tail that the lookups after the previous step have indexed.
 #[derive(Debug, Clone)]
@@ -207,8 +207,9 @@ proptest! {
     /// The per-entity index is built by the first lookup and dropped by
     /// whatever moves rows, so no interleaving of ingest, sealing, reseals
     /// and retention with lookups may ever be answered from an index that
-    /// describes rows as they used to be. Looked up after every step, on
-    /// both backends, against a scan.
+    /// describes rows as they used to be. Looked up after every step, on a
+    /// table that never seals and on one with tiny segments, against a
+    /// scan.
     #[test]
     fn lazy_entity_index_never_goes_stale(
         steps in proptest::collection::vec(step_strategy(), 4..16),
@@ -216,7 +217,7 @@ proptest! {
     ) {
         let mut tables = [
             Table::<TRow>::default(),
-            Table::segmented(StorageConfig {
+            Table::new(StorageConfig {
                 segment_rows,
                 cache_segments: 2,
                 ..Default::default()

@@ -1,10 +1,10 @@
-//! Differential property tests: the segmented columnar backend must be
-//! query-identical to the flat `Vec` baseline under arbitrary arrival
-//! orders, repeated finalizes, tiny segments/caches, on-disk spill, and
-//! retention floors. The flat backend is the executable specification;
-//! the segmented backend may only differ in *how much pre-floor history
-//! retention keeps* (it drops whole sealed segments, so it retains a
-//! superset), never in what any query at or above the floor observes.
+//! Differential property tests: a table must answer every query like a
+//! plain sorted `Vec` under arbitrary arrival orders, repeated finalizes,
+//! tiny segments/caches, on-disk spill, and retention floors. The model
+//! is the executable specification; a table may only differ in *how much
+//! pre-floor history retention keeps* (it drops whole sealed segments, so
+//! it retains a superset of the exact cut), never in what any query at or
+//! above the floor observes.
 
 use grca_collector::segment::{SegReader, SegWriter};
 use grca_collector::{Row, StorageConfig, StoredRow, Table};
@@ -12,8 +12,7 @@ use grca_types::{TimeWindow, Timestamp};
 use proptest::prelude::*;
 
 /// A minimal row whose tiebreak is its payload, so equal-time rows have a
-/// deterministic canonical order the two backends must reproduce bit for
-/// bit.
+/// deterministic canonical order every table must reproduce bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 struct TRow {
     t: Timestamp,
@@ -65,30 +64,65 @@ fn batches_strategy() -> impl Strategy<Value = Vec<Vec<TRow>>> {
     proptest::collection::vec(proptest::collection::vec(row_strategy(), 0..40), 1..6)
 }
 
-/// Assert every query shape agrees between the two backends.
-fn assert_query_identical(flat: &Table<TRow>, seg: &Table<TRow>) {
-    assert_eq!(flat.len(), seg.len());
-    assert_eq!(flat.last_time(), seg.last_time());
-    assert_eq!(flat.all().to_vec(), seg.all().to_vec());
-    assert_eq!(flat.entity_count(), seg.entity_count());
+/// The reference: every row pushed, in arrival order, stable-sorted by
+/// `(time, tiebreak)` (so ties keep arrival order); each query is a filter
+/// over it.
+#[derive(Default)]
+struct Model {
+    rows: Vec<TRow>,
+}
+
+impl Model {
+    fn push(&mut self, r: TRow) {
+        self.rows.push(r);
+        self.rows.sort_by_key(|r| (r.time(), r.tiebreak()));
+    }
+
+    fn filter(&self, keep: impl Fn(&TRow) -> bool) -> Vec<TRow> {
+        self.rows.iter().filter(|r| keep(r)).cloned().collect()
+    }
+
+    fn range(&self, w: TimeWindow) -> Vec<TRow> {
+        self.filter(|r| r.t >= w.start && r.t <= w.end)
+    }
+
+    fn since(&self, t: Timestamp) -> Vec<TRow> {
+        self.filter(|r| r.t >= t)
+    }
+
+    fn after(&self, t: Timestamp) -> Vec<TRow> {
+        self.filter(|r| r.t > t)
+    }
+
+    fn rows_of(&self, e: u32) -> Vec<TRow> {
+        self.filter(|r| r.e == e)
+    }
+
+    fn entity_count(&self) -> usize {
+        let mut es: Vec<u32> = self.rows.iter().map(|r| r.e).collect();
+        es.sort_unstable();
+        es.dedup();
+        es.len()
+    }
+}
+
+/// Assert every query shape agrees between the table and the model.
+fn assert_query_identical(model: &Model, t: &Table<TRow>) {
+    assert_eq!(t.len(), model.rows.len());
+    assert_eq!(t.last_time(), model.rows.last().map(|r| r.t));
+    assert_eq!(t.all().to_vec(), model.rows);
+    assert_eq!(t.entity_count(), model.entity_count());
     for lo in (0..500).step_by(61) {
         for hi in (lo..500).step_by(97) {
             let w = TimeWindow::new(Timestamp(lo), Timestamp(hi));
-            assert_eq!(flat.range(w).to_vec(), seg.range(w).to_vec(), "range {w:?}");
+            assert_eq!(t.range(w).to_vec(), model.range(w), "range {w:?}");
         }
-        assert_eq!(
-            flat.since(Timestamp(lo)).to_vec(),
-            seg.since(Timestamp(lo)).to_vec()
-        );
-        assert_eq!(
-            flat.after(Timestamp(lo)).to_vec(),
-            seg.after(Timestamp(lo)).to_vec()
-        );
+        assert_eq!(t.since(Timestamp(lo)).to_vec(), model.since(Timestamp(lo)));
+        assert_eq!(t.after(Timestamp(lo)).to_vec(), model.after(Timestamp(lo)));
     }
     for e in 0u32..6 {
-        let f: Vec<TRow> = flat.rows_of(&e).iter().cloned().collect();
-        let s: Vec<TRow> = seg.rows_of(&e).iter().cloned().collect();
-        assert_eq!(f, s, "rows_of entity {e}");
+        let got: Vec<TRow> = t.rows_of(&e).iter().cloned().collect();
+        assert_eq!(got, model.rows_of(e), "rows_of entity {e}");
     }
 }
 
@@ -98,24 +132,30 @@ proptest! {
     /// No retention: identical under arbitrary batch shapes, including
     /// late out-of-order rows that force reseals, with segments small
     /// enough that everything seals and a cache smaller than the segment
-    /// count (constant decode churn).
+    /// count (constant decode churn) — and on a table that never seals.
     #[test]
     fn segmented_query_identical(batches in batches_strategy(), seg_rows in 2usize..12, cache in 1usize..4) {
-        let mut flat = Table::<TRow>::default();
-        let mut seg = Table::<TRow>::segmented(StorageConfig {
-            segment_rows: seg_rows,
-            cache_segments: cache,
-            spill_dir: None,
-            durable: false,
-        });
+        let mut model = Model::default();
+        let mut tables = [
+            Table::<TRow>::default(),
+            Table::new(StorageConfig {
+                segment_rows: seg_rows,
+                cache_segments: cache,
+                spill_dir: None,
+                durable: false,
+            }),
+        ];
         for batch in &batches {
             for r in batch {
-                flat.push(r.clone());
-                seg.push(r.clone());
+                model.push(r.clone());
             }
-            flat.finalize();
-            seg.finalize();
-            assert_query_identical(&flat, &seg);
+            for t in &mut tables {
+                for r in batch {
+                    t.push(r.clone());
+                }
+                t.finalize();
+                assert_query_identical(&model, t);
+            }
         }
     }
 
@@ -124,8 +164,8 @@ proptest! {
     #[test]
     fn segmented_query_identical_with_spill(batches in batches_strategy(), seg_rows in 2usize..8) {
         let dir = std::env::temp_dir().join("grca-storage-differential");
-        let mut flat = Table::<TRow>::default();
-        let mut seg = Table::<TRow>::segmented(StorageConfig {
+        let mut model = Model::default();
+        let mut seg = Table::<TRow>::new(StorageConfig {
             segment_rows: seg_rows,
             cache_segments: 1,
             spill_dir: Some(dir),
@@ -133,28 +173,28 @@ proptest! {
         });
         for batch in &batches {
             for r in batch {
-                flat.push(r.clone());
+                model.push(r.clone());
                 seg.push(r.clone());
             }
-            flat.finalize();
             seg.finalize();
         }
-        assert_query_identical(&flat, &seg);
+        assert_query_identical(&model, &seg);
     }
 
     /// Retention floors interleaved with ingest. Segment-granular
     /// retention may keep rows below the floor (it only drops whole
     /// sealed segments), so equality is asserted on what matters: every
     /// query whose bounds sit at or above the floor, and per-entity reads
-    /// filtered to the floor.
+    /// filtered to the floor. Below the floor the table holds a suffix of
+    /// the model's history: a superset of the exact cut.
     #[test]
     fn segmented_retention_boundary(
         batches in batches_strategy(),
         seg_rows in 2usize..10,
         floors in proptest::collection::vec(0i64..500, 1..4),
     ) {
-        let mut flat = Table::<TRow>::default();
-        let mut seg = Table::<TRow>::segmented(StorageConfig {
+        let mut model = Model::default();
+        let mut seg = Table::<TRow>::new(StorageConfig {
             segment_rows: seg_rows,
             cache_segments: 2,
             spill_dir: None,
@@ -163,55 +203,46 @@ proptest! {
         let mut floor = i64::MIN;
         for (i, batch) in batches.iter().enumerate() {
             for r in batch {
-                flat.push(r.clone());
+                model.push(r.clone());
                 seg.push(r.clone());
             }
-            flat.finalize();
             seg.finalize();
             if let Some(f) = floors.get(i) {
                 floor = floor.max(*f);
-                flat.retain_before(Timestamp(floor));
                 seg.retain_before(Timestamp(floor));
             }
-            // The segmented store never drops a row at or above the floor
-            // and never exceeds the flat history (which kept everything
-            // from the floor up, exactly).
-            let seg_rows_now = seg.all().to_vec();
-            let flat_rows_now = flat.all().to_vec();
-            let seg_above: Vec<&TRow> =
-                seg_rows_now.iter().filter(|r| r.t.0 >= floor).collect();
-            let flat_above: Vec<&TRow> =
-                flat_rows_now.iter().filter(|r| r.t.0 >= floor).collect();
-            assert_eq!(seg_above, flat_above, "at-or-above-floor history diverged");
-            // If anything at or above the floor exists, the backends share
-            // the same newest row; a fully-pre-floor history may survive
-            // only in the segmented store (partial segments).
-            if flat.last_time().is_some() {
-                assert_eq!(flat.last_time(), seg.last_time());
+            let floor_t = Timestamp(floor);
+            // The table never drops a row at or above the floor, and below
+            // it keeps some of the model's rows, in the model's order.
+            let (above, below): (Vec<TRow>, Vec<TRow>) =
+                seg.all().iter().cloned().partition(|r| r.t >= floor_t);
+            let model_above = model.since(floor_t);
+            assert_eq!(above, model_above, "at-or-above-floor history diverged");
+            let mut history = model.rows.iter();
+            assert!(
+                below.iter().all(|r| history.any(|m| m == r)),
+                "pre-floor rows the model never held, or out of order"
+            );
+            // If anything at or above the floor exists, the table holds the
+            // same newest row.
+            if !model_above.is_empty() {
+                assert_eq!(seg.last_time(), model.rows.last().map(|r| r.t));
             }
             // Bounded queries at or above the floor agree exactly.
             for lo in (floor.max(0)..500).step_by(73) {
                 let w = TimeWindow::new(Timestamp(lo), Timestamp(lo + 50));
-                assert_eq!(flat.range(w).to_vec(), seg.range(w).to_vec());
-                assert_eq!(
-                    flat.after(Timestamp(lo)).to_vec(),
-                    seg.after(Timestamp(lo)).to_vec()
-                );
+                assert_eq!(seg.range(w).to_vec(), model.range(w));
+                assert_eq!(seg.after(Timestamp(lo)).to_vec(), model.after(Timestamp(lo)));
             }
             for e in 0u32..6 {
-                let f: Vec<TRow> = flat
+                let got: Vec<TRow> = seg
                     .rows_of(&e)
                     .iter()
-                    .filter(|r| r.t.0 >= floor)
+                    .filter(|r| r.t >= floor_t)
                     .cloned()
                     .collect();
-                let s: Vec<TRow> = seg
-                    .rows_of(&e)
-                    .iter()
-                    .filter(|r| r.t.0 >= floor)
-                    .cloned()
-                    .collect();
-                assert_eq!(f, s, "rows_of entity {e} above floor");
+                let want: Vec<TRow> = model.rows_of(e).into_iter().filter(|r| r.t >= floor_t).collect();
+                assert_eq!(got, want, "rows_of entity {e} above floor");
             }
         }
     }

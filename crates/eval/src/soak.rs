@@ -11,7 +11,7 @@
 //!    horizon, accumulating per-symptom truth with fault ids re-based onto
 //!    the global schedule;
 //! 4. bucket each day into [`MicroBatches`] and hand its cycles to the
-//!    replay driver ([`Replay`]) over the segmented storage backend,
+//!    replay driver ([`Replay`]) over sealing segmented storage,
 //!    stamping every emission with the cycle clock;
 //! 5. drain past the horizon, fold the emission stream, and score the
 //!    folded verdicts for accuracy ([`grca_apps::score`]) and end-to-end
@@ -45,9 +45,10 @@ pub struct SoakRunOpts {
     /// Micro-batch cycle length (the online clock granularity — and the
     /// floor on measurable detection latency).
     pub cycle_len: Duration,
-    /// Segmented storage for the online path's database; `None` keeps the
-    /// flat backend (only sensible at smoke scale).
-    pub storage: Option<StorageConfig>,
+    /// Storage for the online path's database. A `segment_rows` of
+    /// `usize::MAX` never seals, so retention drops nothing (only
+    /// sensible at smoke scale).
+    pub storage: StorageConfig,
     /// Database retention margin (rows too old to affect any future
     /// verdict are dropped each cycle); `None` retains everything.
     pub db_retention: Option<Duration>,
@@ -72,7 +73,7 @@ impl Default for SoakRunOpts {
     fn default() -> Self {
         SoakRunOpts {
             cycle_len: Duration::hours(1),
-            storage: Some(StorageConfig::default()),
+            storage: StorageConfig::default(),
             db_retention: Some(Duration::hours(12)),
             batch_check: false,
             checkpoint_dir: None,
@@ -96,9 +97,8 @@ pub struct SoakCycle {
     pub db_rows: usize,
     /// [`grca_apps::OnlineRca::state_size`] after the cycle.
     pub state_size: usize,
-    /// The online database's storage counters after the cycle (`None` on
-    /// the flat backend).
-    pub storage: Option<StorageStats>,
+    /// The online database's storage counters after the cycle.
+    pub storage: StorageStats,
 }
 
 /// Everything one soak run produced.
@@ -175,16 +175,14 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
     // checkpoint directory; override whatever the caller configured so the
     // manifest's segment references actually resolve on restore.
     let storage = match &opts.checkpoint_dir {
-        Some(dir) => Some(StorageConfig {
+        Some(dir) => StorageConfig {
             spill_dir: Some(dir.clone()),
             durable: true,
-            ..opts.storage.clone().unwrap_or_default()
-        }),
+            ..opts.storage.clone()
+        },
         None => opts.storage.clone(),
     };
-    if let Some(storage) = &storage {
-        online = online.with_storage(storage);
-    }
+    online = online.with_storage(&storage);
     if let Some(margin) = opts.db_retention {
         online = online.with_db_retention(margin);
     }
@@ -214,7 +212,7 @@ pub fn run_soak<F: FnMut(&SoakCycle)>(
             records: c.records,
             db_rows: online.database().total_rows(),
             state_size: online.state_size(),
-            storage: online.database().storage_stats(),
+            storage: online.database().storage_stats().unwrap_or_default(),
         });
     };
     // One simulated day at a time, so neither the generator's memory nor

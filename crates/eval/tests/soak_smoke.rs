@@ -104,10 +104,10 @@ fn four_days_in_small_segments() -> (TierConfig, SoakRunOpts) {
         ..TierConfig::smoke()
     };
     let opts = SoakRunOpts {
-        storage: Some(StorageConfig {
+        storage: StorageConfig {
             segment_rows: 64,
             ..Default::default()
-        }),
+        },
         ..Default::default()
     };
     assert!(opts.db_retention.is_some());
@@ -154,8 +154,8 @@ fn retained_rows_and_state_plateau_by_day_four() {
 fn extraction_decodes_each_sealed_run_at_most_once() {
     let (tier, opts) = four_days_in_small_segments();
     let mut last = None;
-    run_soak(&tier, &opts, |c| last = c.storage);
-    let st = last.expect("segmented storage reports counters");
+    run_soak(&tier, &opts, |c| last = Some(c.storage));
+    let st = last.expect("the soak ran at least one cycle");
     let minted = st.sealed_segments as u64 + st.dropped_segments + st.reseals;
     assert!(
         st.sealed_segments > 20 && st.dropped_segments > 0,

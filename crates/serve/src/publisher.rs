@@ -60,7 +60,8 @@ impl Publisher {
         }
     }
 
-    /// Use the segmented columnar backend for the collector database.
+    /// Give the collector database tables that seal, spill and cache as
+    /// `cfg` says.
     pub fn with_storage(mut self, cfg: &StorageConfig) -> Self {
         self.db = Database::with_storage(cfg);
         self
