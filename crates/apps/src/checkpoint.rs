@@ -19,9 +19,11 @@
 //! What is deliberately **not** checkpointed: the incremental extractor's
 //! instance cache. The first post-restore extraction is a full pass over
 //! the restored database, which rebuilds the cache exactly (extraction is
-//! pure); the checkpointed watermarks are kept only to cross-check the
-//! restored row counts. This keeps the manifest small and removes a whole
-//! class of cache/DB divergence bugs from the recovery path.
+//! pure). Nor are its watermarks: they date from the cycle's extraction,
+//! before its retention, so they are no check on the restored tables —
+//! the manifest's per-segment row counts are. This keeps the manifest
+//! small and removes a whole class of cache/DB divergence bugs from the
+//! recovery path.
 
 use crate::online::OnlineRca;
 use grca_collector::{DurableStore, SaveStage, StorageConfig, StoreManifest};
@@ -44,9 +46,10 @@ pub struct PipelineCheckpoint {
     pub emitted: Vec<(String, i64, i64)>,
     /// Degraded emissions still awaiting amendment, same shape.
     pub pending_amend: Vec<(String, i64, i64)>,
-    /// The extractor's per-table `(row count, last unix)` watermarks at
-    /// the barrier — validation only (see module docs); empty before the
-    /// first extraction.
+    /// Per-table `(row count, last unix)` watermarks. Written empty and
+    /// never read: the manifest already pins every segment's row count,
+    /// and restore checks each one (see module docs). Older checkpoints
+    /// that carry the extractor's marks still decode.
     pub marks: Vec<(u64, Option<i64>)>,
     /// Derived hold-back of the graph that produced this checkpoint; a
     /// restore into a differently configured pipeline is refused (it
@@ -103,15 +106,22 @@ pub fn restore(
     dir: &Path,
     cfg: &StorageConfig,
 ) -> Result<Option<u64>, String> {
+    restore_explained(online, dir, cfg).map(Result::ok)
+}
+
+/// [`restore`], saying why it cold-starts: the inner `Err` is the reason
+/// no checkpoint was resumed (none on disk, or the one there failed
+/// validation — a torn segment or mismatched checkpoint means the durable
+/// state cannot be trusted as a whole). The outer `Err` is a store that
+/// could not be opened.
+pub fn restore_explained(
+    online: &mut OnlineRca,
+    dir: &Path,
+    cfg: &StorageConfig,
+) -> Result<Result<u64, String>, String> {
     let store = DurableStore::open(dir).map_err(|e| format!("open durable store: {e}"))?;
     let Some(m) = store.load() else {
-        return Ok(None);
+        return Ok(Err(format!("no checkpoint manifest in {}", dir.display())));
     };
-    match online.restore_from(&m, dir, cfg) {
-        Ok(cycle) => Ok(Some(cycle)),
-        // A torn segment or mismatched checkpoint means the durable state
-        // cannot be trusted as a whole: fall back to a cold start rather
-        // than resuming from partial state.
-        Err(_) => Ok(None),
-    }
+    Ok(online.restore_from(&m, dir, cfg))
 }

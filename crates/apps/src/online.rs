@@ -414,7 +414,7 @@ impl<'a> OnlineRca<'a> {
             next_seq: self.next_seq,
             emitted: export(&self.emitted),
             pending_amend: export(&self.pending_amend),
-            marks: self.extractor.marks().unwrap_or_default(),
+            marks: Vec::new(),
             hold_back_secs: self.hold_back.as_secs(),
         };
         let json = serde_json::to_string(&app).map_err(|e| format!("encode checkpoint: {e}"))?;
@@ -465,22 +465,6 @@ impl<'a> OnlineRca<'a> {
             return Err("checkpoint/manifest sequence cursors disagree".to_string());
         }
         let (db, stats, registry) = m.restore(dir, cfg)?;
-        // The extractor's checkpointed watermarks are validation-only: the
-        // first post-restore extract is a full pass, but row counts must
-        // match or the manifest references the wrong data directory.
-        if !app.marks.is_empty() {
-            let counts = db.row_counts();
-            for (i, &(n, _)) in app.marks.iter().enumerate() {
-                if counts.get(i).copied() != Some(n as usize) {
-                    return Err(format!(
-                        "checkpoint watermark {} rows != restored {} for {}",
-                        n,
-                        counts.get(i).copied().unwrap_or(0),
-                        grca_collector::FEEDS.get(i).copied().unwrap_or("?")
-                    ));
-                }
-            }
-        }
         self.db = db;
         self.stats = stats;
         // Replay watermarks through the existing registry so cadence

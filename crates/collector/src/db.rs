@@ -584,9 +584,11 @@ pub struct Database {
     /// database was built (or restored): the checkpoint path persists the
     /// *delta* since the last barrier instead of re-serializing the whole
     /// map (see [`crate::durable::SeenLogRef`]). Replaying the journal
-    /// from empty rebuilds `seen` exactly.
-    seen_log: Vec<SeenEvent>,
-    /// Bumped whenever [`Database::compact_seen_log`] rewrites the
+    /// from empty rebuilds `seen` exactly. Kept only by a database whose
+    /// tables spill ([`StorageConfig::spill_dir`]), the only kind a
+    /// checkpoint can capture; `None` — nothing journaled — in any other.
+    seen_log: Option<Vec<SeenEvent>>,
+    /// Bumped whenever [`Database::retain_before`] compacts the
     /// journal; a persisted log reference from an older epoch can no
     /// longer be appended to (its prefix no longer matches) and must be
     /// rewritten in full.
@@ -680,6 +682,24 @@ fn list_by_age(index: &mut BTreeMap<i64, Vec<u128>>, fp: u128, at: Timestamp) {
     index.entry(bucket).or_default().push(fp);
 }
 
+/// The journal rewritten as the sorted live fingerprint set — what
+/// [`Database::retain_before`] replaces it with once it carries enough
+/// dead weight (and bumps the epoch, so the next checkpoint rewrites its
+/// persisted log in full). `HashMap` iteration order is
+/// nondeterministic; sorted, a compacted journal (and hence the persisted
+/// log) is a pure function of the live set.
+fn compacted_seen_log(seen: &SeenMap) -> Vec<SeenEvent> {
+    let mut events: Vec<SeenEvent> = seen
+        .iter()
+        .map(|(&fp, &at)| SeenEvent::Insert { fp, at })
+        .collect();
+    events.sort_unstable_by_key(|ev| match *ev {
+        SeenEvent::Insert { fp, .. } => fp,
+        SeenEvent::Floor(_) => 0,
+    });
+    events
+}
+
 /// Records [`Database::ingest_more`] fingerprints and claims in `seen` ahead
 /// of normalizing them: enough probes in flight to overlap their cache
 /// misses, few enough that the block's fingerprints (4 KiB) stay on the
@@ -724,10 +744,12 @@ impl Database {
     /// says. The default database's tables never seal
     /// ([`Table::default`]); these are query-identical to it, and
     /// memory-bounded when the caller also applies
-    /// [`Database::retain_before`].
+    /// [`Database::retain_before`]. Spilling tables also journal `seen`
+    /// ([`Database::seen_log`]).
     pub fn with_storage(cfg: &StorageConfig) -> Database {
         let mut db = Database::default();
         each_table!(&mut db, |t| *t = Table::new(cfg.clone()));
+        db.seen_log = cfg.spill_dir.as_ref().map(|_| Vec::new());
         db
     }
 
@@ -770,7 +792,9 @@ impl Database {
     pub fn ingest_more(&mut self, topo: &Topology, records: &[RawRecord], stats: &mut IngestStats) {
         // Once a call, not by doubling (and re-hashing) through a bulk one.
         self.seen.reserve(records.len());
-        self.seen_log.reserve(records.len());
+        if let Some(log) = &mut self.seen_log {
+            log.reserve(records.len());
+        }
         let mut newest = self.newest_instant();
         for block in records.chunks(INGEST_BLOCK) {
             let mut fps = [0u128; INGEST_BLOCK];
@@ -816,7 +840,9 @@ impl Database {
         if let Some(index) = &mut self.seen_by_age {
             list_by_age(index, fp, at);
         }
-        self.seen_log.push(SeenEvent::Insert { fp, at });
+        if let Some(log) = &mut self.seen_log {
+            log.push(SeenEvent::Insert { fp, at });
+        }
         match row {
             Ok(_) if self.retention_floor.is_some_and(|floor| at < floor) => {
                 stats.expired[feed] += 1;
@@ -912,16 +938,23 @@ impl Database {
         }
     }
 
+    /// Whether this database journals `seen` — exactly when its tables
+    /// spill, the only kind [`crate::StoreManifest::capture`] accepts.
+    pub(crate) fn journals(&self) -> bool {
+        self.seen_log.is_some()
+    }
+
     /// The journal epoch and the mutation events since this database was
-    /// built or restored, in order (checkpoint delta export).
+    /// built or restored, in order (checkpoint delta export). Empty unless
+    /// the tables spill.
     pub fn seen_log(&self) -> (u64, &[SeenEvent]) {
-        (self.seen_epoch, &self.seen_log)
+        (self.seen_epoch, self.seen_log.as_deref().unwrap_or(&[]))
     }
 
     /// Rebuild the fingerprint map by replaying `events` from empty, and
-    /// adopt them as the journal at `epoch` — the checkpoint restore
-    /// path. Subsequent [`Database::seen_log`] deltas then continue from
-    /// exactly the persisted prefix.
+    /// (if the tables spill) adopt them as the journal at `epoch` — the
+    /// checkpoint restore path. Subsequent [`Database::seen_log`] deltas
+    /// then continue from exactly the persisted prefix.
     pub fn import_seen_events(&mut self, epoch: u64, events: Vec<SeenEvent>) {
         self.seen.clear();
         for ev in &events {
@@ -933,29 +966,10 @@ impl Database {
             }
         }
         self.seen_by_age = None;
-        self.seen_log = events;
+        if let Some(log) = &mut self.seen_log {
+            *log = events;
+        }
         self.seen_epoch = epoch;
-    }
-
-    /// Rewrite the journal as the sorted live fingerprint set and bump
-    /// the epoch. Called automatically from [`Database::retain_before`]
-    /// once the journal carries enough dead weight; the next checkpoint
-    /// sees the epoch change and rewrites its persisted log in full.
-    fn compact_seen_log(&mut self) {
-        let mut events: Vec<SeenEvent> = self
-            .seen
-            .iter()
-            .map(|(&fp, &at)| SeenEvent::Insert { fp, at })
-            .collect();
-        // HashMap iteration order is nondeterministic; sort so a
-        // compacted journal (and hence the persisted log) is a pure
-        // function of the live set.
-        events.sort_unstable_by_key(|ev| match *ev {
-            SeenEvent::Insert { fp, .. } => fp,
-            SeenEvent::Floor(_) => 0,
-        });
-        self.seen_log = events;
-        self.seen_epoch += 1;
     }
 
     /// The current retention floor, if any history has been aged out.
@@ -1014,9 +1028,12 @@ impl Database {
             .iter()
             .sum();
         self.prune_seen(floor);
-        self.seen_log.push(SeenEvent::Floor(floor));
-        if self.seen_log.len() > 2 * self.seen.len() + SEEN_LOG_COMPACT_SLACK {
-            self.compact_seen_log();
+        if let Some(log) = &mut self.seen_log {
+            log.push(SeenEvent::Floor(floor));
+            if log.len() > 2 * self.seen.len() + SEEN_LOG_COMPACT_SLACK {
+                *log = compacted_seen_log(&self.seen);
+                self.seen_epoch += 1;
+            }
         }
         self.retention_floor = Some(match self.retention_floor {
             Some(f) => f.max(floor),
@@ -1040,7 +1057,7 @@ impl Database {
                 .flat_map(BTreeMap::values)
                 .map(|fps| fps.capacity() * std::mem::size_of::<u128>() + 32)
                 .sum::<usize>()
-            + self.seen_log.len() * std::mem::size_of::<SeenEvent>()
+            + self.seen_log.as_ref().map_or(0, Vec::len) * std::mem::size_of::<SeenEvent>()
     }
 
     /// Storage counters merged across all tables. Always `Some`: a
@@ -1413,7 +1430,8 @@ mod tests {
     /// fingerprint would have left — through late and already-expired
     /// re-deliveries, rejects (aged like the rest, and quarantined again
     /// when re-delivered after), floors that fall inside a bucket or do not
-    /// advance, and a journal export/import in the middle.
+    /// advance, and a journal export/import in the middle (so the tables
+    /// spill: no other database journals).
     #[test]
     fn retain_before_prunes_fingerprints_exactly_as_a_full_walk() {
         let topo = generate(&TopoGenConfig::small());
@@ -1428,7 +1446,8 @@ mod tests {
         // One reject first, so every cycle re-delivers it; one last.
         records.insert(0, ghost("ghost-router"));
         records.push(ghost("another-ghost"));
-        let mut db = Database::default();
+        let (dir, cfg) = spilling("walk");
+        let mut db = Database::with_storage(&cfg);
         let mut stats = IngestStats::default();
         // What `seen` would hold had every call walked the whole map.
         let mut walked = SeenMap::default();
@@ -1455,6 +1474,7 @@ mod tests {
             if i == 5 {
                 let (epoch, events) = db.seen_log();
                 let events = events.to_vec();
+                assert!(events.len() > walked.len(), "the journal is empty");
                 db.import_seen_events(epoch, events);
                 assert_eq!(db.seen, walked, "after the journal round-trip");
             }
@@ -1470,6 +1490,73 @@ mod tests {
         let by_age = db.seen_by_age.as_ref().expect("built by the first call");
         let listed: usize = by_age.values().map(Vec::len).sum();
         assert_eq!(listed, walked.len());
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A storage config whose tables spill to a fresh directory of their
+    /// own (removed by the caller once the database is dropped).
+    fn spilling(tag: &str) -> (std::path::PathBuf, StorageConfig) {
+        let dir = std::env::temp_dir().join(format!("grca-db-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = StorageConfig {
+            spill_dir: Some(dir.clone()),
+            ..StorageConfig::default()
+        };
+        (dir, cfg)
+    }
+
+    /// Only a database a checkpoint can capture keeps the dedup journal:
+    /// the default one and an in-memory segmented one journal nothing
+    /// through ingest, re-delivery and retention, while a spilling one
+    /// journals every first sighting in order and every floor, and the
+    /// journal replays to the same fingerprint map.
+    #[test]
+    fn only_a_spilling_database_journals_seen() {
+        let topo = generate(&TopoGenConfig::small());
+        let cfg = ScenarioConfig::new(1, 3, FaultRates::bgp_study());
+        let records = run_scenario(&topo, &cfg).records;
+        let half = records.len() / 2;
+        let (probe, _) = Database::ingest(&topo, &records[..half]);
+        let floor = probe.feed_watermarks()[0].1.unwrap() - Duration::hours(6);
+        let drive = |mut db: Database| {
+            let mut stats = IngestStats::default();
+            db.ingest_more(&topo, &records[..half], &mut stats);
+            db.retain_before(floor);
+            db.ingest_more(&topo, &records, &mut stats);
+            (db, stats)
+        };
+        let (dir, spill) = spilling("journal");
+        let (journaled, stats) = drive(Database::with_storage(&spill));
+        let (plain, _) = drive(Database::default());
+        let (segmented, _) = drive(Database::with_storage(&StorageConfig::default()));
+        assert!(stats.total_deduplicated() > 0 && stats.total_expired() > 0);
+        assert!(plain.seen == journaled.seen && segmented.seen == journaled.seen);
+        for db in [&plain, &segmented] {
+            assert_eq!(
+                db.seen_log(),
+                (0, &[][..]),
+                "a database that cannot spill journaled"
+            );
+            assert!(!db.seen.is_empty());
+        }
+        let (epoch, events) = journaled.seen_log();
+        let fresh = stats.total_accepted() + stats.total_quarantined() + stats.total_expired();
+        let inserts = events
+            .iter()
+            .filter(|e| matches!(e, SeenEvent::Insert { .. }));
+        assert_eq!((epoch, inserts.count()), (0, fresh));
+        let floors: Vec<usize> = (events.iter().enumerate())
+            .filter(|(_, e)| **e == SeenEvent::Floor(floor))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(floors.len(), 1, "one retention call, one floor");
+        assert!(floors[0] > 0 && floors[0] < events.len() - 1);
+        let mut replayed = Database::with_storage(&spill);
+        replayed.import_seen_events(epoch, events.to_vec());
+        assert_eq!(replayed.seen, journaled.seen);
+        drop((journaled, replayed));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A call leaves no claimed fingerprint pending: whatever blocks the

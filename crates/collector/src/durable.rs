@@ -479,12 +479,18 @@ impl DurableStore {
     /// file that went missing) the whole journal is rewritten into the
     /// next generation file. Either way the log bytes are fsynced before
     /// returning, so they are durable before the manifest that references
-    /// them is rotated in.
+    /// them is rotated in. A database [`StoreManifest::capture`] would
+    /// refuse keeps no journal, and is refused here too.
     pub fn persist_seen(
         &self,
         db: &Database,
         prev: Option<&SeenLogRef>,
     ) -> std::io::Result<SeenLogRef> {
+        if !db.journals() {
+            return Err(std::io::Error::other(
+                "only a database whose tables spill keeps a seen log",
+            ));
+        }
         let (epoch, events) = db.seen_log();
         if let Some(p) = prev {
             let appendable = p.epoch == epoch
@@ -948,8 +954,12 @@ mod tests {
             at: Timestamp::from_unix(n),
         };
 
-        // Cold store: the full journal lands in generation 1.
-        let mut db = Database::default();
+        // Cold store: the full journal lands in generation 1. Only a
+        // database whose tables spill keeps one.
+        let mut db = Database::with_storage(&StorageConfig {
+            spill_dir: Some(dir.clone()),
+            ..StorageConfig::default()
+        });
         db.import_seen_events(0, vec![ev(1), ev(2)]);
         let r1 = store.persist_seen(&db, None).unwrap();
         assert_eq!(r1.file, "grca-seen-1.log");
@@ -1002,6 +1012,22 @@ mod tests {
         let trunc = std::fs::read(dir.join(&r5.file)).unwrap();
         std::fs::write(dir.join(&r5.file), &trunc[..trunc.len() - 1]).unwrap();
         assert!(matches!(read_seen_log(&dir, &r5), Err(BlobError::Torn(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A database a checkpoint cannot capture keeps no journal, so
+    /// persisting one is refused rather than written out empty — and no
+    /// log file appears.
+    #[test]
+    fn persist_seen_refuses_a_database_that_cannot_be_captured() {
+        let dir = std::env::temp_dir().join(format!("grca-seenrefuse-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = DurableStore::open(&dir).unwrap();
+        let segmented = Database::with_storage(&StorageConfig::default());
+        for db in [Database::default(), segmented] {
+            assert!(store.persist_seen(&db, None).is_err());
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

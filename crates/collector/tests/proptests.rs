@@ -394,15 +394,20 @@ fn redelivered_day(seed: u64) -> (Vec<RawRecord>, Vec<Timestamp>, Vec<bool>) {
 }
 
 /// Ingest `prefix`, age out history before `floor`, ingest `window`: each
-/// part as one call, or one call per record.
+/// part as one call, or one call per record. The tables spill to `dir`, so
+/// the database keeps its dedup journal.
 fn ingest_around_a_floor(
     topo: &Topology,
+    dir: &std::path::Path,
     prefix: &[RawRecord],
     floor: Timestamp,
     window: &[RawRecord],
     per_record: bool,
 ) -> (Database, IngestStats) {
-    let mut db = Database::default();
+    let mut db = Database::with_storage(&StorageConfig {
+        spill_dir: Some(dir.to_path_buf()),
+        ..StorageConfig::default()
+    });
     let mut stats = IngestStats::default();
     let mut ingest = |db: &mut Database, part: &[RawRecord]| {
         if per_record {
@@ -439,11 +444,13 @@ proptest! {
         let mut times = delivered[..prefix.len()].to_vec();
         times.sort_unstable();
         let floor = times[times.len() / 2];
+        let dir = std::env::temp_dir().join(format!("grca-oneperrec-{}", std::process::id()));
         for len in [0, 1, 255, 256, 257, 1_000] {
             let window = &rest[skip..skip + len];
-            let (one, one_stats) = ingest_around_a_floor(&topo, prefix, floor, window, false);
-            let (each, each_stats) = ingest_around_a_floor(&topo, prefix, floor, window, true);
+            let (one, one_stats) = ingest_around_a_floor(&topo, &dir, prefix, floor, window, false);
+            let (each, each_stats) = ingest_around_a_floor(&topo, &dir, prefix, floor, window, true);
             prop_assert!(one == each, "databases differ, window of {len}");
+            prop_assert!(one.seen_log().1.len() > prefix.len() / 2, "nothing journaled");
             prop_assert_eq!(one.seen_log(), each.seen_log(), "journals differ, window of {}", len);
             prop_assert_eq!(&one_stats, &each_stats, "counters differ, window of {}", len);
             if len == 1_000 {

@@ -149,7 +149,7 @@ pub fn run_attempt(
     )
     .with_checkpoints(dir, 1)
     .with_kill(kill.clone(), abort_on_kill, opts.ingest_chunks);
-    let resumed_from = replay.restore(dir, &scfg);
+    let resumed_from = replay.restore(dir, &scfg).ok();
 
     let clocks = replay.clocks(&mb, cfg.end());
     let mut emissions: Vec<SeqVerdict> = Vec::new();

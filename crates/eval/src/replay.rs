@@ -166,11 +166,13 @@ impl<'a> Replay<'a> {
     }
 
     /// Restore the pipeline from the latest checkpoint in `dir`
-    /// ([`grca_apps::checkpoint::restore`]) and position the replay just
-    /// after it. Returns the checkpointed cycle, `None` on a cold start.
-    pub fn restore(&mut self, dir: &Path, cfg: &StorageConfig) -> Option<u64> {
-        let resumed = ckpt::restore(&mut self.online, dir, cfg).expect("restore must not error");
-        if let Some(c) = resumed {
+    /// ([`grca_apps::checkpoint::restore_explained`]) and position the
+    /// replay just after it. Returns the checkpointed cycle, or on a cold
+    /// start why no checkpoint was resumed.
+    pub fn restore(&mut self, dir: &Path, cfg: &StorageConfig) -> Result<u64, String> {
+        let resumed =
+            ckpt::restore_explained(&mut self.online, dir, cfg).expect("restore must not error");
+        if let Ok(c) = resumed {
             self.cycle = c + 1;
         }
         resumed

@@ -4,9 +4,9 @@
 //!
 //! The contract is the matrix's: the recovered stream, deduplicated by
 //! sequence number, is exactly-once and identical to the uninterrupted
-//! run. Where the restart resumed from is deliberately *not* asserted —
-//! a restore that refuses a checkpoint falls back to a cold start, and
-//! replaying from cycle 0 is still correct.
+//! run. On top of it, the restart must resume from the last checkpoint:
+//! one taken in a cycle whose retention dropped a segment still passes its
+//! own validation, so nothing replays from cycle 0.
 
 use grca_collector::StorageConfig;
 use grca_eval::{
@@ -21,14 +21,15 @@ const CYCLE_LEN: Duration = Duration::hours(1);
 
 /// One process lifetime of the retention-on pipeline rooted at `dir`:
 /// restore if there is a checkpoint, run until the schedule ends or `kill`
-/// fires. Returns the emissions, whether the kill fired, and whether any
-/// cycle's retention dropped rows.
+/// fires. Returns the emissions, whether the kill fired, whether any
+/// cycle's retention dropped rows, and where the restore resumed from (or
+/// why it did not).
 fn attempt(
     s: &GoldenScenario,
     chaos: &FeedChaos,
     dir: &Path,
     kill: KillSwitch,
-) -> (Vec<SeqVerdict>, bool, bool) {
+) -> (Vec<SeqVerdict>, bool, bool, Result<u64, String>) {
     let built = s.build();
     let cfg = s.scenario_config();
     let (mb, delivered) = s.deliver(&built, chaos, CYCLE_LEN);
@@ -46,7 +47,7 @@ fn attempt(
     let mut replay = Replay::new(s.study, &built.topo, online, CYCLE_LEN, Cadence::Strict)
         .with_checkpoints(dir, 1)
         .with_kill(kill, false, 4);
-    replay.restore(dir, &scfg);
+    let resumed = replay.restore(dir, &scfg);
 
     let clocks = replay.clocks(&mb, cfg.end());
     let mut emissions = Vec::new();
@@ -61,7 +62,7 @@ fn attempt(
         dropped |= rows < rows_before;
         rows_before = rows;
     });
-    (emissions, stopped.is_some(), dropped)
+    (emissions, stopped.is_some(), dropped, resumed)
 }
 
 #[test]
@@ -78,9 +79,10 @@ fn recovery_with_retention_dropping_segments_is_identical_and_exactly_once() {
         ops: eventual_ops(s.study, (s.days * 24) as usize),
     };
 
-    let (reference, stopped, dropped) =
+    let (reference, stopped, dropped, cold) =
         attempt(&s, &chaos, &base.join("ref"), KillSwitch::disarmed());
     assert!(!stopped);
+    assert!(cold.is_err(), "a fresh directory holds no checkpoint");
     assert!(dropped, "retention never dropped a sealed segment");
     assert!(!reference.is_empty(), "scenario must emit something");
 
@@ -88,11 +90,17 @@ fn recovery_with_retention_dropping_segments_is_identical_and_exactly_once() {
     // has been dropping segments between checkpoints for a day.
     let kill = KillPoint::CheckpointRotated { cycle: 55 };
     let run_dir = base.join("run");
-    let (mut all, killed, dropped) = attempt(&s, &chaos, &run_dir, KillSwitch::armed(kill));
+    let (mut all, killed, dropped, _) = attempt(&s, &chaos, &run_dir, KillSwitch::armed(kill));
     assert!(killed, "kill point must fire");
     assert!(dropped, "kill came before retention dropped anything");
-    let (rest, stopped, _) = attempt(&s, &chaos, &run_dir, KillSwitch::disarmed());
+    let (rest, stopped, _, resumed) = attempt(&s, &chaos, &run_dir, KillSwitch::disarmed());
     assert!(!stopped);
+    // Cycle 55's manifest never landed, so cycle 54's is the last one.
+    assert_eq!(
+        resumed,
+        Ok(54),
+        "the restart did not resume from the last checkpoint"
+    );
     all.extend(rest);
 
     let deduped = dedup_by_seq(&all).expect("replayed duplicates must be byte-identical");

@@ -152,10 +152,9 @@ impl IncrementalExtractor {
 
     /// The current per-table watermarks as `(row count, last unix)` pairs
     /// in [`Database::row_counts`] order, or `None` before the first
-    /// extraction. Exported for checkpointing: restore does **not** feed
-    /// these back (the first post-restore extract is a deliberate full
-    /// pass over the restored database), it only cross-checks them against
-    /// the restored row counts to detect a torn or mismatched checkpoint.
+    /// extraction — as of that extraction, so a later
+    /// [`Database::retain_before`] leaves them ahead of the database's own
+    /// (which is why no checkpoint validates a restore against them).
     pub fn marks(&self) -> Option<Vec<(u64, Option<i64>)>> {
         self.marks.as_ref().map(|m| {
             (0..10)
