@@ -255,17 +255,17 @@ pub fn demote_reverse_cpu(diagnoses: &mut [Diagnosis]) -> usize {
         // brackets the flap), so it is judged as part of the same episode
         // when its window contains the flap onset.
         let spikes_before = d.evidence.iter().any(|e| {
-            e.event == ev::CPU_HIGH_SPIKE && e.instance.window.start < d.symptom.window.start
+            e.event() == ev::CPU_HIGH_SPIKE && e.instance.window.start < d.symptom.window.start
         });
         let spikes_after = d.evidence.iter().any(|e| {
-            e.event == ev::CPU_HIGH_SPIKE && e.instance.window.start >= d.symptom.window.start
+            e.event() == ev::CPU_HIGH_SPIKE && e.instance.window.start >= d.symptom.window.start
         });
         if spikes_before || !spikes_after {
             continue; // genuinely CPU-first, or no spike to order by
         }
         let demoted = |e: &grca_core::Evidence| {
-            (e.event == ev::CPU_HIGH_SPIKE && e.instance.window.start >= d.symptom.window.start)
-                || (e.event == ev::CPU_HIGH_AVERAGE
+            (e.event() == ev::CPU_HIGH_SPIKE && e.instance.window.start >= d.symptom.window.start)
+                || (e.event() == ev::CPU_HIGH_AVERAGE
                     && e.instance.window.contains(d.symptom.window.start))
         };
         // Recompute winners over the surviving evidence only.

@@ -183,11 +183,11 @@ verdict  {}
                 "  {:indent$}{} @ {} {} (priority {})
 ",
                 "",
-                e.event,
+                e.event(),
                 e.instance.location.display(topo),
                 e.instance.window,
                 e.priority,
-                indent = (e.depth - 1) * 2,
+                indent = (e.depth as usize - 1) * 2,
             ));
         }
     }
@@ -305,7 +305,6 @@ mod tests {
             Some(name) => {
                 let ev = crate::engine::Evidence {
                     rule: 0,
-                    event: name.into(),
                     instance: EventInstance::new(
                         name,
                         TimeWindow::at(Timestamp(start)),

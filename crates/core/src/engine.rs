@@ -27,17 +27,23 @@ pub const UNKNOWN: &str = "unknown";
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evidence {
     /// Index of the matched rule in the graph.
-    pub rule: usize,
-    /// The diagnostic event name (the candidate cause).
-    pub event: Symbol,
+    pub rule: u32,
     /// The matched diagnostic instance.
     pub instance: EventInstance,
     /// Edge priority of the rule that matched it.
     pub priority: u32,
     /// Depth below the symptom (1 = direct rule from the root).
-    pub depth: usize,
+    pub depth: u32,
     /// Index into the evidence vector of the parent (None = root).
-    pub parent: Option<usize>,
+    pub parent: Option<u32>,
+}
+
+impl Evidence {
+    /// The diagnostic event name (the candidate cause): the matched
+    /// instance's, which is the rule's diagnostic.
+    pub fn event(&self) -> Symbol {
+        self.instance.name
+    }
 }
 
 /// The outcome of diagnosing one symptom instance.
@@ -60,7 +66,7 @@ impl Diagnosis {
         let mut names: Vec<&str> = self
             .root_causes
             .iter()
-            .map(|&i| self.evidence[i].event.as_str())
+            .map(|&i| self.evidence[i].event().as_str())
             .collect();
         names.sort();
         names.dedup();
@@ -71,7 +77,7 @@ impl Diagnosis {
     /// (at any depth) — the feature extractor for Bayesian reasoning.
     pub fn has_evidence(&self, event: &str) -> bool {
         let event = Symbol::new(event);
-        self.evidence.iter().any(|e| e.event == event)
+        self.evidence.iter().any(|e| e.event() == event)
     }
 
     /// The canonical join key of the diagnosed symptom's location —
@@ -96,7 +102,7 @@ impl Diagnosis {
         let mut cur = Some(cause_idx);
         while let Some(i) = cur {
             out.push(&self.evidence[i]);
-            cur = self.evidence[i].parent;
+            cur = self.evidence[i].parent.map(|p| p as usize);
         }
         out.reverse();
         out
@@ -247,10 +253,10 @@ impl<'a> Engine<'a> {
         // Traversal frontier: (event name, instance, parent evidence,
         // depth). Instances are borrowed from the store (or the symptom);
         // nothing is cloned until it becomes evidence.
-        let mut frontier: Vec<(Symbol, &EventInstance, Option<usize>, usize)> =
+        let mut frontier: Vec<(Symbol, &EventInstance, Option<u32>, u32)> =
             vec![(symptom.name, symptom, None, 0)];
         while let Some((name, inst, parent, depth)) = frontier.pop() {
-            if depth >= self.max_depth {
+            if depth as usize >= self.max_depth {
                 continue;
             }
             let Some(rules) = self.index.rules_for(name) else {
@@ -283,10 +289,9 @@ impl<'a> Engine<'a> {
                     if !seen.insert(key) {
                         continue;
                     }
-                    let idx = evidence.len();
+                    let idx = evidence.len() as u32;
                     evidence.push(Evidence {
-                        rule: ri,
-                        event: rule.diagnostic,
+                        rule: ri as u32,
                         instance: cand.clone(),
                         priority: rule.priority,
                         depth: depth + 1,
@@ -427,9 +432,16 @@ mod tests {
         assert_eq!(d.label(), "sonet");
         let chain = d.chain(d.root_causes[0]);
         assert_eq!(chain.len(), 2);
-        assert_eq!(chain[0].event, "iface-flap");
-        assert_eq!(chain[1].event, "sonet");
+        assert_eq!(chain[0].event(), "iface-flap");
+        assert_eq!(chain[1].event(), "sonet");
         assert_eq!(chain[1].depth, 2);
+    }
+
+    /// Evidence is what a diagnosis keeps per match; its name is the
+    /// instance's, not a copy of it, and its indexes are 32-bit.
+    #[test]
+    fn evidence_stays_within_80_bytes() {
+        assert!(std::mem::size_of::<Evidence>() <= 80);
     }
 
     #[test]
@@ -538,7 +550,7 @@ mod tests {
         let sm = SpatialModel::new(&topo, &NullOracle);
         let engine = Engine::new(&g, &store, &sm);
         let d = engine.diagnose(&flap);
-        let sonet_count = d.evidence.iter().filter(|e| e.event == "sonet").count();
+        let sonet_count = d.evidence.iter().filter(|e| e.event() == "sonet").count();
         assert_eq!(sonet_count, 1, "{:?}", d.evidence);
         assert_eq!(d.label(), "sonet");
     }

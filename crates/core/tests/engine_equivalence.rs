@@ -110,7 +110,7 @@ proptest! {
             .evidence
             .iter()
             .filter(|e| e.depth == 1)
-            .map(|e| (e.rule, e.instance.window, e.instance.location))
+            .map(|e| (e.rule as usize, e.instance.window, e.instance.location))
             .collect();
         got.sort_by_key(|(ri, w, l)| (*ri, w.start, w.end, *l));
         got.dedup();

@@ -60,7 +60,11 @@ fn main() {
         for e in d.chain(d.root_causes[0]) {
             println!(
                 "  depth {} via rule #{}: {} at {} (priority {})",
-                e.depth, e.rule, e.event, e.instance.window.start, e.priority
+                e.depth,
+                e.rule,
+                e.event(),
+                e.instance.window.start,
+                e.priority
             );
         }
     }

@@ -68,7 +68,7 @@ fn evidence_is_always_temporally_plausible() {
             assert!(
                 gap <= 2 * 3600 + 600,
                 "evidence {} is {gap}s from its symptom",
-                e.event
+                e.event()
             );
         }
     }
