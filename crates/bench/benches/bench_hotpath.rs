@@ -4,8 +4,9 @@
 //! over a dense synthetic graph (interned names, indexed rules, memoized
 //! joins), the store's binary-search `candidates` cut over a large index,
 //! and a cache-hit route-oracle path query (the sharded-cache read path) —
-//! plus the two per-cycle costs of the online path: merging a batch into a
-//! finalized table, and an incremental `extract` over settled history.
+//! plus the per-cycle costs of the online path: ingesting a tier-1 hour,
+//! merging a batch into a finalized table, and an incremental `extract`
+//! over settled history.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grca_core::{DiagnosisGraph, DiagnosisRule, Engine, TemporalRule};
@@ -108,6 +109,46 @@ fn bench_hotpath(c: &mut Criterion) {
         });
     }
 
+    // ingest: the busiest hour of a tier-1 soak day (the one carrying a
+    // 6-hourly baseline bin) through `Database::ingest_more` into an empty
+    // database — fingerprint, dedup claim, normalize, push and the
+    // finalize sort — reported per record.
+    {
+        use grca_collector::{Database, IngestStats};
+        use grca_net_model::TierConfig;
+        use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
+        let tier = TierConfig::tier1();
+        let topo = tier.generate();
+        let mut cfg = ScenarioConfig::new(1, 2026, FaultRates::bgp_study());
+        cfg.background.probe_fanout = tier.probe_fanout;
+        cfg.background.snmp_baseline_bin = Duration::hours(6);
+        cfg.background.perf_baseline_bin = Duration::hours(6);
+        cfg.background.cdn_baseline_bin = Duration::hours(6);
+        let out = run_scenario(&topo, &cfg);
+        let hour_of = |t: Timestamp| (t - cfg.start).as_secs().div_euclid(3600);
+        let mut per_hour = std::collections::BTreeMap::<i64, usize>::new();
+        for &t in &out.delivery {
+            *per_hour.entry(hour_of(t)).or_default() += 1;
+        }
+        let busiest = per_hour
+            .iter()
+            .max_by_key(|&(h, n)| (n, -h))
+            .map(|(&h, _)| h);
+        let hour: Vec<_> = (out.records.iter().zip(&out.delivery))
+            .filter(|&(_, &t)| Some(hour_of(t)) == busiest)
+            .map(|(r, _)| r.clone())
+            .collect();
+        group.throughput(Throughput::Elements(hour.len() as u64));
+        group.bench_function("ingest_tier1_hour", |b| {
+            b.iter(|| {
+                let mut db = Database::default();
+                db.ingest_more(&topo, &hour, &mut IngestStats::default());
+                black_box(db.total_rows())
+            })
+        });
+        group.throughput(Throughput::Elements(1));
+    }
+
     // finalize: merge a sorted batch into an already-finalized table —
     // the per-cycle ingest cost the suffix-merge finalize targets. Two
     // arrival patterns: append-only (new batch entirely after the prefix)
@@ -117,6 +158,7 @@ fn bench_hotpath(c: &mut Criterion) {
         use grca_net_model::RouterId as Rid;
         let mk_row = |t: i64| PerfRow {
             utc: Timestamp(t),
+            fp: t as u64,
             ingress: Rid::new(0),
             egress: Rid::new(1),
             metric: grca_telemetry::records::PerfMetric::LossPct,

@@ -13,7 +13,7 @@
 
 use crate::rows::*;
 use crate::storage::{StorageConfig, StorageStats, Table};
-use grca_net_model::Topology;
+use grca_net_model::{CdnNodeId, RouterId, Topology};
 use grca_telemetry::records::RawRecord;
 use grca_telemetry::syslog::{parse_syslog_message, split_line};
 use grca_types::{TimeZone, Timestamp};
@@ -159,33 +159,40 @@ fn feed_index(rec: &RawRecord) -> usize {
     }
 }
 
-/// Normalize one raw record: resolve entity names against `topo`, convert
-/// the source clock to UTC, and build the destination row. `Err` carries
-/// the structured reason the record must be quarantined.
-fn normalize(
-    topo: &Topology,
-    rec: &RawRecord,
-    stats: &mut IngestStats,
-) -> Result<NormRow, QuarantineReason> {
-    let row = normalize_inner(topo, rec, stats)?;
-    // Clock plausibility: a record whose normalized instant falls outside
-    // [1990, 2100) is a corrupted timestamp, not a measurement. Without
-    // this guard one garbled year digit would catapult the feed's
-    // watermark centuries ahead and wedge online gating forever.
-    let utc = row.utc();
-    const PLAUSIBLE_UNIX: std::ops::Range<i64> = 631_152_000..4_102_444_800;
-    if !PLAUSIBLE_UNIX.contains(&utc.unix()) {
-        return Err(QuarantineReason::Implausible {
-            what: "record clock",
-            detail: format!("normalized instant {utc} outside 1990..2100"),
-        });
-    }
-    Ok(row)
+/// The last SNMP system and CDN node name one [`Database::ingest_more`]
+/// call resolved: feeds deliver a device's samples in runs, so a string
+/// compare answers most lookups. A name that did not resolve is not kept.
+#[derive(Default)]
+struct LastNames<'a> {
+    snmp: Option<(&'a str, RouterId)>,
+    cdn: Option<(&'a str, CdnNodeId)>,
 }
 
-fn normalize_inner(
+/// `lookup(name)`, unless `last` already holds `name`'s answer.
+fn resolve_repeat<'a, I: Copy>(
+    last: &mut Option<(&'a str, I)>,
+    name: &'a str,
+    lookup: impl FnOnce(&str) -> Option<I>,
+) -> Option<I> {
+    match *last {
+        Some((prev, id)) if prev == name => Some(id),
+        _ => {
+            let id = lookup(name)?;
+            *last = Some((name, id));
+            Some(id)
+        }
+    }
+}
+
+/// Normalize one raw record: resolve entity names against `topo`, convert
+/// the source clock to UTC, and build the destination row, tiebroken by
+/// `fp`. `Err` carries the structured reason the record must be
+/// quarantined.
+fn normalize<'a>(
     topo: &Topology,
-    rec: &RawRecord,
+    rec: &'a RawRecord,
+    fp: u64,
+    names: &mut LastNames<'a>,
     stats: &mut IngestStats,
 ) -> Result<NormRow, QuarantineReason> {
     fn unknown(kind: &'static str, name: &str) -> QuarantineReason {
@@ -204,7 +211,7 @@ fn normalize_inner(
             })
         }
     }
-    match rec {
+    let row = match rec {
         RawRecord::Syslog(line) => {
             let router = topo
                 .router_by_name(&line.host)
@@ -221,17 +228,18 @@ fn normalize_inner(
                     None
                 }
             };
-            Ok(NormRow::Syslog(SyslogRow {
+            NormRow::Syslog(SyslogRow {
+                fp,
                 utc,
                 router,
                 event,
                 raw: body.to_string(),
-            }))
+            })
         }
         RawRecord::Snmp(s) => {
-            let router = topo
-                .router_by_snmp_name(&s.system)
-                .ok_or_else(|| unknown("snmp system", &s.system))?;
+            let router =
+                resolve_repeat(&mut names.snmp, &s.system, |n| topo.router_by_snmp_name(n))
+                    .ok_or_else(|| unknown("snmp system", &s.system))?;
             let utc = TimeZone::US_EASTERN.to_utc(s.local_time);
             let iface = match s.if_index {
                 Some(ix) => Some(
@@ -240,13 +248,14 @@ fn normalize_inner(
                 ),
                 None => None,
             };
-            Ok(NormRow::Snmp(SnmpRow {
+            NormRow::Snmp(SnmpRow {
+                fp,
                 utc,
                 router,
                 metric: s.metric,
                 iface,
                 value: finite("snmp sample", s.value)?,
-            }))
+            })
         }
         RawRecord::L1Log(l) => {
             let device = topo
@@ -256,45 +265,49 @@ fn normalize_inner(
                 .circuit_by_name(&l.circuit)
                 .ok_or_else(|| unknown("circuit", &l.circuit))?;
             let tz = topo.pop(topo.l1_device(device).pop).tz;
-            Ok(NormRow::L1(L1Row {
+            NormRow::L1(L1Row {
+                fp,
                 utc: tz.to_utc(l.local_time),
                 device,
                 kind: l.kind,
                 circuit,
-            }))
+            })
         }
         RawRecord::OspfMon(o) => {
             let link = topo
                 .link_by_slash30(o.link_addr)
                 .ok_or_else(|| unknown("link /30", &o.link_addr.to_string()))?;
-            Ok(NormRow::Ospf(OspfRow {
+            NormRow::Ospf(OspfRow {
+                fp,
                 utc: o.utc,
                 link,
                 weight: o.weight,
-            }))
+            })
         }
         RawRecord::BgpMon(b) => {
             let egress = topo
                 .router_by_name(&b.egress_router)
                 .ok_or_else(|| unknown("router", &b.egress_router))?;
-            Ok(NormRow::Bgp(BgpRow {
+            NormRow::Bgp(BgpRow {
+                fp,
                 utc: b.utc,
                 reflector: b.reflector.to_string(),
                 prefix: b.prefix,
                 egress,
                 attrs: b.attrs,
-            }))
+            })
         }
         RawRecord::Tacacs(t) => {
             let router = topo
                 .router_by_name(&t.router)
                 .ok_or_else(|| unknown("router", &t.router))?;
-            Ok(NormRow::Tacacs(TacacsRow {
+            NormRow::Tacacs(TacacsRow {
+                fp,
                 utc: TimeZone::US_EASTERN.to_utc(t.local_time),
                 router,
                 user: t.user.to_string(),
                 command: t.command.clone(),
-            }))
+            })
         }
         RawRecord::Workflow(w) => {
             if w.activity.is_empty() {
@@ -302,12 +315,13 @@ fn normalize_inner(
                     error: "empty workflow activity".to_string(),
                 });
             }
-            Ok(NormRow::Workflow(WorkflowRow {
+            NormRow::Workflow(WorkflowRow {
+                fp,
                 utc: TimeZone::US_EASTERN.to_utc(w.local_time),
                 entity: w.router.to_string(),
                 router: topo.router_by_name(&w.router),
                 activity: w.activity.to_string(),
-            }))
+            })
         }
         RawRecord::Perf(p) => {
             let ingress = topo
@@ -316,41 +330,55 @@ fn normalize_inner(
             let egress = topo
                 .router_by_name(&p.egress_router)
                 .ok_or_else(|| unknown("router", &p.egress_router))?;
-            Ok(NormRow::Perf(PerfRow {
+            NormRow::Perf(PerfRow {
+                fp,
                 utc: p.utc,
                 ingress,
                 egress,
                 metric: p.metric,
                 value: finite("perf probe", p.value)?,
-            }))
+            })
         }
         RawRecord::CdnMon(c) => {
-            let node = topo
-                .cdn_node_by_name(&c.node)
+            let node = resolve_repeat(&mut names.cdn, &c.node, |n| topo.cdn_node_by_name(n))
                 .ok_or_else(|| unknown("cdn node", &c.node))?;
             let client = topo
                 .ext_net_for(c.client_addr)
                 .ok_or_else(|| unknown("client site", &c.client_addr.to_string()))?;
-            Ok(NormRow::Cdn(CdnRow {
+            NormRow::Cdn(CdnRow {
+                fp,
                 utc: c.utc,
                 node,
                 client,
                 rtt_ms: finite("cdn rtt", c.rtt_ms)?,
                 throughput_mbps: finite("cdn throughput", c.throughput_mbps)?,
-            }))
+            })
         }
         RawRecord::ServerLog(s) => {
-            let node = topo
-                .cdn_node_by_name(&s.node)
+            let node = resolve_repeat(&mut names.cdn, &s.node, |n| topo.cdn_node_by_name(n))
                 .ok_or_else(|| unknown("cdn node", &s.node))?;
             let tz = topo.pop(topo.cdn_node(node).pop).tz;
-            Ok(NormRow::Server(ServerRow {
+            NormRow::Server(ServerRow {
+                fp,
                 utc: tz.to_utc(s.local_time),
                 node,
                 load: finite("server load", s.load)?,
-            }))
+            })
         }
+    };
+    // Clock plausibility: a record whose normalized instant falls outside
+    // [1990, 2100) is a corrupted timestamp, not a measurement. Without
+    // this guard one garbled year digit would catapult the feed's
+    // watermark centuries ahead and wedge online gating forever.
+    let utc = row.utc();
+    const PLAUSIBLE_UNIX: std::ops::Range<i64> = 631_152_000..4_102_444_800;
+    if !PLAUSIBLE_UNIX.contains(&utc.unix()) {
+        return Err(QuarantineReason::Implausible {
+            what: "record clock",
+            detail: format!("normalized instant {utc} outside 1990..2100"),
+        });
     }
+    Ok(row)
 }
 
 /// The fingerprint's hasher: two 64-bit lanes, keyed apart, fed the same
@@ -796,6 +824,7 @@ impl Database {
             log.reserve(records.len());
         }
         let mut newest = self.newest_instant();
+        let mut names = LastNames::default();
         for block in records.chunks(INGEST_BLOCK) {
             let mut fps = [0u128; INGEST_BLOCK];
             for (fp, rec) in fps.iter_mut().zip(block) {
@@ -812,7 +841,7 @@ impl Database {
                 }
             }
             for ((rec, &fp), _) in block.iter().zip(&fps).zip(fresh).filter(|(_, f)| *f) {
-                self.ingest_fresh(topo, rec, fp, &mut newest, stats);
+                self.ingest_fresh(topo, rec, fp, &mut names, &mut newest, stats);
             }
         }
         self.finalize();
@@ -822,16 +851,17 @@ impl Database {
     /// claimed: normalize it, record its instant in `seen` and the
     /// journal, and store, expire or quarantine it. `newest` is
     /// [`Database::newest_instant`] as of this record.
-    fn ingest_fresh(
+    fn ingest_fresh<'a>(
         &mut self,
         topo: &Topology,
-        rec: &RawRecord,
+        rec: &'a RawRecord,
         fp: u128,
+        names: &mut LastNames<'a>,
         newest: &mut Option<Timestamp>,
         stats: &mut IngestStats,
     ) {
         let feed = feed_index(rec);
-        let row = normalize(topo, rec, stats);
+        let row = normalize(topo, rec, fp as u64, names, stats);
         let at = match &row {
             Ok(row) => row.utc(),
             Err(_) => newest.unwrap_or(Timestamp(i64::MIN)),
@@ -1587,7 +1617,8 @@ mod tests {
             let Entry::Vacant(unseen) = want.entry(record_fingerprint(rec)) else {
                 continue;
             };
-            let at = match normalize(&topo, rec, &mut IngestStats::default()) {
+            let names = &mut LastNames::default();
+            let at = match normalize(&topo, rec, 0, names, &mut IngestStats::default()) {
                 Ok(row) => row.utc(),
                 Err(_) => newest.unwrap_or(Timestamp(i64::MIN)),
             };

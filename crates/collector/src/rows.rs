@@ -4,6 +4,12 @@
 //! instead of per-source naming. One row type per feed; rows retain enough
 //! raw detail (e.g. unparsed syslog text) for the Result Browser's
 //! drill-down and for blind correlation screening over message types.
+//!
+//! Each row also carries `fp`, the low 64 bits of its source record's
+//! fingerprint. Tables order rows by the canonical key `(time, fp)`: unique
+//! per row, so one unstable sort on a stored key puts any delivery of the
+//! same record set in the same order. Same-instant rows come out in
+//! fingerprint order, which says nothing about the rows themselves.
 
 use grca_net_model::{
     CdnNodeId, ClientSiteId, InterfaceId, L1DeviceId, LinkId, PhysLinkId, Prefix, RouterId,
@@ -14,9 +20,9 @@ use grca_types::{Symbol, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Every normalized row exposes its UTC instant (tables sort on it) and
-/// the entity it belongs to (tables group on it — see
-/// [`crate::Table::groups`]).
+/// Every normalized row exposes its UTC instant (tables sort on it), the
+/// tiebreak that orders rows at one instant, and the entity it belongs to
+/// (tables group on it — see [`crate::Table::groups`]).
 ///
 /// The entity is the key extraction naturally series-es the feed by: the
 /// sampled device/pair for telemetry feeds, the emitting element for
@@ -29,12 +35,17 @@ pub trait Row {
     fn time(&self) -> Timestamp;
     fn entity(&self) -> Self::Entity;
 
-    /// Content hash breaking ties between same-instant rows, so a table's
-    /// final order is canonical — a pure function of its row *set*, not of
-    /// delivery order. Chaos-reordered feeds then converge to the exact
-    /// batch database. `0` (the default) keeps arrival order for ties.
-    fn tiebreak(&self) -> u64 {
-        0
+    /// Breaks ties between same-instant rows, so a table's final order is
+    /// canonical — a pure function of its row *set*, not of delivery
+    /// order — and chaos-reordered feeds converge to the exact batch
+    /// database. Tables sort unstably, so two *different* rows at one
+    /// instant must not share a tiebreak (equal rows may: their order
+    /// cannot show).
+    fn tiebreak(&self) -> u64;
+
+    /// The canonical sort key, `(time, tiebreak)`.
+    fn key(&self) -> (Timestamp, u64) {
+        (self.time(), self.tiebreak())
     }
 }
 
@@ -84,18 +95,12 @@ impl<E: Ord + Copy> EntityIndex<E> {
     }
 }
 
-/// Deterministic content hash over row fields. `DefaultHasher::new()` uses
-/// fixed keys, so the value — and with it canonical table order — is
-/// stable across runs and processes.
-fn content_hash(f: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
-    use std::hash::Hasher;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    f(&mut h);
-    h.finish()
-}
-
+/// The collector's rows break ties by `fp`: the low 64 bits (one lane) of
+/// the ingested record's [`crate::record_fingerprint`]. Dedup admits one
+/// copy of a record, so no two rows of a table share it, and it is already
+/// computed for every record offered.
 macro_rules! impl_row {
-    ($t:ty, $entity:ty, |$row:ident| $key:expr, |$hrow:ident, $h:ident| $hash:expr) => {
+    ($t:ty, $entity:ty, |$row:ident| $key:expr) => {
         impl Row for $t {
             type Entity = $entity;
             fn time(&self) -> Timestamp {
@@ -106,9 +111,7 @@ macro_rules! impl_row {
                 $key
             }
             fn tiebreak(&self) -> u64 {
-                use std::hash::Hash;
-                let $hrow = self;
-                content_hash(|$h| $hash)
+                self.fp
             }
         }
     };
@@ -120,15 +123,13 @@ macro_rules! impl_row {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyslogRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub router: RouterId,
     pub event: Option<SyslogEvent>,
     /// The message body (everything after the timestamp).
     pub raw: String,
 }
-impl_row!(SyslogRow, RouterId, |r| r.router, |r, h| {
-    r.router.hash(h);
-    r.raw.hash(h);
-});
+impl_row!(SyslogRow, RouterId, |r| r.router);
 
 impl SyslogRow {
     /// The message mnemonic (`"%LINK-3-UPDOWN"`), used as the series key in
@@ -142,144 +143,102 @@ impl SyslogRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnmpRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub router: RouterId,
     pub metric: SnmpMetric,
     pub iface: Option<InterfaceId>,
     pub value: f64,
 }
-impl_row!(
-    SnmpRow,
-    (RouterId, Option<InterfaceId>),
-    |r| (r.router, r.iface),
-    |r, h| {
-        r.router.hash(h);
-        (r.metric as u8).hash(h);
-        r.iface.hash(h);
-        r.value.to_bits().hash(h);
-    }
-);
+impl_row!(SnmpRow, (RouterId, Option<InterfaceId>), |r| (
+    r.router, r.iface
+));
 
 /// One layer-1 device log entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct L1Row {
     pub utc: Timestamp,
+    pub fp: u64,
     pub device: L1DeviceId,
     pub kind: L1EventKind,
     pub circuit: PhysLinkId,
 }
-impl_row!(L1Row, L1DeviceId, |r| r.device, |r, h| {
-    r.device.hash(h);
-    (r.kind as u8).hash(h);
-    r.circuit.hash(h);
-});
+impl_row!(L1Row, L1DeviceId, |r| r.device);
 
 /// One OSPF monitor observation, resolved to a logical link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OspfRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub link: LinkId,
     pub weight: Option<u32>,
 }
-impl_row!(OspfRow, LinkId, |r| r.link, |r, h| {
-    r.link.hash(h);
-    r.weight.hash(h);
-});
+impl_row!(OspfRow, LinkId, |r| r.link);
 
 /// One BGP monitor update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BgpRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub reflector: String,
     pub prefix: Prefix,
     pub egress: RouterId,
     pub attrs: Option<(u32, u32)>,
 }
-impl_row!(BgpRow, Prefix, |r| r.prefix, |r, h| {
-    r.reflector.hash(h);
-    r.prefix.hash(h);
-    r.egress.hash(h);
-    r.attrs.hash(h);
-});
+impl_row!(BgpRow, Prefix, |r| r.prefix);
 
 /// One TACACS command log entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TacacsRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub router: RouterId,
     pub user: String,
     pub command: String,
 }
-impl_row!(TacacsRow, RouterId, |r| r.router, |r, h| {
-    r.router.hash(h);
-    r.user.hash(h);
-    r.command.hash(h);
-});
+impl_row!(TacacsRow, RouterId, |r| r.router);
 
 /// One workflow activity record. The entity may be a router or another
 /// managed system (e.g. a CDN node), so both forms are kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub entity: String,
     pub router: Option<RouterId>,
     pub activity: String,
 }
-impl_row!(WorkflowRow, Symbol, |r| Symbol::from(&r.entity), |r, h| {
-    r.entity.hash(h);
-    r.router.hash(h);
-    r.activity.hash(h);
-});
+impl_row!(WorkflowRow, Symbol, |r| Symbol::from(&r.entity));
 
 /// One end-to-end probe measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub ingress: RouterId,
     pub egress: RouterId,
     pub metric: PerfMetric,
     pub value: f64,
 }
-impl_row!(
-    PerfRow,
-    (RouterId, RouterId),
-    |r| (r.ingress, r.egress),
-    |r, h| {
-        r.ingress.hash(h);
-        r.egress.hash(h);
-        (r.metric as u8).hash(h);
-        r.value.to_bits().hash(h);
-    }
-);
+impl_row!(PerfRow, (RouterId, RouterId), |r| (r.ingress, r.egress));
 
 /// One CDN monitor measurement, resolved to (node, client site).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdnRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub node: CdnNodeId,
     pub client: ClientSiteId,
     pub rtt_ms: f64,
     pub throughput_mbps: f64,
 }
-impl_row!(
-    CdnRow,
-    (CdnNodeId, ClientSiteId),
-    |r| (r.node, r.client),
-    |r, h| {
-        r.node.hash(h);
-        r.client.hash(h);
-        r.rtt_ms.to_bits().hash(h);
-        r.throughput_mbps.to_bits().hash(h);
-    }
-);
+impl_row!(CdnRow, (CdnNodeId, ClientSiteId), |r| (r.node, r.client));
 
 /// One CDN server-farm load sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerRow {
     pub utc: Timestamp,
+    pub fp: u64,
     pub node: CdnNodeId,
     pub load: f64,
 }
-impl_row!(ServerRow, CdnNodeId, |r| r.node, |r, h| {
-    r.node.hash(h);
-    r.load.to_bits().hash(h);
-});
+impl_row!(ServerRow, CdnNodeId, |r| r.node);

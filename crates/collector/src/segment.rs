@@ -13,7 +13,10 @@
 //!   bodies — the common case for periodic telemetry — cost one varint
 //!   per occurrence;
 //! * numeric ids are varints; measurements are raw `f64` bits (bit-exact
-//!   round-trips, so decoded rows hash and compare identically).
+//!   round-trips, so decoded rows compare identically);
+//! * each row's `fp` (its canonical tiebreak) is a raw `u64`, so decoded
+//!   rows merge in a reseal exactly as ingest ordered them. Version 2 added
+//!   it; a version-1 blob lacks it and is refused, not decoded.
 //!
 //! Decoding a segment rebuilds the exact rows plus the timestamp column
 //! `FlatTable::finalize` would build, as a [`DecodedSeg`]; the per-entity
@@ -36,9 +39,9 @@ use grca_types::Timestamp;
 /// columnar encoding for sealed segments.
 ///
 /// Implementations must round-trip exactly: `decode_cols(encode_cols(r))
-/// == r` for every row the collector can produce — decoded rows must hash
-/// (`tiebreak`) and compare equal to the originals, or the differential
-/// guarantees of sealed storage collapse.
+/// == r` for every row the collector can produce — decoded rows must keep
+/// their `tiebreak` and compare equal to the originals, or the
+/// differential guarantees of sealed storage collapse.
 pub trait StoredRow: Row + Clone {
     /// Append every non-timestamp column of `rows` to the writer.
     fn encode_cols(rows: &[Self], w: &mut SegWriter);
@@ -85,9 +88,14 @@ impl SegWriter {
         self.cols.push(b);
     }
 
-    /// Raw `f64` bits, little-endian (bit-exact round-trip).
+    /// Raw little-endian bytes: a value with no small range to exploit.
+    pub fn u64(&mut self, v: u64) {
+        self.cols.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Raw `f64` bits (bit-exact round-trip).
     pub fn f64(&mut self, v: f64) {
-        self.cols.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.u64(v.to_bits());
     }
 
     /// `None` → 0, `Some(v)` → v+1 (ids are small, the +1 is one varint
@@ -148,11 +156,15 @@ impl<'a> SegReader<'a> {
         b
     }
 
-    pub fn f64(&mut self) -> f64 {
+    pub fn u64(&mut self) -> u64 {
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
-        f64::from_bits(u64::from_le_bytes(raw))
+        u64::from_le_bytes(raw)
+    }
+
+    pub fn f64(&mut self) -> f64 {
+        f64::from_bits(self.u64())
     }
 
     pub fn opt_varu(&mut self) -> Option<u64> {
@@ -236,7 +248,7 @@ impl<R: StoredRow> DecodedSeg<R> {
     }
 }
 
-const SEG_VERSION: u8 = 1;
+const SEG_VERSION: u8 = 2;
 
 /// Seal `rows` (already in canonical order) into a zone map + encoded
 /// blob. Layout: `[version][n][delta-encoded times][dictionary][columns]`.
@@ -249,8 +261,8 @@ pub fn encode_segment<R: StoredRow>(rows: &[R]) -> (SegmentMeta<R::Entity>, Vec<
     entities.dedup();
     let meta = SegmentMeta {
         rows: rows.len(),
-        min_key: (rows[0].time(), rows[0].tiebreak()),
-        max_key: (rows[rows.len() - 1].time(), rows[rows.len() - 1].tiebreak()),
+        min_key: rows[0].key(),
+        max_key: rows[rows.len() - 1].key(),
         entities,
     };
 
@@ -350,6 +362,7 @@ fn perf_metric_from(b: u8) -> PerfMetric {
 impl StoredRow for SyslogRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.router.0 as u64);
             w.str_ref(&r.raw);
         }
@@ -360,11 +373,13 @@ impl StoredRow for SyslogRow {
         times
             .iter()
             .map(|&utc| {
+                let fp = r.u64();
                 let router = RouterId(r.varu() as u32);
                 let raw = r.str_ref();
                 let event = parse_syslog_message(&raw).ok();
                 SyslogRow {
                     utc,
+                    fp,
                     router,
                     event,
                     raw,
@@ -380,6 +395,7 @@ impl StoredRow for SyslogRow {
 impl StoredRow for SnmpRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.router.0 as u64);
             w.byte(r.metric as u8);
             w.opt_varu(r.iface.map(|i| i.0 as u64));
@@ -391,6 +407,7 @@ impl StoredRow for SnmpRow {
             .iter()
             .map(|&utc| SnmpRow {
                 utc,
+                fp: r.u64(),
                 router: RouterId(r.varu() as u32),
                 metric: snmp_metric_from(r.byte()),
                 iface: r.opt_varu().map(|i| InterfaceId(i as u32)),
@@ -403,6 +420,7 @@ impl StoredRow for SnmpRow {
 impl StoredRow for L1Row {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.device.0 as u64);
             w.byte(r.kind as u8);
             w.varu(r.circuit.0 as u64);
@@ -413,6 +431,7 @@ impl StoredRow for L1Row {
             .iter()
             .map(|&utc| L1Row {
                 utc,
+                fp: r.u64(),
                 device: L1DeviceId(r.varu() as u32),
                 kind: l1_kind_from(r.byte()),
                 circuit: PhysLinkId(r.varu() as u32),
@@ -424,6 +443,7 @@ impl StoredRow for L1Row {
 impl StoredRow for OspfRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.link.0 as u64);
             w.opt_varu(r.weight.map(u64::from));
         }
@@ -433,6 +453,7 @@ impl StoredRow for OspfRow {
             .iter()
             .map(|&utc| OspfRow {
                 utc,
+                fp: r.u64(),
                 link: LinkId(r.varu() as u32),
                 weight: r.opt_varu().map(|v| v as u32),
             })
@@ -443,6 +464,7 @@ impl StoredRow for OspfRow {
 impl StoredRow for BgpRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.str_ref(&r.reflector);
             w.varu(r.prefix.bits as u64);
             w.byte(r.prefix.len);
@@ -461,6 +483,7 @@ impl StoredRow for BgpRow {
         times
             .iter()
             .map(|&utc| {
+                let fp = r.u64();
                 let reflector = r.str_ref();
                 let bits = r.varu() as u32;
                 let len = r.byte();
@@ -471,6 +494,7 @@ impl StoredRow for BgpRow {
                 };
                 BgpRow {
                     utc,
+                    fp,
                     reflector,
                     prefix: Prefix { bits, len },
                     egress,
@@ -487,6 +511,7 @@ impl StoredRow for BgpRow {
 impl StoredRow for TacacsRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.router.0 as u64);
             w.str_ref(&r.user);
             w.str_ref(&r.command);
@@ -497,6 +522,7 @@ impl StoredRow for TacacsRow {
             .iter()
             .map(|&utc| TacacsRow {
                 utc,
+                fp: r.u64(),
                 router: RouterId(r.varu() as u32),
                 user: r.str_ref(),
                 command: r.str_ref(),
@@ -511,6 +537,7 @@ impl StoredRow for TacacsRow {
 impl StoredRow for WorkflowRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.str_ref(&r.entity);
             w.opt_varu(r.router.map(|x| x.0 as u64));
             w.str_ref(&r.activity);
@@ -521,6 +548,7 @@ impl StoredRow for WorkflowRow {
             .iter()
             .map(|&utc| WorkflowRow {
                 utc,
+                fp: r.u64(),
                 entity: r.str_ref(),
                 router: r.opt_varu().map(|v| RouterId(v as u32)),
                 activity: r.str_ref(),
@@ -535,6 +563,7 @@ impl StoredRow for WorkflowRow {
 impl StoredRow for PerfRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.ingress.0 as u64);
             w.varu(r.egress.0 as u64);
             w.byte(r.metric as u8);
@@ -546,6 +575,7 @@ impl StoredRow for PerfRow {
             .iter()
             .map(|&utc| PerfRow {
                 utc,
+                fp: r.u64(),
                 ingress: RouterId(r.varu() as u32),
                 egress: RouterId(r.varu() as u32),
                 metric: perf_metric_from(r.byte()),
@@ -558,6 +588,7 @@ impl StoredRow for PerfRow {
 impl StoredRow for CdnRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.node.0 as u64);
             w.varu(r.client.0 as u64);
             w.f64(r.rtt_ms);
@@ -569,6 +600,7 @@ impl StoredRow for CdnRow {
             .iter()
             .map(|&utc| CdnRow {
                 utc,
+                fp: r.u64(),
                 node: CdnNodeId(r.varu() as u32),
                 client: ClientSiteId(r.varu() as u32),
                 rtt_ms: r.f64(),
@@ -581,6 +613,7 @@ impl StoredRow for CdnRow {
 impl StoredRow for ServerRow {
     fn encode_cols(rows: &[Self], w: &mut SegWriter) {
         for r in rows {
+            w.u64(r.fp);
             w.varu(r.node.0 as u64);
             w.f64(r.load);
         }
@@ -590,6 +623,7 @@ impl StoredRow for ServerRow {
             .iter()
             .map(|&utc| ServerRow {
                 utc,
+                fp: r.u64(),
                 node: CdnNodeId(r.varu() as u32),
                 load: r.f64(),
             })
@@ -630,6 +664,7 @@ mod tests {
         let rows: Vec<SnmpRow> = (0..500)
             .map(|i| SnmpRow {
                 utc: Timestamp(1_000_000 + i * 300),
+                fp: (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 router: RouterId((i % 7) as u32),
                 metric: snmp_metric_from((i % 3) as u8),
                 iface: if i % 2 == 0 {
@@ -649,8 +684,11 @@ mod tests {
         let dec = decode_segment::<SnmpRow>(&blob);
         assert_eq!(dec.rows, rows);
         assert_eq!(dec.times.len(), rows.len());
-        // The encoded form is much smaller than the struct form.
-        assert!(blob.len() < rows.len() * std::mem::size_of::<SnmpRow>() / 2);
+        // The encoded form is much smaller than the struct form. The
+        // fingerprint is 8 incompressible bytes a row in both forms; the
+        // rest encodes to under half.
+        let fps = rows.len() * 8;
+        assert!(blob.len() - fps < (rows.len() * std::mem::size_of::<SnmpRow>() - fps) / 2);
         // The per-entity index costs nothing until a lookup asks for it,
         // then answers exactly what a scan of the rows would.
         let scan_only = dec.approx_bytes();
@@ -668,6 +706,7 @@ mod tests {
         let rows: Vec<TacacsRow> = (0..200)
             .map(|i| TacacsRow {
                 utc: Timestamp(i),
+                fp: i as u64,
                 router: RouterId(0),
                 user: "oper".to_string(),
                 command: format!("show run {}", i % 4),
@@ -676,12 +715,13 @@ mod tests {
         let (_, blob) = encode_segment(&rows);
         let dec = decode_segment::<TacacsRow>(&blob);
         assert_eq!(dec.rows, rows);
-        // 1 user + 4 commands, stored once each: the blob is dominated by
-        // per-row varints (time delta, router, two dict refs ≈ 4 bytes/row),
-        // well below the repeated raw text.
+        // 1 user + 4 commands, stored once each: past the 8-byte
+        // fingerprint, the blob is dominated by per-row varints (time delta,
+        // router, two dict refs ≈ 4 bytes/row), well below the repeated raw
+        // text.
         let raw_text: usize = rows.iter().map(|r| r.user.len() + r.command.len()).sum();
         assert!(
-            blob.len() < raw_text / 3,
+            blob.len() - rows.len() * 8 < raw_text / 3,
             "blob {} raw {}",
             blob.len(),
             raw_text

@@ -44,7 +44,7 @@
 //! table that never seals never drops a row.
 
 use crate::segment::{decode_segment, encode_segment, DecodedSeg, SegmentMeta, StoredRow};
-use crate::tables::{EntityRows, FlatTable, RowSet, SegChunk};
+use crate::tables::{merge_sorted, EntityRows, FlatTable, RowSet, SegChunk};
 use grca_types::{TimeWindow, Timestamp};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -404,10 +404,9 @@ impl<R: StoredRow> Table<R> {
     }
 
     /// Late rows predate the sealed maximum: decode the overlapping
-    /// sealed suffix and merge it back into the tail (sealed rows first
-    /// on canonical-key ties — they arrived earlier).
+    /// sealed suffix and merge it back into the tail.
     fn reseal_overlap(&mut self) {
-        let tail_min = match self.tail.min_key() {
+        let tail_min = match self.tail.all_slice().first().map(|r| r.key()) {
             Some(k) => k,
             None => return,
         };
@@ -438,24 +437,9 @@ impl<R: StoredRow> Table<R> {
             }
         }
         drop(cache);
-        let key = |r: &R| (r.time(), r.tiebreak());
         let tail_rows = std::mem::take(&mut self.tail).into_rows();
-        let ka: Vec<_> = sealed_rows.iter().map(key).collect();
-        let kb: Vec<_> = tail_rows.iter().map(key).collect();
-        let mut out = Vec::with_capacity(ka.len() + kb.len());
-        let (mut ia, mut ib) = (sealed_rows.into_iter(), tail_rows.into_iter());
-        let (mut i, mut j) = (0, 0);
-        while i < ka.len() && j < kb.len() {
-            if ka[i] <= kb[j] {
-                out.push(ia.next().expect("ka tracks ia"));
-                i += 1;
-            } else {
-                out.push(ib.next().expect("kb tracks ib"));
-                j += 1;
-            }
-        }
-        out.extend(ia);
-        out.extend(ib);
+        let mut out = Vec::new();
+        merge_sorted(&mut out, sealed_rows, tail_rows);
         self.tail = FlatTable::from_sorted_rows(out);
     }
 
@@ -520,7 +504,7 @@ impl<R: StoredRow> Table<R> {
         self.tail.finalize();
         if !self.tail.is_empty() {
             if let Some(last) = self.segs.last() {
-                if self.tail.min_key().expect("non-empty tail") < last.meta.max_key {
+                if self.tail.all_slice()[0].key() < last.meta.max_key {
                     self.reseal_overlap();
                 }
             }
@@ -534,7 +518,8 @@ impl<R: StoredRow> Table<R> {
         while (n - start) / 2 >= target {
             let mut cut = start + target;
             // Never split canonical-key ties across a seal boundary.
-            while cut < n && self.tail.key_at(cut) == self.tail.key_at(cut - 1) {
+            let rows = self.tail.all_slice();
+            while cut < n && rows[cut].key() == rows[cut - 1].key() {
                 cut += 1;
             }
             if cut >= n {

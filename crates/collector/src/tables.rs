@@ -9,7 +9,11 @@
 //! [`FlatTable`]: one dense row vector, a **timestamp column** for
 //! O(log n) binary-searched range cuts, and a **per-entity offset index**
 //! (`BTreeMap` for deterministic group order) built by the first
-//! per-entity lookup after a change, never by ingest.
+//! per-entity lookup after a change, never by ingest. Rows are held in
+//! canonical `(time, tiebreak)` order — for the collector's rows `(time,
+//! fp)`, unique per row — which [`FlatTable::finalize`] restores with one
+//! unstable in-place sort of each new batch on that stored key, merged
+//! with the sorted prefix only where the two overlap.
 //!
 //! Because queries assemble rows from several decoded sealed segments
 //! plus the flat tail, they return a [`RowSet`] — a small list of pinned
@@ -60,14 +64,12 @@ impl<R: Row> FlatTable<R> {
         self.rows.push(row);
     }
 
-    /// Sort by `(time, tiebreak)`, extend the timestamp column and drop
-    /// the per-entity offset index (the next lookup rebuilds it). Must be
-    /// called after ingestion, before querying. The tiebreak makes the
-    /// final order *canonical*: a pure function of the row set,
-    /// independent of delivery order — so a database rebuilt from
-    /// chaos-reordered feeds is byte-identical to the batch one. (Rows with the default tiebreak of 0 keep arrival
-    /// order: every sort and merge here is stable, and suffix rows
-    /// arrived after the already-finalized prefix.)
+    /// Sort by the canonical `(time, tiebreak)` key, extend the timestamp
+    /// column and drop the per-entity offset index (the next lookup
+    /// rebuilds it). Must be called after ingestion, before querying.
+    /// Keys are unique ([`Row::tiebreak`]), so one unstable sort gives an
+    /// order that is a pure function of the row set: a database rebuilt
+    /// from chaos-reordered feeds equals the batch one.
     ///
     /// Cost is proportional to the new suffix plus the merge overlap: the
     /// sorted prefix is *merged* with the sorted new batch rather than
@@ -79,39 +81,14 @@ impl<R: Row> FlatTable<R> {
         if n0 == n {
             return;
         }
-        let key = |r: &R| (r.time(), r.tiebreak());
-        self.rows[n0..].sort_by_cached_key(key);
+        self.rows[n0..].sort_unstable_by_key(Row::key);
         // Everything before `start` keeps its position and its indexes.
-        let start = if n0 == 0 || key(&self.rows[n0 - 1]) <= key(&self.rows[n0]) {
-            n0
-        } else {
-            // Prefix rows arrived earlier, so on canonical-key ties they
-            // stay ahead of the suffix — `<=` keeps them out of the merge
-            // region, exactly as a full stable sort would order them.
-            let suffix_min = key(&self.rows[n0]);
-            self.rows[..n0].partition_point(|r| key(r) <= suffix_min)
-        };
+        let suffix_min = self.rows[n0].key();
+        let start = self.rows[..n0].partition_point(|r| r.key() <= suffix_min);
         if start < n0 {
-            // Two-pointer merge of prefix[start..] with the sorted suffix;
-            // the prefix side wins ties (stable, arrival order).
             let suffix = self.rows.split_off(n0);
             let prefix = self.rows.split_off(start);
-            let ka: Vec<_> = prefix.iter().map(key).collect();
-            let kb: Vec<_> = suffix.iter().map(key).collect();
-            self.rows.reserve(ka.len() + kb.len());
-            let (mut ia, mut ib) = (prefix.into_iter(), suffix.into_iter());
-            let (mut i, mut j) = (0, 0);
-            while i < ka.len() && j < kb.len() {
-                if ka[i] <= kb[j] {
-                    self.rows.push(ia.next().expect("ka tracks ia"));
-                    i += 1;
-                } else {
-                    self.rows.push(ib.next().expect("kb tracks ib"));
-                    j += 1;
-                }
-            }
-            self.rows.extend(ia);
-            self.rows.extend(ib);
+            merge_sorted(&mut self.rows, prefix, suffix);
         }
         self.times.truncate(start);
         self.times
@@ -171,18 +148,6 @@ impl<R: Row> FlatTable<R> {
         self.groups.of(self.all_slice()).keys().copied().collect()
     }
 
-    /// Canonical key of row `i` (finalized region).
-    pub(crate) fn key_at(&self, i: usize) -> (Timestamp, u64) {
-        let r = &self.rows[i];
-        (r.time(), r.tiebreak())
-    }
-
-    /// Canonical key of the first row, if any (requires finalized).
-    pub(crate) fn min_key(&self) -> Option<(Timestamp, u64)> {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        self.rows.first().map(|r| (r.time(), r.tiebreak()))
-    }
-
     /// Build directly from rows already in canonical order.
     pub(crate) fn from_sorted_rows(rows: Vec<R>) -> Self {
         FlatTable {
@@ -221,6 +186,23 @@ impl<R: StoredRow> FlatTable<R> {
         let times = self.times.len() * std::mem::size_of::<Timestamp>();
         rows + times + self.groups.approx_bytes()
     }
+}
+
+/// Append the two canonically sorted runs `a` and `b` to `out` in
+/// canonical order, `a`'s row first on a key tie.
+pub(crate) fn merge_sorted<R: Row>(out: &mut Vec<R>, a: Vec<R>, b: Vec<R>) {
+    out.reserve(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let next = if x.key() <= y.key() {
+            a.next()
+        } else {
+            b.next()
+        };
+        out.extend(next);
+    }
+    out.extend(a);
+    out.extend(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,6 +376,9 @@ mod tests {
         fn entity(&self) -> u32 {
             self.1 % 2
         }
+        fn tiebreak(&self) -> u64 {
+            self.1 as u64
+        }
     }
     impl StoredRow for TR {
         fn encode_cols(rows: &[Self], w: &mut SegWriter) {
@@ -411,11 +396,10 @@ mod tests {
     }
 
     /// The reference a table must answer like: every row pushed so far,
-    /// stable-sorted by `(time, tiebreak)` (ties keep arrival order), with
-    /// `keep` as the query.
+    /// sorted by `(time, tiebreak)`, with `keep` as the query.
     fn model(pushed: &[TR], keep: impl Fn(&TR) -> bool) -> Vec<TR> {
         let mut rows: Vec<TR> = pushed.iter().filter(|r| keep(r)).cloned().collect();
-        rows.sort_by_key(|r| (r.time(), r.tiebreak()));
+        rows.sort_by_key(Row::key);
         rows
     }
 
@@ -436,49 +420,13 @@ mod tests {
         assert_eq!(t.range(TimeWindow::new(ts(1), ts(9))).len(), 5);
     }
 
-    #[test]
-    fn same_instant_rows_keep_arrival_order() {
-        let mut t = Table::default();
-        t.push(TR(ts(5), 1));
-        t.push(TR(ts(1), 0));
-        t.push(TR(ts(5), 2));
-        t.finalize();
-        let got: Vec<u32> = t.all().iter().map(|r| r.1).collect();
-        assert_eq!(got, vec![0, 1, 2]);
-    }
-
-    /// Rows overriding [`Row::tiebreak`] land in canonical `(time,
-    /// tiebreak)` order regardless of arrival order.
-    #[derive(Debug, Clone, PartialEq)]
-    struct CR(Timestamp, u32);
-    impl Row for CR {
-        type Entity = u32;
-        fn time(&self) -> Timestamp {
-            self.0
-        }
-        fn entity(&self) -> u32 {
-            0
-        }
-        fn tiebreak(&self) -> u64 {
-            self.1 as u64
-        }
-    }
-    impl StoredRow for CR {
-        fn encode_cols(rows: &[Self], w: &mut SegWriter) {
-            for r in rows {
-                w.varu(r.1 as u64);
-            }
-        }
-        fn decode_cols(times: &[Timestamp], r: &mut SegReader) -> Vec<Self> {
-            times.iter().map(|&t| CR(t, r.varu() as u32)).collect()
-        }
-    }
-
+    /// Same-instant rows land in canonical `(time, tiebreak)` order
+    /// regardless of arrival order.
     #[test]
     fn same_instant_rows_sort_canonically_with_tiebreak() {
         let mut a = Table::default();
         let mut b = Table::default();
-        let rows = [CR(ts(5), 2), CR(ts(1), 9), CR(ts(5), 1), CR(ts(5), 7)];
+        let rows = [TR(ts(5), 2), TR(ts(1), 9), TR(ts(5), 1), TR(ts(5), 7)];
         for r in rows.iter() {
             a.push(r.clone());
         }

@@ -2,14 +2,17 @@
 //! clock/naming conventions, and table queries agree with full scans.
 
 use grca_collector::segment::{SegReader, SegWriter};
-use grca_collector::{Database, IngestStats, Row, StorageConfig, StoredRow, Table};
+use grca_collector::{
+    decode_segment, encode_segment, Database, IngestStats, Row, StorageConfig, StoredRow, Table,
+};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{RouterId, Topology};
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig};
-use grca_telemetry::records::{RawRecord, SnmpMetric, SnmpSample, SyslogLine};
+use grca_telemetry::records::{CdnMonRecord, RawRecord, SnmpMetric, SnmpSample, SyslogLine};
 use grca_telemetry::syslog::SyslogEvent;
-use grca_types::{TimeWindow, TimeZone, Timestamp};
+use grca_types::{Duration, TimeWindow, TimeZone, Timestamp};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn topo() -> Topology {
     generate(&TopoGenConfig::small())
@@ -115,7 +118,8 @@ proptest! {
     }
 }
 
-/// A minimal stored row: entity `e`, payload `v` as the tiebreak.
+/// A minimal stored row: entity `e` and payload `v`, both in the tiebreak
+/// (rows tying on it are equal).
 #[derive(Debug, Clone, PartialEq)]
 struct TRow {
     t: Timestamp,
@@ -132,7 +136,7 @@ impl Row for TRow {
         self.e
     }
     fn tiebreak(&self) -> u64 {
-        self.v
+        self.v << 32 | self.e as u64
     }
 }
 
@@ -462,5 +466,113 @@ proptest! {
                 prop_assert!(rejects.iter().any(|r| *r), "no re-delivered reject");
             }
         }
+    }
+}
+
+/// A record set dense in same-instant rows: three five-minute SNMP bins,
+/// each with every router's CPU sample under its SNMP system name *and*
+/// under its plain name (two records, the same normalized event) and every
+/// interface's utilization, plus a CDN sample per node and client site.
+fn same_instant_records(topo: &Topology) -> Vec<RawRecord> {
+    let mut out = Vec::new();
+    for bin in 0..3 {
+        let utc = Timestamp::from_unix(1_700_000_100) + Duration::secs(300 * bin);
+        let local_time = TimeZone::US_EASTERN.to_local(utc);
+        let snmp = |system: String, metric, if_index, value| {
+            RawRecord::Snmp(SnmpSample {
+                system: system.into(),
+                local_time,
+                metric,
+                if_index,
+                value,
+            })
+        };
+        for (r, router) in topo.routers.iter().enumerate() {
+            let value = ((r as i64 * 7 + bin) % 100) as f64;
+            for system in [router.snmp_name(), router.name.clone()] {
+                out.push(snmp(system, SnmpMetric::CpuUtil5m, None, value));
+            }
+        }
+        for (i, iface) in topo.interfaces.iter().enumerate() {
+            let system = topo.router(iface.router).snmp_name();
+            let value = (i % 13) as f64;
+            out.push(snmp(
+                system,
+                SnmpMetric::LinkUtil5m,
+                Some(iface.if_index),
+                value,
+            ));
+        }
+        for node in &topo.cdn_nodes {
+            for (c, net) in topo.ext_nets.iter().enumerate() {
+                out.push(RawRecord::CdnMon(CdnMonRecord {
+                    utc,
+                    node: node.name.as_str().into(),
+                    client_addr: net.prefix.host(10),
+                    rtt_ms: 20.0 + c as f64,
+                    throughput_mbps: 100.0,
+                }));
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Canonical order is a pure function of the record set, even where
+    /// nothing but the tiebreak orders rows: the same-instant record set
+    /// above, shuffled and cut into random chunks, ingested into tables of
+    /// tiny segments (so chunks seal, and later chunks reseal them), ends
+    /// up as one-call ingest of the set does, table by table. Sealing keeps
+    /// the tiebreak: a table's rows encode and decode to themselves.
+    #[test]
+    fn same_instant_order_ignores_delivery_order_and_chunking(
+        seed in any::<u64>(),
+        segment_rows in 4usize..=32,
+    ) {
+        let topo = topo();
+        let records = same_instant_records(&topo);
+        let (batch, batch_stats) = Database::ingest(&topo, &records);
+        prop_assert_eq!(batch_stats.total_accepted(), records.len());
+        // Twin records normalize to rows that differ only in their tiebreak.
+        let snmp = batch.snmp.all().to_vec();
+        let mut contents: Vec<_> = snmp
+            .iter()
+            .map(|r| (r.utc, r.router, r.metric as u8, r.iface, r.value.to_bits()))
+            .collect();
+        contents.sort_unstable();
+        let twins = contents.windows(2).filter(|p| p[0] == p[1]).count();
+        prop_assert_eq!(twins, 3 * topo.routers.len());
+
+        let mut rng = rand::StdRng::seed_from_u64(seed);
+        let mut delivery = records.clone();
+        for i in (1..delivery.len()).rev() {
+            delivery.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut db = Database::with_storage(&StorageConfig {
+            segment_rows,
+            cache_segments: 2,
+            ..StorageConfig::default()
+        });
+        let mut stats = IngestStats::default();
+        let mut rest = delivery.as_slice();
+        while !rest.is_empty() {
+            let n = 1 + (rng.next_u64() % 64) as usize;
+            let (chunk, tail) = rest.split_at(n.min(rest.len()));
+            db.ingest_more(&topo, chunk, &mut stats);
+            rest = tail;
+        }
+        let storage = db.storage_stats().expect("segmented");
+        prop_assert!(storage.sealed_segments > 0 && storage.reseals > 0);
+        prop_assert_eq!(db.snmp.all().to_vec(), snmp.clone());
+        prop_assert_eq!(db.cdn.all().to_vec(), batch.cdn.all().to_vec());
+        prop_assert!(db == batch, "some table differs from one-call ingest");
+
+        let (meta, blob) = encode_segment(&snmp);
+        prop_assert_eq!(meta.min_key, snmp[0].key());
+        prop_assert_eq!(meta.max_key, snmp[snmp.len() - 1].key());
+        prop_assert_eq!(decode_segment::<grca_collector::SnmpRow>(&blob).rows, snmp);
     }
 }

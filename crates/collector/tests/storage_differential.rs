@@ -11,8 +11,9 @@ use grca_collector::{Row, StorageConfig, StoredRow, Table};
 use grca_types::{TimeWindow, Timestamp};
 use proptest::prelude::*;
 
-/// A minimal row whose tiebreak is its payload, so equal-time rows have a
-/// deterministic canonical order every table must reproduce bit for bit.
+/// A minimal row whose tiebreak is its payload and entity, so equal-time
+/// rows that differ have a deterministic canonical order every table must
+/// reproduce bit for bit (rows tying on it are equal).
 #[derive(Debug, Clone, PartialEq)]
 struct TRow {
     t: Timestamp,
@@ -29,7 +30,7 @@ impl Row for TRow {
         self.e
     }
     fn tiebreak(&self) -> u64 {
-        self.v
+        self.v << 32 | self.e as u64
     }
 }
 
@@ -64,9 +65,8 @@ fn batches_strategy() -> impl Strategy<Value = Vec<Vec<TRow>>> {
     proptest::collection::vec(proptest::collection::vec(row_strategy(), 0..40), 1..6)
 }
 
-/// The reference: every row pushed, in arrival order, stable-sorted by
-/// `(time, tiebreak)` (so ties keep arrival order); each query is a filter
-/// over it.
+/// The reference: every row pushed, sorted by `(time, tiebreak)`; each
+/// query is a filter over it.
 #[derive(Default)]
 struct Model {
     rows: Vec<TRow>,

@@ -743,6 +743,95 @@ impl Default for TrailingBaseline {
     }
 }
 
+/// `pts`, in time order, with each instant's samples in ascending order of
+/// `digest`, a hash of the whole sample. A [`TrailingBaseline`] judges a
+/// series one sample after another, so which of two samples at one instant
+/// (a fault-driven CDN sample beside the periodic one) comes first can
+/// change a verdict. Taking them by content makes every verdict a function
+/// of the samples alone, not of how a table orders same-instant rows.
+pub(crate) fn by_digest_within_instants<I: IntoIterator>(
+    pts: I,
+    time: impl Fn(&I::Item) -> Timestamp,
+    digest: impl Fn(&I::Item) -> u64,
+) -> impl Iterator<Item = I::Item> {
+    ByDigest {
+        pts: pts.into_iter(),
+        head: None,
+        group: Vec::new(),
+        time,
+        digest,
+    }
+}
+
+/// [`by_digest_within_instants`]: `head` is the sample read past the last
+/// one handed out, `group` an instant's samples still to hand out, last
+/// first.
+struct ByDigest<I: Iterator, T, D> {
+    pts: I,
+    head: Option<I::Item>,
+    group: Vec<I::Item>,
+    time: T,
+    digest: D,
+}
+
+impl<I, T, D> Iterator for ByDigest<I, T, D>
+where
+    I: Iterator,
+    T: Fn(&I::Item) -> Timestamp,
+    D: Fn(&I::Item) -> u64,
+{
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        if let Some(p) = self.group.pop() {
+            return Some(p);
+        }
+        let p = self.head.take().or_else(|| self.pts.next())?;
+        self.head = self.pts.next();
+        match &self.head {
+            Some(q) if (self.time)(q) == (self.time)(&p) => Some(self.gather(p)),
+            _ => Some(p),
+        }
+    }
+}
+
+impl<I, T, D> ByDigest<I, T, D>
+where
+    I: Iterator,
+    T: Fn(&I::Item) -> Timestamp,
+    D: Fn(&I::Item) -> u64,
+{
+    /// `p` and every following sample at its instant into `group`, in
+    /// digest order; the first of them.
+    #[cold]
+    fn gather(&mut self, p: I::Item) -> I::Item {
+        let t = (self.time)(&p);
+        self.group.push(p);
+        while let Some(q) = self.head.take() {
+            if (self.time)(&q) != t {
+                self.head = Some(q);
+                break;
+            }
+            self.group.push(q);
+            self.head = self.pts.next();
+        }
+        // Handed out from the back, so sorted descending.
+        let digest = &self.digest;
+        self.group
+            .sort_unstable_by_key(|q| std::cmp::Reverse(digest(q)));
+        self.group.pop().expect("a group holds two samples")
+    }
+}
+
+/// A sample's digest: `DefaultHasher::new()` has fixed keys, so the value
+/// is the same in every run and process.
+fn sample_digest(f: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    f(&mut h);
+    h.finish()
+}
+
 /// End-to-end probe anomalies relative to the per-pair median baseline.
 fn perf_anomalies(
     def: &EventDefinition,
@@ -761,23 +850,34 @@ fn perf_anomalies(
     }
     let (mut out, mut baseline) = (Vec::new(), TrailingBaseline::default());
     for (pair, pts) in series {
-        perf_pair_events(def, pair, pts, sense, &mut baseline, &mut out);
+        perf_pair_events(def, pair, pts, (metric, sense), &mut baseline, &mut out);
     }
     out
 }
 
 /// Emit one probe pair's anomaly episodes against its trailing-median
-/// baseline, `pts` in time order (shared by both extractors).
+/// baseline, `pts` (one metric's samples) in time order (shared by both
+/// extractors).
 pub(crate) fn perf_pair_events(
     def: &EventDefinition,
     (ingress, egress): (RouterId, RouterId),
     pts: impl IntoIterator<Item = (Timestamp, f64)>,
-    sense: AnomalySense,
+    (metric, sense): (grca_telemetry::records::PerfMetric, AnomalySense),
     baseline: &mut TrailingBaseline,
     out: &mut Vec<EventInstance>,
 ) {
+    use std::hash::Hash;
     baseline.clear();
-    let anomalous = pts.into_iter().filter_map(|(t, v)| {
+    let digest = |&(_, v): &(Timestamp, f64)| {
+        sample_digest(|h| {
+            ingress.hash(h);
+            egress.hash(h);
+            (metric as u8).hash(h);
+            v.to_bits().hash(h);
+        })
+    };
+    let pts = by_digest_within_instants(pts, |p| p.0, digest);
+    let anomalous = pts.filter_map(|(t, v)| {
         let med = baseline.observe(v)?;
         let hit = match sense {
             AnomalySense::Increase => v > 2.0 * med + 0.2,
@@ -823,8 +923,18 @@ pub(crate) fn cdn_pair_events(
     baseline: &mut TrailingBaseline,
     out: &mut Vec<EventInstance>,
 ) {
+    use std::hash::Hash;
     baseline.clear();
-    let anomalous = pts.into_iter().filter_map(|(t, rtt, tput)| {
+    let digest = |&(_, rtt, tput): &(Timestamp, f64, f64)| {
+        sample_digest(|h| {
+            node.hash(h);
+            client.hash(h);
+            rtt.to_bits().hash(h);
+            tput.to_bits().hash(h);
+        })
+    };
+    let pts = by_digest_within_instants(pts, |p| p.0, digest);
+    let anomalous = pts.filter_map(|(t, rtt, tput)| {
         let hit = match (rtt_factor, tput_factor) {
             (Some(f), _) => rtt > f * baseline.observe(rtt)?,
             (None, Some(f)) => tput < baseline.observe(tput)? / f,

@@ -11,7 +11,8 @@
 
 use crate::def::{AnomalySense, EventDefinition, Retrieval, StateSel};
 use crate::extract::{
-    pair_transitions, sort_transitions, ExtractCx, TrailingBaseline, MAX_FLAP_GAP, MERGE_GAP,
+    cdn_pair_events, pair_transitions, sort_transitions, ExtractCx, TrailingBaseline, MAX_FLAP_GAP,
+    MERGE_GAP,
 };
 use crate::instance::EventInstance;
 use crate::singlepass::{merge_runs, pair_parts, run, sort_by_u64, Cut};
@@ -22,8 +23,10 @@ use grca_telemetry::records::{PerfMetric, PerfRecord, RawRecord};
 use grca_types::{Duration, TimeWindow, Timestamp};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 
 /// The trailing median as it was: copy the window and sort it per call.
 struct CopyAndSort {
@@ -107,7 +110,7 @@ fn pair_by_tree<K: Ord + Copy>(
 }
 
 /// The probe finish as it was: a tree of per-pair vectors, each sorted by
-/// instant (stably, so samples at one instant keep row order) and judged
+/// instant and, within one instant, by a digest of the whole row, judged
 /// by the copy-and-sort median, its anomalous instants copied, sorted and
 /// merged.
 fn probe_by_tree<'a>(
@@ -115,26 +118,34 @@ fn probe_by_tree<'a>(
     rows: impl IntoIterator<Item = &'a PerfRow>,
     sense: AnomalySense,
 ) -> Vec<EventInstance> {
-    let mut series: BTreeMap<(RouterId, RouterId), Vec<(Timestamp, f64)>> = BTreeMap::new();
+    let digest = |r: &PerfRow| {
+        let mut h = DefaultHasher::new();
+        r.ingress.hash(&mut h);
+        r.egress.hash(&mut h);
+        (r.metric as u8).hash(&mut h);
+        r.value.to_bits().hash(&mut h);
+        h.finish()
+    };
+    let mut series: BTreeMap<(RouterId, RouterId), Vec<&PerfRow>> = BTreeMap::new();
     for row in rows {
         series
             .entry((row.ingress, row.egress))
             .or_default()
-            .push((row.utc, row.value));
+            .push(row);
     }
     let mut out = Vec::new();
     for ((ingress, egress), mut pts) in series {
-        pts.sort_by_key(|(t, _)| *t);
+        pts.sort_by_key(|r| (r.utc, digest(r)));
         let mut baseline = CopyAndSort::new(50, 4);
         let mut anomalous: Vec<Timestamp> = pts
             .iter()
-            .filter_map(|(t, v)| {
-                let med = baseline.observe(*v)?;
+            .filter_map(|r| {
+                let med = baseline.observe(r.value)?;
                 let hit = match sense {
-                    AnomalySense::Increase => *v > 2.0 * med + 0.2,
-                    AnomalySense::Drop => *v < 0.5 * med,
+                    AnomalySense::Increase => r.value > 2.0 * med + 0.2,
+                    AnomalySense::Drop => r.value < 0.5 * med,
                 };
-                hit.then_some(*t)
+                hit.then_some(r.utc)
             })
             .collect();
         anomalous.sort();
@@ -323,8 +334,8 @@ proptest! {
 
     /// The probe finish emits what the tree of per-pair vectors emitted,
     /// pair by pair in pair order. Pairs are sampled more than once at one
-    /// instant (with different values, so both rows are kept), and only a
-    /// stable grouping keeps those in row order.
+    /// instant (with different values, so both rows are kept), and only
+    /// digest order within an instant judges those as the tree does.
     #[test]
     fn probe_finish_equals_the_tree_of_pairs(
         samples in vec((0usize..4, 0i64..80, value()), 1..=300),
@@ -351,5 +362,33 @@ proptest! {
         let cx = ExtractCx::new(topo, &db, None);
         let finished = run(&[&def], &cx, Cut::Full).remove(0);
         prop_assert_eq!(finished, probe_by_tree(&def, &db.perf.all(), sense));
+    }
+
+    /// A CDN pair's verdicts do not depend on the order its samples at
+    /// one instant arrive in (a table leaves that order to fingerprints):
+    /// the finish judges one instant's samples in digest order. Instants
+    /// from a short range, so most repeat.
+    #[test]
+    fn cdn_verdicts_ignore_same_instant_order(
+        samples in vec((0i64..30, value(), value()), 1..=200),
+        rtt in any::<bool>(),
+    ) {
+        let mut pts: Vec<(Timestamp, f64, f64)> = samples
+            .into_iter()
+            .map(|(bin, rtt, tput)| (Timestamp::from_unix(300 * bin), rtt, tput))
+            .collect();
+        pts.sort_by_key(|p| p.0);
+        let mut reversed = pts.clone();
+        reversed.chunk_by_mut(|a, b| a.0 == b.0).for_each(<[_]>::reverse);
+        let (retrieval, factors) = if rtt {
+            (Retrieval::CdnRttIncrease { rtt_factor: 2.0 }, (Some(2.0), None))
+        } else {
+            (Retrieval::CdnThroughputDrop { tput_factor: 2.0 }, (None, Some(2.0)))
+        };
+        let def = EventDefinition::new("cdn", LocationType::ServerClient, retrieval, "t", "cdn");
+        let (mut baseline, mut want, mut got) = (TrailingBaseline::default(), Vec::new(), Vec::new());
+        cdn_pair_events(&def, (0, 1), pts, factors, &mut baseline, &mut want);
+        cdn_pair_events(&def, (0, 1), reversed, factors, &mut baseline, &mut got);
+        prop_assert_eq!(got, want);
     }
 }

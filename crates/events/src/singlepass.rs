@@ -930,7 +930,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         let memo = memo.as_deref_mut().map(|m| &mut m.perf);
         let parts = gather(&cx.db.perf, after(T_PERF), memo, &want, collect);
         let mut baseline = TrailingBaseline::default();
-        for (k, &(slot, (_, sense))) in perf.iter().enumerate() {
+        for (k, &(slot, kind)) in perf.iter().enumerate() {
             if !want(slot) {
                 continue;
             }
@@ -938,7 +938,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             let parts = parts.iter().map(|p| &p[k][..]);
             merge_runs(&mut cursors, parts, pair, |&(ingress, egress, ..), runs| {
                 let series = runs.flatten().map(|&(.., utc, value)| (utc, value));
-                perf_pair_events(def, (ingress, egress), series, sense, &mut baseline, out);
+                perf_pair_events(def, (ingress, egress), series, kind, &mut baseline, out);
             });
         }
     }
