@@ -2,9 +2,12 @@
 //!
 //! §IV-B screens one symptom series against 3361 candidates over three
 //! months of 5-minute bins (~26k bins). These benches measure one NICE
-//! test at that scale and the per-candidate cost of a screening sweep.
+//! test at that scale and a whole screening sweep at the candidate count
+//! of the paper's vocabulary. That the sparse screens equal the dense
+//! reference is `eval/tests/screening_differential.rs`'s job.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use grca_core::discovery::{screen, screen_parallel};
 use grca_correlation::{CorrelationTester, EventSeries};
 use grca_types::{Duration, Timestamp};
 use std::hint::black_box;
@@ -57,6 +60,22 @@ fn bench_nice(c: &mut Criterion) {
     let diag = series(n, 53, 1);
     g.bench_function("nice_test_30d_5min", |b| {
         b.iter(|| black_box(tester.test(&sym, &diag)))
+    });
+
+    // The §IV-B sweep: one month of 5-minute bins screened against 3,350
+    // sparse candidates (the paper's 2,533 syslog + 831 workflow types),
+    // sequentially and on the work-stealing pool.
+    let n = 30 * 288 + 1;
+    let sym = series(n, 97, 0);
+    let candidates: Vec<(String, EventSeries)> = (0..3350)
+        .map(|i| (format!("candidate-{i}"), series(n, 40 + i % 360, i % 37)))
+        .collect();
+    g.bench_function("screen_3350_candidates_30d", |b| {
+        b.iter(|| black_box(screen(&tester, &sym, &candidates)))
+    });
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    g.bench_function("screen_parallel_3350_candidates_30d", |b| {
+        b.iter(|| black_box(screen_parallel(&tester, &sym, &candidates, threads)))
     });
     g.finish();
 }

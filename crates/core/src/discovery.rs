@@ -245,8 +245,9 @@ pub fn screen_parallel(
 
 /// [`screen`] driven by the pre-overhaul dense tester
 /// ([`CorrelationTester::test_dense`]): the `O(shifts × n)`-per-pair
-/// sequential path, kept live as the differential baseline for
-/// `exp_perf_mining` and the eval-corpus equivalence tests.
+/// sequential path, kept live as the differential baseline of
+/// `eval/tests/screening_differential.rs`; `bench_correlation` times the
+/// sparse screens it is checked against.
 pub fn screen_baseline(
     tester: &CorrelationTester,
     symptom: &EventSeries,

@@ -22,8 +22,9 @@
 //!   would cost more than the shift loop it replaces.
 //! * [`CorrelationTester::test_dense`] — the pre-overhaul reference:
 //!   rebuilds the shifted vector and recomputes Pearson from scratch for
-//!   every shift, `O(shifts × n)`. Kept live for differential tests and
-//!   honest benchmarking (`exp_perf_mining`).
+//!   every shift, `O(shifts × n)`. Kept live for the differential tests
+//!   (`eval/tests/screening_differential.rs`) and the dense-reference case
+//!   of `bench_correlation`.
 //!
 //! Scores agree to floating-point noise (the sparse path sums exact
 //! integer cross terms; the dense path accumulates centered products),
