@@ -16,8 +16,8 @@
 //!   tolerance. The kill schedule draws no randomness, so one replay per
 //!   scenario suffices.
 //!
-//! Writes `results/BENCH_rca_chaos.json` (per-replay counters and wall
-//! times) and `results/EVAL_chaos.json` (the invariant verdicts and the
+//! Writes `results/BENCH_rca_chaos.json` (per-replay counters) and
+//! `results/EVAL_chaos.json` (the invariant verdicts and the
 //! documented tolerance), then exits non-zero if any invariant failed —
 //! the experiments job runs this as a gate. Pass `--smoke` for a small
 //! fast subset (CI bench-smoke) that asserts but does not rewrite the
@@ -33,7 +33,6 @@ use grca_eval::corpus::{corpus, GoldenScenario, TopoPreset};
 use grca_eval::Mutation;
 use grca_simnet::FeedChaos;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct ReplayMetrics {
@@ -46,7 +45,6 @@ struct ReplayMetrics {
     amendments: usize,
     interim_degraded: usize,
     state_peak: usize,
-    wall_s: f64,
 }
 
 #[derive(Serialize)]
@@ -96,13 +94,11 @@ fn main() {
             for op in eventual_ops(s.study, cycles) {
                 chaos = chaos.with(op);
             }
-            let t0 = Instant::now();
             let run = run_chaos(s, &chaos, &opts);
-            let wall = t0.elapsed().as_secs_f64();
             let v = check_convergence(&run);
             println!(
                 "{:<24} eventual seed={seed:<4} cycles={:<4} emissions={:<5} amends={:<4} \
-                 identical={} accounting={} ({wall:.1}s)",
+                 identical={} accounting={}",
                 s.name, v.cycles, v.emissions, v.amendments, v.identical, v.accounting_exact
             );
             bench.push(ReplayMetrics {
@@ -115,7 +111,6 @@ fn main() {
                 amendments: run.amendments,
                 interim_degraded: run.interim_degraded,
                 state_peak: run.state_trace.iter().copied().max().unwrap_or(0),
-                wall_s: wall,
             });
             convergence.push(v);
         }
@@ -124,13 +119,11 @@ fn main() {
         for op in lossy_ops(s.study, cycles) {
             chaos = chaos.with(op);
         }
-        let t0 = Instant::now();
         let run = run_chaos(s, &chaos, &opts);
-        let wall = t0.elapsed().as_secs_f64();
         let d = check_degradation(&run);
         println!(
             "{:<24} lossy    kill={:<9} affected={:<4} flagged={} wrong_confident={} \
-             degraded_acc={:.2} ({wall:.1}s)",
+             degraded_acc={:.2}",
             s.name,
             d.killed_feed,
             d.affected,
@@ -148,7 +141,6 @@ fn main() {
             amendments: run.amendments,
             interim_degraded: run.interim_degraded,
             state_peak: run.state_trace.iter().copied().max().unwrap_or(0),
-            wall_s: wall,
         });
         degradation.push(d);
     }

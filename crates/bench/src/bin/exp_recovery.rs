@@ -35,7 +35,7 @@
 //! for a two-scenario subset (CI bench-smoke) that asserts but does not
 //! rewrite the committed artifact. Replay-to-caught-up distance is
 //! reported per case as `replayed_cycles` (cycles re-executed between
-//! restore point and crash point) alongside the restart wall-clock.
+//! restore point and crash point).
 
 use grca_bench::{results_dir, schema};
 use grca_collector::DurableStore;
@@ -49,7 +49,6 @@ use grca_simnet::{FeedChaos, KillSwitch};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The committed metric contract for `BENCH_rca_recovery.json`.
 const SCHEMA: &str = include_str!(concat!(
@@ -84,9 +83,6 @@ struct CaseResult {
     /// Cycles re-executed between restore and crash point — the
     /// replay-to-caught-up distance.
     replayed_cycles: u64,
-    /// Wall-clock of the restart child (rebuild + restore + replay +
-    /// run to completion).
-    restart_wall_secs: f64,
 }
 
 #[derive(Serialize)]
@@ -262,8 +258,8 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     println!(
-        "{:<22} {:>5} {:>16} {:>6} {:>6} {:>5} {:>7} {:>7} {:>9}",
-        "scenario", "seed", "kill", "ref", "raw", "dups", "resume", "replay", "restart s"
+        "{:<22} {:>5} {:>16} {:>6} {:>6} {:>5} {:>7} {:>7}",
+        "scenario", "seed", "kill", "ref", "raw", "dups", "resume", "replay"
     );
     for name in &names {
         for &seed in seeds {
@@ -296,12 +292,10 @@ fn main() {
                 }
                 let killed = !crash.status.success();
 
-                let (resumed_from, restart_wall_secs) = if killed {
-                    let t0 = Instant::now();
+                let resumed_from = if killed {
                     let restart = child_cmd(name, days, seed, &run_dir, &j_restart, None)
                         .output()
                         .expect("spawn restart child");
-                    let wall = t0.elapsed().as_secs_f64();
                     assert!(
                         restart.status.success(),
                         "{name}/{seed}/{kill_str}: restart child failed"
@@ -313,9 +307,9 @@ fn main() {
                         .expect("restart child printed no RESUMED_FROM")
                         .parse()
                         .expect("parse RESUMED_FROM");
-                    (u64::try_from(resumed).ok(), wall)
+                    u64::try_from(resumed).ok()
                 } else {
-                    (None, 0.0)
+                    None
                 };
 
                 let mut all = read_journal(&j_crash);
@@ -341,10 +335,9 @@ fn main() {
                     exactly_once: v.exactly_once,
                     resumed_from: v.resumed_from.map_or(-1, |c| c as i64),
                     replayed_cycles: v.replayed_cycles,
-                    restart_wall_secs,
                 };
                 println!(
-                    "{:<22} {:>5} {:>16} {:>6} {:>6} {:>5} {:>7} {:>7} {:>9.2}",
+                    "{:<22} {:>5} {:>16} {:>6} {:>6} {:>5} {:>7} {:>7}",
                     case.scenario,
                     case.chaos_seed,
                     case.kill,
@@ -352,8 +345,7 @@ fn main() {
                     case.recovered_raw,
                     case.duplicates,
                     case.resumed_from,
-                    case.replayed_cycles,
-                    case.restart_wall_secs
+                    case.replayed_cycles
                 );
                 if !case.killed {
                     failures.push(format!("{name}/{seed}/{kill_str}: kill never fired"));
