@@ -6,9 +6,9 @@
 //! verify the Fig. 8 classifications (single flap -> interface issue;
 //! card burst -> line-card issue) never change.
 
+use crate::{json, Output};
 use grca_apps::bgp::{self, classes};
-use grca_bench::save_json;
-use grca_core::bayes::{BayesModel, ClassSpec, FeatureRatio, Fuzzy};
+use grca_core::bayes::BayesModel;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,49 +19,20 @@ struct Point {
     stable: bool,
 }
 
-/// Rebuild the Fig. 8 model with every log-ratio scaled by `k`.
-fn scaled_model(k: f64) -> ScaledModel {
-    ScaledModel {
-        inner: bgp::bayes_model(),
-        k,
-    }
+/// The model's verdict on `group` with every log-ratio scaled by `k`.
+/// The engine exposes fuzzy levels, not raw floats; emulate the
+/// perturbation by replicating observations k times (k*log-ratio), which
+/// is exactly a uniform exponent on every likelihood term.
+fn classify_scaled(model: &BayesModel, group: &[Vec<(String, bool)>], k: f64) -> String {
+    let reps = (k * 4.0).round().max(1.0) as usize;
+    let expanded: Vec<Vec<(String, bool)>> = group
+        .iter()
+        .flat_map(|obs| std::iter::repeat_n(obs.clone(), reps))
+        .collect();
+    model.classify_group(&expanded)[0].name.clone()
 }
 
-struct ScaledModel {
-    inner: BayesModel,
-    k: f64,
-}
-
-impl ScaledModel {
-    fn classify_group(&self, group: &[Vec<(String, bool)>]) -> String {
-        // Scale by exponentiating each fuzzy ratio: ratio^k == k*log-ratio.
-        let classes: Vec<ClassSpec> = self
-            .inner
-            .classes
-            .iter()
-            .map(|c| {
-                let mut spec = ClassSpec::new(c.name.clone(), c.prior);
-                for (f, r) in &c.features {
-                    spec = spec.feature(f.clone(), *r);
-                }
-                spec
-            })
-            .collect();
-        // The engine exposes fuzzy levels, not raw floats; emulate the
-        // perturbation by replicating observations k times (k*log-ratio),
-        // which is exactly a uniform exponent on every likelihood term.
-        let reps = (self.k * 4.0).round().max(1.0) as usize;
-        let expanded: Vec<Vec<(String, bool)>> = group
-            .iter()
-            .flat_map(|obs| std::iter::repeat_n(obs.clone(), reps))
-            .collect();
-        BayesModel::new(classes).classify_group(&expanded)[0]
-            .name
-            .clone()
-    }
-}
-
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let single = vec![vec![
         ("interface-flap".to_string(), true),
         ("line-protocol-flap".to_string(), true),
@@ -81,10 +52,10 @@ fn main() {
         "{:>7} {:>22} {:>22} {:>8}",
         "scale", "single flap", "card burst", "stable"
     );
+    let model = bgp::bayes_model();
     for k in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let m = scaled_model(k);
-        let s = m.classify_group(&single);
-        let b = m.classify_group(&burst);
+        let s = classify_scaled(&model, &single, k);
+        let b = classify_scaled(&model, &burst, k);
         let stable = s == classes::INTERFACE_ISSUE && b == classes::LINE_CARD_ISSUE;
         println!("{k:>7} {s:>22} {b:>22} {stable:>8}");
         points.push(Point {
@@ -93,13 +64,12 @@ fn main() {
             burst_class: b,
             stable,
         });
-        let _ = FeatureRatio::supports(Fuzzy::Low);
     }
     let all_stable = points.iter().all(|p| p.stable);
     println!(
         "\nclassification stable across a 16x parameter range: {all_stable} \
          (the paper's insensitivity claim)"
     );
-    save_json("exp_ablation_bayes", &points);
     assert!(all_stable);
+    vec![("exp_ablation_bayes.json", json(&points))]
 }

@@ -6,8 +6,9 @@
 //! joins (endpoint-only, no path knowledge) and to `exact` joins (no
 //! model at all), showing the accuracy the dependency model contributes.
 
+use crate::{json, Output};
 use grca_apps::{pim, report, run_app, Study};
-use grca_bench::{fixture, save_json};
+use grca_bench::fixture;
 use grca_net_model::gen::TopoGenConfig;
 use grca_net_model::JoinLevel;
 use grca_simnet::FaultRates;
@@ -20,7 +21,7 @@ struct Point {
     unknown_pct: f64,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let fx = fixture(&TopoGenConfig::default(), 14, 5, FaultRates::pim_study());
     let defs = pim::event_definitions();
     let mut points = Vec::new();
@@ -74,5 +75,5 @@ fn main() {
         100.0 * points[0].accuracy,
         100.0 * points[2].accuracy
     );
-    save_json("exp_ablation_joinlevel", &points);
+    vec![("exp_ablation_joinlevel.json", json(&points))]
 }

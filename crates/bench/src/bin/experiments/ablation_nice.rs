@@ -9,7 +9,7 @@
 //! each series' burst structure under every shift — stays quiet. On
 //! genuinely causal pairs both fire.
 
-use grca_bench::save_json;
+use crate::{json, Output};
 use grca_correlation::{pearson, CorrelationTester, EventSeries};
 use grca_types::{Duration, Timestamp};
 use serde::Serialize;
@@ -79,7 +79,7 @@ struct Result {
     nice_true_positives: usize,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let n = 4000;
     let pairs = 40;
     let nice = CorrelationTester::default();
@@ -139,16 +139,6 @@ fn main() {
          nominal 3-sigma rate is ~0.1%), while both catch genuine coupling \
          — the paper's reason for adopting NICE"
     );
-    save_json(
-        "exp_ablation_nice",
-        &Result {
-            pairs,
-            naive_false_positives: naive_fp,
-            nice_false_positives: nice_fp,
-            naive_true_positives: naive_tp,
-            nice_true_positives: nice_tp,
-        },
-    );
     // At a 3-sigma threshold the nominal false-positive rate is ~0.1%;
     // the naive null inflates it two orders of magnitude on bursty series.
     assert!(
@@ -167,4 +157,12 @@ fn main() {
         naive_fp > 4 * nice_fp.max(1),
         "NICE must clearly beat the naive null"
     );
+    let result = Result {
+        pairs,
+        naive_false_positives: naive_fp,
+        nice_false_positives: nice_fp,
+        naive_true_positives: naive_tp,
+        nice_true_positives: nice_tp,
+    };
+    vec![("exp_ablation_nice.json", json(&result))]
 }

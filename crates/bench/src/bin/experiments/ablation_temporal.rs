@@ -11,8 +11,8 @@
 //! hold timer then misses every hold-timer-expiry flap; an enormous
 //! margin starts joining unrelated events.
 
+use crate::{json, Output};
 use grca_apps::{report, run_app, Study};
-use grca_bench::save_json;
 use grca_core::{DiagnosisGraph, DiagnosisRule, ExpandOption, Expansion, TemporalRule};
 use grca_events::names as ev;
 use grca_net_model::gen::TopoGenConfig;
@@ -59,7 +59,7 @@ fn graph_with_margin(x: i64) -> DiagnosisGraph {
     g
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     // BGP fast external fallover is *off by default* on real routers; the
     // hold timer is then the normal flap mechanism. Longer outages make
     // most interface failures outlast the timer.
@@ -123,5 +123,5 @@ fn main() {
         at(185) + 0.005 >= at(3600),
         "an enormous margin must not beat the timer value"
     );
-    save_json("exp_ablation_temporal", &points);
+    vec![("exp_ablation_temporal.json", json(&points))]
 }

@@ -7,8 +7,9 @@
 //! recomputation, not cause) are demoted. This experiment sweeps the
 //! confounder strength and reports accuracy with and without the guard.
 
+use crate::{json, Output};
 use grca_apps::{bgp, report, Study};
-use grca_bench::{fixture_with, save_json};
+use grca_bench::fixture_with;
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::FaultRates;
 use serde::Serialize;
@@ -21,7 +22,7 @@ struct Point {
     demoted: usize,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let mut points = Vec::new();
     println!(
         "{:>12} {:>12} {:>11} {:>9}",
@@ -61,5 +62,5 @@ fn main() {
         "\nguard gains {:.1} accuracy points at confounder 0.8, costs nothing at 0.0",
         100.0 * (p_hi.accuracy_guarded - p_hi.accuracy_unguarded)
     );
-    save_json("exp_ext_cyclic", &points);
+    vec![("exp_ext_cyclic.json", json(&points))]
 }

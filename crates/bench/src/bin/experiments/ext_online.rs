@@ -6,8 +6,9 @@
 //! diagnosis latency: how long after a symptom occurs its verdict is
 //! emitted (bounded by the watermark hold-back derived from the graph).
 
+use crate::{json, Output};
 use grca_apps::Study;
-use grca_bench::{fixture, save_json};
+use grca_bench::fixture;
 use grca_eval::{labels, Cadence, Replay};
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::{FaultRates, FeedChaos, MicroBatches};
@@ -23,7 +24,7 @@ struct Result {
     batches: usize,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let fx = fixture(&TopoGenConfig::small(), 5, 61, FaultRates::bgp_study());
     let batch = Study::Bgp.run(&fx.topo, &fx.db).expect("valid app");
 
@@ -77,14 +78,12 @@ fn main() {
     );
     assert!(matches, "streaming must equal batch");
     assert!(max_latency <= hold_back + Duration::hours(1) + Duration::mins(5));
-    save_json(
-        "exp_ext_online",
-        &Result {
-            symptoms: streamed.len(),
-            matches_batch: matches,
-            hold_back_secs: hold_back.as_secs(),
-            max_latency_secs: max_latency.as_secs(),
-            batches: n_batches,
-        },
-    );
+    let result = Result {
+        symptoms: streamed.len(),
+        matches_batch: matches,
+        hold_back_secs: hold_back.as_secs(),
+        max_latency_secs: max_latency.as_secs(),
+        batches: n_batches,
+    };
+    vec![("exp_ext_online.json", json(&result))]
 }

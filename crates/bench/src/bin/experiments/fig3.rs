@@ -1,6 +1,7 @@
 //! E3 — Fig. 3: the three temporal expanding options, plus the worked
 //! example of §II-C (the eBGP flap / interface flap join).
 
+use crate::Output;
 use grca_core::{ExpandOption, Expansion, TemporalRule};
 use grca_types::{TimeWindow, Timestamp};
 
@@ -14,7 +15,7 @@ fn show(opt: ExpandOption, x: i64, y: i64, w: TimeWindow) {
     );
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let w = TimeWindow::new(Timestamp(1000), Timestamp(2000));
     println!("expanding options over the raw window {w}:");
     show(ExpandOption::StartEnd, 5, 5, w);
@@ -50,4 +51,5 @@ fn main() {
         TimeWindow::new(Timestamp(895), Timestamp(906))
     );
     println!("\nassertions passed: expansion arithmetic matches the paper exactly");
+    Vec::new()
 }

@@ -8,8 +8,8 @@
 //! at reduced candidate-set scale (documented in EXPERIMENTS.md) and also
 //! serve as ablation A2.
 
+use crate::{json, Output};
 use grca_apps::bgp;
-use grca_bench::save_json;
 use grca_core::browser::location_routers;
 use grca_core::discovery::{screen_parallel, symptom_series, CandidateCache, SeriesGrid};
 use grca_correlation::CorrelationTester;
@@ -37,7 +37,7 @@ struct Result {
 
 const PROVISIONING: &str = "workflow:provision-customer-port";
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     // Three months, as in the paper; busy provisioning systems; a small
     // set of buggy routers.
     let mut rates = FaultRates::bgp_study();
@@ -136,29 +136,27 @@ fn main() {
         }
     );
 
-    save_json(
-        "exp_fig7_mining",
-        &Result {
-            candidates: candidates.len(),
-            testable: screening.hits.len(),
-            skipped: screening.skipped.len(),
-            cpu_related_flaps: cpu_related.len(),
-            all_flaps: all.len(),
-            significant_filtered: sig.len(),
-            provisioning_score_filtered: sf,
-            provisioning_significant_filtered: okf,
-            provisioning_score_unfiltered: su,
-            provisioning_significant_unfiltered: oku,
-            top_filtered: screening
-                .hits
-                .iter()
-                .take(10)
-                .map(|h| (h.name.clone(), h.result.score))
-                .collect(),
-        },
-    );
     assert!(
         okf,
         "the planted provisioning correlation must be discovered"
     );
+    let result = Result {
+        candidates: candidates.len(),
+        testable: screening.hits.len(),
+        skipped: screening.skipped.len(),
+        cpu_related_flaps: cpu_related.len(),
+        all_flaps: all.len(),
+        significant_filtered: sig.len(),
+        provisioning_score_filtered: sf,
+        provisioning_significant_filtered: okf,
+        provisioning_score_unfiltered: su,
+        provisioning_significant_unfiltered: oku,
+        top_filtered: screening
+            .hits
+            .iter()
+            .take(10)
+            .map(|h| (h.name.clone(), h.result.score))
+            .collect(),
+    };
+    vec![("exp_fig7_mining.json", json(&result))]
 }

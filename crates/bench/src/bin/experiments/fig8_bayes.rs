@@ -9,8 +9,8 @@
 //! Ours: one PE with ~150 sessions on large cards, a planted crash amid a
 //! month of ordinary faults, both engines compared.
 
+use crate::{json, Output};
 use grca_apps::bgp;
-use grca_bench::save_json;
 use grca_collector::Database;
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig, Sim};
@@ -26,7 +26,7 @@ struct Result {
     crash_recovered: bool,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let topo_cfg = TopoGenConfig {
         sessions_per_pe: 150,
         ports_per_card: 192,
@@ -76,38 +76,30 @@ fn main() {
 
     // Joint Bayesian inference over card-grouped bursts.
     let findings = bgp::analyze_card_groups(&topo, &run.diagnoses, Duration::mins(5), 10);
-    let hit = findings.iter().find(|f| f.card == card);
-    match hit {
-        Some(f) => {
-            println!(
-                "Bayesian engine: {} flaps on {} distinct sessions, all on {}, \
-                 classified {} (paper: 133 flaps, 125 sessions, line-card issue)",
-                f.members.len(),
-                f.sessions,
-                grca_net_model::Location::LineCard(f.card).display(&topo),
-                f.bayes_class
-            );
-            let ok = f.bayes_class == bgp::classes::LINE_CARD_ISSUE;
-            println!(
-                "\n=> unobservable root cause {}",
-                if ok {
-                    "RECOVERED by joint inference"
-                } else {
-                    "NOT recovered"
-                }
-            );
-            save_json(
-                "exp_fig8_bayes",
-                &Result {
-                    burst_flaps: f.members.len(),
-                    burst_sessions: f.sessions,
-                    rule_based_label: "interface-flap".to_string(),
-                    bayes_class: f.bayes_class.clone(),
-                    crash_recovered: ok,
-                },
-            );
-            assert!(ok);
-        }
-        None => panic!("burst on the crashed card was not grouped"),
-    }
+    let f = findings
+        .iter()
+        .find(|f| f.card == card)
+        .expect("burst on the crashed card was not grouped");
+    println!(
+        "Bayesian engine: {} flaps on {} distinct sessions, all on {}, \
+         classified {} (paper: 133 flaps, 125 sessions, line-card issue)",
+        f.members.len(),
+        f.sessions,
+        grca_net_model::Location::LineCard(f.card).display(&topo),
+        f.bayes_class
+    );
+    let ok = f.bayes_class == bgp::classes::LINE_CARD_ISSUE;
+    assert!(
+        ok,
+        "unobservable root cause NOT recovered by joint inference"
+    );
+    println!("\n=> unobservable root cause RECOVERED by joint inference");
+    let result = Result {
+        burst_flaps: f.members.len(),
+        burst_sessions: f.sessions,
+        rule_based_label: "interface-flap".to_string(),
+        bayes_class: f.bayes_class.clone(),
+        crash_recovered: ok,
+    };
+    vec![("exp_fig8_bayes.json", json(&result))]
 }

@@ -16,18 +16,16 @@
 //!   tolerance. The kill schedule draws no randomness, so one replay per
 //!   scenario suffices.
 //!
-//! Writes `results/BENCH_rca_chaos.json` (per-replay counters) and
-//! `results/EVAL_chaos.json` (the invariant verdicts and the
-//! documented tolerance), then exits non-zero if any invariant failed —
-//! the experiments job runs this as a gate. Pass `--smoke` for a small
-//! fast subset (CI bench-smoke) that asserts but does not rewrite the
-//! committed artifacts.
+//! Returns `results/BENCH_rca_chaos.json` (per-replay counters) and
+//! `results/EVAL_chaos.json` (the invariant verdicts and the documented
+//! tolerance), and panics if any invariant failed. The smoke
+//! configuration is a two-scenario subset at one seed.
 
+use crate::{json, Output};
 use grca_apps::Study;
-use grca_bench::save_json;
 use grca_eval::chaos::{
-    check_convergence, check_degradation, eventual_ops, lossy_ops, run_chaos, ChaosRunOpts,
-    ConvergenceVerdict, DegradationVerdict, CHAOS_SEEDS, DEGRADED_LABEL_TOLERANCE,
+    check_convergence, check_degradation, eventual_ops, lossy_ops, run_chaos, ChaosRun,
+    ChaosRunOpts, ConvergenceVerdict, DegradationVerdict, CHAOS_SEEDS, DEGRADED_LABEL_TOLERANCE,
 };
 use grca_eval::corpus::{corpus, GoldenScenario, TopoPreset};
 use grca_eval::Mutation;
@@ -45,6 +43,22 @@ struct ReplayMetrics {
     amendments: usize,
     interim_degraded: usize,
     state_peak: usize,
+}
+
+impl ReplayMetrics {
+    fn new(suite: &'static str, run: &ChaosRun) -> Self {
+        ReplayMetrics {
+            scenario: run.scenario.clone(),
+            suite,
+            chaos_seed: run.chaos_seed,
+            cycles: run.cycles,
+            delivered_records: run.delivered_records,
+            emissions: run.emissions_total,
+            amendments: run.amendments,
+            interim_degraded: run.interim_degraded,
+            state_peak: run.state_trace.iter().copied().max().unwrap_or(0),
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -73,8 +87,7 @@ fn smoke_corpus() -> Vec<GoldenScenario> {
     ]
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(smoke: bool) -> Output {
     let scenarios = if smoke { smoke_corpus() } else { corpus() };
     let conv_seeds: &[u64] = if smoke {
         &CHAOS_SEEDS[..1]
@@ -101,17 +114,7 @@ fn main() {
                  identical={} accounting={}",
                 s.name, v.cycles, v.emissions, v.amendments, v.identical, v.accounting_exact
             );
-            bench.push(ReplayMetrics {
-                scenario: s.name.to_string(),
-                suite: "eventual",
-                chaos_seed: seed,
-                cycles: run.cycles,
-                delivered_records: run.delivered_records,
-                emissions: run.emissions_total,
-                amendments: run.amendments,
-                interim_degraded: run.interim_degraded,
-                state_peak: run.state_trace.iter().copied().max().unwrap_or(0),
-            });
+            bench.push(ReplayMetrics::new("eventual", &run));
             convergence.push(v);
         }
 
@@ -131,45 +134,31 @@ fn main() {
             d.wrong_confident,
             d.degraded_label_accuracy
         );
-        bench.push(ReplayMetrics {
-            scenario: s.name.to_string(),
-            suite: "lossy",
-            chaos_seed: CHAOS_SEEDS[0],
-            cycles: run.cycles,
-            delivered_records: run.delivered_records,
-            emissions: run.emissions_total,
-            amendments: run.amendments,
-            interim_degraded: run.interim_degraded,
-            state_peak: run.state_trace.iter().copied().max().unwrap_or(0),
-        });
+        bench.push(ReplayMetrics::new("lossy", &run));
         degradation.push(d);
     }
 
     let conv_fail = convergence.iter().filter(|v| !v.pass()).count();
     let deg_fail = degradation.iter().filter(|d| !d.pass()).count();
-    let (conv_total, deg_total) = (convergence.len(), degradation.len());
-
-    if !smoke {
-        save_json("BENCH_rca_chaos", &bench);
-        save_json(
-            "EVAL_chaos",
-            &ChaosEval {
-                version: 1,
-                degraded_label_tolerance: DEGRADED_LABEL_TOLERANCE,
-                convergence,
-                degradation,
-            },
-        );
-    }
-
-    if conv_fail + deg_fail > 0 {
-        eprintln!(
-            "chaos gate FAILED: {conv_fail} convergence and {deg_fail} degradation violation(s)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "chaos gate PASSED: {conv_total} convergence replays identical to batch, \
-         {deg_total} kill replays degraded gracefully (tolerance {DEGRADED_LABEL_TOLERANCE})"
+    assert_eq!(
+        conv_fail + deg_fail,
+        0,
+        "chaos gate FAILED: {conv_fail} convergence and {deg_fail} degradation violation(s)"
     );
+    println!(
+        "chaos gate PASSED: {} convergence replays identical to batch, \
+         {} kill replays degraded gracefully (tolerance {DEGRADED_LABEL_TOLERANCE})",
+        convergence.len(),
+        degradation.len()
+    );
+    let eval = ChaosEval {
+        version: 1,
+        degraded_label_tolerance: DEGRADED_LABEL_TOLERANCE,
+        convergence,
+        degradation,
+    };
+    vec![
+        ("BENCH_rca_chaos.json", json(&bench)),
+        ("EVAL_chaos.json", json(&eval)),
+    ]
 }

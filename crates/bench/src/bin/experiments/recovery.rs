@@ -1,6 +1,6 @@
 //! E19 — crash-recovery kill matrix for the checkpointed online pipeline.
 //!
-//! For every golden scenario × chaos seed, the harness re-executes itself
+//! For every golden scenario × chaos seed, the runner re-executes itself
 //! as a **child process** running the durable online pipeline
 //! ([`grca_eval::run_attempt`]) with a [`KillSwitch`] armed from the
 //! environment. The child `abort()`s at its kill point — no destructors,
@@ -30,14 +30,15 @@
 //! (before, temp-written, rotated, after) — five per seed, crossing the
 //! whole crash-consistency surface including torn manifest rotations.
 //!
-//! Writes `results/BENCH_rca_recovery.json`, validated against the
-//! committed `results/BENCH_rca_recovery.schema.json`. Pass `--smoke`
-//! for a two-scenario subset (CI bench-smoke) that asserts but does not
-//! rewrite the committed artifact. Replay-to-caught-up distance is
+//! Returns `results/BENCH_rca_recovery.json`, validated against the
+//! committed `results/BENCH_rca_recovery.schema.json`. The smoke
+//! configuration is a two-scenario subset at one seed and one day.
+//! Replay-to-caught-up distance is
 //! reported per case as `replayed_cycles` (cycles re-executed between
 //! restore point and crash point).
 
-use grca_bench::{results_dir, schema};
+use crate::{json, Output};
+use grca_bench::schema;
 use grca_collector::DurableStore;
 use grca_eval::recovery::read_journal;
 use grca_eval::{
@@ -125,10 +126,11 @@ fn case_setup(name: &str, days: u32, chaos_seed: u64) -> (GoldenScenario, FeedCh
     (s, chaos)
 }
 
-/// The child entry point: run one pipeline attempt with the kill switch
-/// armed from `GRCA_KILL_POINT` (absent: run to completion), aborting
-/// the process at the kill point.
-fn child_main() {
+/// The child entry point, which the runner's `main` calls when
+/// `GRCA_RECOVERY_CHILD` is set: run one pipeline attempt with the kill
+/// switch armed from `GRCA_KILL_POINT` (absent: run to completion),
+/// aborting the process at the kill point.
+pub fn child_main() {
     let get = |var: &str| std::env::var(var).unwrap_or_else(|_| panic!("child missing {var}"));
     let name = get("GRCA_RECOVERY_SCENARIO");
     let days: u32 = get("GRCA_RECOVERY_DAYS").parse().expect("days");
@@ -228,12 +230,7 @@ fn publisher_recovers_identically(
     keyed(&rec_snap) == keyed(&fresh_snap)
 }
 
-fn main() {
-    if std::env::var("GRCA_RECOVERY_CHILD").is_ok() {
-        child_main();
-        return;
-    }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(smoke: bool) -> Output {
     let (names, seeds, days): (Vec<&str>, &[u64], u32) = if smoke {
         (
             vec!["bgp-baseline", "cdn-baseline"],
@@ -402,28 +399,20 @@ fn main() {
     };
     std::fs::remove_dir_all(&base).ok();
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("RECOVERY GATE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    assert!(
+        failures.is_empty(),
+        "RECOVERY GATE FAILURE:\n{}",
+        failures.join("\n")
+    );
     println!(
         "\nall {} kill cases label-identical and exactly-once; {} publisher checks identical",
         report.matrix.cases.len(),
         report.publisher.checks
     );
 
-    if !smoke {
-        let json = serde_json::to_string_pretty(&report).expect("serialize");
-        if let Err(errors) = schema::validate(&json, SCHEMA) {
-            for e in &errors {
-                eprintln!("schema violation: {e}");
-            }
-            std::process::exit(1);
-        }
-        let path = results_dir().join("BENCH_rca_recovery.json");
-        std::fs::write(&path, json).expect("write BENCH_rca_recovery.json");
-        println!("[saved {}]", path.display());
+    let text = json(&report);
+    if let Err(errors) = schema::validate(&text, SCHEMA) {
+        panic!("schema violations: {errors:?}");
     }
+    vec![("BENCH_rca_recovery.json", text)]
 }

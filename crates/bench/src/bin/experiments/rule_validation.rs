@@ -7,7 +7,8 @@
 //! deliberately bogus rule (eBGP flaps explained by unrelated syslog
 //! noise) must fail.
 
-use grca_bench::{fixture, save_json};
+use crate::{json, Output};
+use grca_bench::fixture;
 use grca_core::discovery::SeriesGrid;
 use grca_correlation::{CorrelationTester, EventSeries};
 use grca_events::{bgp_app_events, extract_all, knowledge_library, names as ev, ExtractCx};
@@ -34,7 +35,7 @@ fn series(grid: &SeriesGrid, store: &grca_events::EventStore, name: &str) -> Eve
     )
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let mut rates = FaultRates::bgp_study();
     rates.link_cost_out_maint = 2.0;
     rates.ospf_weight_change = 4.0;
@@ -111,6 +112,6 @@ fn main() {
         results.len() - wrong,
         results.len()
     );
-    save_json("exp_rule_validation", &results);
     assert_eq!(wrong, 0, "rule validation mismatch");
+    vec![("exp_rule_validation.json", json(&results))]
 }

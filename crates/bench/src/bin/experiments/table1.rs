@@ -4,7 +4,8 @@
 //! definition actually extracts instances from a mixed simulated scenario
 //! (a library entry that can never fire would be dead weight).
 
-use grca_bench::{fixture, save_json};
+use crate::{json, Output};
+use grca_bench::fixture;
 use grca_events::{extract, knowledge_library, ExtractCx};
 use grca_net_model::gen::TopoGenConfig;
 use grca_simnet::FaultRates;
@@ -19,7 +20,7 @@ struct Row {
     instances_in_mixed_scenario: usize,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     // A mixed scenario that exercises every event family.
     let mut rates = FaultRates::bgp_study();
     rates.link_cost_out_maint = 2.0;
@@ -73,5 +74,5 @@ fn main() {
         rows.len(),
         dead.len()
     );
-    save_json("exp_table1", &rows);
+    vec![("exp_table1.json", json(&rows))]
 }

@@ -3,7 +3,7 @@
 //! Prints every rule with its temporal and spatial joining parameters in
 //! the DSL's notation.
 
-use grca_bench::save_json;
+use crate::{json, Output};
 use grca_core::knowledge_rules;
 use serde::Serialize;
 
@@ -17,7 +17,7 @@ struct Row {
     priority: u32,
 }
 
-fn main() {
+pub fn run(_smoke: bool) -> Output {
     let rules = knowledge_rules();
     println!(
         "{:<28} {:<34} {:<24} {:<24} {:<16} {:>4}",
@@ -57,5 +57,5 @@ fn main() {
         });
     }
     println!("\n{} rules (paper Table II samples 30 of >300)", rows.len());
-    save_json("exp_table2", &rows);
+    vec![("exp_table2.json", json(&rows))]
 }

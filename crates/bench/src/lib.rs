@@ -1,11 +1,12 @@
-//! Experiment harness shared by the `exp_*` binaries and Criterion benches.
+//! Experiment harness shared by the `experiments` runner and Criterion
+//! benches.
 //!
-//! Every table and figure of the paper's evaluation has a regenerating
-//! binary in `src/bin/` (see DESIGN.md §3 for the index). The helpers here
-//! build the standard fixtures (topology, scenario, collector database,
-//! application runs) and render side-by-side paper-vs-measured tables; the
-//! binaries persist machine-readable results under `results/` for
-//! EXPERIMENTS.md.
+//! Every table and figure of the paper's evaluation is an entry of the
+//! `experiments` binary's table (see DESIGN.md §3 for the index). The
+//! helpers here build the standard fixtures (topology, scenario, collector
+//! database, application runs) and render side-by-side paper-vs-measured
+//! tables; the runner persists machine-readable results under `results/`
+//! for EXPERIMENTS.md.
 
 use grca_collector::Database;
 use grca_net_model::gen::{generate, TopoGenConfig};
@@ -13,7 +14,6 @@ use grca_net_model::Topology;
 use grca_simnet::{run_scenario, FaultRates, ScenarioConfig, SimOutput};
 use grca_types::Duration;
 use serde::Serialize;
-use std::path::PathBuf;
 
 /// A ready-to-analyze fixture.
 pub struct Fixture {
@@ -132,7 +132,7 @@ pub struct TableRun {
 
 /// Run `study` over `fx`, print the per-symptom cost (next to the paper's
 /// `paper_cost`), the paper-vs-measured table under `title` and the
-/// accuracy, and return the numbers the table binaries persist.
+/// accuracy, and return the numbers the table entries persist.
 pub fn table_run(
     study: grca_apps::Study,
     fx: &Fixture,
@@ -497,27 +497,6 @@ pub mod schema {
             Err(errors)
         }
     }
-}
-
-/// Directory for machine-readable experiment outputs.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("GRCA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("results")
-        });
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Persist a JSON result snapshot under `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize result");
-    std::fs::write(&path, json).expect("write result");
-    println!("\n[saved {}]", path.display());
 }
 
 /// Shape check: do the paper and measured distributions rank their shared
