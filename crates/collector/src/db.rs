@@ -1109,7 +1109,7 @@ impl Database {
     /// any state change moves the fingerprint; an unchanged fingerprint
     /// lets a publisher skip a no-op republish.
     pub fn ingest_epoch(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = grca_types::hash::StableHasher::new();
         0x6772_6361_5f65_706fu64.hash(&mut h); // fixed seed
         for n in self.row_counts() {
             n.hash(&mut h);

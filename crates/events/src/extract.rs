@@ -13,6 +13,7 @@ use grca_collector::Database;
 use grca_net_model::{Ipv4, LinkId, Location, RouterId, RouterRole, Topology};
 use grca_routing::RoutingState;
 use grca_telemetry::syslog::SyslogEvent;
+use grca_types::hash::StableHasher;
 use grca_types::{Duration, TimeWindow, Timestamp};
 use std::collections::BTreeMap;
 
@@ -823,11 +824,10 @@ where
     }
 }
 
-/// A sample's digest: `DefaultHasher::new()` has fixed keys, so the value
-/// is the same in every run and process.
-fn sample_digest(f: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) -> u64 {
+/// A sample's digest, the same in every run, process and release.
+fn sample_digest(f: impl FnOnce(&mut StableHasher)) -> u64 {
     use std::hash::Hasher;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = StableHasher::new();
     f(&mut h);
     h.finish()
 }

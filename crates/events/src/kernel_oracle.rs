@@ -20,10 +20,10 @@ use grca_collector::{Database, PerfRow};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{Location, LocationType, RouterId, Topology};
 use grca_telemetry::records::{PerfMetric, PerfRecord, RawRecord};
+use grca_types::hash::StableHasher;
 use grca_types::{Duration, TimeWindow, Timestamp};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -119,7 +119,7 @@ fn probe_by_tree<'a>(
     sense: AnomalySense,
 ) -> Vec<EventInstance> {
     let digest = |r: &PerfRow| {
-        let mut h = DefaultHasher::new();
+        let mut h = StableHasher::new();
         r.ingress.hash(&mut h);
         r.egress.hash(&mut h);
         (r.metric as u8).hash(&mut h);

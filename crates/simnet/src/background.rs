@@ -23,10 +23,11 @@ use grca_net_model::{
     CdnNodeId, ClientSiteId, InterfaceId, InterfaceKind, RouterId, RouterRole, Topology,
 };
 use grca_telemetry::records::*;
+use grca_types::hash::StableHasher;
 use grca_types::{map_indexed, TimeZone, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// Syslog noise is striped over this many independent shards. The count is
 /// a fixed constant — NOT the thread count — so the shard list (and thus
@@ -122,15 +123,17 @@ impl Shard {
     /// every shard has an independent deterministic stream regardless of
     /// which worker runs it (mirrors `FeedChaos::rng`).
     fn rng(&self, seed: u64) -> StdRng {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        seed.hash(&mut h);
-        match self {
-            Shard::Noise(k) => ("noise", *k as u64).hash(&mut h),
-            Shard::Snmp(r) => ("snmp", r.0 as u64).hash(&mut h),
-            Shard::Perf(p) => ("perf", *p as u64).hash(&mut h),
-            Shard::Cdn(n) => ("cdn", n.0 as u64).hash(&mut h),
-            Shard::ServerLog(n) => ("serverlog", n.0 as u64).hash(&mut h),
-        }
+        let (kind, id) = match self {
+            Shard::Noise(k) => ("noise", *k as u64),
+            Shard::Snmp(r) => ("snmp", r.0 as u64),
+            Shard::Perf(p) => ("perf", *p as u64),
+            Shard::Cdn(n) => ("cdn", n.0 as u64),
+            Shard::ServerLog(n) => ("serverlog", n.0 as u64),
+        };
+        let mut h = StableHasher::new();
+        h.write_u64(seed);
+        h.write_str(kind);
+        h.write_u64(id);
         StdRng::seed_from_u64(h.finish())
     }
 }

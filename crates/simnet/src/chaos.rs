@@ -17,6 +17,7 @@
 use crate::scenario::approx_utc;
 use grca_net_model::Topology;
 use grca_telemetry::records::RawRecord;
+use grca_types::hash::StableHasher;
 use grca_types::{Duration, Timestamp};
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -201,11 +202,11 @@ impl FeedChaos {
     /// Fresh generator for `(seed, feed, cycle)` — op order never shifts
     /// another cycle's draws.
     fn rng(&self, feed: &str, cycle: usize) -> StdRng {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        feed.hash(&mut h);
-        cycle.hash(&mut h);
+        use std::hash::Hasher;
+        let mut h = StableHasher::new();
+        h.write_u64(self.seed);
+        h.write_str(feed);
+        h.write_usize(cycle);
         StdRng::seed_from_u64(h.finish())
     }
 
