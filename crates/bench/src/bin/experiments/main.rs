@@ -215,10 +215,7 @@ fn main() {
 
     if check && problems.is_empty() {
         std::fs::remove_dir_all(&out).ok();
-        println!(
-            "\n{} entries regenerate their files byte for byte",
-            picked.len()
-        );
+        println!("\nchecked: every file regenerates byte for byte");
     } else if check {
         eprintln!("\nregenerated files are in {}", out.display());
     }
