@@ -11,7 +11,8 @@
 //! [`KillPoint`] per run — between ingest sub-chunks, before the
 //! checkpoint, *inside* the manifest rotation (after the temp write; after
 //! the `MANIFEST → MANIFEST.prev` rotation), or just after the checkpoint
-//! — either aborting the process (the `exp_recovery` child harness) or
+//! — either aborting the process (the `experiments` runner's `recovery`
+//! entry, through its child processes) or
 //! stopping the in-process attempt (tests, proptests).
 //!
 //! Restart is load + deterministic replay: the restored pipeline re-runs
@@ -481,7 +482,8 @@ mod tests {
     /// One end-to-end in-process recovery case: kill the BGP baseline
     /// pipeline inside the checkpoint rotation under eventual-delivery
     /// chaos, restart, and require the recovered stream to be identical
-    /// and exactly-once. (The full 12×3×5 matrix runs in `exp_recovery`.)
+    /// and exactly-once. (The full 12×3×5 matrix is the `experiments`
+    /// runner's `recovery` entry.)
     #[test]
     fn killed_and_restarted_stream_equals_uninterrupted() {
         let base = temp_base("case");

@@ -3,9 +3,9 @@
 //!
 //! Every harness that streams a scenario — the chaos gate
 //! ([`crate::chaos`]), the kill/restart matrix ([`mod@crate::recovery`]),
-//! the soak ([`crate::soak`]) and `exp_ext_online` — builds its own
-//! pipeline and scores its own output, but the cycle in between is this
-//! module's:
+//! the soak ([`crate::soak`]) and the `ext_online` experiment — builds
+//! its own pipeline and scores its own output, but the cycle in between is
+//! this module's:
 //!
 //! 1. the **clock schedule** — the delivery clocks of a
 //!    [`MicroBatches`] grid plus the drain tail that lets the last

@@ -1,8 +1,8 @@
 //! Chaos-replay invariant tests on small, fast scenarios.
 //!
-//! The full golden corpus runs under chaos in the `exp_online_chaos`
-//! experiment; these tests pin the same invariants — convergence under
-//! eventual delivery, graceful degradation under permanent feed loss,
+//! The full golden corpus runs under chaos in the `experiments` runner's
+//! `online_chaos` entry; these tests pin the same invariants — convergence
+//! under eventual delivery, graceful degradation under permanent feed loss,
 //! exactly-once emission, bounded state, exact accounting — on short
 //! scenarios cheap enough for the regular test suite.
 
