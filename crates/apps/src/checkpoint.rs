@@ -1,9 +1,9 @@
 //! Crash-consistent pipeline checkpoints (§14 of DESIGN.md).
 //!
 //! A checkpoint is one atomic manifest write at a cycle boundary: the
-//! collector's segment manifest (sealed, checksummed spill blobs) plus
-//! this module's [`PipelineCheckpoint`] — the online path's per-symptom
-//! state — embedded as the manifest's opaque `app_state` JSON. Restart is
+//! collector's segment manifest (sealed segments in checksummed pack
+//! files) plus this module's [`PipelineCheckpoint`] — the online path's
+//! per-symptom state — embedded as the manifest's opaque `app_state` JSON. Restart is
 //! *load + replay*: [`OnlineRca::restore_from`](crate::OnlineRca::restore_from)
 //! rebuilds the database, feed watermarks, ingest stats, and emission
 //! tables from the manifest, then the driver re-feeds the micro-batches of
@@ -60,7 +60,7 @@ pub struct PipelineCheckpoint {
 /// Write a checkpoint for `online` at the end of `cycle`: append the
 /// dedup-fingerprint delta to the store's seen log, seal the collector's
 /// tail segments, capture the manifest (with the pipeline state
-/// embedded), persist it atomically, and garbage-collect spill blobs and
+/// embedded), persist it atomically, and garbage-collect packs and
 /// log generations no longer referenced. Returns the saved manifest.
 pub fn checkpoint(
     online: &mut OnlineRca,
@@ -110,9 +110,9 @@ pub fn restore(
 }
 
 /// [`restore`], saying why it cold-starts: the inner `Err` is the reason
-/// no checkpoint was resumed (none on disk, or the one there failed
-/// validation — a torn segment or mismatched checkpoint means the durable
-/// state cannot be trusted as a whole). The outer `Err` is a store that
+/// no checkpoint was resumed (none on disk, one of another version, or
+/// one that failed validation — a torn segment or mismatched checkpoint
+/// means the durable state cannot be trusted as a whole). The outer `Err` is a store that
 /// could not be opened.
 pub fn restore_explained(
     online: &mut OnlineRca,
@@ -120,8 +120,8 @@ pub fn restore_explained(
     cfg: &StorageConfig,
 ) -> Result<Result<u64, String>, String> {
     let store = DurableStore::open(dir).map_err(|e| format!("open durable store: {e}"))?;
-    let Some(m) = store.load() else {
-        return Ok(Err(format!("no checkpoint manifest in {}", dir.display())));
-    };
-    Ok(online.restore_from(&m, dir, cfg))
+    match store.load_explained() {
+        Ok(m) => Ok(online.restore_from(&m, dir, cfg)),
+        Err(why) => Ok(Err(why)),
+    }
 }

@@ -12,7 +12,7 @@
 //! in O(1) without allocating, so nothing here keeps a map of its own.
 
 use crate::rows::*;
-use crate::storage::{StorageConfig, StorageStats, Table};
+use crate::storage::{SpillFile, StorageConfig, StorageStats, Table};
 use grca_net_model::{CdnNodeId, RouterId, Topology};
 use grca_telemetry::records::RawRecord;
 use grca_telemetry::syslog::{parse_syslog_message, split_line};
@@ -627,6 +627,11 @@ pub struct Database {
     /// `seen` sound even when a table retains a partial segment, or its
     /// whole unsealed tail, past the floor).
     retention_floor: Option<Timestamp>,
+    /// The generation the next checkpoint barrier's pack is named by,
+    /// seeded past every pack in the spill directory when the database
+    /// is built on it, so that no barrier overwrites a pack a manifest
+    /// there names ([`Database::seal_all`]).
+    next_pack: u64,
 }
 
 /// The one enumeration of the tables, in [`FEEDS`] order: evaluates the
@@ -778,6 +783,9 @@ impl Database {
         let mut db = Database::default();
         each_table!(&mut db, |t| *t = Table::new(cfg.clone()));
         db.seen_log = cfg.spill_dir.as_ref().map(|_| Vec::new());
+        if let Some(dir) = &cfg.spill_dir {
+            db.next_pack = crate::durable::next_pack_generation(dir);
+        }
         db
     }
 
@@ -920,11 +928,32 @@ impl Database {
         each_table!(&mut self, |t| t.finalize());
     }
 
-    /// Force-seal every table's tail so all rows live in sealed segments
-    /// — the durable checkpoint barrier ([`crate::durable`]).
-    pub fn seal_all(&mut self) {
+    /// The durable checkpoint barrier ([`crate::durable`]): force-seal
+    /// every table's tail so all rows live in sealed segments, then write
+    /// every segment of a spilling table that is not on disk yet into one
+    /// new pack file — one write, one `fsync`, one rename, one directory
+    /// `fsync` — and serve those segments from it. A database whose
+    /// tables do not spill writes nothing. On `Err` (naming the pack and
+    /// the OS error) the segments stay resident for the next barrier.
+    pub fn seal_all(&mut self) -> Result<(), String> {
         self.finalize();
         each_table!(&mut self, |t| t.seal_all());
+        let cfgs = each_table!(&self, |t| t.config());
+        let Some((dir, durable)) = cfgs
+            .into_iter()
+            .find_map(|c| Some((c.spill_dir.clone()?, c.durable)))
+        else {
+            return Ok(());
+        };
+        let mut pack = Vec::new();
+        let placed = each_table!(&self, |t| t.pack_resident(&mut pack));
+        if pack.is_empty() {
+            return Ok(());
+        }
+        let path = crate::durable::write_pack(&dir, &mut self.next_pack, &pack, durable)?;
+        let file = SpillFile::shared(path, durable);
+        each_table!(&mut self, |i, t| t.adopt_packed(&file, &placed[i]));
+        Ok(())
     }
 
     /// The dedup fingerprint map, exported for checkpointing.

@@ -6,12 +6,15 @@
 //! has exactly two kinds of on-disk state, both written so that a crash
 //! at any byte boundary leaves the store loadable:
 //!
-//! * **Segment blobs** — every sealed segment's encoded bytes, wrapped
-//!   in a [`frame`] (magic + version + length + FNV-1a checksum) and
-//!   written via temp file → `fsync` → atomic rename. A torn or
-//!   bit-flipped blob fails checksum verification on read and is
-//!   *quarantined* (reported as a [`BlobError`], counted by the storage
-//!   layer), never `expect`-panicked.
+//! * **Segment packs** — a seal writes nothing; each checkpoint barrier
+//!   ([`Database::seal_all`]) appends every segment sealed since the last
+//!   one, each in its own [`frame`] (magic + version + length + FNV-1a
+//!   checksum), to one new `grca-pack-<gen>.bin`, written via temp file →
+//!   `fsync` → atomic rename → directory `fsync` before the manifest
+//!   naming it is saved. A torn or bit-flipped frame fails checksum
+//!   verification on read and is *quarantined* (reported as a
+//!   [`BlobError`], counted by the storage layer), never
+//!   `expect`-panicked.
 //! * **The manifest** — one JSON document ([`StoreManifest`]) naming the
 //!   sealed segments of every feed table, the dedup fingerprints, the
 //!   retention floor, feed watermarks, ingest accounting, and an opaque
@@ -21,21 +24,23 @@
 //!   or the new one — [`DurableStore::load`] tries them in order, so
 //!   recovery always sees *some* consistent barrier.
 //!
-//! Anything not referenced by the loaded manifest (segments sealed after
-//! the last checkpoint, temp files of a dying writer) is garbage — the
-//! replay of the un-checkpointed input tail regenerates it — and is
-//! swept by [`DurableStore::gc`] at the next successful save.
+//! Anything not referenced by the loaded manifest (the pack of a barrier
+//! whose manifest never landed, temp files of a dying writer) is garbage
+//! — the replay of the un-checkpointed input tail regenerates it — and is
+//! swept by [`DurableStore::gc`] at the next successful save. A pack
+//! stays while any segment of the manifest names it.
 
 use crate::db::{
     each_table, feeds_by_name, Database, IngestStats, QuarantineReason, Quarantined, SeenEvent,
     FEEDS,
 };
 use crate::health::FeedRegistry;
-use crate::segment::try_decode_segment;
-use crate::storage::{StorageConfig, Table};
+use crate::storage::{SpillFile, StorageConfig, Table};
 use grca_types::Timestamp;
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First bytes of every durable file.
 pub const FRAME_MAGIC: [u8; 4] = *b"GRCA";
@@ -45,8 +50,10 @@ pub const FRAME_VERSION: u8 = 1;
 /// manifest body into the append-only seen log ([`SeenLogRef`]); v3 is the
 /// same layout holding [`crate::record_fingerprint`]'s one-pass values, so
 /// that a v2 log's numbers are never restored into a map they mean nothing
-/// in.
-pub const MANIFEST_VERSION: u32 = 3;
+/// in; v4 names each segment by a frame's range in a barrier's pack
+/// ([`SegmentRecord::offset`], [`SegmentRecord::len`]) instead of a file
+/// of its own.
+pub const MANIFEST_VERSION: u32 = 4;
 
 const FRAME_HEADER: usize = 4 + 1 + 8 + 8;
 
@@ -95,12 +102,18 @@ impl std::fmt::Display for BlobError {
 /// `[magic 4][version 1][len u64 LE][fnv1a64 u64 LE][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame_into(&mut out, payload);
+    out
+}
+
+/// Append `payload`'s [`frame`] to `out`.
+pub(crate) fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(FRAME_HEADER + payload.len());
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Verify a framed file's bytes and return the payload slice.
@@ -145,6 +158,26 @@ pub fn read_framed(path: &Path) -> Result<Vec<u8>, BlobError> {
     })
 }
 
+/// Read the `len`-byte frame at `offset` of the file at `path` and return
+/// its verified payload. A file that cannot be opened is
+/// [`BlobError::Missing`]; one too short for the range, or whose frame
+/// fails verification, is [`BlobError::Torn`].
+pub fn read_frame_at(path: &Path, offset: u64, len: u64) -> Result<Vec<u8>, BlobError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut f = std::fs::File::open(path)
+        .map_err(|e| BlobError::Missing(format!("{}: {e}", path.display())))?;
+    let mut bytes = vec![0u8; len as usize];
+    f.seek(SeekFrom::Start(offset))
+        .and_then(|_| f.read_exact(&mut bytes))
+        .map_err(|e| BlobError::Torn(format!("{} @ {offset}+{len}: {e}", path.display())))?;
+    unframe(&bytes).map_err(|e| match e {
+        BlobError::Torn(m) => BlobError::Torn(format!("{} @ {offset}: {m}", path.display())),
+        other => other,
+    })?;
+    bytes.drain(..FRAME_HEADER);
+    Ok(bytes)
+}
+
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     // Directory fsync makes the rename itself durable. Not all
     // filesystems support opening a directory for sync; best-effort.
@@ -175,13 +208,72 @@ pub fn write_atomic(path: &Path, bytes: &[u8], fsync: bool) -> std::io::Result<(
     Ok(())
 }
 
-/// One sealed segment referenced by the manifest.
+/// One sealed segment referenced by the manifest: a frame inside a pack.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SegmentRecord {
-    /// File name relative to the store directory.
+    /// Pack file name relative to the store directory.
     pub file: String,
     /// Row count the decode must reproduce.
     pub rows: u64,
+    /// Byte offset of the segment's frame in the pack.
+    pub offset: u64,
+    /// Length of the frame, header included.
+    pub len: u64,
+}
+
+/// File name of the pack a barrier of generation `generation` writes.
+fn pack_name(generation: u64) -> String {
+    format!("grca-pack-{generation}.bin")
+}
+
+/// One past the largest generation of `prefix<gen>suffix` in `dir` (1 if
+/// there is none): a name no file there has, and — because generations
+/// only grow — none any manifest there names.
+fn next_generation(dir: &Path, prefix: &str, suffix: &str) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 1;
+    };
+    entries
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name();
+            let name = name.to_str()?;
+            name.strip_prefix(prefix)?
+                .strip_suffix(suffix)?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .map_or(1, |g| g + 1)
+}
+
+/// The pack generation a database opened on store `dir` mints first.
+pub(crate) fn next_pack_generation(dir: &Path) -> u64 {
+    next_generation(dir, "grca-pack-", ".bin")
+}
+
+/// Write one barrier's `pack` into `dir` under the first free generation
+/// at or after `*next` (advancing it past the one used): temp file,
+/// `fsync` (if `fsync`), rename, directory `fsync`. Returns the pack's
+/// path, or an error naming the path and the OS error.
+pub(crate) fn write_pack(
+    dir: &Path,
+    next: &mut u64,
+    pack: &[u8],
+    fsync: bool,
+) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create store dir {}: {e}", dir.display()))?;
+    let mut generation = (*next).max(1);
+    let path = loop {
+        let path = dir.join(pack_name(generation));
+        if !path.exists() {
+            break path;
+        }
+        generation += 1;
+    };
+    *next = generation + 1;
+    write_atomic(&path, pack, fsync).map_err(|e| format!("write pack {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// All sealed segments of one feed table, in time order.
@@ -451,22 +543,47 @@ impl DurableStore {
     }
 
     /// Load the newest consistent manifest: `MANIFEST` first, falling
-    /// back to `MANIFEST.prev` if the current one is absent or torn.
-    /// `None` means cold start (no usable checkpoint).
+    /// back to `MANIFEST.prev` if the current one is absent, torn, or of
+    /// another version. `None` means cold start (no usable checkpoint);
+    /// [`DurableStore::load_explained`] says why.
     pub fn load(&self) -> Option<StoreManifest> {
+        self.load_explained().ok()
+    }
+
+    /// [`DurableStore::load`], with the reason for a cold start: no
+    /// manifest in the store, or why each one there was refused.
+    pub fn load_explained(&self) -> Result<StoreManifest, String> {
+        #[derive(serde::Deserialize)]
+        struct Version {
+            version: u32,
+        }
+        let mut refused = Vec::new();
         for path in [self.manifest_path(), self.prev_path()] {
-            let Ok(payload) = read_framed(&path) else {
+            if !path.exists() {
                 continue;
-            };
-            let Ok(text) = std::str::from_utf8(&payload) else {
-                continue;
-            };
-            match serde_json::from_str::<StoreManifest>(text) {
-                Ok(m) if m.version == MANIFEST_VERSION => return Some(m),
-                _ => continue,
+            }
+            let parsed = read_framed(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|payload| String::from_utf8(payload).map_err(|e| e.to_string()))
+                .and_then(|text| {
+                    let v = serde_json::from_str::<Version>(&text).map_err(|e| e.to_string())?;
+                    if v.version != MANIFEST_VERSION {
+                        return Err(format!(
+                            "manifest version {}, this build reads version {MANIFEST_VERSION}",
+                            v.version
+                        ));
+                    }
+                    serde_json::from_str::<StoreManifest>(&text).map_err(|e| e.to_string())
+                });
+            match parsed {
+                Ok(m) => return Ok(m),
+                Err(why) => refused.push(format!("{}: {why}", path.display())),
             }
         }
-        None
+        if refused.is_empty() {
+            return Err(format!("no checkpoint manifest in {}", self.dir.display()));
+        }
+        Err(refused.join("; "))
     }
 
     /// Persist the database's seen-event journal and return the log
@@ -547,27 +664,15 @@ impl DurableStore {
     }
 
     fn next_seen_generation(&self) -> u64 {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 1;
-        };
-        entries
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                name.strip_prefix("grca-seen-")?
-                    .strip_suffix(".log")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .map_or(1, |g| g + 1)
+        next_generation(&self.dir, "grca-seen-", ".log")
     }
 
-    /// Delete segment files in the store directory that `m` does not
-    /// reference — seals from after the checkpoint barrier, leftovers of
-    /// a previous incarnation — plus superseded seen-log generations and
-    /// stray temp files. Returns how many files were removed.
+    /// Delete packs in the store directory that no segment of `m` names —
+    /// the pack of a barrier whose manifest never landed, packs whose
+    /// every segment has aged out or been resealed — along with
+    /// per-segment files of older versions or ephemeral spills,
+    /// superseded seen-log generations and stray temp files. Returns how
+    /// many files were removed.
     pub fn gc(&self, m: &StoreManifest) -> usize {
         let live: std::collections::HashSet<&str> = m
             .tables
@@ -581,7 +686,8 @@ impl DurableStore {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let is_seg = name.starts_with("grca-seg-") && name.ends_with(".bin");
+            let is_seg = (name.starts_with("grca-pack-") || name.starts_with("grca-seg-"))
+                && name.ends_with(".bin");
             let is_dead_log =
                 name.starts_with("grca-seen-") && name.ends_with(".log") && name != m.seen_log.file;
             let is_tmp = name.ends_with(".tmp");
@@ -688,12 +794,14 @@ fn quarantine_from_entries(entries: &[QuarantineEntry]) -> Vec<Quarantined> {
 }
 
 impl StoreManifest {
-    /// Capture the checkpoint barrier: force-seal every table tail (so
-    /// all rows live in durable segments), then snapshot the collector's
-    /// full logical state. `seen_log` is the already-persisted dedup log
+    /// Capture the checkpoint barrier: force-seal every table tail and
+    /// write every segment not yet on disk into one pack
+    /// ([`Database::seal_all`]), then snapshot the collector's full
+    /// logical state. `seen_log` is the already-persisted dedup log
     /// prefix this barrier is consistent with
     /// ([`DurableStore::persist_seen`], called first). Requires tables
-    /// that spill to disk — returns `Err` on in-memory tables.
+    /// that spill to disk — returns `Err` on in-memory tables, and when
+    /// the pack cannot be written.
     pub fn capture(
         db: &mut Database,
         stats: &IngestStats,
@@ -703,7 +811,7 @@ impl StoreManifest {
         app_state: Option<String>,
         seen_log: SeenLogRef,
     ) -> Result<StoreManifest, String> {
-        db.seal_all();
+        db.seal_all()?;
         let tables = db
             .segment_manifests()
             .ok_or("durable checkpoint requires tables that spill to disk")?;
@@ -731,12 +839,12 @@ impl StoreManifest {
         })
     }
 
-    /// Rebuild the collector exactly as captured: decode every
-    /// referenced segment (checksum-verified by [`read_framed`]), refill
-    /// the tables, and restore fingerprints, accounting, quarantine, and
-    /// registry. Any missing/torn segment or row-count mismatch fails
-    /// the whole restore (the caller cold-starts and replays instead —
-    /// never serves silently truncated history).
+    /// Rebuild the collector exactly as captured: adopt every referenced
+    /// segment where it lies ([`Database::restore_tables`]), and restore
+    /// fingerprints, accounting, quarantine, and registry. Writes no
+    /// file. Any missing/torn segment or row-count mismatch fails the
+    /// whole restore (the caller cold-starts and replays instead — never
+    /// serves silently truncated history).
     pub fn restore(
         &self,
         dir: &Path,
@@ -779,38 +887,34 @@ impl Database {
         Some(tables.into())
     }
 
-    /// Refill every table from manifest-referenced segment files.
+    /// Refill every table from the manifest's segments without rewriting
+    /// any: each frame is read from its pack, checksum-verified, decoded
+    /// once for its zone map and row count, and kept as a disk reference
+    /// ([`Table`]'s sealed runs, exactly as the barrier left them).
     pub fn restore_tables(&mut self, dir: &Path, tables: &[TableManifest]) -> Result<(), String> {
         fn fill<R: crate::segment::StoredRow>(
             t: &mut Table<R>,
             dir: &Path,
             m: &TableManifest,
+            packs: &mut HashMap<String, Arc<SpillFile>>,
         ) -> Result<(), String> {
+            let keep = t.config().durable;
             for seg in &m.segments {
-                let payload = read_framed(&dir.join(&seg.file)).map_err(|e| e.to_string())?;
-                let dec = try_decode_segment::<R>(&payload)?;
-                if dec.rows.len() as u64 != seg.rows {
-                    return Err(format!(
-                        "{}: decoded {} rows, manifest promised {}",
-                        seg.file,
-                        dec.rows.len(),
-                        seg.rows
-                    ));
-                }
-                for row in dec.rows {
-                    t.push(row);
-                }
+                let file = packs
+                    .entry(seg.file.clone())
+                    .or_insert_with(|| SpillFile::shared(dir.join(&seg.file), keep));
+                t.adopt(file, seg.offset, seg.len, seg.rows)?;
             }
-            t.finalize();
             Ok(())
         }
         if let Some(m) = tables.iter().find(|m| !FEEDS.contains(&m.feed.as_str())) {
             return Err(format!("unknown feed {:?} in manifest", m.feed));
         }
+        let mut packs = HashMap::new();
         let filled = each_table!(&mut self, |i, t| tables
             .iter()
             .filter(|m| m.feed == FEEDS[i])
-            .try_for_each(|m| fill(t, dir, m)));
+            .try_for_each(|m| fill(t, dir, m, &mut packs)));
         filled.into_iter().collect()
     }
 }
@@ -904,8 +1008,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("grca-gc-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let store = DurableStore::open(&dir).unwrap();
-        std::fs::write(dir.join("grca-seg-1-0.bin"), b"live").unwrap();
-        std::fs::write(dir.join("grca-seg-1-1.bin"), b"dead").unwrap();
+        std::fs::write(dir.join("grca-pack-1.bin"), b"live").unwrap();
+        std::fs::write(dir.join("grca-pack-2.bin"), b"dead").unwrap();
+        std::fs::write(dir.join("grca-seg-1-1.bin"), b"older version").unwrap();
         std::fs::write(dir.join("grca-seen-1.log"), b"old gen").unwrap();
         std::fs::write(dir.join("grca-seen-2.log"), b"").unwrap();
         std::fs::write(dir.join("stray.tmp"), b"tmp").unwrap();
@@ -928,14 +1033,17 @@ mod tests {
             tables: vec![TableManifest {
                 feed: "syslog".to_string(),
                 segments: vec![SegmentRecord {
-                    file: "grca-seg-1-0.bin".to_string(),
+                    file: "grca-pack-1.bin".to_string(),
                     rows: 1,
+                    offset: 0,
+                    len: 4,
                 }],
             }],
             app_state: None,
         };
-        assert_eq!(store.gc(&m), 3);
-        assert!(dir.join("grca-seg-1-0.bin").exists());
+        assert_eq!(store.gc(&m), 4);
+        assert!(dir.join("grca-pack-1.bin").exists());
+        assert!(!dir.join("grca-pack-2.bin").exists());
         assert!(!dir.join("grca-seg-1-1.bin").exists());
         assert!(!dir.join("grca-seen-1.log").exists());
         assert!(dir.join("grca-seen-2.log").exists());

@@ -16,8 +16,9 @@
 //!   timestamps, interned strings, zone maps);
 //! * [`db`] — the ingestion pipeline over all feeds, with per-feed
 //!   accept/drop statistics;
-//! * [`durable`] — crash-consistent durability: checksummed atomic spill
-//!   blobs and the rotated, versioned checkpoint manifest.
+//! * [`durable`] — crash-consistent durability: one checksummed pack
+//!   file per checkpoint barrier and the rotated, versioned checkpoint
+//!   manifest.
 
 #![forbid(unsafe_code)]
 
@@ -33,8 +34,9 @@ pub use db::{
     record_fingerprint, Database, IngestStats, QuarantineReason, Quarantined, SeenEvent, FEEDS,
 };
 pub use durable::{
-    frame, read_framed, read_seen_log, unframe, write_atomic, BlobError, DurableStore, SaveStage,
-    SeenLogRef, SegmentRecord, StatsManifest, StoreManifest, TableManifest, MANIFEST_VERSION,
+    frame, read_frame_at, read_framed, read_seen_log, unframe, write_atomic, BlobError,
+    DurableStore, SaveStage, SeenLogRef, SegmentRecord, StatsManifest, StoreManifest,
+    TableManifest, MANIFEST_VERSION,
 };
 pub use health::{FeedHealth, FeedRegistry, FeedState};
 pub use rows::*;

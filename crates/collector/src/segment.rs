@@ -250,21 +250,26 @@ impl<R: StoredRow> DecodedSeg<R> {
 
 const SEG_VERSION: u8 = 2;
 
+/// The zone map of `rows` (canonical order, non-empty).
+pub(crate) fn zone_map<R: StoredRow>(rows: &[R]) -> SegmentMeta<R::Entity> {
+    let mut entities: Vec<R::Entity> = rows.iter().map(Row::entity).collect();
+    entities.sort_unstable();
+    entities.dedup();
+    SegmentMeta {
+        rows: rows.len(),
+        min_key: rows[0].key(),
+        max_key: rows[rows.len() - 1].key(),
+        entities,
+    }
+}
+
 /// Seal `rows` (already in canonical order) into a zone map + encoded
 /// blob. Layout: `[version][n][delta-encoded times][dictionary][columns]`.
 pub fn encode_segment<R: StoredRow>(rows: &[R]) -> (SegmentMeta<R::Entity>, Vec<u8>) {
     debug_assert!(!rows.is_empty(), "sealing an empty segment");
     let mut w = SegWriter::default();
     R::encode_cols(rows, &mut w);
-    let mut entities: Vec<R::Entity> = rows.iter().map(Row::entity).collect();
-    entities.sort_unstable();
-    entities.dedup();
-    let meta = SegmentMeta {
-        rows: rows.len(),
-        min_key: rows[0].key(),
-        max_key: rows[rows.len() - 1].key(),
-        entities,
-    };
+    let meta = zone_map(rows);
 
     let mut blob = Vec::with_capacity(w.cols.len() / 2);
     blob.push(SEG_VERSION);

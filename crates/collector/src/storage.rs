@@ -27,7 +27,10 @@
 //! [`StorageConfig::cache_segments`] hot decoded segments; query results
 //! pin their segments via `Arc`, so eviction can never invalidate a live
 //! [`RowSet`]. With [`StorageConfig::spill_dir`] set, sealed blobs live
-//! on disk and only the zone maps stay resident.
+//! on disk and only the zone maps stay resident: an ephemeral table
+//! writes each blob to a file of its own as it seals; a durable one keeps
+//! its new blobs resident until the next checkpoint barrier
+//! ([`crate::Database::seal_all`]) writes them all into one pack file.
 //!
 //! A reader that re-scans history every cycle does not have to decode it
 //! every cycle: [`Table::runs`] walks the table as its sealed
@@ -67,10 +70,12 @@ pub struct StorageConfig {
     /// zone maps stay resident. Files are removed when the table drops
     /// unless [`StorageConfig::durable`] is set.
     pub spill_dir: Option<PathBuf>,
-    /// Crash-consistent mode: spill writes are additionally `fsync`ed and
-    /// spill files *survive* table drop, so a manifest written at a
-    /// checkpoint barrier ([`crate::durable`]) can reference them after
-    /// restart. Requires [`StorageConfig::spill_dir`].
+    /// Crash-consistent mode: a seal does no file I/O; the checkpoint
+    /// barrier ([`crate::Database::seal_all`]) writes every blob sealed
+    /// since the last one into one `fsync`ed pack file, which *survives*
+    /// table drop, so a manifest written at that barrier
+    /// ([`crate::durable`]) can reference it after restart. Requires
+    /// [`StorageConfig::spill_dir`].
     pub durable: bool,
 }
 
@@ -96,6 +101,8 @@ pub struct StorageStats {
     pub encoded_bytes: usize,
     /// Bytes living in spill files on disk.
     pub spilled_bytes: usize,
+    /// Ephemeral spill writes that failed: the blob stayed resident.
+    pub spill_failures: u64,
     /// Segments consulted by queries after zone-map pruning.
     pub segments_scanned: u64,
     /// Segments skipped because their time range cannot intersect.
@@ -123,6 +130,7 @@ impl StorageStats {
         self.tail_rows += o.tail_rows;
         self.encoded_bytes += o.encoded_bytes;
         self.spilled_bytes += o.spilled_bytes;
+        self.spill_failures += o.spill_failures;
         self.segments_scanned += o.segments_scanned;
         self.pruned_by_time += o.pruned_by_time;
         self.pruned_by_entity += o.pruned_by_entity;
@@ -135,13 +143,21 @@ impl StorageStats {
     }
 }
 
-/// A spill file owned by its segment. In the default (ephemeral) mode it
-/// is removed from disk on drop; in durable mode it must outlive the
-/// process so a restart can decode it back.
+/// A file of sealed blobs, shared by the segments stored in it: one
+/// segment's file in ephemeral spill mode, one checkpoint barrier's pack
+/// in durable mode. An ephemeral file is removed from disk once its last
+/// segment drops; a durable pack must outlive the process so a restart
+/// can adopt its segments, and only [`crate::DurableStore::gc`] removes it.
 #[derive(Debug)]
-struct SpillFile {
+pub(crate) struct SpillFile {
     path: PathBuf,
     keep: bool,
+}
+
+impl SpillFile {
+    pub(crate) fn shared(path: PathBuf, keep: bool) -> Arc<SpillFile> {
+        Arc::new(SpillFile { path, keep })
+    }
 }
 
 impl Drop for SpillFile {
@@ -152,27 +168,42 @@ impl Drop for SpillFile {
     }
 }
 
-/// Where one sealed segment's encoded bytes live. Disk blobs are stored
-/// framed ([`crate::durable::frame`]): checksum-verified on every read.
+/// Where one sealed segment's encoded bytes live.
 #[derive(Debug, Clone)]
 enum Blob {
+    /// Resident. In a spilling table this is a blob no barrier has
+    /// persisted yet (durable) or whose spill write failed (ephemeral).
     Mem(Arc<Vec<u8>>),
-    Disk { file: Arc<SpillFile>, bytes: usize },
+    /// The `len`-byte frame ([`crate::durable::frame`]) at `offset` of
+    /// `file`, checksum-verified on every read; `bytes` is its payload.
+    Disk {
+        file: Arc<SpillFile>,
+        offset: u64,
+        len: u64,
+        bytes: usize,
+    },
 }
 
 impl Blob {
     /// The verified segment payload, or a [`BlobError`] for a torn or
     /// missing spill file (never a panic — satellite of the durability
     /// contract: corrupted history is quarantined, not fatal).
+    ///
+    /// [`BlobError`]: crate::durable::BlobError
     fn read(&self) -> Result<std::borrow::Cow<'_, [u8]>, crate::durable::BlobError> {
         match self {
             Blob::Mem(b) => Ok(std::borrow::Cow::Borrowed(b)),
-            Blob::Disk { file, .. } => {
-                crate::durable::read_framed(&file.path).map(std::borrow::Cow::Owned)
-            }
+            Blob::Disk {
+                file, offset, len, ..
+            } => crate::durable::read_frame_at(&file.path, *offset, *len)
+                .map(std::borrow::Cow::Owned),
         }
     }
 }
+
+/// Where a barrier's pack put one segment: its run id, and the frame's
+/// offset and length in the pack.
+pub(crate) type Placement = (u64, u64, u64);
 
 #[derive(Debug, Clone)]
 struct SealedSegment<R: StoredRow> {
@@ -200,7 +231,9 @@ struct Cache<R: StoredRow> {
     tick: u64,
 }
 
-/// Names spill files uniquely across every table in the process.
+/// Names ephemeral spill files uniquely across every table in the
+/// process. Durable packs are named by a store-wide generation instead
+/// ([`crate::Database::seal_all`]), which a restart cannot reuse.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Mints sealed-run ids, process-wide like [`SPILL_SEQ`] and for the same
@@ -225,6 +258,7 @@ pub struct Table<R: StoredRow> {
     reseals: u64,
     dropped_rows: u64,
     dropped_segments: u64,
+    spill_failures: u64,
     counters: Counters,
     cache: Mutex<Cache<R>>,
 }
@@ -256,6 +290,7 @@ impl<R: StoredRow> Table<R> {
             reseals: 0,
             dropped_rows: 0,
             dropped_segments: 0,
+            spill_failures: 0,
             counters: Counters::default(),
             cache: Mutex::new(Cache {
                 map: HashMap::new(),
@@ -279,6 +314,7 @@ impl<R: StoredRow> Table<R> {
             tail_rows: self.tail.len(),
             encoded_bytes: enc,
             spilled_bytes: spill,
+            spill_failures: self.spill_failures,
             segments_scanned: self.counters.scanned.load(Ordering::Relaxed),
             pruned_by_time: self.counters.pruned_time.load(Ordering::Relaxed),
             pruned_by_entity: self.counters.pruned_entity.load(Ordering::Relaxed),
@@ -291,22 +327,115 @@ impl<R: StoredRow> Table<R> {
         }
     }
 
-    /// Every sealed segment's on-disk file (name relative to the spill
-    /// dir) and row count, in time order — the table's contribution to a
-    /// checkpoint manifest. `None` unless the table runs in spill mode
-    /// with every sealed blob on disk.
+    /// The knobs this table was built with.
+    pub(crate) fn config(&self) -> &StorageConfig {
+        &self.cfg
+    }
+
+    /// Every sealed segment's place on disk (file name relative to the
+    /// spill dir, frame offset and length) and row count, in time order
+    /// — the table's contribution to a checkpoint manifest. `None` unless
+    /// the table runs in spill mode with every sealed blob on disk.
     pub fn segment_files(&self) -> Option<Vec<crate::durable::SegmentRecord>> {
         self.cfg.spill_dir.as_ref()?;
         self.segs
             .iter()
             .map(|s| match &s.blob {
                 Blob::Mem(_) => None,
-                Blob::Disk { file, .. } => Some(crate::durable::SegmentRecord {
+                Blob::Disk {
+                    file, offset, len, ..
+                } => Some(crate::durable::SegmentRecord {
                     file: file.path.file_name()?.to_str()?.to_string(),
                     rows: s.meta.rows as u64,
+                    offset: *offset,
+                    len: *len,
                 }),
             })
             .collect()
+    }
+
+    /// Append the frame of every resident blob of a spilling table to
+    /// `pack` — a barrier's pack under construction — and say where each
+    /// landed. A table that does not spill contributes nothing.
+    pub(crate) fn pack_resident(&self, pack: &mut Vec<u8>) -> Vec<Placement> {
+        if self.cfg.spill_dir.is_none() {
+            return Vec::new();
+        }
+        let mut placed = Vec::new();
+        for s in &self.segs {
+            if let Blob::Mem(b) = &s.blob {
+                let offset = pack.len() as u64;
+                crate::durable::frame_into(pack, b);
+                placed.push((s.id, offset, pack.len() as u64 - offset));
+            }
+        }
+        placed
+    }
+
+    /// Once `file` is on disk, serve the segments [`Table::pack_resident`]
+    /// placed in it from there and drop their resident blobs.
+    pub(crate) fn adopt_packed(&mut self, file: &Arc<SpillFile>, placed: &[Placement]) {
+        let mut segs = self.segs.iter_mut();
+        for &(id, offset, len) in placed {
+            let Some(seg) = segs.find(|s| s.id == id) else {
+                debug_assert!(false, "placed segment {id} is gone");
+                return;
+            };
+            let Blob::Mem(b) = &seg.blob else { continue };
+            seg.blob = Blob::Disk {
+                file: file.clone(),
+                offset,
+                len,
+                bytes: b.len(),
+            };
+        }
+    }
+
+    /// Append the sealed segment that already lies on disk as the
+    /// `len`-byte frame at `offset` of `file`, without rewriting it: read
+    /// and verify the frame, decode it once for its zone map, and keep it
+    /// as a disk reference (the restore path). Refuses a torn frame, a
+    /// payload that does not decode to `rows` rows, and one that does not
+    /// follow the table's last segment in canonical order.
+    pub(crate) fn adopt(
+        &mut self,
+        file: &Arc<SpillFile>,
+        offset: u64,
+        len: u64,
+        rows: u64,
+    ) -> Result<(), String> {
+        let payload =
+            crate::durable::read_frame_at(&file.path, offset, len).map_err(|e| e.to_string())?;
+        let name = file.path.display();
+        let dec = crate::segment::try_decode_segment::<R>(&payload)
+            .map_err(|e| format!("{name} @ {offset}: {e}"))?;
+        if dec.rows.len() as u64 != rows {
+            return Err(format!(
+                "{name} @ {offset}: decoded {} rows, manifest promised {rows}",
+                dec.rows.len()
+            ));
+        }
+        if dec.rows.is_empty() {
+            return Err(format!("{name} @ {offset}: a segment without rows"));
+        }
+        let meta = crate::segment::zone_map(&dec.rows);
+        if let Some(last) = self.segs.last() {
+            if last.meta.max_key > meta.min_key {
+                return Err(format!("{name} @ {offset}: segment out of time order"));
+            }
+        }
+        debug_assert!(self.tail.is_empty(), "adopting behind an unsealed tail");
+        self.segs.push(SealedSegment {
+            id: RUN_SEQ.fetch_add(1, Ordering::Relaxed),
+            meta,
+            blob: Blob::Disk {
+                file: file.clone(),
+                offset,
+                len,
+                bytes: payload.len(),
+            },
+        });
+        Ok(())
     }
 
     /// Force-seal the entire tail (no hysteresis, whatever
@@ -369,35 +498,19 @@ impl<R: StoredRow> Table<R> {
     }
 
     /// Seal `rows` (already canonical, non-empty) into a new segment.
-    /// Spill writes are crash-safe: checksummed frame, unique temp file,
-    /// atomic rename (+ `fsync` in durable mode) — a crash can leave a
-    /// stray temp file, never a half-written blob under the final name.
+    /// Resident unless the table spills ephemerally; a durable table's
+    /// blob waits for the next barrier ([`Table::pack_resident`]).
     fn seal(&mut self, rows: &[R]) {
         let (meta, blob) = encode_segment(rows);
         let blob = match &self.cfg.spill_dir {
-            None => Blob::Mem(Arc::new(blob)),
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create spill dir");
-                let path = dir.join(format!(
-                    "grca-seg-{}-{}.bin",
-                    std::process::id(),
-                    SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let bytes = blob.len();
-                crate::durable::write_atomic(
-                    &path,
-                    &crate::durable::frame(&blob),
-                    self.cfg.durable,
-                )
-                .expect("write spilled segment blob");
-                Blob::Disk {
-                    file: Arc::new(SpillFile {
-                        path,
-                        keep: self.cfg.durable,
-                    }),
-                    bytes,
+            Some(dir) if !self.cfg.durable => match spill(dir, &blob) {
+                Ok(disk) => disk,
+                Err(_) => {
+                    self.spill_failures += 1;
+                    Blob::Mem(Arc::new(blob))
                 }
-            }
+            },
+            _ => Blob::Mem(Arc::new(blob)),
         };
         let id = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
         self.segs.push(SealedSegment { id, meta, blob });
@@ -465,6 +578,26 @@ impl<R: StoredRow> Table<R> {
         }
         chunks
     }
+}
+
+/// Write one ephemeral segment's blob to a file of its own under `dir`:
+/// checksummed frame, temp file, rename, no `fsync`. The file goes when
+/// the segment does.
+fn spill(dir: &std::path::Path, blob: &[u8]) -> std::io::Result<Blob> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!(
+        "grca-seg-{}-{}.bin",
+        std::process::id(),
+        SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let framed = crate::durable::frame(blob);
+    crate::durable::write_atomic(&path, &framed, false)?;
+    Ok(Blob::Disk {
+        file: SpillFile::shared(path, false),
+        offset: 0,
+        len: framed.len() as u64,
+        bytes: blob.len(),
+    })
 }
 
 /// One sealed run of a [`Table`], met on a [`Table::runs`] walk. Its rows
@@ -700,6 +833,7 @@ impl<R: StoredRow> Clone for Table<R> {
             reseals: self.reseals,
             dropped_rows: self.dropped_rows,
             dropped_segments: self.dropped_segments,
+            spill_failures: self.spill_failures,
             counters: Counters::default(),
             cache: Mutex::new(Cache {
                 map: HashMap::new(),

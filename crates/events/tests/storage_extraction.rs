@@ -202,7 +202,7 @@ fn incremental_matches_batch_over_segmented_storage_every_cycle() {
             assert_cycle(&mut inc, &defs, &topo, &db, &format!("{tag} cycle {cycle}"));
             match cycle {
                 // Barriers: everything sealed, the next rows start a tail.
-                3 | 8 => db.seal_all(),
+                3 | 8 => db.seal_all().expect("barrier"),
                 5 => {
                     db.ingest_more(&topo, &late, &mut stats);
                     assert_cycle(&mut inc, &defs, &topo, &db, &format!("{tag} late slice"));
@@ -252,9 +252,9 @@ fn incremental_matches_batch_over_segmented_storage_every_cycle() {
         let mut twin = db.clone();
         let (a, b) = spare.split_at(spare.len() / 2);
         twin.ingest_more(&topo, a, &mut stats.clone());
-        twin.seal_all();
+        twin.seal_all().expect("barrier");
         db.ingest_more(&topo, b, &mut stats);
-        db.seal_all();
+        db.seal_all().expect("barrier");
         assert_cycle(&mut inc, &defs, &topo, &twin, &format!("{tag} clone"));
         assert_cycle(
             &mut inc,
@@ -332,7 +332,7 @@ fn link_cost_out_and_cost_in_in_different_sealed_runs() {
         .collect();
     let mut db = four_row_segments();
     db.ingest_more(&topo, &recs, &mut IngestStats::default());
-    db.seal_all();
+    db.seal_all().expect("barrier");
     let link0 = topo.link_by_slash30(addr(0)).unwrap();
     let (sealed, _) = db.ospf.runs();
     let run_of = |alive: bool| {
@@ -397,7 +397,7 @@ fn reflector_duplicate_straddling_a_seal_boundary() {
     recs.extend((11..16).map(|i| update(i, "rr1", 1, Some((100, 3)))));
     let mut db = four_row_segments();
     db.ingest_more(&topo, &recs, &mut IngestStats::default());
-    db.seal_all();
+    db.seal_all().expect("barrier");
     let (sealed, _) = db.bgp.runs();
     let holding: Vec<usize> = (0..sealed.len())
         .filter(|&i| sealed[i].rows().iter().any(|r| r.attrs.is_none()))
@@ -476,7 +476,7 @@ fn same_instant_down_and_up_straddling_a_seal_boundary() {
             let cycle = format!("{what}, cycle {cycle}");
             assert_cycle(&mut inc, &defs, &topo, &db, &cycle);
         }
-        db.seal_all();
+        db.seal_all().expect("barrier");
         let (sealed, _) = db.syslog.runs();
         let (first, next) = (sealed[0].rows(), sealed[1].rows());
         let at_t = |row: &grca_collector::SyslogRow| match row.event {
