@@ -17,13 +17,12 @@
 //! [`grca_core::Emission::seq`].
 //!
 //! What is deliberately **not** checkpointed: the incremental extractor's
-//! instance cache. The first post-restore extraction is a full pass over
-//! the restored database, which rebuilds the cache exactly (extraction is
-//! pure). Nor are its watermarks: they date from the cycle's extraction,
-//! before its retention, so they are no check on the restored tables —
-//! the manifest's per-segment row counts are. This keeps the manifest
-//! small and removes a whole class of cache/DB divergence bugs from the
-//! recovery path.
+//! sealed-run memo. Its entries are keyed by run ids, which a restored
+//! database mints afresh, so the first post-restore extraction collects
+//! every restored run once and rebuilds the memo exactly (extraction is
+//! pure). The manifest's per-segment row counts, not any extractor state,
+//! check the restored tables. This keeps the manifest small and removes a
+//! whole class of cache/DB divergence bugs from the recovery path.
 
 use crate::online::OnlineRca;
 use grca_collector::{DurableStore, SaveStage, StorageConfig, StoreManifest};
@@ -49,7 +48,7 @@ pub struct PipelineCheckpoint {
     /// Per-table `(row count, last unix)` watermarks. Written empty and
     /// never read: the manifest already pins every segment's row count,
     /// and restore checks each one (see module docs). Older checkpoints
-    /// that carry the extractor's marks still decode.
+    /// that carry an extractor's marks still decode.
     pub marks: Vec<(u64, Option<i64>)>,
     /// Derived hold-back of the graph that produced this checkpoint; a
     /// restore into a differently configured pipeline is refused (it

@@ -26,9 +26,10 @@
 //!
 //! State is bounded for arbitrarily long runs: symptoms older than the
 //! *skip floor* (`now - hold_back - amend_window`) are never diagnosed or
-//! amended again, so the emitted-key table, the pending-amendment table,
-//! the stateless extraction cache, and the quarantine journal are all
-//! pruned against that same floor each cycle.
+//! amended again, so the emitted-key table, the pending-amendment table
+//! and the quarantine journal are all pruned against that same floor each
+//! cycle. The extractor holds only its sealed-run memo, which shrinks with
+//! the database it reads.
 
 use grca_collector::{Database, FeedRegistry, IngestStats, StorageConfig};
 use grca_core::{DiagnosisGraph, Emission, Engine};
@@ -45,9 +46,8 @@ const QUARANTINE_KEEP: usize = 10_000;
 /// A streaming RCA application instance.
 pub struct OnlineRca<'a> {
     topo: &'a Topology,
-    /// Incremental extraction state: stateless definitions extract only
-    /// the rows appended since the previous cycle, stateful ones re-read
-    /// only the unsealed tail (sealed history's contribution is memoized).
+    /// Incremental extraction state: every definition re-reads only the
+    /// unsealed tail (sealed history's contribution is memoized).
     extractor: IncrementalExtractor,
     graph: DiagnosisGraph,
     /// Accumulated normalized data.
@@ -159,12 +159,12 @@ impl<'a> OnlineRca<'a> {
     }
 
     /// Enable database retention: each cycle, rows older than the skip
-    /// floor minus the extractor's evidence margin minus `margin` are
-    /// dropped. Rows that old can no longer contribute to any future
-    /// diagnosis or amendment (the skip floor settles those symptoms
-    /// forever), so verdicts are unchanged; what is lost is only
-    /// drill-down into ancient history. Off by default — batch-identical
-    /// retention of everything.
+    /// floor minus the evidence margin minus `margin` are dropped. Rows
+    /// that old can no longer contribute to any future diagnosis or
+    /// amendment (the skip floor settles those symptoms forever), so
+    /// verdicts are unchanged; what is lost is only drill-down into
+    /// ancient history. Off by default — batch-identical retention of
+    /// everything.
     pub fn with_db_retention(mut self, margin: Duration) -> Self {
         self.db_retention = Some(margin);
         self
@@ -222,21 +222,18 @@ impl<'a> OnlineRca<'a> {
         &self.relevant_feeds
     }
 
-    /// How many `advance` cycles extended the stateless event caches from
-    /// a delta slice rather than re-reading the whole database.
+    /// Always 0: extraction has no delta path. The method stays because
+    /// `bench_pipeline` reports it as `events.delta_pass_ratio`; it goes
+    /// when the benchmark drops the metric.
     pub fn delta_passes(&self) -> usize {
-        self.extractor.delta_passes()
+        0
     }
 
     /// Bounded-state observability: entries currently held across the
-    /// emitted-key table, the pending-amendment table, the stateless
-    /// extraction cache, and the quarantine journal. Long chaos runs
-    /// assert this plateaus.
+    /// emitted-key table, the pending-amendment table and the quarantine
+    /// journal. Long chaos runs assert this plateaus.
     pub fn state_size(&self) -> usize {
-        self.emitted.len()
-            + self.pending_amend.len()
-            + self.extractor.cached_instances()
-            + self.db.quarantine.len()
+        self.emitted.len() + self.pending_amend.len() + self.db.quarantine.len()
     }
 
     /// Relevant feeds still short of `horizon` at clock `now`. A live
@@ -297,7 +294,7 @@ impl<'a> OnlineRca<'a> {
         self.registry.observe_db(&self.db);
         // Extraction is a pure function of the database, so streaming
         // stays consistent with batch mode; the incremental extractor
-        // re-reads only the newly appended rows for stateless events.
+        // re-reads only the unsealed tail.
         let cx = ExtractCx::new(self.topo, &self.db, routing_for_extraction);
         let store = self.extractor.extract(&cx);
         let spatial = SpatialModel::new(self.topo, oracle);
@@ -358,21 +355,18 @@ impl<'a> OnlineRca<'a> {
             // cycle (the symptom stays un-emitted).
         }
 
-        // Prune every state table against the shared floor. The extractor
-        // keeps an extra margin below it: stateless *diagnostic* instances
-        // slightly older than a still-open symptom can be evidence for it
-        // (rule slack ≤ hold_back, plus symptom windows spanning up to the
-        // 2 h flap-pairing gap).
+        // Prune every state table against the shared floor.
         let floor_unix = floor.unix();
         self.emitted.retain(|_, end| *end > floor_unix);
         self.pending_amend.retain(|_, end| *end > floor_unix);
-        self.extractor
-            .prune_before(floor - self.hold_back - Duration::hours(2));
         self.db.trim_quarantine(self.quarantine_keep);
         if let Some(margin) = self.db_retention {
-            // Same horizon the extractor cache uses, minus a caller-chosen
-            // drill-down margin: nothing at or past the retention floor can
-            // influence a verdict that is still open.
+            // Retention keeps an extra margin below the floor: diagnostic
+            // instances slightly older than a still-open symptom can be
+            // evidence for it (rule slack ≤ hold_back, plus symptom windows
+            // spanning up to the 2 h flap-pairing gap), and a caller-chosen
+            // drill-down margin below that. Nothing at or past the
+            // retention floor can influence a verdict that is still open.
             self.db
                 .retain_before(floor - self.hold_back - Duration::hours(2) - margin);
         }
@@ -549,12 +543,6 @@ mod tests {
         let end = cfg.end() + online.hold_back() + Duration::mins(30);
         drain(&mut online, now, end, &mut streamed);
 
-        // The scenario's records arrive in timestamp order, so after the
-        // first full pass every cycle should have taken the delta path.
-        assert!(
-            online.delta_passes() > 0,
-            "no cycle used incremental extraction"
-        );
         // Healthy feeds: everything emits exactly once, full, unamended.
         assert!(
             streamed

@@ -1053,16 +1053,6 @@ impl Database {
         each_table!(&self, |i, t| (FEEDS[i], t.last_time()))
     }
 
-    /// Per-table count of rows strictly after `marks[i]` (every row where
-    /// the mark is `None`), in [`FEEDS`] order — what incremental
-    /// extraction checks a database's growth against.
-    pub fn rows_after(&self, marks: &[Option<Timestamp>; 10]) -> [usize; 10] {
-        each_table!(&self, |i, t| match marks[i] {
-            Some(w) => t.after(w).len(),
-            None => t.len(),
-        })
-    }
-
     /// Drop the oldest quarantine entries beyond `keep` (long-running
     /// online mode: counts stay in [`IngestStats`]; only the retained
     /// drill-down detail is bounded).

@@ -722,25 +722,11 @@ impl<R: StoredRow> Table<R> {
         RowSet::from_parts(chunks, self.tail.since_slice(t))
     }
 
-    /// Rows with `time > t` — the watermark cut.
-    pub fn after(&self, t: Timestamp) -> RowSet<'_, R> {
-        let chunks = self.time_chunks(
-            |m| m.max_time() > t,
-            |d| (d.times.partition_point(|&u| u <= t), d.rows.len()),
-        );
-        RowSet::from_parts(chunks, self.tail.after_slice(t))
-    }
-
     /// The latest timestamp in the table.
     pub fn last_time(&self) -> Option<Timestamp> {
         self.tail
             .last_time()
             .or_else(|| self.segs.last().map(|s| s.meta.max_time()))
-    }
-
-    /// First row at or after `t` (cloned out of the backing storage).
-    pub fn first_at_or_after(&self, t: Timestamp) -> Option<R> {
-        self.since(t).first().cloned()
     }
 
     /// The distinct entities and their rows, in entity order; each

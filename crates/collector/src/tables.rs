@@ -125,12 +125,6 @@ impl<R: Row> FlatTable<R> {
         &self.rows[self.times.partition_point(|&u| u < t)..]
     }
 
-    /// Rows with `time > t` — the watermark cut of incremental extraction.
-    pub fn after_slice(&self, t: Timestamp) -> &[R] {
-        debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
-        &self.rows[self.times.partition_point(|&u| u <= t)..]
-    }
-
     /// The latest timestamp in the table.
     pub fn last_time(&self) -> Option<Timestamp> {
         debug_assert!(self.finalized == self.rows.len(), "query before finalize()");
@@ -440,18 +434,6 @@ mod tests {
         assert_eq!(got, vec![9, 1, 2, 7]);
     }
 
-    #[test]
-    fn first_at_or_after() {
-        let mut t = Table::default();
-        for s in [2, 4, 6] {
-            t.push(TR(ts(s), s as u32));
-        }
-        t.finalize();
-        assert_eq!(t.first_at_or_after(ts(3)).unwrap().1, 4);
-        assert_eq!(t.first_at_or_after(ts(4)).unwrap().1, 4);
-        assert!(t.first_at_or_after(ts(7)).is_none());
-    }
-
     /// The timestamp column the time queries cut on stays aligned with the
     /// rows through a merge-finalize: `all()`'s times are the model's, and
     /// a cut at every instant returns the model's rows.
@@ -479,15 +461,13 @@ mod tests {
     }
 
     #[test]
-    fn since_and_after_cut_at_the_watermark() {
+    fn since_cuts_at_the_watermark() {
         let mut t = Table::default();
         for s in [1, 3, 3, 5] {
             t.push(TR(ts(s), s as u32));
         }
         t.finalize();
         assert_eq!(t.since(ts(3)).len(), 3);
-        assert_eq!(t.after(ts(3)).len(), 1);
-        assert_eq!(t.after(ts(5)).len(), 0);
         assert_eq!(t.since(ts(0)).len(), 4);
     }
 
@@ -561,7 +541,7 @@ mod tests {
             assert_eq!(t.all().to_vec(), model(&pushed, |_| true), "batch {}", bi);
             // Indexes stay aligned after every merge.
             for s in [0, 10, 13, 14, 17] {
-                assert_eq!(t.after(ts(s)).to_vec(), model(&pushed, |r| r.0 > ts(s)));
+                assert_eq!(t.since(ts(s)).to_vec(), model(&pushed, |r| r.0 >= ts(s)));
             }
             let evens: Vec<TR> = t.rows_of(&0).iter().cloned().collect();
             assert_eq!(evens, model(&pushed, |r| r.1 % 2 == 0));
@@ -667,7 +647,6 @@ mod tests {
                 seg.since(ts(12)).to_vec(),
                 model(&pushed, |r| r.0 >= ts(12))
             );
-            assert_eq!(seg.after(ts(9)).to_vec(), model(&pushed, |r| r.0 > ts(9)));
             assert_eq!(seg.entity_count(), 2);
             for e in [0u32, 1, 7] {
                 let got: Vec<TR> = seg.rows_of(&e).iter().cloned().collect();

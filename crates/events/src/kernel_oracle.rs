@@ -15,7 +15,7 @@ use crate::extract::{
     MERGE_GAP,
 };
 use crate::instance::EventInstance;
-use crate::singlepass::{merge_runs, pair_parts, run, sort_by_u64, Cut};
+use crate::singlepass::{merge_runs, pair_parts, run, sort_by_u64};
 use grca_collector::{Database, PerfRow};
 use grca_net_model::gen::{generate, TopoGenConfig};
 use grca_net_model::{Location, LocationType, RouterId, Topology};
@@ -360,7 +360,7 @@ proptest! {
         let retrieval = Retrieval::PerfAnomaly { metric, sense };
         let def = EventDefinition::new("probe", LocationType::IngressEgress, retrieval, "t", "perf");
         let cx = ExtractCx::new(topo, &db, None);
-        let finished = run(&[&def], &cx, Cut::Full).remove(0);
+        let finished = run(&[&def], &cx, None).remove(0);
         prop_assert_eq!(finished, probe_by_tree(&def, &db.perf.all(), sense));
     }
 

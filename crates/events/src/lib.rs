@@ -39,4 +39,4 @@ pub use library::{
     bgp_app_events, cdn_app_events, knowledge_library, mnemonic_event, names, pim_app_events,
     workflow_event,
 };
-pub use singlepass::{extract_all, is_stateless};
+pub use singlepass::extract_all;

@@ -27,16 +27,13 @@
 //! (`merge_runs`). One trailing median, a sorted window cleared between
 //! pairs, judges every pair of a finish.
 //!
-//! The pass takes a `Cut` saying which pieces. `Full` collects each table
-//! whole. `After` collects the rows strictly after a per-table watermark
-//! (the collector's binary-searched time index); stateless definitions
-//! (point events, see [`is_stateless`]) extract correctly over such a delta
-//! slice. `Memo` reads each table as its sealed runs plus its tail
-//! ([`Table::runs`]): sealed runs are immutable, so a run's part is
-//! collected the first time the run is met and kept under the run's id in
-//! a `Memo`; only the tail is collected every time. With nothing sealed
-//! (or nothing memoized yet) that is `Full`. The incremental extractor in
-//! [`crate::delta`] builds on both.
+//! A pass without a `Memo` collects each table whole. A pass with one
+//! reads each table as its sealed runs plus its tail ([`Table::runs`]):
+//! sealed runs are immutable, so a run's part is collected the first time
+//! the run is met and kept under the run's id in the memo; only the tail
+//! is collected every time. With nothing sealed (or nothing memoized yet)
+//! the two are the same pass. The incremental extractor in
+//! [`crate::delta`] owns the memo.
 
 use crate::def::{AnomalySense, EventDefinition, PimScope, Retrieval, StateSel};
 use crate::extract::{
@@ -54,38 +51,6 @@ use grca_telemetry::records::{PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::SyslogEvent;
 use grca_types::{Symbol, TimeWindow, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Which rows of each table a pass reads, and in how many pieces.
-///
-/// The watermark array is indexed in [`grca_collector::Database::row_counts`]
-/// order: syslog, snmp, l1, ospf, bgp, tacacs, workflow, perf, cdn, server.
-/// `None` for a table means "no prior rows" — read it whole.
-pub(crate) enum Cut<'a> {
-    /// Every row of every table.
-    Full,
-    /// Only rows strictly after each table's watermark.
-    After(&'a [Option<Timestamp>; 10]),
-    /// Every row of every table, sealed runs through `memo`. With
-    /// `stateful_only` the stateless definitions are not finished — the
-    /// caller has them from a delta — and their slots come back empty (a
-    /// sealed run met for the first time is still collected for them: a
-    /// memoized part must serve any later pass).
-    Memo {
-        memo: &'a mut Memo,
-        stateful_only: bool,
-    },
-}
-
-pub(crate) const T_SYSLOG: usize = 0;
-pub(crate) const T_SNMP: usize = 1;
-pub(crate) const T_L1: usize = 2;
-pub(crate) const T_OSPF: usize = 3;
-pub(crate) const T_BGP: usize = 4;
-pub(crate) const T_TACACS: usize = 5;
-pub(crate) const T_WORKFLOW: usize = 6;
-pub(crate) const T_PERF: usize = 7;
-pub(crate) const T_CDN: usize = 8;
-pub(crate) const T_SERVER: usize = 9;
 
 /// One table's memoized parts: `(run id, part)` in run order.
 type Sealed<P> = Vec<(u64, P)>;
@@ -176,34 +141,20 @@ pub(crate) fn pair_parts<'a, K: Ord + Copy + 'a>(
     });
 }
 
-/// Which definitions (by slot) a collect serves.
-type Serve<'a> = &'a dyn Fn(usize) -> bool;
-
-/// Collect `t` for one pass. Without a memo that is one part: the whole
-/// table, cut at `after` when given (binary-searched, not scanned). With
-/// one, the table is walked as its sealed runs and its tail: a sealed run
-/// is collected only if the memo does not hold its id, the tail always,
-/// and every entry whose id the walk did not meet is dropped — retention
-/// dropped that run, or a reseal rewrote it under new ids.
-///
-/// A part that enters the memo serves every definition, whatever this
-/// pass finishes: it must do for any later pass. The fresh part is used
-/// once, so it serves only the definitions this pass `want`s.
+/// Collect `t` for one pass. Without a memo that is one part, the whole
+/// table. With one, the table is walked as its sealed runs and its tail:
+/// a sealed run is collected only if the memo does not hold its id, the
+/// tail always, and every entry whose id the walk did not meet is dropped
+/// — retention dropped that run, or a reseal rewrote it under new ids.
 fn gather<'m, R: StoredRow, P>(
     t: &Table<R>,
-    after: Option<Timestamp>,
     memo: Option<&'m mut Sealed<P>>,
-    want: Serve,
-    collect: impl Fn(&RowSet<'_, R>, Serve) -> P,
+    collect: impl Fn(&RowSet<'_, R>) -> P,
 ) -> Parts<'m, P> {
     let Some(memo) = memo else {
-        let rows = match after {
-            Some(w) => t.after(w),
-            None => t.all(),
-        };
         return Parts {
             sealed: &[],
-            fresh: collect(&rows, want),
+            fresh: collect(&t.all()),
         };
     };
     let (sealed, tail) = t.runs();
@@ -211,24 +162,13 @@ fn gather<'m, R: StoredRow, P>(
     memo.extend(sealed.iter().map(|run| {
         let part = held
             .remove(&run.id())
-            .unwrap_or_else(|| collect(&run.rows(), &|_| true));
+            .unwrap_or_else(|| collect(&run.rows()));
         (run.id(), part)
     }));
     Parts {
         sealed: memo,
-        fresh: collect(&tail, want),
+        fresh: collect(&tail),
     }
-}
-
-/// The matchers a collect serves, each with its index in the full list
-/// (a part's per-matcher vectors are parallel to the full list).
-fn serving<'a, K>(matchers: &'a [(usize, K)], serve: Serve) -> Vec<(usize, usize, &'a K)> {
-    matchers
-        .iter()
-        .enumerate()
-        .filter(|(_, (slot, _))| serve(*slot))
-        .map(|(k, (slot, kind))| (k, *slot, kind))
-        .collect()
 }
 
 /// Extract all instances for a set of definitions into a store, scanning
@@ -239,32 +179,10 @@ fn serving<'a, K>(matchers: &'a [(usize, K)], serve: Serve) -> Vec<(usize, usize
 pub fn extract_all(defs: &[EventDefinition], cx: &ExtractCx) -> EventStore {
     let refs: Vec<&EventDefinition> = defs.iter().collect();
     let mut store = EventStore::new();
-    for out in run(&refs, cx, Cut::Full) {
+    for out in run(&refs, cx, None) {
         store.add(out);
     }
     store
-}
-
-/// True when the definition emits independent point events with no
-/// cross-row state — no down/up pairing, no threshold-episode merging, no
-/// trailing baseline, no cost-state tracking, no update deduplication.
-/// Stateless definitions extract correctly over a rows-after-watermark
-/// delta slice; stateful ones must re-read the whole table.
-pub fn is_stateless(def: &EventDefinition) -> bool {
-    matches!(
-        def.retrieval,
-        Retrieval::RouterReboot
-            | Retrieval::CpuSpike { .. }
-            | Retrieval::EbgpHoldTimerExpired
-            | Retrieval::CustomerResetSession
-            | Retrieval::L1Restoration(_)
-            | Retrieval::OspfReconvergence
-            | Retrieval::PimConfigCommand
-            | Retrieval::CommandCostOut
-            | Retrieval::CommandCostIn
-            | Retrieval::SyslogMnemonic { .. }
-            | Retrieval::WorkflowActivity { .. }
-    )
 }
 
 /// What a syslog-reading definition does with a row (mnemonic definitions
@@ -384,43 +302,32 @@ impl Memo {
     }
 }
 
-/// Append the wanted point instances to their slots: the sealed parts' by
-/// clone, the fresh part's by move.
+/// Append the point instances to their slots: the sealed parts' by clone,
+/// the fresh part's by move.
 fn emit_points<'p>(
     sealed: impl Iterator<Item = &'p Points>,
     fresh: Points,
-    want: impl Fn(usize) -> bool,
     outs: &mut [Vec<EventInstance>],
 ) {
     for (slot, inst) in sealed.flatten() {
-        if want(*slot) {
-            outs[*slot].push(inst.clone());
-        }
+        outs[*slot].push(inst.clone());
     }
     for (slot, inst) in fresh {
-        if want(slot) {
-            outs[slot].push(inst);
-        }
+        outs[slot].push(inst);
     }
 }
 
-/// Interpret every definition over each table in one pass. Output is
-/// indexed like `defs`; each finished entry equals `extract(defs[i], cx)`
-/// exactly (over the cut slice). See the module docs for the collect /
-/// finish shape every table block has.
-pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Vec<EventInstance>> {
+/// Interpret every definition over each table in one pass, sealed runs
+/// through `memo` when given. Output is indexed like `defs`; each entry
+/// equals `extract(defs[i], cx)` exactly. See the module docs for the
+/// collect / finish shape every table block has.
+pub(crate) fn run(
+    defs: &[&EventDefinition],
+    cx: &ExtractCx,
+    mut memo: Option<&mut Memo>,
+) -> Vec<Vec<EventInstance>> {
     let mut outs: Vec<Vec<EventInstance>> = vec![Vec::new(); defs.len()];
     let mut cursors = Vec::new();
-    let (marks, mut memo, stateful_only) = match cut {
-        Cut::Full => (None, None, false),
-        Cut::After(marks) => (Some(marks), None, false),
-        Cut::Memo {
-            memo,
-            stateful_only,
-        } => (None, Some(memo), stateful_only),
-    };
-    let after = |table: usize| marks.and_then(|m| m[table]);
-    let want = |slot: usize| !(stateful_only && is_stateless(defs[slot]));
     let point = |slot: usize, at: Timestamp, loc: Location| {
         EventInstance::new(&defs[slot].name, TimeWindow::at(at), loc)
     };
@@ -460,8 +367,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         syslog.push((i, kind));
     }
     if !syslog.is_empty() || !mnemonics.is_empty() {
-        let collect = |rows: &RowSet<SyslogRow>, serve: Serve| {
-            let live = serving(&syslog, serve);
+        let collect = |rows: &RowSet<SyslogRow>| {
             let mut part = SyslogPart {
                 points: Vec::new(),
                 iface: vec![Vec::new(); syslog.len()],
@@ -472,7 +378,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 // lookup replaces a sweep over every registered message type.
                 if !mnemonics.is_empty() {
                     if let Some(hits) = mnemonics.get(row.mnemonic()) {
-                        for &slot in hits.iter().filter(|&&slot| serve(slot)) {
+                        for &slot in hits {
                             part.points.push((
                                 slot,
                                 point(slot, row.utc, Location::Router(row.router))
@@ -483,7 +389,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                 }
                 // Interface resolution is shared across matchers of one row.
                 let mut resolved: Option<Option<InterfaceId>> = None;
-                for &(k, slot, kind) in &live {
+                for (k, &(slot, ref kind)) in syslog.iter().enumerate() {
                     match kind {
                         SyslogKind::Iface { proto, .. } => {
                             let iface = match (&row.event, *proto) {
@@ -566,13 +472,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.syslog);
-        let parts = gather(&cx.db.syslog, after(T_SYSLOG), memo, &want, collect);
+        let parts = gather(&cx.db.syslog, memo, collect);
         let (mut iface_seq, mut session_seq) = (Vec::new(), Vec::new());
         for (k, (slot, kind)) in syslog.iter().enumerate() {
             let (def, out) = (defs[*slot], &mut outs[*slot]);
-            if !want(*slot) {
-                continue;
-            }
             match kind {
                 SyslogKind::Iface { sel, .. } => {
                     let parts = parts.iter().map(|p| &p.iface[k][..]);
@@ -592,7 +495,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
         }
         let sealed = parts.sealed().map(|p| &p.points);
-        emit_points(sealed, parts.fresh.points, want, &mut outs);
+        emit_points(sealed, parts.fresh.points, &mut outs);
     }
 
     // -------------------------------------------------------------- snmp
@@ -609,11 +512,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         let entity =
             |&(r, i, _): &SnmpHit| u64::from(r.0) << 33 | i.map_or(0, |i| u64::from(i) + 1);
         // Per matcher: its qualifying samples, stably by entity.
-        let collect = |rows: &RowSet<SnmpRow>, serve: Serve| {
-            let live = serving(&snmp, serve);
+        let collect = |rows: &RowSet<SnmpRow>| {
             let mut hits: Vec<Vec<SnmpHit>> = vec![Vec::new(); snmp.len()];
             for row in rows.iter() {
-                for &(k, _, (metric, min)) in &live {
+                for (k, (_, (metric, min))) in snmp.iter().enumerate() {
                     if row.metric == *metric && row.value >= *min {
                         hits[k].push((row.router, row.iface.map(|i| i.0), row.utc));
                     }
@@ -623,11 +525,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.snmp);
-        let parts = gather(&cx.db.snmp, after(T_SNMP), memo, &want, collect);
+        let parts = gather(&cx.db.snmp, memo, collect);
         for (k, (slot, _)) in snmp.iter().enumerate() {
-            if !want(*slot) {
-                continue;
-            }
             let parts = parts.iter().map(|p| &p[k][..]);
             merge_runs(&mut cursors, parts, entity, |&(router, iface, _), runs| {
                 let times = runs.flatten().map(|&(.., utc)| utc);
@@ -646,12 +545,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !l1.is_empty() {
-        let collect = |rows: &RowSet<L1Row>, serve: Serve| {
-            let live = serving(&l1, serve);
+        let collect = |rows: &RowSet<L1Row>| {
             let mut points: Points = Vec::new();
             for row in rows.iter() {
-                for &(_, slot, kind) in &live {
-                    if row.kind == *kind {
+                for &(slot, kind) in &l1 {
+                    if row.kind == kind {
                         let circuit = &cx.topo.phys_link(row.circuit).circuit;
                         points.push((
                             slot,
@@ -664,8 +562,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.l1);
-        let parts = gather(&cx.db.l1, after(T_L1), memo, &want, collect);
-        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
+        let parts = gather(&cx.db.l1, memo, collect);
+        emit_points(parts.sealed(), parts.fresh, &mut outs);
     }
 
     // -------------------------------------------------------------- ospf
@@ -689,26 +587,25 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !ospf.is_empty() {
-        let collect = |rows: &RowSet<OspfRow>, serve: Serve| {
-            let live = serving(&ospf, serve);
-            let reads_cost = live
-                .iter()
-                .any(|(_, _, kind)| !matches!(kind, OspfKind::Reconv));
+        let reconv: Vec<usize> = (ospf.iter())
+            .filter(|(_, kind)| matches!(kind, OspfKind::Reconv))
+            .map(|&(slot, _)| slot)
+            .collect();
+        let reads_cost = reconv.len() < ospf.len();
+        let collect = |rows: &RowSet<OspfRow>| {
             let mut part = OspfPart::default();
             for row in rows.iter() {
-                for &(_, slot, kind) in &live {
-                    if let OspfKind::Reconv = kind {
-                        let inst = EventInstance::new(
-                            &defs[slot].name,
-                            TimeWindow::new(row.utc, row.utc + RECONV_DUR),
-                            Location::LogicalLink(row.link),
-                        )
-                        .with_info(match row.weight {
-                            Some(w) => format!("weight -> {w}"),
-                            None => "withdrawn".to_string(),
-                        });
-                        part.points.push((slot, inst));
-                    }
+                for &slot in &reconv {
+                    let inst = EventInstance::new(
+                        &defs[slot].name,
+                        TimeWindow::new(row.utc, row.utc + RECONV_DUR),
+                        Location::LogicalLink(row.link),
+                    )
+                    .with_info(match row.weight {
+                        Some(w) => format!("weight -> {w}"),
+                        None => "withdrawn".to_string(),
+                    });
+                    part.points.push((slot, inst));
                 }
                 if reads_cost {
                     part.rows.push((row.utc, row.link, row.weight.is_some()));
@@ -717,10 +614,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             part
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.ospf);
-        let parts = gather(&cx.db.ospf, after(T_OSPF), memo, &want, collect);
-        let wants_cost =
-            |(slot, kind): &(usize, OspfKind)| !matches!(kind, OspfKind::Reconv) && want(*slot);
-        if ospf.iter().any(wants_cost) {
+        let parts = gather(&cx.db.ospf, memo, collect);
+        if reads_cost {
             // One shared alive-state trajectory: every cost matcher would
             // build the identical map, so replay it once and keep the rows
             // that flip a link — `(instant, link, alive now)`.
@@ -731,7 +626,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
                     flips.push((utc, link, alive_now));
                 }
             }
-            for (slot, kind) in ospf.iter().filter(|m| wants_cost(m)) {
+            for (slot, kind) in &ospf {
                 match kind {
                     OspfKind::Reconv => {}
                     OspfKind::LinkCost { cost_in } => {
@@ -763,7 +658,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
         }
         let sealed = parts.sealed().map(|p| &p.points);
-        emit_points(sealed, parts.fresh.points, want, &mut outs);
+        emit_points(sealed, parts.fresh.points, &mut outs);
     }
 
     // --------------------------------------------------------------- bgp
@@ -779,16 +674,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         // Every matcher reads the same projection; which rows are
         // reflector copies of an update already seen depends on the rows
         // before them, so the dedup runs at finish.
-        let collect = |rows: &RowSet<BgpRow>, serve: Serve| -> Vec<UpdateKey> {
-            if !bgp.iter().any(|(slot, _)| serve(*slot)) {
-                return Vec::new();
-            }
+        let collect = |rows: &RowSet<BgpRow>| -> Vec<UpdateKey> {
             rows.iter()
                 .map(|row| (row.utc, row.prefix, row.egress, row.attrs))
                 .collect()
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.bgp);
-        let parts = gather(&cx.db.bgp, after(T_BGP), memo, &want, collect);
+        let parts = gather(&cx.db.bgp, memo, collect);
         let mut seen: BTreeSet<UpdateKey> = BTreeSet::new();
         let mut update_times: PrefixTimes = BTreeMap::new();
         for &key in parts.iter().flatten() {
@@ -797,10 +689,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             }
         }
         for (slot, ingresses) in bgp {
-            if want(slot) {
-                outs[slot] =
-                    egress_finish(defs[slot], cx, routing, ingresses, update_times.clone());
-            }
+            outs[slot] = egress_finish(defs[slot], cx, routing, ingresses, update_times.clone());
         }
     }
 
@@ -823,12 +712,11 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         })
         .collect();
     if !tacacs.is_empty() {
-        let collect = |rows: &RowSet<TacacsRow>, serve: Serve| {
-            let live = serving(&tacacs, serve);
+        let collect = |rows: &RowSet<TacacsRow>| {
             let mut points: Points = Vec::new();
             for row in rows.iter() {
                 let c = &row.command;
-                for &(_, slot, kind) in &live {
+                for &(slot, ref kind) in &tacacs {
                     let loc = match kind {
                         TacacsKind::PimConfig => {
                             if !c.contains("mvpn customer") {
@@ -858,8 +746,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.tacacs);
-        let parts = gather(&cx.db.tacacs, after(T_TACACS), memo, &want, collect);
-        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
+        let parts = gather(&cx.db.tacacs, memo, collect);
+        emit_points(parts.sealed(), parts.fresh, &mut outs);
     }
 
     // ---------------------------------------------------------- workflow
@@ -874,13 +762,13 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         }
     }
     if !wf.is_empty() {
-        let collect = |rows: &RowSet<WorkflowRow>, serve: Serve| {
+        let collect = |rows: &RowSet<WorkflowRow>| {
             let mut points: Points = Vec::new();
             for row in rows.iter() {
                 let Some(hits) = wf.get(row.activity.as_str()) else {
                     continue;
                 };
-                for &slot in hits.iter().filter(|&&slot| serve(slot)) {
+                for &slot in hits {
                     let loc = row.router.map(Location::Router).or_else(|| {
                         let node = cx.topo.cdn_node_by_name(&row.entity)?;
                         Some(Location::Router(cx.topo.cdn_node(node).attach_router))
@@ -897,8 +785,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             points
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.workflow);
-        let parts = gather(&cx.db.workflow, after(T_WORKFLOW), memo, &want, collect);
-        emit_points(parts.sealed(), parts.fresh, want, &mut outs);
+        let parts = gather(&cx.db.workflow, memo, collect);
+        emit_points(parts.sealed(), parts.fresh, &mut outs);
     }
 
     // -------------------------------------------------------------- perf
@@ -914,11 +802,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         let pair =
             |&(ingress, egress, ..): &PerfPoint| u64::from(ingress.0) << 32 | u64::from(egress.0);
         // Per matcher: its metric's samples, stably by pair.
-        let collect = |rows: &RowSet<PerfRow>, serve: Serve| {
-            let live = serving(&perf, serve);
+        let collect = |rows: &RowSet<PerfRow>| {
             let mut series: Vec<Vec<PerfPoint>> = vec![Vec::new(); perf.len()];
             for row in rows.iter() {
-                for &(k, _, (metric, _)) in &live {
+                for (k, (_, (metric, _))) in perf.iter().enumerate() {
                     if row.metric == *metric {
                         series[k].push((row.ingress, row.egress, row.utc, row.value));
                     }
@@ -928,12 +815,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             series
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.perf);
-        let parts = gather(&cx.db.perf, after(T_PERF), memo, &want, collect);
+        let parts = gather(&cx.db.perf, memo, collect);
         let mut baseline = TrailingBaseline::default();
         for (k, &(slot, kind)) in perf.iter().enumerate() {
-            if !want(slot) {
-                continue;
-            }
             let (def, out) = (defs[slot], &mut outs[slot]);
             let parts = parts.iter().map(|p| &p[k][..]);
             merge_runs(&mut cursors, parts, pair, |&(ingress, egress, ..), runs| {
@@ -957,10 +841,7 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
         // Every CDN matcher consumes the full unfiltered series, so
         // project it once, stably by pair, and share.
         let pair = |&(node, client, ..): &CdnPoint| u64::from(node) << 32 | u64::from(client);
-        let collect = |rows: &RowSet<CdnRow>, serve: Serve| -> Vec<CdnPoint> {
-            if !cdn.iter().any(|(slot, ..)| serve(*slot)) {
-                return Vec::new();
-            }
+        let collect = |rows: &RowSet<CdnRow>| -> Vec<CdnPoint> {
             let mut pts: Vec<CdnPoint> = rows
                 .iter()
                 .map(|row| {
@@ -977,12 +858,9 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             pts
         };
         let memo = memo.as_deref_mut().map(|m| &mut m.cdn);
-        let parts = gather(&cx.db.cdn, after(T_CDN), memo, &want, collect);
+        let parts = gather(&cx.db.cdn, memo, collect);
         let mut baseline = TrailingBaseline::default();
         for (slot, rtt_factor, tput_factor) in cdn {
-            if !want(slot) {
-                continue;
-            }
             let factors = (rtt_factor, tput_factor);
             let (def, out) = (defs[slot], &mut outs[slot]);
             let parts = parts.iter().map(|p| &p[..]);
@@ -1005,11 +883,10 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
     if !server.is_empty() {
         let node = |&(node, _): &ServerHit| u64::from(node);
         // Per matcher: its high-load samples, stably by node.
-        let collect = |rows: &RowSet<ServerRow>, serve: Serve| {
-            let live = serving(&server, serve);
+        let collect = |rows: &RowSet<ServerRow>| {
             let mut hits: Vec<Vec<ServerHit>> = vec![Vec::new(); server.len()];
             for row in rows.iter() {
-                for &(k, _, min_load) in &live {
+                for (k, (_, min_load)) in server.iter().enumerate() {
                     if row.load >= *min_load {
                         hits[k].push((row.node.0, row.utc));
                     }
@@ -1019,11 +896,8 @@ pub(crate) fn run(defs: &[&EventDefinition], cx: &ExtractCx, cut: Cut) -> Vec<Ve
             hits
         };
         let memo = memo.map(|m| &mut m.server);
-        let parts = gather(&cx.db.server, after(T_SERVER), memo, &want, collect);
+        let parts = gather(&cx.db.server, memo, collect);
         for (k, (slot, _)) in server.iter().enumerate() {
-            if !want(*slot) {
-                continue;
-            }
             let parts = parts.iter().map(|p| &p[k][..]);
             merge_runs(&mut cursors, parts, node, |&(node, _), runs| {
                 let times = runs.flatten().map(|&(_, utc)| utc);

@@ -218,7 +218,6 @@ fn incremental_matches_batch_over_segmented_storage_every_cycle() {
         let st = db.storage_stats().unwrap();
         assert!(st.reseals > 0, "the late slice forced no reseal");
         assert!(st.dropped_segments > 0, "retention dropped no sealed run");
-        assert!(inc.delta_passes() > 0 && inc.full_passes() > 1);
         let (entries, _) = inc.memo_size();
         assert_eq!(
             entries, st.sealed_segments,
