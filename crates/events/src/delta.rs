@@ -9,7 +9,7 @@
 //! stateful ones (down/up pairing, threshold merging, trailing baselines,
 //! cost-state tracking, update dedup) because an old row can change their
 //! output, point events because the pass finishing the others costs them
-//! nothing more. But finishing needs only what each row contributed, and
+//! little more. But finishing needs only what each row contributed, and
 //! most of the history sits in sealed segments, which never change: every
 //! pass goes through a memo that holds each sealed run's part under the
 //! run's id, so a run is decoded and collected once, for every definition,

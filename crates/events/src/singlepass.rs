@@ -51,6 +51,7 @@ use grca_telemetry::records::{PerfMetric, SnmpMetric};
 use grca_telemetry::syslog::SyslogEvent;
 use grca_types::{Symbol, TimeWindow, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// One table's memoized parts: `(run id, part)` in run order.
 type Sealed<P> = Vec<(u64, P)>;
@@ -317,6 +318,18 @@ fn emit_points<'p>(
     }
 }
 
+/// `"{pct}%"`, shared: CPU percentages are a small vocabulary, and the
+/// spikes in a table's tail are collected again every incremental pass,
+/// so each costs a refcount rather than a formatted string.
+fn pct_info(pct: u32) -> Arc<str> {
+    static TEXT: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+    let text = TEXT.get_or_init(|| (0..=100).map(|p| format!("{p}%").into()).collect());
+    match text.get(pct as usize) {
+        Some(t) => Arc::clone(t),
+        None => format!("{pct}%").into(),
+    }
+}
+
 /// Interpret every definition over each table in one pass, sealed runs
 /// through `memo` when given. Output is indexed like `defs`; each entry
 /// equals `extract(defs[i], cx)` exactly. See the module docs for the
@@ -420,7 +433,7 @@ pub(crate) fn run(
                                     let loc = Location::Router(row.router);
                                     part.points.push((
                                         slot,
-                                        point(slot, row.utc, loc).with_info(format!("{pct}%")),
+                                        point(slot, row.utc, loc).with_info(pct_info(*pct)),
                                     ));
                                 }
                             }
@@ -587,7 +600,8 @@ pub(crate) fn run(
         })
         .collect();
     if !ospf.is_empty() {
-        let reconv: Vec<usize> = (ospf.iter())
+        let reconv: Vec<usize> = ospf
+            .iter()
             .filter(|(_, kind)| matches!(kind, OspfKind::Reconv))
             .map(|&(slot, _)| slot)
             .collect();
