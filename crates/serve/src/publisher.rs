@@ -1,7 +1,7 @@
 //! [`Publisher`]: the ingest-side epoch builder.
 //!
-//! Owns the collector database, a watermark-delta incremental extractor
-//! over the *union* of every tenant's event definitions (extraction
+//! Owns the collector database, a memoized incremental extractor over
+//! the *union* of every tenant's event definitions (extraction
 //! happens once per epoch, shared by all tenants), and the tenants,
 //! resolved once at construction. Each cycle: [`Publisher::ingest`] raw
 //! records, then [`Publisher::publish_if_changed`] — rebuild routing,
@@ -92,8 +92,8 @@ impl Publisher {
         &self.stats
     }
 
-    /// Build the next epoch: reconstruct routing, extract the delta,
-    /// freeze, assemble with the tenants resolved at construction. No
+    /// Build the next epoch: reconstruct routing, extract (re-reading only
+    /// the unsealed tail), freeze, assemble with the tenants resolved at construction. No
     /// diagnosis runs here; the snapshot's route caches fill on demand.
     pub fn publish(&mut self) -> Result<Arc<ServingSnapshot>> {
         let tenants = self.tenants.clone()?;
