@@ -19,9 +19,7 @@
 //! plus the flat tail, they return a [`RowSet`] — a small list of pinned
 //! segment chunks plus a tail slice — instead of one borrowed slice. With
 //! nothing sealed a `RowSet` is exactly the tail slice (no chunks, no
-//! allocation). [`crate::Table::after`] remains the watermark cut behind
-//! incremental extraction: "every row strictly after `t`" is one
-//! `partition_point` per storage piece.
+//! allocation).
 
 use crate::rows::{EntityIndex, Row};
 use crate::segment::{DecodedSeg, StoredRow};
